@@ -20,8 +20,8 @@ from .manifold import (
     Metric,
     TangentDecomposition,
     cost,
+    dominant_term_action,
     hessian_action,
-    horizontal_basis,
     horizontal_inner,
     metric_inner,
     project_decompose,
@@ -33,12 +33,9 @@ from .precond import (
     CoupledSystem,
     PreconditionerError,
     ShiftSystemCache,
-    apply_bart_preconditioner,
     apply_cached,
     apply_preconditioner,
-    assemble_precond_operator_dense,
     build_shift_cache,
-    dominant_term_action,
     saddle_solve,
 )
 from .problems import (
@@ -90,17 +87,14 @@ __all__ = [
     "TnewtonConfig",
     "TpcgState",
     "TraceRow",
-    "apply_bart_preconditioner",
     "apply_cached",
     "apply_preconditioner",
-    "assemble_precond_operator_dense",
     "build_shift_cache",
     "cost",
     "dense_oracle_solve",
     "dominant_term_action",
     "gen_poisson",
     "hessian_action",
-    "horizontal_basis",
     "line_search",
     "load_manifest",
     "load_matrix_market",

@@ -179,9 +179,17 @@ def _write_outputs(args, trace, summary):
             fh.write("\n")
 
 
-def cmd_solve(args):
-    t0 = time.perf_counter()
-    problem = _build_problem(args)
+def _write_table(path, table):
+    """Write a CSV table to `path`, or to stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(table)
+    else:
+        print(table, end="")
+
+
+def _solve(args, problem, t0):
+    """(trace, summary) of the solve, or (None, None) after reporting a failure."""
     config = IrrConfig(p_min=args.p_min, p_max=args.p_max, p_inc=args.p_inc,
                        tau=args.tol, seed=args.seed)
     try:
@@ -190,18 +198,32 @@ def cmd_solve(args):
             TnewtonConfig(), args.precond,
         )
     except _SOLVER_ERRORS as exc:
-        partial = getattr(exc, "trace", None)
-        _write_outputs(args, partial, None)
-        return _solver_error(type(exc).__name__, str(exc))
+        _write_outputs(args, getattr(exc, "trace", None), None)
+        _solver_error(type(exc).__name__, str(exc))
+        return None, None
     total_ms = (time.perf_counter() - t0) * 1e3
-    summary = _summary(point, trace, total_ms)
-    _write_outputs(args, trace, summary)
+    return trace, _summary(point, trace, total_ms)
+
+
+def _tolerance_status(args, summary):
+    """Exit code 0 if the summary meets --tol, else 1 with the error line."""
     if summary["rel_res"] <= args.tol:
-        print(json.dumps(summary))
         return 0
     return _solver_error("tolerance_not_reached",
                          f"relative residual {summary['rel_res']:.3e} "
                          f"above {args.tol:.3e}", **summary)
+
+
+def cmd_solve(args):
+    t0 = time.perf_counter()
+    trace, summary = _solve(args, _build_problem(args), t0)
+    if summary is None:
+        return 1
+    _write_outputs(args, trace, summary)
+    status = _tolerance_status(args, summary)
+    if status == 0:
+        print(json.dumps(summary))
+    return status
 
 
 _BENCH_HEADER = "n,mass,metric,precond,iter,nH,relres,ms"
@@ -233,12 +255,7 @@ def cmd_bench(args):
                 f"{args.n},{mass},{args.metric},{precond},"
                 f"{final.k},{final.nH},{final.relres:.17g},{ms:.17g}"
             )
-    table = "\n".join(lines) + "\n"
-    if args.trace_out:
-        with open(args.trace_out, "w", encoding="ascii") as fh:
-            fh.write(table)
-    else:
-        print(table, end="")
+    _write_table(args.trace_out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -248,17 +265,9 @@ def cmd_oracle_check(args):
     if problem.n > args.dense_limit:
         return _config_error(
             f"oracle-check needs n <= {args.dense_limit}, got {problem.n}")
-    config = IrrConfig(p_min=args.p_min, p_max=args.p_max, p_inc=args.p_inc,
-                       tau=args.tol, seed=args.seed)
-    try:
-        point, trace = solve_increasing_rank(
-            problem, Metric(args.metric), config,
-            TnewtonConfig(), args.precond,
-        )
-    except _SOLVER_ERRORS as exc:
-        _write_outputs(args, getattr(exc, "trace", None), None)
-        return _solver_error(type(exc).__name__, str(exc))
-    total_ms = (time.perf_counter() - t0) * 1e3
+    trace, summary = _solve(args, problem, t0)
+    if summary is None:
+        return 1
 
     x_star = dense_oracle_solve(problem, dense_limit=args.dense_limit)
     vals, vecs = np.linalg.eigh(x_star)
@@ -273,23 +282,9 @@ def cmd_oracle_check(args):
     for rank in sorted(per_rank):
         best = relative_residual(problem, factors[:, :rank])
         lines.append(f"{rank},{best:.17g},{per_rank[rank]:.17g}")
-    report = "\n".join(lines) + "\n"
-    if args.trace_out:
-        with open(args.trace_out, "w", encoding="ascii") as fh:
-            fh.write(report)
-    else:
-        print(report, end="")
-
-    summary = _summary(point, trace, total_ms)
-    if args.summary_out:
-        with open(args.summary_out, "w", encoding="ascii") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
-    if summary["rel_res"] <= args.tol:
-        return 0
-    return _solver_error("tolerance_not_reached",
-                         f"relative residual {summary['rel_res']:.3e} "
-                         f"above {args.tol:.3e}", **summary)
+    _write_table(args.trace_out, "\n".join(lines) + "\n")
+    _write_outputs(args, None, summary)
+    return _tolerance_status(args, summary)
 
 
 def cmd_generate(args):
@@ -309,7 +304,7 @@ def main(argv=None):
         if args.command == "oracle-check":
             return cmd_oracle_check(args)
         return cmd_generate(args)
-    except (MatrixMarketError, OSError, ValueError, AssertionError) as exc:
+    except (MatrixMarketError, OSError, ValueError) as exc:
         return _config_error(str(exc))
 
 

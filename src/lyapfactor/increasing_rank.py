@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .manifold import cost
+from .manifold import Metric, cost, riemannian_gradient
 from .precond import PreconditionerError
-from .problems import FactorPoint, relative_residual
+from .problems import FactorPoint, _as_point, relative_residual
 from .tnewton import (
     InnerSolveError,
     LineSearchError,
@@ -51,9 +51,12 @@ class IrrConfig:
     seed: int = 0
 
     def __post_init__(self):
-        assert 1 <= self.p_min <= self.p_max
-        assert self.p_inc >= 1
-        assert self.tau > 0.0
+        if not 1 <= self.p_min <= self.p_max:
+            raise ValueError("ranks must satisfy 1 <= p_min <= p_max")
+        if self.p_inc < 1:
+            raise ValueError("p_inc must be at least 1")
+        if not self.tau > 0.0:
+            raise ValueError("tau must be positive")
 
 
 class IncreasingRankError(RuntimeError):
@@ -75,8 +78,8 @@ def _padded_column_seed(problem, point, p_inc):
     unit-norm column additions.
     """
     y = point.y
-    u = problem.a.mat @ y
-    v = problem.m.mat @ y
+    prod = point.products(problem)
+    u, v = prod.u, prod.v
     basis, _ = np.linalg.qr(np.hstack([u, v, problem.b]))
     ru = basis.T @ u
     rv = basis.T @ v
@@ -120,27 +123,26 @@ def warm_start(problem, y_p, p_inc, rng=None):
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    point = y_p if isinstance(y_p, FactorPoint) else FactorPoint(y_p)
-    assert point.has_full_rank
-    assert p_inc >= 1
+    point = _as_point(y_p)
+    if not point.has_full_rank:
+        raise ValueError("warm start needs a full rank factor")
+    if p_inc < 1:
+        raise ValueError("p_inc must be at least 1")
     y = point.y
     f_padded = cost(problem, point)
 
     dirs, scale = _padded_column_seed(problem, point, p_inc)
-    seeded = None
     for _ in range(5):
-        candidate = np.hstack([y, scale * dirs])
-        if cost(problem, FactorPoint(candidate)) < f_padded:
-            seeded = candidate
+        trial = FactorPoint(np.hstack([y, scale * dirs]))
+        if cost(problem, trial) < f_padded:
             break
         scale *= 0.1
-    if seeded is None:
-        seeded = np.hstack([y, scale * dirs])
+    else:
+        trial = FactorPoint(np.hstack([y, scale * dirs]))
 
-    trial = FactorPoint(seeded)
     if not trial.has_full_rank:
         jitter = 1e-8 * np.linalg.norm(y)
-        seeded = seeded.copy()
+        seeded = trial.y.copy()
         seeded[:, y.shape[1]:] += jitter * rng.standard_normal(
             (y.shape[0], p_inc)
         )
@@ -148,12 +150,7 @@ def warm_start(problem, y_p, p_inc, rng=None):
         assert trial.has_full_rank, "seeded factor still rank deficient"
 
     f0 = cost(problem, trial)
-    u = problem.a.mat @ seeded
-    v = problem.m.mat @ seeded
-    grad = 2.0 * (
-        u @ (v.T @ seeded) + v @ (u.T @ seeded)
-        - problem.b @ (problem.b.T @ seeded)
-    )
+    grad = riemannian_gradient(Metric.EUCLIDEAN, problem, trial).z
     slope = -float(np.sum(grad * grad))
     if slope >= 0.0:
         # Stationary padded point; nothing to improve.
@@ -161,7 +158,7 @@ def warm_start(problem, y_p, p_inc, rng=None):
 
     step = 1.0
     for _ in range(200):
-        candidate = FactorPoint(seeded - step * grad)
+        candidate = FactorPoint(trial.y - step * grad)
         if candidate.has_full_rank and \
                 cost(problem, candidate) <= f0 + 1e-4 * step * slope:
             return candidate, True
@@ -200,7 +197,8 @@ def solve_increasing_rank(problem, metric, config=None, tnewton_config=None,
     if tnewton_config is None:
         tnewton_config = TnewtonConfig()
     n = problem.n
-    assert config.p_max <= n
+    if config.p_max > n:
+        raise ValueError(f"p_max = {config.p_max} exceeds the problem size {n}")
     rng = np.random.default_rng(config.seed)
     point = FactorPoint(rng.standard_normal((n, config.p_min)))
     assert point.has_full_rank

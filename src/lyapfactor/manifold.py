@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as spla
 
-from .problems import FactorPoint
+from .problems import FactorPoint, _as_point
 
 
 class Metric(enum.IntEnum):
@@ -60,22 +60,13 @@ def _unwrap(vector):
     return vector.z if isinstance(vector, HorizontalVector) else vector
 
 
-def _right_gram_solve(point, arr):
-    """Apply (Y^T Y)^{-1} from the right to a k-by-p array."""
-    return point.solve_gram(arr.T).T
-
-
 def cost(problem, point):
     """Objective value tr(Y^T A Y Y^T M Y) - tr(Y^T B B^T Y) = h(Y Y^T)."""
-    y = _factor(point)
-    u = problem.a.mat @ y
-    v = problem.m.mat @ y
+    point = _as_point(point)
+    prod = point.products(problem)
+    y = point.y
     by = problem.b.T @ y
-    return float(np.sum((y.T @ u) * (v.T @ y)) - np.sum(by * by))
-
-
-def _factor(point):
-    return point.y if isinstance(point, FactorPoint) else np.asarray(point, float)
+    return float(np.sum((y.T @ prod.u) * (prod.v.T @ y)) - np.sum(by * by))
 
 
 def horizontal_inner(metric, at, xi, eta):
@@ -175,17 +166,6 @@ def retract(point, direction, step):
     return out
 
 
-def _residual_factors(problem, y):
-    """The sparse products U = A Y and V = M Y shared by all derivatives."""
-    return problem.a.mat @ y, problem.m.mat @ y
-
-
-def _apply_residual(problem, u, v, w):
-    """Product N @ w with N = U V^T + V U^T - B B^T, never forming N."""
-    b = problem.b
-    return u @ (v.T @ w) + v @ (u.T @ w) - b @ (b.T @ w)
-
-
 def riemannian_gradient(metric, problem, point):
     """Horizontal lift of the Riemannian gradient of the cost.
 
@@ -198,39 +178,53 @@ def riemannian_gradient(metric, problem, point):
     HorizontalVector
     """
     y = point.y
-    u, v = _residual_factors(problem, y)
-    ny = _apply_residual(problem, u, v, y)
+    ny = point.products(problem).ny
     if metric == Metric.EUCLIDEAN:
         z = 2.0 * ny
     elif metric == Metric.GRAM:
-        z = 2.0 * _right_gram_solve(point, ny)
+        z = 2.0 * point.solve_gram_right(ny)
     else:
         inner = ny - 0.5 * (y @ point.solve_gram(y.T @ ny))
-        z = _right_gram_solve(point, inner)
+        z = point.solve_gram_right(inner)
     return HorizontalVector(at=point, z=z, metric=metric)
+
+
+def dominant_term_action(metric, problem, point, xi):
+    """The Hessian's main term: the action without the curvature terms in N.
+
+    With U = A Y and V = M Y, core = nabla^2 h[F_xi] Y = U (xi^T V)
+    + A xi (Y^T V) + V (xi^T U) + M xi (Y^T U) is lifted as
+    (I - P/2) core G^{-1} (EMBEDDED), 2 core G^{-1} (GRAM) or 2 core
+    (EUCLIDEAN). The preconditioner inverts exactly this map.
+    """
+    y = point.y
+    prod = point.products(problem)
+    u, v = prod.u, prod.v
+    core = (u @ (xi.T @ v) + (problem.a.mat @ xi) @ (y.T @ v)
+            + v @ (xi.T @ u) + (problem.m.mat @ xi) @ (y.T @ u))
+    if metric == Metric.EUCLIDEAN:
+        return 2.0 * core
+    if metric == Metric.GRAM:
+        return 2.0 * point.solve_gram_right(core)
+    half_proj = core - 0.5 * (y @ point.solve_gram(y.T @ core))
+    return point.solve_gram_right(half_proj)
 
 
 def hessian_action(metric, problem, point, eta):
     """Apply the Riemannian Hessian of the cost to a horizontal vector.
 
-    The common main term is the second derivative of h along the ambient
-    lift of eta, applied to Y:
+    The main term is `dominant_term_action`; the metric-dependent
+    curvature corrections added to it are
 
-        core = nabla^2 h[F_eta] Y = U (eta^T V) + A eta (Y^T V)
-                                    + V (eta^T U) + M eta (Y^T U),
-
-    with U = A Y, V = M Y. The metric-dependent parts are the curvature
-    corrections:
-
-    EMBEDDED   (I - P/2) core G^{-1} + (I - P) N (I - P) eta G^{-1}
-    GRAM       2 core G^{-1} + P^H { N (I - P) eta G^{-1}
-                                     + (I - P) N eta G^{-1}
-                                     + 2 skew(eta Y^T) N Y G^{-2}
-                                     + 2 skew(eta G^{-1} Y^T N) Y G^{-1} }
-    EUCLIDEAN  2 core + 2 P^H { N eta }
+    EMBEDDED   (I - P) N (I - P) eta G^{-1}
+    GRAM       P^H { N (I - P) eta G^{-1} + (I - P) N eta G^{-1}
+                     + 2 skew(eta Y^T) N Y G^{-2}
+                     + 2 skew(eta G^{-1} Y^T N) Y G^{-1} }
+    EUCLIDEAN  2 P^H { N eta }
 
     Skew products with n-by-n factors are expanded so only n-by-p arrays
-    appear.
+    appear. Each call does two sparse products, A eta and M eta; those
+    with Y come from the point.
 
     Parameters
     ----------
@@ -245,38 +239,32 @@ def hessian_action(metric, problem, point, eta):
     """
     e = _unwrap(eta)
     y = point.y
-    u, v = _residual_factors(problem, y)
-    ae = problem.a.mat @ e
-    me = problem.m.mat @ e
-    core = u @ (e.T @ v) + ae @ (y.T @ v) + v @ (e.T @ u) + me @ (y.T @ u)
+    prod = point.products(problem)
+    main = dominant_term_action(metric, problem, point, e)
 
     if metric == Metric.EUCLIDEAN:
-        z = 2.0 * core + 2.0 * project_horizontal(
-            metric, point, _apply_residual(problem, u, v, e)
+        z = main + 2.0 * project_horizontal(
+            metric, point, prod.apply_residual(e)
         )
     elif metric == Metric.GRAM:
-        main = 2.0 * _right_gram_solve(point, core)
         pe = e - y @ point.solve_gram(y.T @ e)
-        ne = _apply_residual(problem, u, v, e)
-        ny = _apply_residual(problem, u, v, y)
-        correction = _apply_residual(problem, u, v, pe)
+        ne = prod.apply_residual(e)
+        correction = prod.apply_residual(pe)
         correction += ne - y @ point.solve_gram(y.T @ ne)
-        correction = _right_gram_solve(point, correction)
+        correction = point.solve_gram_right(correction)
         # 2 skew(eta Y^T) W = eta (Y^T W) - Y (eta^T W) with W = N Y G^{-2}.
-        w = _right_gram_solve(point, _right_gram_solve(point, ny))
+        w = point.solve_gram_right(point.solve_gram_right(prod.ny))
         correction += e @ (y.T @ w) - y @ (e.T @ w)
         # 2 skew(eta G^{-1} Y^T N) Y G^{-1}
         #   = eta G^{-1} (Y^T N Y) G^{-1} - N Y (G^{-1} (eta^T Y) G^{-1}).
-        s = y.T @ ny
-        correction += e @ _right_gram_solve(point, point.solve_gram(s))
-        correction -= ny @ _right_gram_solve(point, point.solve_gram(e.T @ y))
+        s = y.T @ prod.ny
+        correction += e @ point.solve_gram_right(point.solve_gram(s))
+        correction -= prod.ny @ point.solve_gram_right(point.solve_gram(e.T @ y))
         z = main + project_horizontal(metric, point, correction)
     else:
-        half_proj = core - 0.5 * (y @ point.solve_gram(y.T @ core))
-        main = _right_gram_solve(point, half_proj)
         pe = e - y @ point.solve_gram(y.T @ e)
-        npe = _apply_residual(problem, u, v, pe)
-        t1 = _right_gram_solve(point, npe - y @ point.solve_gram(y.T @ npe))
+        npe = prod.apply_residual(pe)
+        t1 = point.solve_gram_right(npe - y @ point.solve_gram(y.T @ npe))
         z = main + t1
     return HorizontalVector(at=point, z=z, metric=metric)
 

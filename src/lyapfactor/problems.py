@@ -33,6 +33,16 @@ class MatrixMarketError(ValueError):
         self.lineno = lineno
 
 
+def _asymmetric_entry(mat):
+    """0-based (i, j) of the largest mismatch between mat and mat^T, or None."""
+    mat = sps.csr_matrix(mat)
+    diff = (mat - mat.T).tocoo()
+    if diff.nnz and np.abs(diff.data).max() > 0.0:
+        i = int(np.argmax(np.abs(diff.data)))
+        return diff.row[i], diff.col[i]
+    return None
+
+
 class SpdSparseMatrix:
     """Sparse symmetric positive definite matrix.
 
@@ -45,12 +55,11 @@ class SpdSparseMatrix:
         mat = sps.csr_matrix(mat).astype(float)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError(f"matrix must be square, got shape {mat.shape}")
-        diff = (mat - mat.T).tocoo()
-        if diff.nnz and np.abs(diff.data).max() > 0.0:
-            i = int(np.argmax(np.abs(diff.data)))
+        pair = _asymmetric_entry(mat)
+        if pair is not None:
             raise ValueError(
                 "matrix is not symmetric: entries ({0}, {1}) and ({1}, {0}) "
-                "differ".format(diff.row[i], diff.col[i])
+                "differ".format(*pair)
             )
         if mat.shape[0] <= SPD_CHECK_LIMIT:
             smallest = float(np.linalg.eigvalsh(mat.toarray())[0])
@@ -75,12 +84,13 @@ class LyapunovProblem:
     b: np.ndarray
 
     def __post_init__(self):
-        assert self.a.n == self.m.n, "A and M must have the same size"
+        if self.a.n != self.m.n:
+            raise ValueError("A and M must have the same size")
         b = np.asarray(self.b, dtype=float)
         if b.ndim == 1:
             b = b[:, None]
-        assert b.ndim == 2 and b.shape[0] == self.a.n, \
-            "B must have one row per equation unknown"
+        if b.ndim != 2 or b.shape[0] != self.a.n:
+            raise ValueError("B must have one row per equation unknown")
         self.b = b
 
     @property
@@ -102,15 +112,21 @@ class FactorPoint:
 
     Full column rank of Y, equivalently membership in the manifold of
     rank-p factors, is decided by attempting a Cholesky factorization of
-    the Gram matrix Y^T Y. The Gram matrix and its factorization are cached
-    because every metric operation reuses them.
+    the Gram matrix Y^T Y; a wide factor (p > n) never has it. The Gram
+    matrix and its factorization are cached because every metric operation
+    reuses them, and so are the products with one problem's matrices (see
+    `products`). Y must therefore not be changed in place after
+    construction.
     """
 
     def __init__(self, y):
         y = np.ascontiguousarray(y, dtype=float)
-        assert y.ndim == 2, "factor must be a 2d array"
-        assert 1 <= y.shape[1] <= y.shape[0], "factor must be tall"
+        if y.ndim != 2:
+            raise ValueError("factor must be a 2d array")
+        if y.shape[1] < 1:
+            raise ValueError("factor must have at least one column")
         self.y = y
+        self._products = None
 
     @property
     def n(self):
@@ -133,7 +149,7 @@ class FactorPoint:
 
     @property
     def has_full_rank(self):
-        return self._gram_cho is not None
+        return self.p <= self.n and self._gram_cho is not None
 
     def solve_gram(self, rhs):
         """Apply (Y^T Y)^{-1} from the left to a p-by-k right-hand side."""
@@ -145,22 +161,58 @@ class FactorPoint:
         assert self._gram_cho is not None, "factor is rank deficient"
         return spla.cho_solve(self._gram_cho, lhs.T).T
 
+    def products(self, problem):
+        """U = A Y, V = M Y and N Y of `problem`, each formed on first use.
 
-def _factor_of(point):
-    return point.y if isinstance(point, FactorPoint) else np.asarray(point, float)
+        The products of the last problem asked for are kept.
+        """
+        if self._products is None or self._products.problem is not problem:
+            self._products = _PointProducts(problem, self.y)
+        return self._products
+
+
+class _PointProducts:
+    """Lazy U = A Y, V = M Y and N Y, with N = U V^T + V U^T - B B^T."""
+
+    def __init__(self, problem, y):
+        self.problem = problem
+        self.y = y
+
+    @cached_property
+    def u(self):
+        return self.problem.a.mat @ self.y
+
+    @cached_property
+    def v(self):
+        return self.problem.m.mat @ self.y
+
+    @cached_property
+    def ny(self):
+        return self.apply_residual(self.y)
+
+    def apply_residual(self, w):
+        """Product N @ w, never forming N."""
+        b = self.problem.b
+        return self.u @ (self.v.T @ w) + self.v @ (self.u.T @ w) - b @ (b.T @ w)
+
+
+def _as_point(point):
+    """`point` itself if it is a FactorPoint, else the point of a raw factor."""
+    return point if isinstance(point, FactorPoint) else FactorPoint(point)
 
 
 def residual_fro(problem, point):
     """Frobenius norm of the residual A Y Y^T M + M Y Y^T A - B B^T.
 
     With U = A Y and V = M Y the residual is U V^T + V U^T - B B^T, whose
-    column space lies in span([U, V, B]): a thin QR of that stack compresses
-    the residual to a small square matrix whose norm is taken directly. No
-    n-by-n matrix is formed; the cost is O(n (p + s)^2) plus two sparse
-    products. Unlike an expansion of the squared norm into traces of Gram
-    matrices, the compressed form does not cancel O(||C||^2) terms against
-    each other, so it stays accurate at points where the residual is tiny.
-    `point` may be a `FactorPoint` or a raw (n, p) factor.
+    column space lies in span([U, V, B]): the R factor of a thin QR of that
+    stack compresses the residual to a small square matrix whose norm is
+    taken directly. No n-by-n matrix is formed; the cost is O(n (p + s)^2)
+    beyond the point's two sparse products. Unlike an expansion of the
+    squared norm into traces of Gram matrices, the compressed form does not
+    cancel O(||C||^2) terms against each other, so it stays accurate at
+    points where the residual is tiny. `point` may be a `FactorPoint` or a
+    raw (n, p) factor.
 
     Parameters
     ----------
@@ -171,12 +223,10 @@ def residual_fro(problem, point):
     -------
     float
     """
-    y = _factor_of(point)
-    b = problem.b
-    p = y.shape[1]
-    u = problem.a.mat @ y
-    v = problem.m.mat @ y
-    coeff = np.linalg.qr(np.hstack([u, v, b]))[1]
+    point = _as_point(point)
+    prod = point.products(problem)
+    p = point.p
+    coeff = np.linalg.qr(np.hstack([prod.u, prod.v, problem.b]), mode="r")
     cu = coeff[:, :p]
     cv = coeff[:, p:2 * p]
     cb = coeff[:, 2 * p:]
@@ -212,11 +262,13 @@ def dense_oracle_solve(problem, dense_limit=DENSE_LIMIT):
         The symmetric solution X, shape (n, n).
     """
     n = problem.n
-    assert n <= dense_limit, f"dense solve refused for n = {n} > {dense_limit}"
+    if n > dense_limit:
+        raise ValueError(f"dense solve refused for n = {n} > {dense_limit}")
     a = problem.a.mat.toarray()
     m = problem.m.mat.toarray()
     w, vecs = spla.eigh(a, m)
-    assert w[0] > 0.0, "pencil must be positive definite"
+    if w[0] <= 0.0:
+        raise ValueError("pencil must be positive definite")
     bw = problem.b.T @ vecs
     proj = bw.T @ bw
     x_hat = proj / (w[:, None] + w[None, :])
@@ -243,7 +295,8 @@ def gen_poisson(n, seed, identity_mass=False):
     -------
     LyapunovProblem
     """
-    assert n >= 2
+    if n < 2:
+        raise ValueError(f"gen_poisson needs n >= 2, got {n}")
     rng = np.random.default_rng(seed)
     h = 1.0 / (n + 1)
     main = np.full(n, 2.0 / (h * h))
@@ -369,17 +422,13 @@ def _load_spd(path):
     kind, symmetry, mat = _parse_matrix_market(path)
     if kind == "array":
         mat = sps.coo_matrix(mat)
-    if symmetry == "general":
-        diff = (sps.csr_matrix(mat) - sps.csr_matrix(mat).T).tocoo()
-        if diff.nnz and np.abs(diff.data).max() > 0.0:
-            i = int(np.argmax(np.abs(diff.data)))
-            raise MatrixMarketError(
-                path, 0,
-                "general matrix is not symmetric: entries "
-                "({0}, {1}) and ({1}, {0}) differ".format(
-                    diff.row[i] + 1, diff.col[i] + 1
-                ),
-            )
+    pair = _asymmetric_entry(mat) if symmetry == "general" else None
+    if pair is not None:
+        raise MatrixMarketError(
+            path, 0,
+            "general matrix is not symmetric: entries "
+            "({0}, {1}) and ({1}, {0}) differ".format(pair[0] + 1, pair[1] + 1),
+        )
     try:
         return SpdSparseMatrix(mat)
     except ValueError as exc:
@@ -426,9 +475,7 @@ def save_matrix_market(path, mat, comment=None):
     with open(path, "w", encoding="ascii") as fh:
         if sps.issparse(mat):
             mat = mat.tocoo()
-            diff = (mat.tocsr() - mat.tocsr().T).tocoo()
-            symmetric = not (diff.nnz and np.abs(diff.data).max() > 0.0)
-            if symmetric:
+            if _asymmetric_entry(mat) is None:
                 lower = sps.tril(mat).tocoo()
                 fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
             else:

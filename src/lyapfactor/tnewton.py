@@ -24,7 +24,7 @@ from .manifold import (
     riemannian_gradient,
 )
 from .precond import PreconditionerError
-from .problems import FactorPoint, relative_residual
+from .problems import FactorPoint, _as_point, relative_residual
 
 
 class InnerSolveError(RuntimeError):
@@ -78,7 +78,7 @@ class TpcgState:
 
     direction: np.ndarray
     hessian_actions: int
-    stop: str  # "curvature", "forcing" or "max_inner"
+    stop: str  # "curvature", "forcing", "max_inner" or "breakdown" (see tpcg)
     rel_residual: float
 
 
@@ -94,8 +94,9 @@ def tpcg(gradient, hess, precond, eps_curv, phi_k, *,
     when the curvature g(d, hess d) falls to eps_curv times the running
     preconditioned norm estimate delta of d (returning the first
     preconditioned residual if that happens immediately), or when the
-    residual drops below phi_k relative to the gradient norm, or after
-    max_inner steps.
+    residual drops below phi_k relative to the gradient norm, or at a
+    breakdown, where rounding has left <r, P r> nonpositive and the next
+    step would divide by it, or after max_inner steps.
 
     Parameters
     ----------
@@ -121,9 +122,11 @@ def tpcg(gradient, hess, precond, eps_curv, phi_k, *,
         inner = _frobenius_inner
     if max_inner is None:
         max_inner = gradient.size
-    assert max_inner >= 1
+    if max_inner < 1:
+        raise ValueError("max_inner must be at least 1")
     grad_norm = math.sqrt(inner(gradient, gradient))
-    assert grad_norm > 0.0, "gradient must be nonzero"
+    if not grad_norm > 0.0:
+        raise ValueError("gradient must be nonzero")
 
     eta = np.zeros_like(gradient)
     r = -gradient
@@ -161,6 +164,8 @@ def tpcg(gradient, hess, precond, eps_curv, phi_k, *,
         rel = math.sqrt(max(inner(r, r), 0.0)) / grad_norm
         if rel <= phi_k:
             return TpcgState(eta, i + 1, "forcing", rel)
+        if ry <= 0.0:
+            return TpcgState(eta, i + 1, "breakdown", rel)
     return TpcgState(eta, max_inner, "max_inner", rel)
 
 
@@ -201,7 +206,8 @@ def line_search(problem, point, direction, f0, slope0, config):
     -------
     LineSearchResult
     """
-    assert slope0 < 0.0, "search direction must be a descent direction"
+    if not slope0 < 0.0:
+        raise ValueError("search direction must be a descent direction")
     z = direction.z
     norm_sq = horizontal_inner(direction.metric, point, z, z)
     threshold = max(-config.chi1 * slope0 * slope0 / norm_sq,
@@ -308,11 +314,13 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none"):
     -------
     (FactorPoint, SolveTrace)
     """
-    assert precond_choice in ("none", "proposed", "bart")
+    if precond_choice not in ("none", "proposed", "bart"):
+        raise ValueError(f"unknown preconditioner choice {precond_choice!r}")
     if config is None:
         config = TnewtonConfig()
-    point = y0 if isinstance(y0, FactorPoint) else FactorPoint(y0)
-    assert point.has_full_rank, "initial factor must have full column rank"
+    point = _as_point(y0)
+    if not point.has_full_rank:
+        raise ValueError("initial factor must have full column rank")
     n, p = point.n, point.p
     max_inner = config.max_inner
     if max_inner is None:

@@ -53,13 +53,13 @@ def visited_ranks(trace):
     ],
 )
 def test_config_rejects_bad_values(kwargs):
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         IrrConfig(**kwargs)
 
 
 def test_rank_cap_above_problem_size_rejected():
     problem = gen_poisson(10, 0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         solve_increasing_rank(
             problem, Metric.EMBEDDED, IrrConfig(p_min=1, p_max=20)
         )
@@ -249,7 +249,7 @@ def test_warm_start_output_rank_audit():
 def test_warm_start_rejects_rank_deficient_input():
     problem = random_problem(10, 1, np.random.default_rng(0))
     y = np.ones((10, 2))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         warm_start(problem, FactorPoint(y), 1)
 
 
@@ -276,6 +276,18 @@ def test_inner_failure_surfaces_with_partial_trace():
     assert isinstance(err.cause, LineSearchError)
     assert len(err.trace.rows) >= 1
     assert err.trace.rows[0].p == 1
+
+
+def test_tpcg_breakdown_does_not_abort_solve():
+    # Regression: at rank 12 of this instance <r, P r> inside tPCG decays
+    # to exactly zero and the next conjugation coefficient divided by it.
+    problem = gen_poisson(200, 108)
+    point, trace = solve_increasing_rank(
+        problem, Metric.EMBEDDED,
+        IrrConfig(p_min=1, p_max=40, tau=1e-6, seed=108), None, "proposed",
+    )
+    assert trace.final().relres <= 1e-6
+    assert relative_residual(problem, point) <= 1e-6
 
 
 def test_stagnated_line_search_ends_rank_instead_of_failing():

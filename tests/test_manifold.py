@@ -19,10 +19,13 @@ from lyapfactor import (
     LyapunovProblem,
     Metric,
     SpdSparseMatrix,
+    build_shift_cache,
     cost,
+    gen_poisson,
     horizontal_inner,
     metric_inner,
     project_horizontal,
+    residual_fro,
     retract,
     riemannian_gradient,
 )
@@ -397,3 +400,47 @@ def test_hessian_output_horizontal():
             vert = at.y @ _skew(rng, at.p)
             cross = metric_inner(metric, at, out, vert)
             assert abs(cross) <= 1e-9 * np.linalg.norm(out) * np.linalg.norm(vert)
+
+
+# ------------------------------------------------------- product reuse
+
+
+class _CountingCsr(sps.csr_matrix):
+    """CSR matrix that counts its products with dense arrays."""
+
+    def __matmul__(self, other):
+        if isinstance(other, np.ndarray) and hasattr(self, "calls"):
+            self.calls[0] += 1
+        return super().__matmul__(other)
+
+
+def _counting_problem(n, seed):
+    prob = gen_poisson(n, seed)
+    calls = [0]
+    prob.a.mat = _CountingCsr(prob.a.mat)
+    prob.m.mat = _CountingCsr(prob.m.mat)
+    prob.a.mat.calls = prob.m.mat.calls = calls
+    return prob, calls
+
+
+def test_products_with_y_formed_once_per_point_and_problem():
+    prob, calls = _counting_problem(40, 0)
+    at = FactorPoint(np.random.default_rng(0).standard_normal((40, 3)))
+    f = cost(prob, at)
+    assert calls[0] == 2
+    for metric in ALL_METRICS:
+        riemannian_gradient(metric, prob, at)
+    residual_fro(prob, at)
+    for variant in ("proposed", "bart"):
+        build_shift_cache(prob, at, variant)
+    assert calls[0] == 2
+    eta = random_horizontal(Metric.EMBEDDED, at, np.random.default_rng(1))
+    for count, metric in enumerate(ALL_METRICS, start=1):
+        hessian_action(metric, prob, at, eta)
+        assert calls[0] == 2 + 2 * count
+
+    # Another problem at the same point gets its own products.
+    other, other_calls = _counting_problem(40, 1)
+    assert cost(other, at) == cost(other, FactorPoint(at.y.copy()))
+    assert other_calls[0] == 4
+    assert cost(prob, at) == f

@@ -1,6 +1,8 @@
 """Problem types, generators, residuals, dense oracle, Matrix Market IO."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -55,9 +57,9 @@ def test_factor_point_requires_full_rank():
 def test_problem_dimension_checks():
     a = rand_spd_banded(6, np.random.default_rng(0))
     m = rand_spd_banded(5, np.random.default_rng(1))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         LyapunovProblem(a, m, np.ones((6, 1)))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         LyapunovProblem(a, a, np.ones((5, 1)))
 
 
@@ -169,10 +171,34 @@ def test_oracle_output_symmetric_psd_and_solves():
         assert res <= 1e-8 * np.linalg.norm(prob.b.T @ prob.b)
 
 
+def test_input_validation_survives_optimized_interpreter():
+    # Checks of caller input must not be asserts, which `python -O` strips.
+    script = """
+import numpy as np, scipy.sparse as sps
+from lyapfactor import IrrConfig, LyapunovProblem, SpdSparseMatrix
+def rejected(make):
+    try:
+        make()
+    except ValueError:
+        return True
+    return False
+a = SpdSparseMatrix(sps.identity(6, format="csr"))
+m = SpdSparseMatrix(sps.identity(5, format="csr"))
+print(__debug__, rejected(lambda: IrrConfig(p_min=5, p_max=2)),
+      rejected(lambda: LyapunovProblem(a, m, np.ones((6, 1)))))
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True"]
+
+
 def test_oracle_rejects_large_problems():
     rng = np.random.default_rng(15)
     prob = random_problem(30, 1, rng)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         dense_oracle_solve(prob, dense_limit=10)
 
 
@@ -216,7 +242,7 @@ def test_poisson_deterministic():
 
 
 def test_poisson_rejects_tiny_n():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         gen_poisson(1, 0)
 
 

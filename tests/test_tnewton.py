@@ -124,8 +124,25 @@ def test_tpcg_nonfinite_hessian_raises():
     assert info.value.iteration == 0
 
 
+def test_tpcg_breakdown_stop():
+    # After one step <r, P r> is exactly zero: the solve must stop with the
+    # step taken instead of dividing by it on the next iteration.
+    g = np.array([[1.0], [2.0]])
+    calls = []
+
+    def precond(v):
+        calls.append(1)
+        return v if len(calls) == 1 else np.zeros_like(v)
+
+    hmat = np.diag([2.0, 3.0])
+    state = tpcg(g, lambda v: hmat @ v, precond, 1e-12, 1e-6)
+    assert state.stop == "breakdown"
+    assert state.hessian_actions == 1
+    np.testing.assert_allclose(state.direction, -(5.0 / 14.0) * g)
+
+
 def test_tpcg_rejects_zero_gradient():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         tpcg(np.zeros((3, 1)), lambda v: v, lambda v: v, 1e-12, 1e-6)
 
 
@@ -181,7 +198,7 @@ def test_line_search_requires_descent_direction():
     grad = riemannian_gradient(Metric.EMBEDDED, prob, at)
     up = HorizontalVector(at=at, z=grad.z, metric=Metric.EMBEDDED)
     slope = horizontal_inner(Metric.EMBEDDED, at, grad.z, grad.z)
-    with pytest.raises(AssertionError, match="descent"):
+    with pytest.raises(ValueError, match="descent"):
         line_search(prob, at, up, cost(prob, at), slope, TnewtonConfig())
 
 
@@ -310,7 +327,7 @@ def test_solve_deterministic():
 
 def test_solve_rejects_rank_deficient_start():
     prob = gen_poisson(10, 0)
-    with pytest.raises(AssertionError, match="full column rank"):
+    with pytest.raises(ValueError, match="full column rank"):
         solve_fixed_rank(prob, Metric.EMBEDDED, np.zeros((10, 2)))
 
 
