@@ -33,7 +33,7 @@ import scipy.sparse.linalg as sps_la
 
 from .manifold import HorizontalVector, Metric, _unwrap, project_horizontal
 from .manifold import dominant_term_action  # noqa: F401  (the map inverted)
-from .problems import FactorPoint, _as_point
+from .problems import FactorPoint, _as_point, _cho_solve
 
 # Largest p for which the coupled symmetric system is assembled densely;
 # beyond it the solve falls back to conjugate gradient on the operator.
@@ -49,35 +49,48 @@ class PreconditionerError(RuntimeError):
         )
 
 
-def _sym_pairs(p):
-    """Index pairs (i, j), i <= j, enumerating the symmetric matrix basis."""
-    return [(i, i) for i in range(p)] + [
-        (i, j) for i in range(p) for j in range(i + 1, p)
-    ]
-
-
-def _sym_to_vec(mat, pairs):
+def _sym_to_vec(mat, upper):
     """Coordinates of a symmetric matrix in the orthonormal basis E_ij.
 
     E_ii = e_i e_i^T and E_ij = (e_i e_j^T + e_j e_i^T) / sqrt(2), so the
-    map is a Frobenius isometry.
+    map is a Frobenius isometry. The E_ii come first, then the E_ij at
+    `upper` = triu_indices(p, 1). Leading axes of `mat` are a batch.
     """
-    return np.array([
-        mat[i, j] if i == j else math.sqrt(2.0) * mat[i, j]
-        for i, j in pairs
-    ])
+    iu, ju = upper
+    return np.concatenate([np.diagonal(mat, 0, -2, -1),
+                           math.sqrt(2.0) * mat[..., iu, ju]], axis=-1)
 
 
-def _vec_to_sym(vec, pairs, p):
-    mat = np.zeros((p, p))
-    inv = 1.0 / math.sqrt(2.0)
-    for coord, (i, j) in zip(vec, pairs):
-        if i == j:
-            mat[i, i] = coord
-        else:
-            mat[i, j] = coord * inv
-            mat[j, i] = coord * inv
+def _vec_to_sym(vec, upper):
+    iu, ju = upper
+    p = vec.shape[0] - iu.size
+    mat = np.diag(vec[:p])
+    mat[iu, ju] = mat[ju, iu] = vec[p:] * (1.0 / math.sqrt(2.0))
     return mat
+
+
+def _coupled_matrix(k_stack, upper):
+    """Dense matrix of the coupled map in the basis E_ij, in closed form.
+
+    The image of E_ij (i <= j) is W + W^T, where W is zero but for column i,
+    K_i E_ij(:, i), and column j, K_j E_ij(:, j): columns of K_i and K_j
+    times the basis entry. So the images are filled in directly, with the
+    same elementwise arithmetic as applying the map to each basis matrix,
+    in blocks of columns that bound the p^2 entries each W takes.
+    """
+    p = k_stack.shape[0]
+    c1, c2 = (np.concatenate([np.arange(p), idx]) for idx in upper)
+    scale = np.ones((c1.size, 1))
+    scale[p:] = 1.0 / math.sqrt(2.0)
+    dense = np.empty((c1.size, c1.size))
+    for start in range(0, c1.size, 256):
+        b = slice(start, start + 256)
+        w = np.zeros((c1[b].size, p, p))
+        rows = np.arange(c1[b].size)
+        w[rows, :, c1[b]] = k_stack[c1[b], :, c2[b]] * scale[b]
+        w[rows, :, c2[b]] = k_stack[c2[b], :, c1[b]] * scale[b]
+        dense[:, b] = _sym_to_vec(w + np.swapaxes(w, 1, 2), upper).T
+    return 0.5 * (dense + dense.T)
 
 
 class CoupledSystem:
@@ -93,22 +106,14 @@ class CoupledSystem:
     """
 
     def __init__(self, k_blocks):
-        self.k_blocks = k_blocks
-        self.p = k_blocks[0].shape[0] if k_blocks else 0
-        self.pairs = _sym_pairs(self.p)
-        self.dim = len(self.pairs)
+        self.k_stack = np.asarray(k_blocks, dtype=float)
+        self.p = len(k_blocks)
+        self.upper = np.triu_indices(self.p, 1)
+        self.dim = self.p + self.upper[0].size
         self._cho = None
         self._lu = None
         if 0 < self.p <= COUPLED_DIRECT_LIMIT:
-            dense = np.empty((self.dim, self.dim))
-            for col, (i, j) in enumerate(self.pairs):
-                basis_mat = np.zeros((self.p, self.p))
-                if i == j:
-                    basis_mat[i, i] = 1.0
-                else:
-                    basis_mat[i, j] = basis_mat[j, i] = 1.0 / math.sqrt(2.0)
-                dense[:, col] = _sym_to_vec(self.apply(basis_mat), self.pairs)
-            dense = 0.5 * (dense + dense.T)
+            dense = _coupled_matrix(self.k_stack, self.upper)
             try:
                 self._cho = spla.cho_factor(dense)
             except np.linalg.LinAlgError:
@@ -116,23 +121,21 @@ class CoupledSystem:
 
     def apply(self, s):
         """Image of a symmetric p-by-p matrix under the coupled map."""
-        w = np.column_stack(
-            [self.k_blocks[i] @ s[:, i] for i in range(self.p)]
-        )
+        w = (self.k_stack @ s.T[:, :, None])[:, :, 0].T
         return w + w.T
 
     def solve(self, rhs):
         """Symmetric solution of apply(S) = rhs for symmetric rhs."""
-        vec = _sym_to_vec(rhs, self.pairs)
+        vec = _sym_to_vec(rhs, self.upper)
         if self._cho is not None:
-            out = spla.cho_solve(self._cho, vec)
+            out = _cho_solve(self._cho, vec)
         elif self._lu is not None:
             out = spla.lu_solve(self._lu, vec)
         else:
             op = sps_la.LinearOperator(
                 (self.dim, self.dim),
                 matvec=lambda x: _sym_to_vec(
-                    self.apply(_vec_to_sym(x, self.pairs, self.p)), self.pairs
+                    self.apply(_vec_to_sym(x, self.upper)), self.upper
                 ),
             )
             out, info = sps_la.cg(
@@ -147,7 +150,32 @@ class CoupledSystem:
             raise PreconditionerError(
                 "coupled symmetric system is singular at this point"
             )
-        return _vec_to_sym(out, self.pairs, self.p)
+        return _vec_to_sym(out, self.upper)
+
+
+def _pencil(problem, variant):
+    """A + 1j M in CSC (M = I for "bart"), cached on the problem until
+    problem.a.mat or problem.m.mat is rebound.
+
+    The complex sum lines the entries of A and M up on their union pattern.
+    """
+    a, m = problem.a.mat, problem.m.mat
+    pencils = vars(problem).setdefault("_pencils", {})
+    (a0, m0), pencil = pencils.get(variant, ((None, None), None))
+    if a0 is not a or m0 is not m:
+        m_op = m if variant == "proposed" else sps.eye(*a.shape, format="csr")
+        pencil = (a + 1j * m_op).tocsc()
+        pencils[variant] = ((a, m), pencil)
+    return pencil
+
+
+def _shifted(pencil, lam):
+    """A + lam M from the pencil, bit for bit equal to (A + lam M).tocsc()."""
+    data = pencil.data.real + lam * pencil.data.imag
+    mat = sps.csc_matrix((data, pencil.indices.copy(), pencil.indptr.copy()),
+                         shape=pencil.shape)
+    mat.eliminate_zeros()  # as scipy's sum drops exact-zero entries
+    return mat
 
 
 @dataclass
@@ -178,7 +206,7 @@ class ShiftSystemCache:
 def _saddle_apply(lu, schur, vhat, rhs):
     """Solve [[F, vhat], [vhat^T, 0]] [x; y] = [rhs; 0] by Schur elimination."""
     x0 = lu.solve(rhs)
-    mult = spla.cho_solve(schur, vhat.T @ x0)
+    mult = _cho_solve(schur, vhat.T @ x0)
     x = x0 - lu.solve(vhat @ mult)
     return x, mult
 
@@ -221,15 +249,12 @@ def build_shift_cache(problem, point, variant="proposed"):
     if not point.has_full_rank:
         raise ValueError("preconditioner needs a full rank factor")
     y = point.y
-    n, p = y.shape
+    p = y.shape[1]
     prod = point.products(problem)
-    a = problem.a.mat
     if variant == "proposed":
-        m_op = problem.m.mat
         my = prod.v
         g_m = y.T @ my
     else:
-        m_op = sps.identity(n, format="csr")
         my = y
         g_m = point.gram
 
@@ -253,10 +278,11 @@ def build_shift_cache(problem, point, variant="proposed"):
     lq = spla.solve_triangular(chol, q, lower=True, trans="T")
     vhat = np.linalg.qr(my)[0]
 
+    pencil = _pencil(problem, variant)
     shift_lus = []
     schur_factors = []
     for lam_i in lam:
-        lu = sps_la.splu((a + lam_i * m_op).tocsc())
+        lu = sps_la.splu(_shifted(pencil, lam_i))
         schur_mat = vhat.T @ lu.solve(vhat)
         schur_mat = 0.5 * (schur_mat + schur_mat.T)
         try:

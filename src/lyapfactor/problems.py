@@ -22,6 +22,19 @@ SPD_CHECK_LIMIT = 500
 # Hard cap for the dense reference solver.
 DENSE_LIMIT = 2000
 
+_POTRS = spla.get_lapack_funcs("potrs")
+
+
+def _cho_solve(cho, rhs):
+    """scipy's cho_solve(cho, rhs): the same potrs call and ValueError on
+    a non-finite rhs (cho_factor checked the factor), without the wrapper."""
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    out, info = _POTRS(cho[0], rhs, lower=cho[1])
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of potrs")
+    return out
+
 
 class MatrixMarketError(ValueError):
     """Malformed Matrix Market input, with file and line context."""
@@ -153,13 +166,13 @@ class FactorPoint:
 
     def solve_gram(self, rhs):
         """Apply (Y^T Y)^{-1} from the left to a p-by-k right-hand side."""
-        assert self._gram_cho is not None, "factor is rank deficient"
-        return spla.cho_solve(self._gram_cho, rhs)
+        if self._gram_cho is None:
+            raise ValueError("factor is rank deficient")
+        return _cho_solve(self._gram_cho, rhs)
 
     def solve_gram_right(self, lhs):
         """Apply (Y^T Y)^{-1} from the right to a k-by-p left-hand side."""
-        assert self._gram_cho is not None, "factor is rank deficient"
-        return spla.cho_solve(self._gram_cho, lhs.T).T
+        return self.solve_gram(lhs.T).T
 
     def products(self, problem):
         """U = A Y, V = M Y and N Y of `problem`, each formed on first use.

@@ -263,7 +263,8 @@ class SolveTrace:
         self.rows.append(row)
 
     def final(self):
-        assert self.rows, "empty trace"
+        if not self.rows:
+            raise ValueError("empty trace")
         return self.rows[-1]
 
     def column(self, name):

@@ -1,5 +1,7 @@
 """Shifted saddle systems, coupled solve, and the full preconditioner."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -29,6 +31,11 @@ from lyapfactor.manifold import (
 from lyapfactor.precond import (
     CoupledSystem,
     PreconditionerError,
+    _coupled_matrix,
+    _pencil,
+    _shifted,
+    _sym_to_vec,
+    _vec_to_sym,
     apply_cached,
     apply_preconditioner,
     assemble_precond_operator_dense,
@@ -154,6 +161,132 @@ def test_coupled_system_singular_raises_with_advice():
         with pytest.raises(PreconditionerError,
                            match="identity preconditioner"):
             CoupledSystem(blocks).solve(np.eye(2))
+
+
+def _sym_pairs(p):
+    """The basis order: the diagonal first, then (i, j), i < j, row-major."""
+    return [(i, i) for i in range(p)] + [
+        (i, j) for i in range(p) for j in range(i + 1, p)
+    ]
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 14, 40])
+def test_coupled_matrix_equals_column_by_column_assembly(p):
+    # Reference: apply the map to each basis matrix, one column at a time,
+    # and take coordinates entry by entry. The closed form must repeat the
+    # same floating-point operations, so the match is exact.
+    rng = np.random.default_rng(100 + p)
+    blocks = []
+    for _ in range(p):
+        w = rng.standard_normal((p, p))
+        blocks.append(w + w.T)
+    system = CoupledSystem(blocks)
+    pairs = _sym_pairs(p)
+    ref = np.empty((len(pairs), len(pairs)))
+    for col, (i, j) in enumerate(pairs):
+        basis = np.zeros((p, p))
+        if i == j:
+            basis[i, i] = 1.0
+        else:
+            basis[i, j] = basis[j, i] = 1.0 / math.sqrt(2.0)
+        w = np.column_stack([blocks[c] @ basis[:, c] for c in range(p)])
+        image = w + w.T
+        ref[:, col] = [image[a, b] if a == b else math.sqrt(2.0) * image[a, b]
+                       for a, b in pairs]
+        np.testing.assert_array_equal(system.apply(basis), image)
+    ref = 0.5 * (ref + ref.T)
+    got = _coupled_matrix(np.asarray(blocks), np.triu_indices(p, 1))
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 9, 70])
+def test_sym_coordinates_round_trip_and_isometry(p):
+    rng = np.random.default_rng(200 + p)
+    upper = np.triu_indices(p, 1)
+    s1, s2 = (x + x.T for x in rng.standard_normal((2, p, p)))
+    v1, v2 = _sym_to_vec(s1, upper), _sym_to_vec(s2, upper)
+    assert v1.shape == (p * (p + 1) // 2,)
+    pairs = _sym_pairs(p)
+    np.testing.assert_array_equal(v1[:p], np.diag(s1))
+    np.testing.assert_array_equal(
+        v1[p:], [math.sqrt(2.0) * s1[i, j] for i, j in pairs[p:]])
+    np.testing.assert_allclose(_vec_to_sym(v1, upper), s1,
+                               rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(_sym_to_vec(_vec_to_sym(v2, upper), upper), v2,
+                               rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(v1 @ v2, np.sum(s1 * s2), rtol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(v1), np.linalg.norm(s1),
+                               rtol=1e-14)
+
+
+def _assert_same_csc(got, ref):
+    assert got.format == ref.format == "csc"
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+
+
+def _grid_problem(side=6):
+    h = 1.0 / (side + 1)
+    ones = np.ones(side - 1)
+    t = sps.diags([-ones, np.full(side, 2.0), -ones], [-1, 0, 1]) / (h * h)
+    mh = sps.diags([ones, np.full(side, 4.0), ones], [-1, 0, 1]) / 6.0
+    eye = sps.identity(side)
+    a = sps.kron(t, eye) + sps.kron(eye, t)
+    return LyapunovProblem(SpdSparseMatrix(a), SpdSparseMatrix(sps.kron(mh, mh)),
+                           np.ones((side * side, 1)))
+
+
+@pytest.mark.parametrize("case", ["poisson", "grid", "bart"])
+def test_pencil_shift_matches_sparse_sum(case):
+    prob = _grid_problem() if case == "grid" else gen_poisson(40, 3)
+    variant = "bart" if case == "bart" else "proposed"
+    m = sps.identity(prob.n, format="csr") if case == "bart" else prob.m.mat
+    pencil = _pencil(prob, variant)
+    assert _pencil(prob, variant) is pencil
+    for lam in np.array([1e-3, 0.7, 3.0, 2.5e4]):
+        _assert_same_csc(_shifted(pencil, lam), (prob.a.mat + lam * m).tocsc())
+
+
+def test_pencil_shift_drops_exact_cancellation():
+    # Off-diagonals cancel at lam = 2, and M stores an explicit zero where
+    # A has no entry: scipy's sum drops both, and so must the pencil.
+    n = 5
+    off = np.ones(n - 1)
+    a = sps.diags([-off, np.full(n, 4.0), -off], [-1, 0, 1], format="csr")
+    m = sps.diags([0.5 * off, np.full(n, 2.0), 0.5 * off], [-1, 0, 1],
+                  format="lil")
+    m[0, 3] = m[3, 0] = 1.0
+    m = sps.csr_matrix(m)
+    m.data[m.data == 1.0] = 0.0
+    prob = LyapunovProblem(SpdSparseMatrix(a), SpdSparseMatrix(m), np.ones(n))
+    assert 0.0 in prob.m.mat.data
+    lam = np.float64(2.0)
+    ref = (prob.a.mat + lam * prob.m.mat).tocsc()
+    assert ref.nnz == n
+    _assert_same_csc(_shifted(_pencil(prob, "proposed"), lam), ref)
+
+
+def test_pencil_rebuilt_when_matrix_is_rebound():
+    prob = gen_poisson(30, 4)
+    first = _pencil(prob, "proposed")
+    prob.a.mat = 2.0 * prob.a.mat
+    second = _pencil(prob, "proposed")
+    assert second is not first
+    lam = np.float64(0.5)
+    _assert_same_csc(_shifted(second, lam),
+                     (prob.a.mat + lam * prob.m.mat).tocsc())
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS)
+def test_non_finite_input_raises_value_error(metric):
+    prob, at, rng = _poisson_point()
+    bad = random_horizontal(metric, at, rng)
+    bad[0, 0] = np.nan
+    cache = build_shift_cache(prob, at)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        apply_cached(cache, metric, bad)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        at.solve_gram(bad[:3])
 
 
 # -------------------------------------------------------- preconditioner

@@ -175,7 +175,8 @@ def test_input_validation_survives_optimized_interpreter():
     # Checks of caller input must not be asserts, which `python -O` strips.
     script = """
 import numpy as np, scipy.sparse as sps
-from lyapfactor import IrrConfig, LyapunovProblem, SpdSparseMatrix
+from lyapfactor import (FactorPoint, IrrConfig, LyapunovProblem, SolveTrace,
+                        SpdSparseMatrix)
 def rejected(make):
     try:
         make()
@@ -184,15 +185,19 @@ def rejected(make):
     return False
 a = SpdSparseMatrix(sps.identity(6, format="csr"))
 m = SpdSparseMatrix(sps.identity(5, format="csr"))
+deficient = FactorPoint(np.ones((6, 2)))
 print(__debug__, rejected(lambda: IrrConfig(p_min=5, p_max=2)),
-      rejected(lambda: LyapunovProblem(a, m, np.ones((6, 1)))))
+      rejected(lambda: LyapunovProblem(a, m, np.ones((6, 1)))),
+      rejected(lambda: deficient.solve_gram(np.eye(2))),
+      rejected(lambda: deficient.solve_gram_right(np.eye(2))),
+      rejected(lambda: SolveTrace().final()))
 """
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True", "True"]
+    assert proc.stdout.split() == ["False"] + ["True"] * 5
 
 
 def test_oracle_rejects_large_problems():
