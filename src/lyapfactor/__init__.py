@@ -16,15 +16,12 @@ from .increasing_rank import (
     warm_start,
 )
 from .manifold import (
-    HorizontalVector,
     Metric,
-    TangentDecomposition,
     cost,
     dominant_term_action,
     hessian_action,
     horizontal_inner,
     metric_inner,
-    project_decompose,
     project_horizontal,
     retract,
     riemannian_gradient,
@@ -70,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CoupledSystem",
     "FactorPoint",
-    "HorizontalVector",
     "IncreasingRankError",
     "InnerSolveError",
     "IrrConfig",
@@ -83,7 +79,6 @@ __all__ = [
     "ShiftSystemCache",
     "SolveTrace",
     "SpdSparseMatrix",
-    "TangentDecomposition",
     "TnewtonConfig",
     "TpcgState",
     "TraceRow",
@@ -100,7 +95,6 @@ __all__ = [
     "load_matrix_market",
     "horizontal_inner",
     "metric_inner",
-    "project_decompose",
     "project_horizontal",
     "relative_residual",
     "residual_fro",

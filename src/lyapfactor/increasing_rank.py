@@ -150,7 +150,7 @@ def warm_start(problem, y_p, p_inc, rng=None):
         assert trial.has_full_rank, "seeded factor still rank deficient"
 
     f0 = cost(problem, trial)
-    grad = riemannian_gradient(Metric.EUCLIDEAN, problem, trial).z
+    grad = riemannian_gradient(Metric.EUCLIDEAN, problem, trial)
     slope = -float(np.sum(grad * grad))
     if slope >= 0.0:
         # Stationary padded point; nothing to improve.

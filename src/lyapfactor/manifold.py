@@ -2,9 +2,10 @@
 
 A point is the equivalence class [Y] = {Y O : O orthogonal} of a full-rank
 factor Y, identified with X = Y Y^T. Tangent vectors are represented by
-horizontal lifts at Y. Three Riemannian metrics are supported; all solver
-operations (inner products, projections, gradients, Hessian actions) are
-parametrized by the metric choice and work on the lifted n-by-p arrays.
+their horizontal lifts at Y, plain n-by-p arrays. Three Riemannian metrics
+are supported; all solver operations (inner products, projections,
+gradients, Hessian actions) take the metric and the point as arguments and
+take and return such arrays.
 
 Notation used throughout: G = Y^T Y, P = Y G^{-1} Y^T (the orthogonal
 projector onto range(Y)), N = A Y Y^T M + M Y Y^T A - B B^T (the gradient
@@ -14,7 +15,6 @@ ambient space).
 """
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as spla
@@ -39,27 +39,6 @@ class Metric(enum.IntEnum):
     EUCLIDEAN = 3
 
 
-@dataclass
-class HorizontalVector:
-    """Horizontal lift of a tangent vector at a point, under a metric."""
-
-    at: FactorPoint
-    z: np.ndarray
-    metric: Metric
-
-
-@dataclass
-class TangentDecomposition:
-    """Vertical and horizontal parts of an ambient perturbation."""
-
-    vertical: np.ndarray
-    horizontal: np.ndarray
-
-
-def _unwrap(vector):
-    return vector.z if isinstance(vector, HorizontalVector) else vector
-
-
 def cost(problem, point):
     """Objective value tr(Y^T A Y Y^T M Y) - tr(Y^T B B^T Y) = h(Y Y^T)."""
     point = _as_point(point)
@@ -72,68 +51,46 @@ def cost(problem, point):
 def horizontal_inner(metric, at, xi, eta):
     """Inner product g_Y(xi, eta) restricted to horizontal arguments.
 
-    `xi` and `eta` may be `HorizontalVector`s or raw arrays. For EMBEDDED
-    this evaluates only the pullback form; its vertical completion term
-    vanishes identically on horizontal vectors and is skipped, which keeps
-    the solver's inner products at two small products per call.
+    For EMBEDDED this evaluates only the pullback form; its vertical
+    completion term vanishes identically on horizontal vectors and is
+    skipped, which keeps the solver's inner products at two small products
+    per call.
     """
-    x = _unwrap(xi)
-    e = _unwrap(eta)
     if metric == Metric.EUCLIDEAN:
-        return float(np.sum(x * e))
+        return float(np.sum(xi * eta))
     if metric == Metric.GRAM:
-        return float(np.sum((x @ at.gram) * e))
+        return float(np.sum((xi @ at.gram) * eta))
     y = at.y
-    yx = y.T @ x
-    ye = y.T @ e
-    return float(2.0 * (np.sum(yx * ye.T) + np.sum((x @ at.gram) * e)))
+    yx = y.T @ xi
+    ye = y.T @ eta
+    return float(2.0 * (np.sum(yx * ye.T) + np.sum((xi @ at.gram) * eta)))
 
 
 def metric_inner(metric, at, xi, eta):
     """Riemannian inner product g_Y(xi, eta) at the point `at`.
 
-    `xi` and `eta` may be `HorizontalVector`s or raw arrays. Positive
-    definite on the whole tangent space for every metric: for EMBEDDED the
-    pullback form, which degenerates on vertical directions, is completed
-    by the term tr(Y^T Y (xi^V)^T eta^V) on the vertical parameters. The
-    completion vanishes on horizontal vectors, so it is skipped when both
-    arguments arrive as `HorizontalVector`s.
+    Positive definite on the whole tangent space for every metric: for
+    EMBEDDED the pullback form, which degenerates on vertical directions,
+    is completed by the term tr(Y^T Y (xi^V)^T eta^V) on the vertical
+    parameters. On horizontal arguments the completion vanishes up to
+    rounding, and `horizontal_inner` is the cheaper equivalent.
     """
     val = horizontal_inner(metric, at, xi, eta)
-    if metric != Metric.EMBEDDED or (
-        isinstance(xi, HorizontalVector) and isinstance(eta, HorizontalVector)
-    ):
+    if metric != Metric.EMBEDDED:
         return val
-    vx = _vertical_part(at, _unwrap(xi))
-    ve = _vertical_part(at, _unwrap(eta))
+    vx = vertical_part(Metric.EMBEDDED, at, xi)
+    ve = vertical_part(Metric.EMBEDDED, at, eta)
     return val + float(np.sum((vx @ at.gram) * ve))
 
 
-def _vertical_part(at, z):
-    """Vertical component Y Omega with Omega = skew((Y^T Y)^{-1} Y^T z)."""
-    gw = at.solve_gram(at.y.T @ z)
-    return at.y @ (0.5 * (gw - gw.T))
-
-
-def project_decompose(metric, at, ambient):
-    """Split an ambient perturbation into vertical and horizontal parts.
+def vertical_part(metric, at, z):
+    """Vertical component Y Omega of an ambient perturbation z.
 
     The vertical space at Y is {Y Omega : Omega skew-symmetric}. Under the
-    EMBEDDED and GRAM metrics the vertical parameter is the skew part of
-    (Y^T Y)^{-1} Y^T Z; under EUCLIDEAN it solves the Sylvester equation
-    Omega (Y^T Y) + (Y^T Y) Omega = Y^T Z - Z^T Y.
-
-    Parameters
-    ----------
-    metric : Metric
-    at : FactorPoint
-    ambient : ndarray or HorizontalVector
-
-    Returns
-    -------
-    TangentDecomposition
+    EMBEDDED and GRAM metrics Omega is the skew part of (Y^T Y)^{-1} Y^T z;
+    under EUCLIDEAN it solves the Sylvester equation
+    Omega (Y^T Y) + (Y^T Y) Omega = Y^T z - z^T Y.
     """
-    z = _unwrap(ambient)
     y = at.y
     w = y.T @ z
     if metric == Metric.EUCLIDEAN:
@@ -142,13 +99,12 @@ def project_decompose(metric, at, ambient):
     else:
         gw = at.solve_gram(w)
         omega = 0.5 * (gw - gw.T)
-    vertical = y @ omega
-    return TangentDecomposition(vertical=vertical, horizontal=z - vertical)
+    return y @ omega
 
 
 def project_horizontal(metric, at, ambient):
-    """Horizontal part of an ambient perturbation, as a raw array."""
-    return project_decompose(metric, at, ambient).horizontal
+    """Horizontal part of an ambient perturbation, z - vertical_part(z)."""
+    return ambient - vertical_part(metric, at, ambient)
 
 
 def retract(point, direction, step):
@@ -160,7 +116,7 @@ def retract(point, direction, step):
         If the stepped factor loses column rank; the caller (the line
         search) must shrink the step.
     """
-    out = FactorPoint(point.y + step * _unwrap(direction))
+    out = FactorPoint(point.y + step * direction)
     if not out.has_full_rank:
         raise ValueError("retraction left the manifold")
     return out
@@ -172,21 +128,15 @@ def riemannian_gradient(metric, problem, point):
     With N Y the factored Euclidean gradient direction, the lifts are
     (I - P/2) N Y G^{-1} for EMBEDDED, 2 N Y G^{-1} for GRAM and 2 N Y for
     EUCLIDEAN. Each is horizontal for its metric without projection.
-
-    Returns
-    -------
-    HorizontalVector
     """
     y = point.y
     ny = point.products(problem).ny
     if metric == Metric.EUCLIDEAN:
-        z = 2.0 * ny
-    elif metric == Metric.GRAM:
-        z = 2.0 * point.solve_gram_right(ny)
-    else:
-        inner = ny - 0.5 * (y @ point.solve_gram(y.T @ ny))
-        z = point.solve_gram_right(inner)
-    return HorizontalVector(at=point, z=z, metric=metric)
+        return 2.0 * ny
+    if metric == Metric.GRAM:
+        return 2.0 * point.solve_gram_right(ny)
+    inner = ny - 0.5 * (y @ point.solve_gram(y.T @ ny))
+    return point.solve_gram_right(inner)
 
 
 def dominant_term_action(metric, problem, point, xi):
@@ -231,42 +181,40 @@ def hessian_action(metric, problem, point, eta):
     metric : Metric
     problem : LyapunovProblem
     point : FactorPoint
-    eta : HorizontalVector or ndarray
+    eta : ndarray
+        Horizontal lift at the point.
 
     Returns
     -------
-    HorizontalVector
+    ndarray
     """
-    e = _unwrap(eta)
     y = point.y
     prod = point.products(problem)
-    main = dominant_term_action(metric, problem, point, e)
+    main = dominant_term_action(metric, problem, point, eta)
 
     if metric == Metric.EUCLIDEAN:
-        z = main + 2.0 * project_horizontal(
-            metric, point, prod.apply_residual(e)
+        return main + 2.0 * project_horizontal(
+            metric, point, prod.apply_residual(eta)
         )
-    elif metric == Metric.GRAM:
-        pe = e - y @ point.solve_gram(y.T @ e)
-        ne = prod.apply_residual(e)
+    if metric == Metric.GRAM:
+        pe = eta - y @ point.solve_gram(y.T @ eta)
+        ne = prod.apply_residual(eta)
         correction = prod.apply_residual(pe)
         correction += ne - y @ point.solve_gram(y.T @ ne)
         correction = point.solve_gram_right(correction)
         # 2 skew(eta Y^T) W = eta (Y^T W) - Y (eta^T W) with W = N Y G^{-2}.
         w = point.solve_gram_right(point.solve_gram_right(prod.ny))
-        correction += e @ (y.T @ w) - y @ (e.T @ w)
+        correction += eta @ (y.T @ w) - y @ (eta.T @ w)
         # 2 skew(eta G^{-1} Y^T N) Y G^{-1}
         #   = eta G^{-1} (Y^T N Y) G^{-1} - N Y (G^{-1} (eta^T Y) G^{-1}).
         s = y.T @ prod.ny
-        correction += e @ point.solve_gram_right(point.solve_gram(s))
-        correction -= prod.ny @ point.solve_gram_right(point.solve_gram(e.T @ y))
-        z = main + project_horizontal(metric, point, correction)
-    else:
-        pe = e - y @ point.solve_gram(y.T @ e)
-        npe = prod.apply_residual(pe)
-        t1 = point.solve_gram_right(npe - y @ point.solve_gram(y.T @ npe))
-        z = main + t1
-    return HorizontalVector(at=point, z=z, metric=metric)
+        correction += eta @ point.solve_gram_right(point.solve_gram(s))
+        correction -= prod.ny @ point.solve_gram_right(
+            point.solve_gram(eta.T @ y))
+        return main + project_horizontal(metric, point, correction)
+    pe = eta - y @ point.solve_gram(y.T @ eta)
+    npe = prod.apply_residual(pe)
+    return main + point.solve_gram_right(npe - y @ point.solve_gram(y.T @ npe))
 
 
 def horizontal_basis(metric, at, tol=1e-8):

@@ -31,7 +31,7 @@ import scipy.linalg as spla
 import scipy.sparse as sps
 import scipy.sparse.linalg as sps_la
 
-from .manifold import HorizontalVector, Metric, _unwrap, project_horizontal
+from .manifold import Metric, project_horizontal
 from .manifold import dominant_term_action  # noqa: F401  (the map inverted)
 from .problems import FactorPoint, _as_point, _cho_solve
 
@@ -101,8 +101,8 @@ class CoupledSystem:
     transposition, so the symmetric matrices form an invariant subspace and
     the system is solved there, in an orthonormal basis of dimension
     p (p + 1) / 2. Since each K_i is symmetric the restricted map is
-    self-adjoint; it is assembled densely and factored for small p and
-    applied matrix-free under conjugate gradient for large p.
+    self-adjoint; it is assembled densely and Cholesky-factored for small
+    p and applied matrix-free under conjugate gradient for large p.
     """
 
     def __init__(self, k_blocks):
@@ -111,13 +111,15 @@ class CoupledSystem:
         self.upper = np.triu_indices(self.p, 1)
         self.dim = self.p + self.upper[0].size
         self._cho = None
-        self._lu = None
         if 0 < self.p <= COUPLED_DIRECT_LIMIT:
             dense = _coupled_matrix(self.k_stack, self.upper)
             try:
                 self._cho = spla.cho_factor(dense)
             except np.linalg.LinAlgError:
-                self._lu = spla.lu_factor(dense)
+                raise PreconditionerError(
+                    "coupled symmetric system is not positive definite "
+                    "at this point"
+                ) from None
 
     def apply(self, s):
         """Image of a symmetric p-by-p matrix under the coupled map."""
@@ -129,8 +131,6 @@ class CoupledSystem:
         vec = _sym_to_vec(rhs, self.upper)
         if self._cho is not None:
             out = _cho_solve(self._cho, vec)
-        elif self._lu is not None:
-            out = spla.lu_solve(self._lu, vec)
         else:
             op = sps_la.LinearOperator(
                 (self.dim, self.dim),
@@ -241,7 +241,8 @@ def build_shift_cache(problem, point, variant="proposed"):
     Raises
     ------
     PreconditionerError
-        If the pencil or a Schur complement fails to be positive definite.
+        If the pencil, a Schur complement or the coupled system fails to
+        be positive definite.
     """
     if variant not in ("proposed", "bart"):
         raise ValueError(f"unknown preconditioner variant {variant!r}")
@@ -349,17 +350,9 @@ def apply_cached(cache, metric, eta):
 
 
 def apply_preconditioner(metric, problem, point, eta):
-    """One-shot preconditioner apply (builds the cache and discards it).
-
-    `eta` may be a raw array or a horizontal vector.
-
-    Returns
-    -------
-    HorizontalVector
-    """
+    """One-shot preconditioner apply (builds the cache and discards it)."""
     cache = build_shift_cache(problem, point, variant="proposed")
-    out = apply_cached(cache, metric, _unwrap(eta))
-    return HorizontalVector(at=cache.point, z=out, metric=metric)
+    return apply_cached(cache, metric, eta)
 
 
 def assemble_precond_operator_dense(metric, problem, point,

@@ -68,6 +68,8 @@ class SpdSparseMatrix:
         mat = sps.csr_matrix(mat).astype(float)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError(f"matrix must be square, got shape {mat.shape}")
+        if not np.isfinite(mat.data).all():
+            raise ValueError("matrix has a non-finite entry")
         pair = _asymmetric_entry(mat)
         if pair is not None:
             raise ValueError(
@@ -104,6 +106,8 @@ class LyapunovProblem:
             b = b[:, None]
         if b.ndim != 2 or b.shape[0] != self.a.n:
             raise ValueError("B must have one row per equation unknown")
+        if not np.isfinite(b).all():
+            raise ValueError("B has a non-finite entry")
         self.b = b
 
     @property
@@ -330,7 +334,8 @@ def gen_poisson(n, seed, identity_mass=False):
 # The reader is deliberately hand-rolled: errors must carry the offending
 # file and line, and symmetric files must round-trip exactly, neither of
 # which scipy's reader provides. Only the subset needed for problem data is
-# supported: real coordinate (general or symmetric) and real dense array.
+# supported: real coordinate and real dense array, each general or
+# symmetric (the lower triangle, as the exchange format stores it).
 # ---------------------------------------------------------------------------
 
 
@@ -414,21 +419,28 @@ def _parse_matrix_market(path):
         return kind, symmetry, mat
 
     rows, cols = dims
-    if len(entries) != rows * cols:
+    if symmetry == "symmetric" and rows != cols:
+        raise MatrixMarketError(path, size_no, "symmetric array must be square")
+    count = rows * (rows + 1) // 2 if symmetry == "symmetric" else rows * cols
+    if len(entries) != count:
         raise MatrixMarketError(
             path, size_no,
-            f"expected {rows * cols} values, found {len(entries)}",
+            f"expected {count} values, found {len(entries)}",
         )
-    values = np.empty(rows * cols, dtype=float)
+    values = np.empty(count, dtype=float)
     for k, (no, line) in enumerate(entries):
         try:
             values[k] = float(line)
         except ValueError:
             raise MatrixMarketError(path, no, "malformed value") from None
-    dense = values.reshape((rows, cols), order="F")
-    if symmetry == "symmetric":
-        dense = np.tril(dense) + np.tril(dense, -1).T
-    return kind, symmetry, dense
+    if symmetry == "general":
+        return kind, symmetry, values.reshape((rows, cols), order="F")
+    # The lower triangle, column by column: (j, i) for i >= j is the upper
+    # triangle's (row, column) order with the roles swapped.
+    upper_cols, upper_rows = np.triu_indices(rows)
+    dense = np.zeros((rows, cols))
+    dense[upper_rows, upper_cols] = values
+    return kind, symmetry, dense + np.tril(dense, -1).T
 
 
 def _load_spd(path):
@@ -475,7 +487,10 @@ def load_matrix_market(path_a, path_m, path_b):
             path_b, 0,
             f"B has {b.shape[0]} rows but the system has {a.n} unknowns",
         )
-    return LyapunovProblem(a, m, np.asarray(b))
+    try:
+        return LyapunovProblem(a, m, np.asarray(b))
+    except ValueError as exc:
+        raise MatrixMarketError(path_b, 0, str(exc)) from exc
 
 
 def save_matrix_market(path, mat, comment=None):

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .manifold import (
-    HorizontalVector,
-    Metric,
     cost,
     hessian_action,
     horizontal_inner,
@@ -177,7 +175,7 @@ class LineSearchResult:
     backtracks: int
 
 
-def line_search(problem, point, direction, f0, slope0, config):
+def line_search(problem, metric, point, direction, f0, slope0, config):
     """Find a step size accepted by one of the two decrease conditions.
 
     A step alpha is accepted when
@@ -196,8 +194,10 @@ def line_search(problem, point, direction, f0, slope0, config):
     Parameters
     ----------
     problem : LyapunovProblem
+    metric : Metric
     point : FactorPoint
-    direction : HorizontalVector
+    direction : ndarray
+        Horizontal lift at the point.
     f0, slope0 : float
         Cost and directional derivative g(grad, direction) at the point.
     config : TnewtonConfig
@@ -208,14 +208,13 @@ def line_search(problem, point, direction, f0, slope0, config):
     """
     if not slope0 < 0.0:
         raise ValueError("search direction must be a descent direction")
-    z = direction.z
-    norm_sq = horizontal_inner(direction.metric, point, z, z)
+    norm_sq = horizontal_inner(metric, point, direction, direction)
     threshold = max(-config.chi1 * slope0 * slope0 / norm_sq,
                     config.chi2 * slope0)
     alpha = 1.0
     for backtracks in range(config.ls_max_backtracks + 1):
         try:
-            trial = retract(point, z, alpha)
+            trial = retract(point, direction, alpha)
         except ValueError:
             alpha = 0.5 * alpha
             continue
@@ -331,7 +330,7 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none"):
     t_start = time.perf_counter()
     f_val = cost(problem, point)
     grad = riemannian_gradient(metric, problem, point)
-    gnorm = math.sqrt(horizontal_inner(metric, point, grad.z, grad.z))
+    gnorm = math.sqrt(horizontal_inner(metric, point, grad, grad))
     gnorm0 = gnorm
     nh_total = 0
     trace.append(TraceRow(
@@ -351,7 +350,7 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none"):
 
             def hess_fn(arr, at=at, counter=counter):
                 counter[0] += 1
-                return hessian_action(metric, problem, at, arr).z
+                return hessian_action(metric, problem, at, arr)
 
             def inner_fn(x, e, at=at):
                 return horizontal_inner(metric, at, x, e)
@@ -359,11 +358,10 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none"):
             precond_fn = _make_preconditioner(precond_choice, metric, problem, at)
             phi_k = min(config.forcing_beta, gnorm ** config.forcing_t)
             state = tpcg(
-                grad.z, hess_fn, precond_fn, config.eps_curv, phi_k,
+                grad, hess_fn, precond_fn, config.eps_curv, phi_k,
                 inner=inner_fn, max_inner=max_inner,
             )
-            direction = HorizontalVector(at=at, z=state.direction, metric=metric)
-            slope0 = horizontal_inner(metric, at, grad.z, state.direction)
+            slope0 = horizontal_inner(metric, at, grad, state.direction)
             # A predicted decrease below the rounding resolution of f cannot
             # be certified by any line search; the rank is converged to its
             # floor.
@@ -371,8 +369,8 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none"):
             if not slope0 < -floor:
                 break
             try:
-                result = line_search(problem, at, direction, f_val, slope0,
-                                     config)
+                result = line_search(problem, metric, at, state.direction,
+                                     f_val, slope0, config)
             except LineSearchError:
                 # The acceptance conditions demand a decrease of
                 # min(chi1 slope0^2 / |d|^2, chi2 |slope0|); when that is
@@ -390,7 +388,7 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none"):
             point = result.point
             f_val = result.f
             grad = riemannian_gradient(metric, problem, point)
-            gnorm = math.sqrt(horizontal_inner(metric, point, grad.z, grad.z))
+            gnorm = math.sqrt(horizontal_inner(metric, point, grad, grad))
             nh_total += counter[0]
             trace.append(TraceRow(
                 k=k, p=p, f=f_val, gradnorm=gnorm,

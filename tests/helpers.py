@@ -77,7 +77,7 @@ def cost_reference(problem, y):
 
 def grad_field(metric, problem, at):
     """Riemannian gradient as a raw array at a (possibly new) point."""
-    return riemannian_gradient(metric, problem, at).z
+    return riemannian_gradient(metric, problem, at)
 
 
 def fd_grad(metric, problem, at, v, h=1e-6):

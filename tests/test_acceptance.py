@@ -169,7 +169,7 @@ def test_criterion_05_preconditioner_solves_its_defining_equation():
             rng = np.random.default_rng(n + p)
             at = FactorPoint(rng.standard_normal((n, p)))
             eta = random_horizontal(Metric.EMBEDDED, at, rng)
-            xi = apply_preconditioner(Metric.EMBEDDED, problem, at, eta).z
+            xi = apply_preconditioner(Metric.EMBEDDED, problem, at, eta)
             back = project_horizontal(
                 Metric.EMBEDDED, at,
                 dominant_term_action(Metric.EMBEDDED, problem, at, xi))

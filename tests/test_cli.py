@@ -101,6 +101,21 @@ def test_solve_bad_manifest_returns_2(tmp_path, capsys):
     assert "expected 'key = value'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["a.mtx", "b.mtx"])
+def test_solve_non_finite_matrix_returns_2(tmp_path, capsys, name):
+    manifest, _ = identity_manifest(tmp_path, n=5, s=1)
+    path = os.path.join(os.path.dirname(manifest), name)
+    with open(path, encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    lines[-1] = " ".join(lines[-1].split()[:-1] + ["nan"])
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+    rc = main(["solve", "--manifest", manifest])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert name in err and "non-finite" in err
+
+
 def test_solve_unreachable_tolerance_returns_1(capsys):
     rc = main(["solve", "--gen", "poisson", "--n", "40", "--tol", "1e-14",
                "--p-max", "2", "--precond", "proposed"])

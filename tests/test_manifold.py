@@ -15,7 +15,6 @@ from helpers import (
 )
 from lyapfactor import (
     FactorPoint,
-    HorizontalVector,
     LyapunovProblem,
     Metric,
     SpdSparseMatrix,
@@ -32,7 +31,7 @@ from lyapfactor import (
 from lyapfactor.manifold import (
     hessian_action,
     horizontal_basis,
-    project_decompose,
+    vertical_part,
 )
 
 
@@ -147,32 +146,33 @@ def test_metric_horizontal_inner_agrees_on_horizontals():
 def test_project_pure_vertical(metric):
     prob, at, rng = _instance(seed=1)
     vert_in = at.y @ _skew(rng, at.p)
-    dec = project_decompose(metric, at, vert_in)
-    assert np.linalg.norm(dec.horizontal) <= 1e-12 * np.linalg.norm(vert_in)
+    hor = project_horizontal(metric, at, vert_in)
+    assert np.linalg.norm(hor) <= 1e-12 * np.linalg.norm(vert_in)
 
 
 @pytest.mark.parametrize("metric", ALL_METRICS)
 def test_project_idempotent_and_complementary(metric):
     prob, at, rng = _instance(seed=2)
     w = rng.standard_normal(at.y.shape)
-    dec = project_decompose(metric, at, w)
-    np.testing.assert_allclose(dec.vertical + dec.horizontal, w, rtol=0,
+    vert = vertical_part(metric, at, w)
+    hor = project_horizontal(metric, at, w)
+    np.testing.assert_allclose(vert + hor, w, rtol=0,
                                atol=1e-12 * np.linalg.norm(w))
-    again = project_decompose(metric, at, dec.horizontal)
-    assert np.linalg.norm(again.vertical) <= 1e-12 * np.linalg.norm(w)
-    np.testing.assert_allclose(again.horizontal, dec.horizontal, rtol=0,
-                               atol=1e-12 * np.linalg.norm(w))
+    assert np.linalg.norm(vertical_part(metric, at, hor)) \
+        <= 1e-12 * np.linalg.norm(w)
+    np.testing.assert_allclose(project_horizontal(metric, at, hor), hor,
+                               rtol=0, atol=1e-12 * np.linalg.norm(w))
 
 
 @pytest.mark.parametrize("metric", ALL_METRICS)
 def test_projection_metric_orthogonal(metric):
     prob, at, rng = _instance(seed=3)
     w = rng.standard_normal(at.y.shape)
-    dec = project_decompose(metric, at, w)
-    cross = metric_inner(metric, at, dec.vertical, dec.horizontal)
-    scale = (np.sqrt(metric_inner(metric, at, dec.vertical, dec.vertical))
-             * np.sqrt(metric_inner(metric, at, dec.horizontal,
-                                    dec.horizontal)))
+    vert = vertical_part(metric, at, w)
+    hor = project_horizontal(metric, at, w)
+    cross = metric_inner(metric, at, vert, hor)
+    scale = (np.sqrt(metric_inner(metric, at, vert, vert))
+             * np.sqrt(metric_inner(metric, at, hor, hor)))
     assert abs(cross) <= 1e-10 * max(scale, 1e-30)
 
 
@@ -191,8 +191,8 @@ def test_project_euclidean_sylvester_residual():
     # Omega G + G Omega = Y^T W - W^T Y, G = Y^T Y
     prob, at, rng = _instance(seed=5, p=3)
     w = rng.standard_normal(at.y.shape)
-    dec = project_decompose(Metric.EUCLIDEAN, at, w)
-    omega = np.linalg.lstsq(at.y, dec.vertical, rcond=None)[0]
+    vert = vertical_part(Metric.EUCLIDEAN, at, w)
+    omega = np.linalg.lstsq(at.y, vert, rcond=None)[0]
     np.testing.assert_allclose(omega, -omega.T, atol=1e-10)
     g = at.gram
     lhs = omega @ g + g @ omega
@@ -236,7 +236,7 @@ def test_retract_first_order_along_cost():
     h = 1e-5
     fd = (cost(prob, retract(at, z, h)) - cost(prob, retract(at, z, -h))) / (2 * h)
     grad = riemannian_gradient(Metric.EMBEDDED, prob, at)
-    want = metric_inner(Metric.EMBEDDED, at, grad.z, z)
+    want = metric_inner(Metric.EMBEDDED, at, grad, z)
     np.testing.assert_allclose(fd, want, rtol=1e-6)
 
 
@@ -255,7 +255,7 @@ def test_gradient_vanishes_at_exact_solution(metric):
     ystar = rng.standard_normal((25, 2))
     prob = identity_problem(25, ystar)
     grad = riemannian_gradient(metric, prob, FactorPoint(ystar))
-    assert np.linalg.norm(grad.z) <= 1e-12 * np.linalg.norm(ystar)
+    assert np.linalg.norm(grad) <= 1e-12 * np.linalg.norm(ystar)
 
 
 def test_gradient_duality_embedded_ten_directions():
@@ -265,7 +265,7 @@ def test_gradient_duality_embedded_ten_directions():
     for trial in range(10):
         z = random_horizontal(Metric.EMBEDDED, at, rng)
         fd = (cost(prob, at.y + h * z) - cost(prob, at.y - h * z)) / (2 * h)
-        got = metric_inner(Metric.EMBEDDED, at, grad.z, z)
+        got = metric_inner(Metric.EMBEDDED, at, grad, z)
         np.testing.assert_allclose(got, fd, rtol=1e-6)
 
 
@@ -279,7 +279,7 @@ def test_gradient_duality_ambient_directions(metric):
     for trial in range(4):
         v = rng.standard_normal(at.y.shape)
         fd = (cost(prob, at.y + h * v) - cost(prob, at.y - h * v)) / (2 * h)
-        got = metric_inner(metric, at, grad.z,
+        got = metric_inner(metric, at, grad,
                            project_horizontal(metric, at, v))
         np.testing.assert_allclose(got, fd, rtol=1e-6)
 
@@ -290,7 +290,7 @@ def test_gradient_euclidean_hand_case():
     prob = LyapunovProblem(eye, eye, np.zeros((2, 1)))
     at = FactorPoint(np.array([[1.0], [0.0]]))
     grad = riemannian_gradient(Metric.EUCLIDEAN, prob, at)
-    np.testing.assert_allclose(grad.z, 4.0 * at.y, rtol=1e-14)
+    np.testing.assert_allclose(grad, 4.0 * at.y, rtol=1e-14)
 
 
 @pytest.mark.parametrize("metric", ALL_METRICS)
@@ -299,8 +299,8 @@ def test_gradient_is_horizontal(metric):
     grad = riemannian_gradient(metric, prob, at)
     for trial in range(5):
         vert = at.y @ _skew(rng, at.p)
-        cross = metric_inner(metric, at, grad.z, vert)
-        assert abs(cross) <= 1e-10 * np.linalg.norm(grad.z) * np.linalg.norm(vert)
+        cross = metric_inner(metric, at, grad, vert)
+        assert abs(cross) <= 1e-10 * np.linalg.norm(grad) * np.linalg.norm(vert)
 
 
 @pytest.mark.parametrize("metric", ALL_METRICS)
@@ -308,8 +308,8 @@ def test_gradient_norm_orthogonal_equivariance(metric):
     prob, at, rng = _instance(seed=12)
     q = np.linalg.qr(rng.standard_normal((at.p, at.p)))[0]
     rotated = FactorPoint(at.y @ q)
-    n1 = hnorm(metric, at, riemannian_gradient(metric, prob, at).z)
-    n2 = hnorm(metric, rotated, riemannian_gradient(metric, prob, rotated).z)
+    n1 = hnorm(metric, at, riemannian_gradient(metric, prob, at))
+    n2 = hnorm(metric, rotated, riemannian_gradient(metric, prob, rotated))
     np.testing.assert_allclose(n1, n2, rtol=1e-10)
 
 
@@ -320,14 +320,14 @@ def test_gradient_norm_orthogonal_equivariance(metric):
 def test_hessian_zero_direction(metric):
     prob, at, rng = _instance(seed=14)
     out = hessian_action(metric, prob, at, np.zeros_like(at.y))
-    assert np.linalg.norm(out.z) == 0.0
+    assert np.linalg.norm(out) == 0.0
 
 
 @pytest.mark.parametrize("metric", ALL_METRICS)
 def test_hessian_matches_fd_koszul_oracle(metric):
     prob, at, rng = _instance(seed=15, n=20, p=2)
     eta = random_horizontal(metric, at, rng)
-    got = hessian_action(metric, prob, at, eta).z
+    got = hessian_action(metric, prob, at, eta)
     want = hessian_fd_oracle(metric, prob, at, eta)
     assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(got)
 
@@ -338,8 +338,8 @@ def test_hessian_self_adjoint(metric):
     for trial in range(5):
         xi = random_horizontal(metric, at, rng)
         eta = random_horizontal(metric, at, rng)
-        hxi = hessian_action(metric, prob, at, xi).z
-        heta = hessian_action(metric, prob, at, eta).z
+        hxi = hessian_action(metric, prob, at, xi)
+        heta = hessian_action(metric, prob, at, eta)
         left = horizontal_inner(metric, at, hxi, eta)
         right = horizontal_inner(metric, at, xi, heta)
         assert abs(left - right) <= 1e-9 * hnorm(metric, at, xi) * hnorm(
@@ -351,9 +351,9 @@ def test_hessian_linear(metric):
     prob, at, rng = _instance(seed=18)
     xi = random_horizontal(metric, at, rng)
     eta = random_horizontal(metric, at, rng)
-    lhs = hessian_action(metric, prob, at, 2.0 * xi - 3.0 * eta).z
-    rhs = (2.0 * hessian_action(metric, prob, at, xi).z
-           - 3.0 * hessian_action(metric, prob, at, eta).z)
+    lhs = hessian_action(metric, prob, at, 2.0 * xi - 3.0 * eta)
+    rhs = (2.0 * hessian_action(metric, prob, at, xi)
+           - 3.0 * hessian_action(metric, prob, at, eta))
     np.testing.assert_allclose(lhs, rhs, rtol=0,
                                atol=1e-11 * np.linalg.norm(lhs))
 
@@ -366,7 +366,7 @@ def test_hessian_dense_assembly_symmetric(metric):
     dim = len(basis)
     mat = np.zeros((dim, dim))
     for j, e in enumerate(basis):
-        he = hessian_action(metric, prob, at, e).z
+        he = hessian_action(metric, prob, at, e)
         for i, f in enumerate(basis):
             mat[i, j] = metric_inner(metric, at, he, f)
     scale = max(1.0, np.abs(mat).max())
@@ -384,10 +384,10 @@ def test_hessian_plain_fd_of_gradient(metric):
     at = FactorPoint(ystar + 1e-8 * rng.standard_normal((30, 2)))
     eta = random_horizontal(metric, at, rng)
     h = 1e-6
-    plus = riemannian_gradient(metric, prob, FactorPoint(at.y + h * eta)).z
-    base = riemannian_gradient(metric, prob, at).z
+    plus = riemannian_gradient(metric, prob, FactorPoint(at.y + h * eta))
+    base = riemannian_gradient(metric, prob, at)
     fd = project_horizontal(metric, at, (plus - base) / h)
-    got = hessian_action(metric, prob, at, eta).z
+    got = hessian_action(metric, prob, at, eta)
     assert np.linalg.norm(fd - got) <= 1e-4 * np.linalg.norm(got)
 
 
@@ -395,7 +395,7 @@ def test_hessian_output_horizontal():
     prob, at, rng = _instance(seed=21)
     for metric in ALL_METRICS:
         eta = random_horizontal(metric, at, rng)
-        out = hessian_action(metric, prob, at, eta).z
+        out = hessian_action(metric, prob, at, eta)
         for trial in range(3):
             vert = at.y @ _skew(rng, at.p)
             cross = metric_inner(metric, at, out, vert)

@@ -145,7 +145,7 @@ def test_coupled_system_round_trip_cg_path():
     p = 70
     blocks = [np.diag(rng.random(p) + 1.0) + p * np.eye(p) for i in range(p)]
     system = CoupledSystem(blocks)
-    assert system._cho is None and system._lu is None
+    assert system._cho is None
     s = rng.standard_normal((p, p))
     s = s + s.T
     back = system.solve(system.apply(s))
@@ -153,14 +153,13 @@ def test_coupled_system_round_trip_cg_path():
 
 
 def test_coupled_system_singular_raises_with_advice():
-    import warnings
-
-    blocks = [np.zeros((2, 2)), np.zeros((2, 2))]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    # singular (all-zero) and nonsingular indefinite blocks both fail the
+    # Cholesky factorization, the only direct path
+    for diag in (0.0, -1.0):
+        blocks = [diag * np.eye(2), diag * np.eye(2)]
         with pytest.raises(PreconditionerError,
-                           match="identity preconditioner"):
-            CoupledSystem(blocks).solve(np.eye(2))
+                           match="not positive definite.*identity"):
+            CoupledSystem(blocks)
 
 
 def _sym_pairs(p):
@@ -174,12 +173,14 @@ def _sym_pairs(p):
 def test_coupled_matrix_equals_column_by_column_assembly(p):
     # Reference: apply the map to each basis matrix, one column at a time,
     # and take coordinates entry by entry. The closed form must repeat the
-    # same floating-point operations, so the match is exact.
+    # same floating-point operations, so the match is exact. Positive
+    # definite blocks make the map positive definite, as its Cholesky
+    # factorization requires.
     rng = np.random.default_rng(100 + p)
     blocks = []
     for _ in range(p):
         w = rng.standard_normal((p, p))
-        blocks.append(w + w.T)
+        blocks.append(w @ w.T + np.eye(p))
     system = CoupledSystem(blocks)
     pairs = _sym_pairs(p)
     ref = np.empty((len(pairs), len(pairs)))
@@ -296,8 +297,8 @@ def test_non_finite_input_raises_value_error(metric):
 def test_preconditioner_linearity(metric):
     prob, at, rng = _poisson_point()
     eta = random_horizontal(metric, at, rng)
-    one = apply_preconditioner(metric, prob, at, eta).z
-    two = apply_preconditioner(metric, prob, at, 2.0 * eta).z
+    one = apply_preconditioner(metric, prob, at, eta)
+    two = apply_preconditioner(metric, prob, at, 2.0 * eta)
     np.testing.assert_allclose(two, 2.0 * one,
                                rtol=0, atol=1e-12 * np.linalg.norm(two))
 
@@ -334,7 +335,7 @@ def test_preconditioner_substitution_oracle(metric):
     # dominant Hessian term to xi and projecting horizontally returns eta
     prob, at, rng = _poisson_point(n=100, p=3)
     eta = random_horizontal(metric, at, rng)
-    xi = apply_preconditioner(metric, prob, at, eta).z
+    xi = apply_preconditioner(metric, prob, at, eta)
     back = project_horizontal(metric, at,
                               dominant_term_action(metric, prob, at, xi))
     assert np.linalg.norm(back - eta) <= 1e-8 * np.linalg.norm(eta)
@@ -344,7 +345,7 @@ def test_bart_matches_proposed_on_identity_mass():
     prob, at, rng = _poisson_point(n=60, identity_mass=True)
     for metric in ALL_METRICS:
         eta = random_horizontal(metric, at, rng)
-        ours = apply_preconditioner(metric, prob, at, eta).z
+        ours = apply_preconditioner(metric, prob, at, eta)
         bart = apply_cached(build_shift_cache(prob, at, "bart"), metric, eta)
         assert np.linalg.norm(ours - bart) <= 1e-10 * np.linalg.norm(ours)
 
@@ -363,17 +364,6 @@ def test_bart_linearity_and_self_adjointness():
     right = horizontal_inner(metric, at, eta, apply_cached(cache, metric, xi))
     assert abs(left - right) <= 1e-9 * hnorm(metric, at, eta) * hnorm(
         metric, at, xi)
-
-
-def test_preconditioner_accepts_horizontal_vector_input():
-    prob, at, rng = _poisson_point(n=30)
-    metric = Metric.EMBEDDED
-    from lyapfactor import HorizontalVector
-    raw = random_horizontal(metric, at, rng)
-    wrapped = HorizontalVector(at=at, z=raw, metric=metric)
-    np.testing.assert_array_equal(
-        apply_preconditioner(metric, prob, at, wrapped).z,
-        apply_preconditioner(metric, prob, at, raw).z)
 
 
 # ------------------------------------------------- dense assembly oracle
@@ -433,7 +423,7 @@ def test_hessian_minus_dominant_term_is_curvature_correction():
     prob, at, rng = _poisson_point(n=40)
     metric = Metric.EMBEDDED
     eta = random_horizontal(metric, at, rng)
-    hess = hessian_action(metric, prob, at, eta).z
+    hess = hessian_action(metric, prob, at, eta)
     main = project_horizontal(metric, at,
                               dominant_term_action(metric, prob, at, eta))
     y = at.y
@@ -458,7 +448,7 @@ def test_exact_solution_preconditioner_equals_hessian(metric):
     cache = build_shift_cache(prob, at)
 
     def hess(v):
-        return hessian_action(metric, prob, at, v).z
+        return hessian_action(metric, prob, at, v)
 
     def inner(x, e):
         return horizontal_inner(metric, at, x, e)
@@ -488,7 +478,7 @@ def test_hessian_positive_definite_when_condition_holds():
         dim = len(basis)
         mat = np.zeros((dim, dim))
         for j, e in enumerate(basis):
-            he = hessian_action(metric, prob, at, e).z
+            he = hessian_action(metric, prob, at, e)
             for i, f in enumerate(basis):
                 mat[i, j] = metric_inner(metric, at, he, f)
         mat = 0.5 * (mat + mat.T)

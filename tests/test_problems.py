@@ -47,6 +47,24 @@ def test_spd_rejects_nonsquare():
         SpdSparseMatrix(sps.csr_matrix(np.ones((2, 3))))
 
 
+@pytest.mark.parametrize("n,value", [(10, np.nan), (600, np.inf)])
+def test_spd_rejects_non_finite(n, value):
+    # a NaN passes both the symmetry and the eigenvalue test, and n = 600
+    # is above the dense definiteness check
+    mat = sps.lil_matrix(sps.identity(n, format="csr"))
+    mat[n // 2, n // 2] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        SpdSparseMatrix(mat)
+
+
+def test_problem_rejects_non_finite_rhs():
+    eye = SpdSparseMatrix(sps.identity(6, format="csr"))
+    b = np.ones((6, 2))
+    b[3, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        LyapunovProblem(eye, eye, b)
+
+
 def test_factor_point_requires_full_rank():
     y = np.zeros((5, 2))
     y[:, 0] = 1.0
@@ -190,14 +208,16 @@ print(__debug__, rejected(lambda: IrrConfig(p_min=5, p_max=2)),
       rejected(lambda: LyapunovProblem(a, m, np.ones((6, 1)))),
       rejected(lambda: deficient.solve_gram(np.eye(2))),
       rejected(lambda: deficient.solve_gram_right(np.eye(2))),
-      rejected(lambda: SolveTrace().final()))
+      rejected(lambda: SolveTrace().final()),
+      rejected(lambda: SpdSparseMatrix(sps.diags(np.r_[np.ones(599), np.inf]))),
+      rejected(lambda: LyapunovProblem(a, a, np.full((6, 1), np.inf))))
 """
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"] + ["True"] * 5
+    assert proc.stdout.split() == ["False"] + ["True"] * 7
 
 
 def test_oracle_rejects_large_problems():
@@ -291,6 +311,24 @@ def test_problem_save_load_round_trip(tmp_path):
     np.testing.assert_allclose(loaded.b, prob.b, rtol=1e-15)
 
 
+def test_matrix_market_reads_symmetric_array_as_written_by_scipy(tmp_path):
+    # the exchange format stores the lower triangle column by column,
+    # n (n + 1) / 2 values
+    from scipy.io import mmwrite
+
+    rng = np.random.default_rng(22)
+    w = rng.standard_normal((4, 4))
+    dense = w @ w.T + 4.0 * np.eye(4)
+    path_a = os.path.join(tmp_path, "a.mtx")
+    mmwrite(path_a, dense, symmetry="symmetric")
+    path_m = os.path.join(tmp_path, "m.mtx")
+    save_matrix_market(path_m, sps.identity(4, format="csr"))
+    path_b = os.path.join(tmp_path, "b.mtx")
+    save_matrix_market(path_b, np.ones((4, 1)))
+    prob = load_matrix_market(path_a, path_m, path_b)
+    np.testing.assert_array_equal(prob.a.mat.toarray(), dense)
+
+
 def test_matrix_market_asymmetric_general_rejected(tmp_path):
     # general-format file whose (1,2) entry has no (2,1) partner
     path = os.path.join(tmp_path, "bad.mtx")
@@ -316,6 +354,8 @@ def test_matrix_market_asymmetric_general_rejected(tmp_path):
      "expected 2 entries"),
     ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 1 x\n",
      "entry"),
+    ("%%MatrixMarket matrix array real symmetric\n2 3\n1\n2\n3\n",
+     "bad.mtx:2: symmetric array must be square"),
 ])
 def test_matrix_market_parse_errors_carry_location(tmp_path, content, fragment):
     path = os.path.join(tmp_path, "bad.mtx")

@@ -6,14 +6,12 @@ import pytest
 from helpers import identity_problem, random_problem
 from lyapfactor import (
     FactorPoint,
-    HorizontalVector,
     Metric,
     SolveTrace,
     TnewtonConfig,
     cost,
     gen_poisson,
     horizontal_inner,
-    metric_inner,
     relative_residual,
     riemannian_gradient,
     solve_fixed_rank,
@@ -162,20 +160,19 @@ def test_tpcg_curvature_truncation_mid_run():
 
 def _newton_direction(metric, problem, at, config):
     grad = riemannian_gradient(metric, problem, at)
-    gnorm = np.sqrt(horizontal_inner(metric, at, grad.z, grad.z))
+    gnorm = np.sqrt(horizontal_inner(metric, at, grad, grad))
 
     def hess(v):
-        return hessian_action(metric, problem, at, v).z
+        return hessian_action(metric, problem, at, v)
 
     def inner(x, e):
         return horizontal_inner(metric, at, x, e)
 
-    state = tpcg(grad.z, hess, lambda v: v, config.eps_curv,
+    state = tpcg(grad, hess, lambda v: v, config.eps_curv,
                  min(config.forcing_beta, gnorm ** config.forcing_t),
                  inner=inner)
-    direction = HorizontalVector(at=at, z=state.direction, metric=metric)
-    slope = horizontal_inner(metric, at, grad.z, state.direction)
-    return grad, direction, slope
+    slope = horizontal_inner(metric, at, grad, state.direction)
+    return grad, state.direction, slope
 
 
 def test_line_search_accepts_unit_step_near_solution():
@@ -186,7 +183,8 @@ def test_line_search_accepts_unit_step_near_solution():
     config = TnewtonConfig()
     grad, direction, slope = _newton_direction(Metric.EMBEDDED, prob, at,
                                                config)
-    result = line_search(prob, at, direction, cost(prob, at), slope, config)
+    result = line_search(prob, Metric.EMBEDDED, at, direction, cost(prob, at),
+                         slope, config)
     assert result.alpha == 1.0
     assert result.backtracks == 0
 
@@ -196,10 +194,10 @@ def test_line_search_requires_descent_direction():
     prob = random_problem(10, 1, rng)
     at = FactorPoint(rng.standard_normal((10, 2)))
     grad = riemannian_gradient(Metric.EMBEDDED, prob, at)
-    up = HorizontalVector(at=at, z=grad.z, metric=Metric.EMBEDDED)
-    slope = horizontal_inner(Metric.EMBEDDED, at, grad.z, grad.z)
+    slope = horizontal_inner(Metric.EMBEDDED, at, grad, grad)
     with pytest.raises(ValueError, match="descent"):
-        line_search(prob, at, up, cost(prob, at), slope, TnewtonConfig())
+        line_search(prob, Metric.EMBEDDED, at, grad, cost(prob, at), slope,
+                    TnewtonConfig())
 
 
 def test_line_search_exhaustion_reports_diagnostics():
@@ -212,7 +210,8 @@ def test_line_search_exhaustion_reports_diagnostics():
     grad, direction, slope = _newton_direction(Metric.EMBEDDED, prob, at,
                                                config)
     with pytest.raises(LineSearchError) as info:
-        line_search(prob, at, direction, cost(prob, at), slope, config)
+        line_search(prob, Metric.EMBEDDED, at, direction, cost(prob, at),
+                    slope, config)
     err = info.value
     assert err.backtracks == 20
     assert err.slope0 == slope
@@ -232,13 +231,13 @@ def test_accepted_steps_satisfy_decrease_conditions():
     audited = 0
     for k in range(25):
         grad, direction, slope = _newton_direction(metric, prob, at, config)
-        gnorm = np.sqrt(horizontal_inner(metric, at, grad.z, grad.z))
+        gnorm = np.sqrt(horizontal_inner(metric, at, grad, grad))
         floor = 64.0 * np.finfo(float).eps * max(1.0, abs(cost(prob, at)))
         if not slope < -floor:
             break
         f0 = cost(prob, at)
-        result = line_search(prob, at, direction, f0, slope, config)
-        norm_sq = horizontal_inner(metric, at, direction.z, direction.z)
+        result = line_search(prob, metric, at, direction, f0, slope, config)
+        norm_sq = horizontal_inner(metric, at, direction, direction)
         cond_a = result.f - f0 <= -config.chi1 * slope * slope / norm_sq
         cond_b = result.f - f0 <= config.chi2 * slope
         assert cond_a or cond_b
