@@ -33,7 +33,9 @@ import scipy.sparse.linalg as sps_la
 
 from .manifold import Metric, project_horizontal
 from .manifold import dominant_term_action  # noqa: F401  (the map inverted)
-from .problems import FactorPoint, _as_point, _cho_solve
+from .problems import (
+    FactorPoint, _as_point, _cho_factor, _cho_solve, _lower_solve,
+)
 
 # Largest p for which the coupled symmetric system is assembled densely;
 # beyond it the solve falls back to conjugate gradient on the operator.
@@ -114,7 +116,7 @@ class CoupledSystem:
         if 0 < self.p <= COUPLED_DIRECT_LIMIT:
             dense = _coupled_matrix(self.k_stack, self.upper)
             try:
-                self._cho = spla.cho_factor(dense)
+                self._cho = _cho_factor(dense)
             except np.linalg.LinAlgError:
                 raise PreconditionerError(
                     "coupled symmetric system is not positive definite "
@@ -267,8 +269,8 @@ def build_shift_cache(problem, point, variant="proposed"):
         ) from None
     u = prod.u
     a_small = y.T @ u
-    tmp = spla.solve_triangular(chol, a_small, lower=True)
-    pencil = spla.solve_triangular(chol, tmp.T, lower=True).T
+    tmp = _lower_solve(chol, a_small)
+    pencil = _lower_solve(chol, tmp.T).T
     pencil = 0.5 * (pencil + pencil.T)
     lam, q = spla.eigh(pencil)
     if lam[0] <= 0.0:
@@ -276,7 +278,7 @@ def build_shift_cache(problem, point, variant="proposed"):
             "projected pencil has a nonpositive eigenvalue "
             f"({lam[0]:.3e}); the operator pair is not definite here"
         )
-    lq = spla.solve_triangular(chol, q, lower=True, trans="T")
+    lq = _lower_solve(chol, q, trans=True)
     vhat = np.linalg.qr(my)[0]
 
     pencil = _pencil(problem, variant)
@@ -287,7 +289,7 @@ def build_shift_cache(problem, point, variant="proposed"):
         schur_mat = vhat.T @ lu.solve(vhat)
         schur_mat = 0.5 * (schur_mat + schur_mat.T)
         try:
-            schur_factors.append(spla.cho_factor(schur_mat))
+            schur_factors.append(_cho_factor(schur_mat))
         except np.linalg.LinAlgError:
             raise PreconditionerError(
                 f"Schur complement of the shift {lam_i:.3e} "

@@ -22,14 +22,35 @@ SPD_CHECK_LIMIT = 500
 # Hard cap for the dense reference solver.
 DENSE_LIMIT = 2000
 
-_POTRS = spla.get_lapack_funcs("potrs")
+_POTRF, _POTRS, _TRTRS = spla.get_lapack_funcs(("potrf", "potrs", "trtrs"))
+
+
+def _check_finite(*arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _cho_factor(mat, lower=False):
+    """scipy's cho_factor(mat, lower): the same potrf call, LinAlgError if
+    `mat` is not positive definite, ValueError if it is not finite."""
+    _check_finite(mat)
+    cho, info = _POTRF(mat, lower=lower, clean=False)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"potrf failed with info {info}")
+    return cho, lower
+
+
+def _lower_solve(chol, rhs, trans=False):
+    """solve_triangular(chol, rhs, lower=True, trans) for a C-ordered lower
+    factor: the same trtrs call on chol^T, without the wrapper."""
+    _check_finite(chol, rhs)
+    return _TRTRS(chol.T, rhs, lower=False, trans=not trans)[0]
 
 
 def _cho_solve(cho, rhs):
     """scipy's cho_solve(cho, rhs): the same potrs call and ValueError on
     a non-finite rhs (cho_factor checked the factor), without the wrapper."""
-    if not np.isfinite(rhs).all():
-        raise ValueError("array must not contain infs or NaNs")
+    _check_finite(rhs)
     out, info = _POTRS(cho[0], rhs, lower=cho[1])
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of potrs")
@@ -160,7 +181,7 @@ class FactorPoint:
     @cached_property
     def _gram_cho(self):
         try:
-            return spla.cho_factor(self.gram, lower=True)
+            return _cho_factor(self.gram, lower=True)
         except np.linalg.LinAlgError:
             return None
 
