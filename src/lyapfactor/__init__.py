@@ -21,7 +21,6 @@ from .manifold import (
     dominant_term_action,
     hessian_action,
     horizontal_inner,
-    metric_inner,
     project_horizontal,
     retract,
     riemannian_gradient,
@@ -94,7 +93,6 @@ __all__ = [
     "load_manifest",
     "load_matrix_market",
     "horizontal_inner",
-    "metric_inner",
     "project_horizontal",
     "relative_residual",
     "residual_fro",

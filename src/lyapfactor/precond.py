@@ -32,10 +32,8 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as sps_la
 
 from .manifold import Metric, project_horizontal
-from .manifold import dominant_term_action  # noqa: F401  (the map inverted)
-from .problems import (
-    FactorPoint, _as_point, _cho_factor, _cho_solve, _lower_solve,
-)
+from .problems import FactorPoint, _as_point, _cho_factor, _cho_solve
+from .problems import _lower_solve
 
 # Largest p for which the coupled symmetric system is assembled densely;
 # beyond it the solve falls back to conjugate gradient on the operator.
@@ -186,11 +184,11 @@ class ShiftSystemCache:
 
     Built once per outer iteration. Holds the pencil diagonalization
     (lam, lq with lq = L^{-T} Q), the orthonormal complement basis vhat of
-    range(M Y), one sparse LU per shift A + lambda_i M with the Schur
-    complement of the saddle constraint, the solved blocks J_i with the
-    resulting K_i inside the coupled system, and U = A Y. Everything here
-    is independent of the metric; only the right-hand side and the final
-    projection of an apply depend on it.
+    range(M Y), one sparse LU per shift F_i = A + lambda_i M with the
+    Schur complement of the saddle constraint, the stacks Z_i = F_i^{-1}
+    vhat and J_i (the solved blocks, whose K_i enter the coupled system),
+    and U = A Y. Everything here is independent of the metric; only the
+    right-hand side and the final projection of an apply depend on it.
     """
 
     point: FactorPoint
@@ -201,27 +199,21 @@ class ShiftSystemCache:
     vhat: np.ndarray
     shift_lus: list
     schur_factors: list
-    j_blocks: list
+    z_stack: np.ndarray
+    j_stack: np.ndarray
     coupled: CoupledSystem
-
-
-def _saddle_apply(lu, schur, vhat, rhs):
-    """Solve [[F, vhat], [vhat^T, 0]] [x; y] = [rhs; 0] by Schur elimination."""
-    x0 = lu.solve(rhs)
-    mult = _cho_solve(schur, vhat.T @ x0)
-    x = x0 - lu.solve(vhat @ mult)
-    return x, mult
 
 
 def saddle_solve(cache, i, rhs):
     """Solve the i-th constrained shifted system of the cache.
 
     Returns the pair (x, y) with (A + lambda_i M) x + vhat y = rhs and
-    vhat^T x = 0; `rhs` may carry several columns.
+    vhat^T x = 0; `rhs` may carry several columns. Schur elimination:
+    x0 = F_i^{-1} rhs, y = (vhat^T Z_i)^{-1} vhat^T x0 and x = x0 - Z_i y.
     """
-    return _saddle_apply(
-        cache.shift_lus[i], cache.schur_factors[i], cache.vhat, rhs
-    )
+    x0 = cache.shift_lus[i].solve(rhs)
+    mult = _cho_solve(cache.schur_factors[i], cache.vhat.T @ x0)
+    return x0 - cache.z_stack[i] @ mult, mult
 
 
 def build_shift_cache(problem, point, variant="proposed"):
@@ -243,8 +235,8 @@ def build_shift_cache(problem, point, variant="proposed"):
     Raises
     ------
     PreconditionerError
-        If the pencil, a Schur complement or the coupled system fails to
-        be positive definite.
+        If the pencil, a shift, its Schur complement or the coupled
+        system fails to factor as positive definite.
     """
     if variant not in ("proposed", "bart"):
         raise ValueError(f"unknown preconditioner variant {variant!r}")
@@ -282,36 +274,35 @@ def build_shift_cache(problem, point, variant="proposed"):
     vhat = np.linalg.qr(my)[0]
 
     pencil = _pencil(problem, variant)
-    shift_lus = []
-    schur_factors = []
-    for lam_i in lam:
-        lu = sps_la.splu(_shifted(pencil, lam_i))
-        schur_mat = vhat.T @ lu.solve(vhat)
-        schur_mat = 0.5 * (schur_mat + schur_mat.T)
+    shift_lus, schur_factors = [], []
+    z_stack = np.empty((p, y.shape[0], p))
+    for i, lam_i in enumerate(lam):
+        # lam_i > 0 makes the shift SPD, so diagonal pivots in a symmetric
+        # order are stable; a non-finite Z_i fails the Schur factor's check.
         try:
-            schur_factors.append(_cho_factor(schur_mat))
-        except np.linalg.LinAlgError:
+            lu = sps_la.splu(_shifted(pencil, lam_i),
+                             permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                             options={"SymmetricMode": True})
+            z_stack[i] = lu.solve(vhat)
+            schur_mat = vhat.T @ z_stack[i]
+            schur_factors.append(_cho_factor(0.5 * (schur_mat + schur_mat.T)))
+        except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
             raise PreconditionerError(
-                f"Schur complement of the shift {lam_i:.3e} "
-                "is not positive definite"
-            ) from None
+                f"shift {lam_i:.3e} failed to factor: {exc}") from None
         shift_lus.append(lu)
 
+    cache = ShiftSystemCache(
+        point=point, variant=variant, u=u, lq=lq, lam=lam, vhat=vhat,
+        shift_lus=shift_lus, schur_factors=schur_factors, z_stack=z_stack,
+        j_stack=np.empty_like(z_stack), coupled=None)
     rhs_j = u @ lq
     rhs_j = 2.0 * (rhs_j - vhat @ (vhat.T @ rhs_j))
-    j_blocks = []
-    k_blocks = []
     for i in range(p):
-        j_i, _ = _saddle_apply(shift_lus[i], schur_factors[i], vhat, rhs_j)
-        k_i = 2.0 * lam[i] * np.eye(p) - lq.T @ (u.T @ j_i)
-        j_blocks.append(j_i)
-        k_blocks.append(0.5 * (k_i + k_i.T))
-
-    return ShiftSystemCache(
-        point=point, variant=variant, u=u, lq=lq, lam=lam, vhat=vhat,
-        shift_lus=shift_lus, schur_factors=schur_factors,
-        j_blocks=j_blocks, coupled=CoupledSystem(k_blocks),
-    )
+        cache.j_stack[i] = saddle_solve(cache, i, rhs_j)[0]
+    k_stack = 2.0 * lam[:, None, None] * np.eye(p)
+    k_stack -= lq.T @ (u.T @ cache.j_stack)
+    cache.coupled = CoupledSystem(0.5 * (k_stack + k_stack.swapaxes(1, 2)))
+    return cache
 
 
 def _defining_rhs(metric, point, eta):
@@ -333,20 +324,23 @@ def apply_cached(cache, metric, eta):
     """
     point = cache.point
     y = point.y
-    p = y.shape[1]
     t = _defining_rhs(metric, point, eta)
     tm = t @ cache.lq
     tm = tm - cache.vhat @ (cache.vhat.T @ tm)
-    tvec = np.empty_like(tm)
-    for i in range(p):
-        tvec[:, i], _ = saddle_solve(cache, i, tm[:, i])
+    # One sparse solve per shift; the Schur steps and the Z_i and J_i
+    # corrections act on all p columns at once.
+    x0 = np.empty_like(tm)
+    for i, lu in enumerate(cache.shift_lus):
+        x0[:, i] = lu.solve(tm[:, i])
+    w = cache.vhat.T @ x0
+    mult = np.column_stack([_cho_solve(schur, w[:, i])
+                            for i, schur in enumerate(cache.schur_factors)])
+    tvec = x0 - np.einsum("inj,ji->ni", cache.z_stack, mult)
     vmat = cache.lq.T @ (cache.u.T @ tvec)
     r_small = cache.lq.T @ (y.T @ t) @ cache.lq - vmat - vmat.T
     r_small = 0.5 * (r_small + r_small.T)
     s_tilde = cache.coupled.solve(r_small)
-    z_tilde = tvec - np.column_stack(
-        [cache.j_blocks[i] @ s_tilde[:, i] for i in range(p)]
-    )
+    z_tilde = tvec - np.einsum("inj,ji->ni", cache.j_stack, s_tilde)
     xi_raw = y @ (cache.lq @ s_tilde @ cache.lq.T) + z_tilde @ cache.lq.T
     return project_horizontal(metric, point, xi_raw)
 

@@ -22,6 +22,10 @@ SPD_CHECK_LIMIT = 500
 # Hard cap for the dense reference solver.
 DENSE_LIMIT = 2000
 
+# Direct LAPACK calls on small dense blocks, with the LinAlgError and the
+# ValueError on non-finite input of scipy's cho_factor, cho_solve and
+# solve_triangular(lower=True) but without its per-call wrapper. On a
+# Cholesky factor, potrs and trtrs flag only bad shapes, which f2py rejects.
 _POTRF, _POTRS, _TRTRS = spla.get_lapack_funcs(("potrf", "potrs", "trtrs"))
 
 
@@ -31,8 +35,6 @@ def _check_finite(*arrays):
 
 
 def _cho_factor(mat, lower=False):
-    """scipy's cho_factor(mat, lower): the same potrf call, LinAlgError if
-    `mat` is not positive definite, ValueError if it is not finite."""
     _check_finite(mat)
     cho, info = _POTRF(mat, lower=lower, clean=False)
     if info != 0:
@@ -41,20 +43,13 @@ def _cho_factor(mat, lower=False):
 
 
 def _lower_solve(chol, rhs, trans=False):
-    """solve_triangular(chol, rhs, lower=True, trans) for a C-ordered lower
-    factor: the same trtrs call on chol^T, without the wrapper."""
     _check_finite(chol, rhs)
     return _TRTRS(chol.T, rhs, lower=False, trans=not trans)[0]
 
 
 def _cho_solve(cho, rhs):
-    """scipy's cho_solve(cho, rhs): the same potrs call and ValueError on
-    a non-finite rhs (cho_factor checked the factor), without the wrapper."""
     _check_finite(rhs)
-    out, info = _POTRS(cho[0], rhs, lower=cho[1])
-    if info != 0:
-        raise ValueError(f"illegal value in {-info}th argument of potrs")
-    return out
+    return _POTRS(cho[0], rhs, lower=cho[1])[0]
 
 
 class MatrixMarketError(ValueError):

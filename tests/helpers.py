@@ -15,10 +15,13 @@ from lyapfactor import (
     Metric,
     SpdSparseMatrix,
     horizontal_inner,
-    metric_inner,
     riemannian_gradient,
 )
-from lyapfactor.manifold import horizontal_basis, project_horizontal
+from lyapfactor.manifold import (
+    horizontal_basis,
+    metric_inner,
+    project_horizontal,
+)
 
 
 def rand_spd_banded(n, rng, bw=2):

@@ -19,18 +19,22 @@ from lyapfactor import (
     dense_oracle_solve,
     gen_poisson,
     hessian_action,
-    metric_inner,
     relative_residual,
     residual_fro,
     riemannian_gradient,
     solve_fixed_rank,
     solve_increasing_rank,
 )
-from lyapfactor.manifold import cost, project_horizontal, retract
+from lyapfactor.manifold import (
+    cost,
+    dominant_term_action,
+    metric_inner,
+    project_horizontal,
+    retract,
+)
 from lyapfactor.precond import (
     apply_preconditioner,
     assemble_precond_operator_dense,
-    dominant_term_action,
 )
 from lyapfactor.tnewton import tpcg
 

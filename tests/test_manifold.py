@@ -22,7 +22,6 @@ from lyapfactor import (
     cost,
     gen_poisson,
     horizontal_inner,
-    metric_inner,
     project_horizontal,
     residual_fro,
     retract,
@@ -31,6 +30,7 @@ from lyapfactor import (
 from lyapfactor.manifold import (
     hessian_action,
     horizontal_basis,
+    metric_inner,
     vertical_part,
 )
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sps
+from scipy.sparse.linalg import splu as general_splu
 
 from helpers import (
     ALL_METRICS,
@@ -18,14 +19,18 @@ from lyapfactor import (
     LyapunovProblem,
     Metric,
     SpdSparseMatrix,
+    TnewtonConfig,
     gen_poisson,
     horizontal_inner,
-    metric_inner,
+    solve_fixed_rank,
     tpcg,
 )
+from lyapfactor import precond
 from lyapfactor.manifold import (
+    dominant_term_action,
     hessian_action,
     horizontal_basis,
+    metric_inner,
     project_horizontal,
 )
 from lyapfactor.precond import (
@@ -40,7 +45,6 @@ from lyapfactor.precond import (
     apply_preconditioner,
     assemble_precond_operator_dense,
     build_shift_cache,
-    dominant_term_action,
     saddle_solve,
 )
 
@@ -118,6 +122,51 @@ def test_saddle_residual_of_block_equation():
     x, mult = saddle_solve(cache, 1, rhs)
     res = (a + cache.lam[1] * m) @ x + cache.vhat @ mult - rhs
     assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def _grid_point(variant, side=7, p=3, seed=11):
+    """Grid problem with consistent mass, a random point, and the operator
+    pair the variant inverts: (A, M) for "proposed", (A, I) for "bart"."""
+    prob = _grid_problem(side)
+    rng = np.random.default_rng(seed)
+    at = FactorPoint(rng.standard_normal((prob.n, p)))
+    m = prob.m if variant == "proposed" else SpdSparseMatrix(
+        sps.identity(prob.n, format="csr"))
+    return prob, at, rng, LyapunovProblem(prob.a, m, prob.b)
+
+
+@pytest.mark.parametrize("variant", ["proposed", "bart"])
+def test_grid_saddle_matches_dense_block_solve(variant):
+    # 2-D fill makes the symmetric ordering matter, unlike 1-D tridiagonals
+    prob, at, rng, inverted = _grid_point(variant)
+    cache = build_shift_cache(prob, at, variant=variant)
+    a = inverted.a.mat.toarray()
+    m = inverted.m.mat.toarray()
+    vhat = cache.vhat
+    n, p = at.n, at.p
+    for i in range(p):
+        block = np.block([[a + cache.lam[i] * m, vhat],
+                          [vhat.T, np.zeros((p, p))]])
+        rhs = rng.standard_normal((n, 2))
+        sol = np.linalg.solve(block, np.vstack([rhs, np.zeros((p, 2))]))
+        x, mult = saddle_solve(cache, i, rhs)
+        np.testing.assert_allclose(x, sol[:n], rtol=0,
+                                   atol=1e-10 * np.linalg.norm(sol[:n]))
+        np.testing.assert_allclose(mult, sol[n:], rtol=0,
+                                   atol=1e-10 * np.linalg.norm(sol[n:]))
+
+
+@pytest.mark.parametrize("variant", ["proposed", "bart"])
+@pytest.mark.parametrize("metric", ALL_METRICS)
+def test_grid_apply_solves_defining_equation(variant, metric):
+    # "bart" inverts the dominant term of the pencil (A, I) exactly
+    prob, at, rng, inverted = _grid_point(variant)
+    cache = build_shift_cache(prob, at, variant=variant)
+    eta = random_horizontal(metric, at, rng)
+    xi = apply_cached(cache, metric, eta)
+    back = project_horizontal(metric, at,
+                              dominant_term_action(metric, inverted, at, xi))
+    assert np.linalg.norm(back - eta) <= 1e-8 * np.linalg.norm(eta)
 
 
 # -------------------------------------------------------- coupled system
@@ -483,3 +532,71 @@ def test_hessian_positive_definite_when_condition_holds():
                 mat[i, j] = metric_inner(metric, at, he, f)
         mat = 0.5 * (mat + mat.T)
         assert np.linalg.eigvalsh(mat)[0] > 0.0
+
+
+# ------------------------------------------------------------ sparse work
+
+
+class _CountingLU:
+    """SuperLU stand-in that counts the right-hand-side columns it solves."""
+
+    def __init__(self, lu, counts):
+        self.lu = lu
+        self.counts = counts
+
+    def solve(self, rhs):
+        self.counts["cols"] += 1 if rhs.ndim == 1 else rhs.shape[1]
+        return self.lu.solve(rhs)
+
+
+@pytest.fixture
+def counted_splu(monkeypatch):
+    counts = {"factors": [], "cols": 0}
+
+    def splu(mat, **kwargs):
+        lu = general_splu(mat, **kwargs)
+        counts["factors"].append((mat, lu))
+        return _CountingLU(lu, counts)
+
+    monkeypatch.setattr(precond.sps_la, "splu", splu)
+    return counts
+
+
+@pytest.mark.parametrize("variant", ["proposed", "bart"])
+def test_build_and_apply_sparse_work(counted_splu, variant):
+    prob, at, rng, _ = _grid_point(variant, p=4)
+    p = at.p
+    cache = build_shift_cache(prob, at, variant=variant)
+    # p factorizations; p columns for Z_i and p for J_i per shift
+    assert len(counted_splu["factors"]) == p
+    assert counted_splu["cols"] == 2 * p * p
+    counted_splu["cols"] = 0
+    apply_cached(cache, Metric.EMBEDDED,
+                 random_horizontal(Metric.EMBEDDED, at, rng))
+    assert counted_splu["cols"] == p
+    for mat, lu in counted_splu["factors"]:
+        # a symmetric permutation: no row was pivoted away from its column
+        np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
+        # and an ordering of A + A^T that fills in less on the 2-D grid
+        # than splu's general default (COLAMD, partial pivoting)
+        assert lu.nnz < general_splu(mat).nnz
+
+
+class _NanLU:
+    def solve(self, rhs):
+        return np.full(rhs.shape, np.nan)
+
+
+def _singular(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+@pytest.mark.parametrize("splu", [_singular, lambda *a, **k: _NanLU()],
+                         ids=["raises", "non-finite"])
+def test_failed_shift_factorization_keeps_partial_trace(monkeypatch, splu):
+    prob, at, rng, _ = _grid_point("proposed")
+    monkeypatch.setattr(precond.sps_la, "splu", splu)
+    with pytest.raises(PreconditionerError, match=r"shift \S+ failed") as err:
+        solve_fixed_rank(prob, Metric.EMBEDDED, at.y, TnewtonConfig(),
+                         "proposed")
+    assert len(err.value.trace.rows) == 1
