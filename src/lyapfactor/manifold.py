@@ -66,23 +66,6 @@ def horizontal_inner(metric, at, xi, eta):
     return float(2.0 * (np.sum(yx * ye.T) + np.sum((xi @ at.gram) * eta)))
 
 
-def metric_inner(metric, at, xi, eta):
-    """Riemannian inner product g_Y(xi, eta) at the point `at`.
-
-    Positive definite on the whole tangent space for every metric: for
-    EMBEDDED the pullback form, which degenerates on vertical directions,
-    is completed by the term tr(Y^T Y (xi^V)^T eta^V) on the vertical
-    parameters. On horizontal arguments the completion vanishes up to
-    rounding, and `horizontal_inner` is the cheaper equivalent.
-    """
-    val = horizontal_inner(metric, at, xi, eta)
-    if metric != Metric.EMBEDDED:
-        return val
-    vx = vertical_part(Metric.EMBEDDED, at, xi)
-    ve = vertical_part(Metric.EMBEDDED, at, eta)
-    return val + float(np.sum((vx @ at.gram) * ve))
-
-
 def vertical_part(metric, at, z):
     """Vertical component Y Omega of an ambient perturbation z.
 
@@ -215,37 +198,3 @@ def hessian_action(metric, problem, point, eta):
     pe = eta - y @ point.solve_gram(y.T @ eta)
     npe = prod.apply_residual(pe)
     return main + point.solve_gram_right(npe - y @ point.solve_gram(y.T @ npe))
-
-
-def horizontal_basis(metric, at, tol=1e-8):
-    """Metric-orthonormal basis of the horizontal space at `at`.
-
-    Intended for dense verification on small problems: projects the
-    coordinate directions and orthonormalizes them against the metric with
-    twice-repeated modified Gram-Schmidt. The horizontal space has dimension
-    n p - p (p - 1) / 2.
-
-    Returns
-    -------
-    list of ndarray
-    """
-    y = at.y
-    n, p = y.shape
-    dim = n * p - (p * (p - 1)) // 2
-    basis = []
-    for j in range(p):
-        for i in range(n):
-            cand = np.zeros((n, p))
-            cand[i, j] = 1.0
-            h = project_horizontal(metric, at, cand)
-            scale = np.sqrt(max(metric_inner(metric, at, h, h), 0.0))
-            if scale == 0.0:
-                continue
-            for _ in range(2):
-                for b in basis:
-                    h = h - metric_inner(metric, at, h, b) * b
-            norm = np.sqrt(max(metric_inner(metric, at, h, h), 0.0))
-            if norm > tol * scale:
-                basis.append(h / norm)
-    assert len(basis) == dim, f"found {len(basis)} directions, expected {dim}"
-    return basis

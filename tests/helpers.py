@@ -1,8 +1,11 @@
 """Shared fixtures and independent oracles for the test suite.
 
 Everything here is deliberately slow and simple: dense or Kronecker-based
-reference computations that the library must reproduce, plus small random
-problem generators. Nothing imports solver internals beyond the public API.
+reference computations that the library must reproduce, small random
+problem generators, and the dense verification tools the solver never
+needs (the full metric inner product, an orthonormal horizontal basis and
+the dense matrix of the preconditioner). Beyond the public API only
+`project_horizontal` and `vertical_part` are imported.
 """
 
 import numpy as np
@@ -14,14 +17,12 @@ from lyapfactor import (
     LyapunovProblem,
     Metric,
     SpdSparseMatrix,
+    apply_cached,
+    build_shift_cache,
     horizontal_inner,
     riemannian_gradient,
 )
-from lyapfactor.manifold import (
-    horizontal_basis,
-    metric_inner,
-    project_horizontal,
-)
+from lyapfactor.manifold import project_horizontal, vertical_part
 
 
 def rand_spd_banded(n, rng, bw=2):
@@ -129,6 +130,86 @@ def hessian_fd_oracle(metric, problem, at, eta, h=1e-6):
     if metric == Metric.EUCLIDEAN:
         return fd
     return fd + christoffel_horizontal(metric, problem, at, eta, grad)
+
+
+def metric_inner(metric, at, xi, eta):
+    """Riemannian inner product g_Y(xi, eta) at the point `at`.
+
+    Positive definite on the whole tangent space for every metric: for
+    EMBEDDED the pullback form, which degenerates on vertical directions,
+    is completed by the term tr(Y^T Y (xi^V)^T eta^V) on the vertical
+    parameters. On horizontal arguments the completion vanishes up to
+    rounding, and `horizontal_inner` is the cheaper equivalent.
+    """
+    val = horizontal_inner(metric, at, xi, eta)
+    if metric != Metric.EMBEDDED:
+        return val
+    vx = vertical_part(Metric.EMBEDDED, at, xi)
+    ve = vertical_part(Metric.EMBEDDED, at, eta)
+    return val + float(np.sum((vx @ at.gram) * ve))
+
+
+def horizontal_basis(metric, at, tol=1e-8):
+    """Metric-orthonormal basis of the horizontal space at `at`.
+
+    Intended for dense verification on small problems: projects the
+    coordinate directions and orthonormalizes them against the metric with
+    twice-repeated modified Gram-Schmidt. The horizontal space has dimension
+    n p - p (p - 1) / 2.
+
+    Returns
+    -------
+    list of ndarray
+    """
+    y = at.y
+    n, p = y.shape
+    dim = n * p - (p * (p - 1)) // 2
+    basis = []
+    for j in range(p):
+        for i in range(n):
+            cand = np.zeros((n, p))
+            cand[i, j] = 1.0
+            h = project_horizontal(metric, at, cand)
+            scale = np.sqrt(max(metric_inner(metric, at, h, h), 0.0))
+            if scale == 0.0:
+                continue
+            for _ in range(2):
+                for b in basis:
+                    h = h - metric_inner(metric, at, h, b) * b
+            norm = np.sqrt(max(metric_inner(metric, at, h, h), 0.0))
+            if norm > tol * scale:
+                basis.append(h / norm)
+    assert len(basis) == dim, f"found {len(basis)} directions, expected {dim}"
+    return basis
+
+
+def assemble_precond_operator_dense(metric, problem, point,
+                                    variant="proposed", max_dim=400):
+    """Dense matrix of the preconditioner in an orthonormal horizontal basis.
+
+    Intended for small problems only: builds a metric-orthonormal basis of
+    the horizontal space, applies the preconditioner to each basis vector
+    and assembles the Gram form. The result is the matrix of the inverse of
+    the dominant Hessian term, so it must come out symmetric positive
+    definite, with eigenvalues that are the reciprocals of the dominant
+    term's spectrum.
+
+    Returns
+    -------
+    (ndarray, list of ndarray)
+        The dim-by-dim matrix and the basis arrays it refers to.
+    """
+    basis = horizontal_basis(metric, point)
+    dim = len(basis)
+    if dim > max_dim:
+        raise ValueError("dense assembly requested on too large a problem")
+    cache = build_shift_cache(problem, point, variant=variant)
+    mat = np.empty((dim, dim))
+    for col, vec in enumerate(basis):
+        image = apply_cached(cache, metric, vec)
+        for row in range(dim):
+            mat[row, col] = metric_inner(metric, point, basis[row], image)
+    return mat, basis
 
 
 def random_horizontal(metric, at, rng):

@@ -28,21 +28,19 @@ from lyapfactor import (
 from lyapfactor.manifold import (
     cost,
     dominant_term_action,
-    metric_inner,
     project_horizontal,
     retract,
 )
-from lyapfactor.precond import (
-    apply_preconditioner,
-    assemble_precond_operator_dense,
-)
+from lyapfactor.precond import apply_preconditioner
 from lyapfactor.tnewton import tpcg
 
 from helpers import (
     ALL_METRICS,
+    assemble_precond_operator_dense,
     dense_residual,
     hnorm,
     kron_solve,
+    metric_inner,
     random_horizontal,
     random_problem,
 )

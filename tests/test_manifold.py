@@ -9,7 +9,9 @@ from helpers import (
     cost_reference,
     hessian_fd_oracle,
     hnorm,
+    horizontal_basis,
     identity_problem,
+    metric_inner,
     random_horizontal,
     random_problem,
 )
@@ -29,8 +31,6 @@ from lyapfactor import (
 )
 from lyapfactor.manifold import (
     hessian_action,
-    horizontal_basis,
-    metric_inner,
     vertical_part,
 )
 

@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sps
+import scipy.sparse.linalg as sps_la
 from scipy.sparse.linalg import splu as general_splu
 
 from helpers import (
     ALL_METRICS,
+    assemble_precond_operator_dense,
     hnorm,
+    horizontal_basis,
     identity_problem,
+    metric_inner,
     random_horizontal,
     random_problem,
 )
@@ -29,8 +33,6 @@ from lyapfactor import precond
 from lyapfactor.manifold import (
     dominant_term_action,
     hessian_action,
-    horizontal_basis,
-    metric_inner,
     project_horizontal,
 )
 from lyapfactor.precond import (
@@ -43,7 +45,6 @@ from lyapfactor.precond import (
     _vec_to_sym,
     apply_cached,
     apply_preconditioner,
-    assemble_precond_operator_dense,
     build_shift_cache,
     saddle_solve,
 )
@@ -124,10 +125,10 @@ def test_saddle_residual_of_block_equation():
     assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
 
 
-def _grid_point(variant, side=7, p=3, seed=11):
+def _grid_point(variant, side=7, p=3, seed=11, perm_seed=None):
     """Grid problem with consistent mass, a random point, and the operator
     pair the variant inverts: (A, M) for "proposed", (A, I) for "bart"."""
-    prob = _grid_problem(side)
+    prob = _grid_problem(side, perm_seed)
     rng = np.random.default_rng(seed)
     at = FactorPoint(rng.standard_normal((prob.n, p)))
     m = prob.m if variant == "proposed" else SpdSparseMatrix(
@@ -275,14 +276,21 @@ def _assert_same_csc(got, ref):
         np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
 
 
-def _grid_problem(side=6):
+def _grid_problem(side=6, perm_seed=None):
+    """5-point stiffness and consistent mass. In natural order the pencil's
+    half-bandwidth is at most side + 1; a random symmetric permutation of
+    the unknowns (perm_seed) widens it to nearly n."""
     h = 1.0 / (side + 1)
     ones = np.ones(side - 1)
     t = sps.diags([-ones, np.full(side, 2.0), -ones], [-1, 0, 1]) / (h * h)
     mh = sps.diags([ones, np.full(side, 4.0), ones], [-1, 0, 1]) / 6.0
     eye = sps.identity(side)
-    a = sps.kron(t, eye) + sps.kron(eye, t)
-    return LyapunovProblem(SpdSparseMatrix(a), SpdSparseMatrix(sps.kron(mh, mh)),
+    a = (sps.kron(t, eye) + sps.kron(eye, t)).tocsr()
+    m = sps.kron(mh, mh).tocsr()
+    if perm_seed is not None:
+        perm = np.random.default_rng(perm_seed).permutation(side * side)
+        a, m = a[perm][:, perm], m[perm][:, perm]
+    return LyapunovProblem(SpdSparseMatrix(a), SpdSparseMatrix(m),
                            np.ones((side * side, 1)))
 
 
@@ -291,8 +299,8 @@ def test_pencil_shift_matches_sparse_sum(case):
     prob = _grid_problem() if case == "grid" else gen_poisson(40, 3)
     variant = "bart" if case == "bart" else "proposed"
     m = sps.identity(prob.n, format="csr") if case == "bart" else prob.m.mat
-    pencil = _pencil(prob, variant)
-    assert _pencil(prob, variant) is pencil
+    pencil, _ = _pencil(prob, variant)
+    assert _pencil(prob, variant)[0] is pencil
     for lam in np.array([1e-3, 0.7, 3.0, 2.5e4]):
         _assert_same_csc(_shifted(pencil, lam), (prob.a.mat + lam * m).tocsc())
 
@@ -313,14 +321,14 @@ def test_pencil_shift_drops_exact_cancellation():
     lam = np.float64(2.0)
     ref = (prob.a.mat + lam * prob.m.mat).tocsc()
     assert ref.nnz == n
-    _assert_same_csc(_shifted(_pencil(prob, "proposed"), lam), ref)
+    _assert_same_csc(_shifted(_pencil(prob, "proposed")[0], lam), ref)
 
 
 def test_pencil_rebuilt_when_matrix_is_rebound():
     prob = gen_poisson(30, 4)
-    first = _pencil(prob, "proposed")
+    first, _ = _pencil(prob, "proposed")
     prob.a.mat = 2.0 * prob.a.mat
-    second = _pencil(prob, "proposed")
+    second, _ = _pencil(prob, "proposed")
     assert second is not first
     lam = np.float64(0.5)
     _assert_same_csc(_shifted(second, lam),
@@ -538,20 +546,22 @@ def test_hessian_positive_definite_when_condition_holds():
 
 
 class _CountingLU:
-    """SuperLU stand-in that counts the right-hand-side columns it solves."""
+    """Factor stand-in that counts its solves and their right-hand-side
+    columns."""
 
     def __init__(self, lu, counts):
         self.lu = lu
         self.counts = counts
 
     def solve(self, rhs):
+        self.counts["calls"] += 1
         self.counts["cols"] += 1 if rhs.ndim == 1 else rhs.shape[1]
         return self.lu.solve(rhs)
 
 
 @pytest.fixture
 def counted_splu(monkeypatch):
-    counts = {"factors": [], "cols": 0}
+    counts = {"factors": [], "calls": 0, "cols": 0}
 
     def splu(mat, **kwargs):
         lu = general_splu(mat, **kwargs)
@@ -562,24 +572,67 @@ def counted_splu(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def counted_band(monkeypatch):
+    counts = {"factors": [], "calls": 0, "cols": 0}
+    band_cholesky = precond._band_cholesky
+
+    def factor(band, lam):
+        chol = band_cholesky(band, lam)
+        counts["factors"].append(chol)
+        return _CountingLU(chol, counts)
+
+    monkeypatch.setattr(precond, "_band_cholesky", factor)
+    return counts
+
+
+def _wide_grid_point(variant, p=3):
+    """A grid point whose pencil is wider than BAND_LIMIT, so its shifts
+    go to splu."""
+    out = _grid_point(variant, side=12, p=p, perm_seed=0)
+    assert _pencil(out[0], variant)[1] is None
+    return out
+
+
 @pytest.mark.parametrize("variant", ["proposed", "bart"])
-def test_build_and_apply_sparse_work(counted_splu, variant):
-    prob, at, rng, _ = _grid_point(variant, p=4)
+def test_build_and_apply_sparse_work(counted_splu, counted_band, variant):
+    prob, at, rng, _ = _wide_grid_point(variant, p=4)
     p = at.p
     cache = build_shift_cache(prob, at, variant=variant)
     # p factorizations; p columns for Z_i and p for J_i per shift
     assert len(counted_splu["factors"]) == p
     assert counted_splu["cols"] == 2 * p * p
+    # solved together, in one call per shift
+    assert counted_splu["calls"] == p
     counted_splu["cols"] = 0
     apply_cached(cache, Metric.EMBEDDED,
                  random_horizontal(Metric.EMBEDDED, at, rng))
     assert counted_splu["cols"] == p
+    assert counted_band["factors"] == []
     for mat, lu in counted_splu["factors"]:
         # a symmetric permutation: no row was pivoted away from its column
         np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
         # and an ordering of A + A^T that fills in less on the 2-D grid
         # than splu's general default (COLAMD, partial pivoting)
         assert lu.nnz < general_splu(mat).nnz
+
+
+@pytest.mark.parametrize("variant", ["proposed", "bart"])
+def test_band_build_and_apply_work(counted_splu, counted_band, variant):
+    prob, at, rng, _ = _grid_point(variant, p=4)
+    p = at.p
+    cache = build_shift_cache(prob, at, variant=variant)
+    assert len(counted_band["factors"]) == p
+    assert counted_band["cols"] == 2 * p * p
+    assert counted_band["calls"] == p
+    counted_band["cols"] = 0
+    apply_cached(cache, Metric.EMBEDDED,
+                 random_horizontal(Metric.EMBEDDED, at, rng))
+    assert counted_band["cols"] == p
+    assert counted_splu["factors"] == []
+    kd = _pencil(prob, variant)[1][0]
+    for chol in counted_band["factors"]:
+        assert chol.chol.shape == (kd + 1, prob.n)
 
 
 class _NanLU:
@@ -591,12 +644,83 @@ def _singular(*args, **kwargs):
     raise RuntimeError("Factor is exactly singular")
 
 
-@pytest.mark.parametrize("splu", [_singular, lambda *a, **k: _NanLU()],
-                         ids=["raises", "non-finite"])
-def test_failed_shift_factorization_keeps_partial_trace(monkeypatch, splu):
-    prob, at, rng, _ = _grid_point("proposed")
-    monkeypatch.setattr(precond.sps_la, "splu", splu)
+def _assert_build_fails_with_partial_trace(prob, at):
     with pytest.raises(PreconditionerError, match=r"shift \S+ failed") as err:
         solve_fixed_rank(prob, Metric.EMBEDDED, at.y, TnewtonConfig(),
                          "proposed")
     assert len(err.value.trace.rows) == 1
+
+
+@pytest.mark.parametrize("splu", [_singular, lambda *a, **k: _NanLU()],
+                         ids=["raises", "non-finite"])
+def test_failed_shift_factorization_keeps_partial_trace(monkeypatch, splu):
+    prob, at, rng, _ = _wide_grid_point("proposed")
+    monkeypatch.setattr(precond.sps_la, "splu", splu)
+    _assert_build_fails_with_partial_trace(prob, at)
+
+
+@pytest.mark.parametrize("lapack", [
+    ("_PBTRF", lambda ab, **k: (ab, 2)),
+    ("_PBTRS", lambda chol, rhs, **k: (np.full(rhs.shape, np.nan), 0)),
+], ids=["pbtrf-info", "non-finite"])
+def test_failed_band_factorization_keeps_partial_trace(monkeypatch, lapack):
+    prob, at, rng, _ = _grid_point("proposed")
+    monkeypatch.setattr(precond, *lapack)
+    _assert_build_fails_with_partial_trace(prob, at)
+
+
+# ----------------------------------------------------------- band shifts
+
+
+@pytest.mark.parametrize("variant", ["proposed", "bart"])
+@pytest.mark.parametrize("case", ["poisson", "grid"])
+def test_band_solve_matches_splu(case, variant):
+    prob = _grid_problem(7) if case == "grid" else gen_poisson(40, 3)
+    pencil, band = _pencil(prob, variant)
+    rng = np.random.default_rng(3)
+    rhs = rng.standard_normal((prob.n, 3))
+    for lam in (1e-3, 0.7, 3.0, 2.5e4):
+        want = general_splu(_shifted(pencil, lam)).solve(rhs)
+        chol = precond._band_cholesky(band, lam)
+        np.testing.assert_allclose(chol.solve(rhs), want, rtol=0,
+                                   atol=1e-12 * np.linalg.norm(want))
+        np.testing.assert_allclose(chol.solve(rhs[:, 0]), want[:, 0], rtol=0,
+                                   atol=1e-12 * np.linalg.norm(want[:, 0]))
+
+
+def _two_band_matrix(n, dist):
+    """Diagonally dominant SPD matrix: a tridiagonal plus one symmetric
+    pair of entries dist apart."""
+    mat = sps.diags([-np.ones(n - 1), np.full(n, 4.0), -np.ones(n - 1)],
+                    [-1, 0, 1], format="lil")
+    mat[0, dist] = mat[dist, 0] = 0.5
+    return SpdSparseMatrix(mat)
+
+
+def test_shift_factorization_follows_half_bandwidth():
+    # gen_poisson is tridiagonal (kd = 1), the natural-order grid has
+    # kd = side + 1, and the permuted grid is wider than BAND_LIMIT
+    cases = [(gen_poisson(50, 0), 1), (_grid_problem(7), 8),
+             (_grid_problem(12, perm_seed=0), None)]
+    for prob, kd in cases:
+        band = _pencil(prob, "proposed")[1]
+        assert (None if band is None else band[0]) == kd
+        at = FactorPoint(np.random.default_rng(0).standard_normal((prob.n, 2)))
+        cache = build_shift_cache(prob, at)
+        kind = sps_la.SuperLU if kd is None else precond._BandCholesky
+        assert all(isinstance(lu, kind) for lu in cache.shift_lus)
+    n = precond.BAND_LIMIT + 10
+    for dist in (precond.BAND_LIMIT, precond.BAND_LIMIT + 1):
+        a = _two_band_matrix(n, dist)
+        prob = LyapunovProblem(a, a, np.ones(n))
+        band = _pencil(prob, "proposed")[1]
+        if dist <= precond.BAND_LIMIT:
+            assert band[0] == dist
+        else:
+            assert band is None
+
+
+def test_band_cholesky_rejects_indefinite_shift():
+    pencil, band = _pencil(gen_poisson(30, 0), "proposed")
+    with pytest.raises(np.linalg.LinAlgError, match="pbtrf failed"):
+        precond._band_cholesky(band, -1e9)
