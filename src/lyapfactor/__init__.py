@@ -32,7 +32,6 @@ from .precond import (
     apply_cached,
     apply_preconditioner,
     build_shift_cache,
-    saddle_solve,
 )
 from .problems import (
     FactorPoint,

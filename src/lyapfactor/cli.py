@@ -46,7 +46,7 @@ _SOLVER_ERRORS = (
 )
 
 
-def _add_source_args(parser, require=True):
+def _add_source_args(parser):
     group = parser.add_argument_group("problem source")
     group.add_argument("--gen", choices=["poisson"],
                        help="built-in problem generator")
@@ -54,7 +54,6 @@ def _add_source_args(parser, require=True):
     group.add_argument("--identity-mass", action="store_true",
                        help="generate with M = I instead of a random mass")
     group.add_argument("--manifest", help="manifest file naming A, M, B")
-    parser.set_defaults(_source_required=require)
 
 
 def _add_solver_args(parser):

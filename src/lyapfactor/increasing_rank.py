@@ -22,7 +22,12 @@ import numpy as np
 
 from .manifold import Metric, cost, riemannian_gradient
 from .precond import PreconditionerError
-from .problems import FactorPoint, _as_point, relative_residual
+from .problems import (
+    FactorPoint,
+    _as_point,
+    _compressed_residual,
+    relative_residual,
+)
 from .tnewton import (
     InnerSolveError,
     LineSearchError,
@@ -81,11 +86,9 @@ def _padded_column_seed(problem, point, p_inc):
     prod = point.products(problem)
     u, v = prod.u, prod.v
     basis, _ = np.linalg.qr(np.hstack([u, v, problem.b]))
-    ru = basis.T @ u
-    rv = basis.T @ v
-    rb = basis.T @ problem.b
-    compressed = ru @ rv.T + rv @ ru.T - rb @ rb.T
-    vals, vecs = np.linalg.eigh(0.5 * (compressed + compressed.T))
+    compressed = _compressed_residual(basis.T @ u, basis.T @ v,
+                                      basis.T @ problem.b)
+    _, vecs = np.linalg.eigh(compressed)
     take = min(p_inc, vecs.shape[1])
     dirs = basis @ vecs[:, :take]
     if take < p_inc:

@@ -112,14 +112,18 @@ def riemannian_gradient(metric, problem, point):
     (I - P/2) N Y G^{-1} for EMBEDDED, 2 N Y G^{-1} for GRAM and 2 N Y for
     EUCLIDEAN. Each is horizontal for its metric without projection.
     """
-    y = point.y
-    ny = point.products(problem).ny
+    return _lift(metric, point, point.products(problem).ny)
+
+
+def _lift(metric, point, core):
+    """Metric lift of an ambient term core (an n-by-p array, such as N Y):
+    (I - P/2) core G^{-1} for EMBEDDED, 2 core G^{-1} for GRAM and 2 core
+    for EUCLIDEAN."""
     if metric == Metric.EUCLIDEAN:
-        return 2.0 * ny
+        return 2.0 * core
     if metric == Metric.GRAM:
-        return 2.0 * point.solve_gram_right(ny)
-    inner = ny - 0.5 * (y @ point.solve_gram(y.T @ ny))
-    return point.solve_gram_right(inner)
+        return 2.0 * point.solve_gram_right(core)
+    return point.solve_gram_right(point.remove_range(core, 0.5))
 
 
 def dominant_term_action(metric, problem, point, xi):
@@ -135,12 +139,7 @@ def dominant_term_action(metric, problem, point, xi):
     u, v = prod.u, prod.v
     core = (u @ (xi.T @ v) + (problem.a.mat @ xi) @ (y.T @ v)
             + v @ (xi.T @ u) + (problem.m.mat @ xi) @ (y.T @ u))
-    if metric == Metric.EUCLIDEAN:
-        return 2.0 * core
-    if metric == Metric.GRAM:
-        return 2.0 * point.solve_gram_right(core)
-    half_proj = core - 0.5 * (y @ point.solve_gram(y.T @ core))
-    return point.solve_gram_right(half_proj)
+    return _lift(metric, point, core)
 
 
 def hessian_action(metric, problem, point, eta):
@@ -180,10 +179,8 @@ def hessian_action(metric, problem, point, eta):
             metric, point, prod.apply_residual(eta)
         )
     if metric == Metric.GRAM:
-        pe = eta - y @ point.solve_gram(y.T @ eta)
-        ne = prod.apply_residual(eta)
-        correction = prod.apply_residual(pe)
-        correction += ne - y @ point.solve_gram(y.T @ ne)
+        correction = prod.apply_residual(point.remove_range(eta))
+        correction += point.remove_range(prod.apply_residual(eta))
         correction = point.solve_gram_right(correction)
         # 2 skew(eta Y^T) W = eta (Y^T W) - Y (eta^T W) with W = N Y G^{-2}.
         w = point.solve_gram_right(point.solve_gram_right(prod.ny))
@@ -195,6 +192,5 @@ def hessian_action(metric, problem, point, eta):
         correction -= prod.ny @ point.solve_gram_right(
             point.solve_gram(eta.T @ y))
         return main + project_horizontal(metric, point, correction)
-    pe = eta - y @ point.solve_gram(y.T @ eta)
-    npe = prod.apply_residual(pe)
-    return main + point.solve_gram_right(npe - y @ point.solve_gram(y.T @ npe))
+    npe = prod.apply_residual(point.remove_range(eta))
+    return main + point.solve_gram_right(point.remove_range(npe))

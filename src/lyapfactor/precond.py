@@ -241,7 +241,6 @@ class ShiftSystemCache:
     """
 
     point: FactorPoint
-    variant: str
     u: np.ndarray
     lq: np.ndarray
     lam: np.ndarray
@@ -253,18 +252,13 @@ class ShiftSystemCache:
     coupled: CoupledSystem
 
 
-def saddle_solve(cache, i, rhs):
-    """Solve the i-th constrained shifted system of the cache.
+def _eliminate(cache, i, x0):
+    """Finish the i-th constrained shifted solve from x0 = F_i^{-1} rhs.
 
     Returns the pair (x, y) with (A + lambda_i M) x + vhat y = rhs and
-    vhat^T x = 0; `rhs` may carry several columns. Schur elimination:
-    x0 = F_i^{-1} rhs, y = (vhat^T Z_i)^{-1} vhat^T x0 and x = x0 - Z_i y.
+    vhat^T x = 0, by Schur elimination: y = (vhat^T Z_i)^{-1} vhat^T x0
+    and x = x0 - Z_i y.
     """
-    return _eliminate(cache, i, cache.shift_lus[i].solve(rhs))
-
-
-def _eliminate(cache, i, x0):
-    """The Schur elimination steps of saddle_solve, from x0 = F_i^{-1} rhs."""
     mult = _cho_solve(cache.schur_factors[i], cache.vhat.T @ x0)
     return x0 - cache.z_stack[i] @ mult, mult
 
@@ -357,7 +351,7 @@ def build_shift_cache(problem, point, variant="proposed"):
         shift_lus.append(lu)
 
     cache = ShiftSystemCache(
-        point=point, variant=variant, u=u, lq=lq, lam=lam, vhat=vhat,
+        point=point, u=u, lq=lq, lam=lam, vhat=vhat,
         shift_lus=shift_lus, schur_factors=schur_factors, z_stack=z_stack,
         j_stack=x0_stack, coupled=None)
     for i in range(p):
@@ -375,7 +369,7 @@ def _defining_rhs(metric, point, eta):
     t = eta @ point.gram
     if metric == Metric.GRAM:
         return 0.5 * t
-    return t + point.y @ point.solve_gram(point.y.T @ t)
+    return point.remove_range(t, -1.0)
 
 
 def apply_cached(cache, metric, eta):
@@ -408,7 +402,18 @@ def apply_cached(cache, metric, eta):
     return project_horizontal(metric, point, xi_raw)
 
 
+def preconditioner(choice, metric, problem, point):
+    """The preconditioner at a point as a function on horizontal arrays.
+
+    choice is "none" (the identity), "proposed" or "bart"; the latter two
+    build the shift cache once here and apply it on every call.
+    """
+    if choice == "none":
+        return lambda arr: arr
+    cache = build_shift_cache(problem, point, variant=choice)
+    return lambda arr: apply_cached(cache, metric, arr)
+
+
 def apply_preconditioner(metric, problem, point, eta):
     """One-shot preconditioner apply (builds the cache and discards it)."""
-    cache = build_shift_cache(problem, point, variant="proposed")
-    return apply_cached(cache, metric, eta)
+    return preconditioner("proposed", metric, problem, point)(eta)

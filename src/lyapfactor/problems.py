@@ -130,15 +130,6 @@ class LyapunovProblem:
     def n(self):
         return self.a.n
 
-    @property
-    def rhs_rank(self):
-        return self.b.shape[1]
-
-    def rhs_norm(self):
-        """Frobenius norm of C = B B^T, computed as ||B^T B||_F."""
-        bb = self.b.T @ self.b
-        return float(np.linalg.norm(bb))
-
 
 class FactorPoint:
     """A rank-p iterate, represented by the factor Y of X = Y Y^T.
@@ -193,6 +184,14 @@ class FactorPoint:
     def solve_gram_right(self, lhs):
         """Apply (Y^T Y)^{-1} from the right to a k-by-p left-hand side."""
         return self.solve_gram(lhs.T).T
+
+    def remove_range(self, x, s=1.0):
+        """x - s P x with P = Y (Y^T Y)^{-1} Y^T the projector onto range(Y).
+
+        s = 1 gives the component of x orthogonal to range(Y), s = 1/2 the
+        (I - P/2) of the EMBEDDED lift and s = -1 the map I + P.
+        """
+        return x - s * (self.y @ self.solve_gram(self.y.T @ x))
 
     def products(self, problem):
         """U = A Y, V = M Y and N Y of `problem`, each formed on first use.
@@ -260,17 +259,21 @@ def residual_fro(problem, point):
     prod = point.products(problem)
     p = point.p
     coeff = np.linalg.qr(np.hstack([prod.u, prod.v, problem.b]), mode="r")
-    cu = coeff[:, :p]
-    cv = coeff[:, p:2 * p]
-    cb = coeff[:, 2 * p:]
-    small = cu @ cv.T
-    small = small + small.T - cb @ cb.T
+    small = _compressed_residual(coeff[:, :p], coeff[:, p:2 * p],
+                                 coeff[:, 2 * p:])
     return float(np.linalg.norm(small))
 
 
+def _compressed_residual(cu, cv, cb):
+    """C_U C_V^T + (C_U C_V^T)^T - C_B C_B^T: the residual U V^T + V U^T
+    - B B^T in a basis where U, V and B have coefficients C_U, C_V, C_B."""
+    small = cu @ cv.T
+    return small + small.T - cb @ cb.T
+
+
 def relative_residual(problem, point):
-    """Residual norm of the iterate relative to ||C||_F."""
-    denom = problem.rhs_norm()
+    """Residual norm of the iterate relative to ||C||_F = ||B^T B||_F."""
+    denom = float(np.linalg.norm(problem.b.T @ problem.b))
     if denom == 0.0:
         raise ValueError("zero right-hand side")
     return residual_fro(problem, point) / denom

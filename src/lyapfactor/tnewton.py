@@ -21,8 +21,14 @@ from .manifold import (
     retract,
     riemannian_gradient,
 )
-from .precond import PreconditionerError
+from .precond import PreconditionerError, preconditioner
 from .problems import FactorPoint, _as_point, relative_residual
+
+
+# Curvature exit threshold of the inner solve, and the cap of the forcing
+# sequence phi_k = min(FORCING_BETA, ||grad||^forcing_t).
+EPS_CURV = 1e-10
+FORCING_BETA = 0.1
 
 
 class InnerSolveError(RuntimeError):
@@ -36,9 +42,13 @@ class InnerSolveError(RuntimeError):
 
 
 class LineSearchError(RuntimeError):
-    """Backtracking exhausted without an acceptable step."""
+    """Backtracking exhausted without an acceptable step.
 
-    def __init__(self, backtracks, f0, slope0, alpha):
+    `demanded` is the decrease the acceptance conditions asked for,
+    min(chi1 slope0^2 / ||d||_g^2, -chi2 slope0).
+    """
+
+    def __init__(self, backtracks, f0, slope0, alpha, demanded):
         super().__init__(
             f"no acceptable step after {backtracks} backtracks "
             f"(f0 = {f0:.6e}, slope = {slope0:.6e}, last alpha = {alpha:.3e})"
@@ -47,26 +57,23 @@ class LineSearchError(RuntimeError):
         self.f0 = f0
         self.slope0 = slope0
         self.alpha = alpha
+        self.demanded = demanded
 
 
 @dataclass
 class TnewtonConfig:
     """Parameters of the truncated Newton iteration.
 
-    chi1 and chi2 are the two step acceptance constants; eps_curv the
-    curvature exit threshold of the inner solve; the forcing sequence is
-    phi_k = min(forcing_beta, ||grad||^forcing_t). max_inner defaults to the
-    manifold dimension n p - p (p - 1) / 2 when left as None.
+    chi1 and chi2 are the two step acceptance constants; forcing_t the
+    exponent of the forcing sequence (see FORCING_BETA). Each inner solve
+    is capped at the manifold dimension n p - p (p - 1) / 2 steps.
     """
 
     chi1: float = 1e-4
     chi2: float = 1e-4
-    eps_curv: float = 1e-10
-    forcing_beta: float = 0.1
     forcing_t: float = 1.0
     grad_tol_rel: float = 1e-12
     max_outer: int = 200
-    max_inner: int | None = None
     ls_max_backtracks: int = 50
 
 
@@ -227,7 +234,8 @@ def line_search(problem, metric, point, direction, f0, slope0, config):
             continue
         interpolated = -slope0 * alpha * alpha / (2.0 * gap)
         alpha = min(max(interpolated, 0.1 * alpha), 0.5 * alpha)
-    raise LineSearchError(config.ls_max_backtracks, f0, slope0, alpha)
+    raise LineSearchError(config.ls_max_backtracks, f0, slope0, alpha,
+                          -threshold)
 
 
 @dataclass
@@ -284,15 +292,6 @@ class SolveTrace:
         return "\n".join(lines) + "\n"
 
 
-def _make_preconditioner(choice, metric, problem, point):
-    if choice == "none":
-        return lambda arr: arr
-    from .precond import apply_cached, build_shift_cache
-
-    cache = build_shift_cache(problem, point, variant=choice)
-    return lambda arr: apply_cached(cache, metric, arr)
-
-
 def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none"):
     """Riemannian truncated Newton iteration at fixed rank.
 
@@ -321,10 +320,8 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none"):
     point = _as_point(y0)
     if not point.has_full_rank:
         raise ValueError("initial factor must have full column rank")
-    n, p = point.n, point.p
-    max_inner = config.max_inner
-    if max_inner is None:
-        max_inner = n * p - (p * (p - 1)) // 2
+    p = point.p
+    max_inner = point.n * p - (p * (p - 1)) // 2
 
     trace = SolveTrace()
     t_start = time.perf_counter()
@@ -346,19 +343,17 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none"):
             k += 1
             t_iter = time.perf_counter()
             at = point
-            counter = [0]
 
-            def hess_fn(arr, at=at, counter=counter):
-                counter[0] += 1
+            def hess_fn(arr, at=at):
                 return hessian_action(metric, problem, at, arr)
 
             def inner_fn(x, e, at=at):
                 return horizontal_inner(metric, at, x, e)
 
-            precond_fn = _make_preconditioner(precond_choice, metric, problem, at)
-            phi_k = min(config.forcing_beta, gnorm ** config.forcing_t)
+            precond_fn = preconditioner(precond_choice, metric, problem, at)
+            phi_k = min(FORCING_BETA, gnorm ** config.forcing_t)
             state = tpcg(
-                grad, hess_fn, precond_fn, config.eps_curv, phi_k,
+                grad, hess_fn, precond_fn, EPS_CURV, phi_k,
                 inner=inner_fn, max_inner=max_inner,
             )
             slope0 = horizontal_inner(metric, at, grad, state.direction)
@@ -371,17 +366,12 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none"):
             try:
                 result = line_search(problem, metric, at, state.direction,
                                      f_val, slope0, config)
-            except LineSearchError:
-                # The acceptance conditions demand a decrease of
-                # min(chi1 slope0^2 / |d|^2, chi2 |slope0|); when that is
+            except LineSearchError as exc:
+                # When the decrease the acceptance conditions demand is
                 # below the rounding resolution of f no trial step can be
                 # certified either, so an exhausted search means the same
                 # floor, not a failure.
-                normsq = horizontal_inner(metric, at, state.direction,
-                                          state.direction)
-                demanded = min(config.chi1 * slope0 * slope0 / normsq,
-                               -config.chi2 * slope0)
-                if demanded <= floor:
+                if exc.demanded <= floor:
                     break
                 raise
 
@@ -389,11 +379,12 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none"):
             f_val = result.f
             grad = riemannian_gradient(metric, problem, point)
             gnorm = math.sqrt(horizontal_inner(metric, point, grad, grad))
-            nh_total += counter[0]
+            nh_total += state.hessian_actions
             trace.append(TraceRow(
                 k=k, p=p, f=f_val, gradnorm=gnorm,
                 relres=relative_residual(problem, point),
-                inner_iters=counter[0], nH=nh_total, alpha=result.alpha,
+                inner_iters=state.hessian_actions, nH=nh_total,
+                alpha=result.alpha,
                 ms=(time.perf_counter() - t_iter) * 1e3,
             ))
     except (InnerSolveError, LineSearchError, PreconditionerError) as exc:

@@ -3,9 +3,10 @@
 Everything here is deliberately slow and simple: dense or Kronecker-based
 reference computations that the library must reproduce, small random
 problem generators, and the dense verification tools the solver never
-needs (the full metric inner product, an orthonormal horizontal basis and
-the dense matrix of the preconditioner). Beyond the public API only
-`project_horizontal` and `vertical_part` are imported.
+needs (the full metric inner product, an orthonormal horizontal basis,
+the dense matrix of the preconditioner and a standalone saddle solve).
+Beyond the public API only `project_horizontal`, `vertical_part` and the
+preconditioner's Schur elimination `_eliminate` are imported.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from lyapfactor import (
     riemannian_gradient,
 )
 from lyapfactor.manifold import project_horizontal, vertical_part
+from lyapfactor.precond import _eliminate
 
 
 def rand_spd_banded(n, rng, bw=2):
@@ -210,6 +212,16 @@ def assemble_precond_operator_dense(metric, problem, point,
         for row in range(dim):
             mat[row, col] = metric_inner(metric, point, basis[row], image)
     return mat, basis
+
+
+def saddle_solve(cache, i, rhs):
+    """Solve the i-th constrained shifted system of a shift cache.
+
+    Returns the pair (x, y) with (A + lambda_i M) x + vhat y = rhs and
+    vhat^T x = 0; `rhs` may carry several columns. Schur elimination:
+    x0 = F_i^{-1} rhs, y = (vhat^T Z_i)^{-1} vhat^T x0 and x = x0 - Z_i y.
+    """
+    return _eliminate(cache, i, cache.shift_lus[i].solve(rhs))
 
 
 def random_horizontal(metric, at, rng):

@@ -13,6 +13,7 @@ from lyapfactor import (
     relative_residual,
     solve_increasing_rank,
 )
+from lyapfactor import tnewton
 from lyapfactor.increasing_rank import warm_start
 from lyapfactor.manifold import cost
 from lyapfactor.tnewton import LineSearchError
@@ -290,7 +291,7 @@ def test_tpcg_breakdown_does_not_abort_solve():
     assert relative_residual(problem, point) <= 1e-6
 
 
-def test_stagnated_line_search_ends_rank_instead_of_failing():
+def test_stagnated_line_search_ends_rank_instead_of_failing(monkeypatch):
     # Regression: at a nearly converged rank the acceptance conditions can
     # demand a cost decrease below floating point resolution; the search
     # exhausts its backtracks through no fault of the direction. The rank
@@ -303,3 +304,29 @@ def test_stagnated_line_search_ends_rank_instead_of_failing():
     )
     assert trace.final().relres <= 1e-6
     assert point.y.shape[1] <= 20
+
+    # The same exit, forced: a search allowed no backtrack whose conditions
+    # demand almost no decrease is exhausted below the floor at rank 1.
+    # The rank ends there and the loop goes on to rank 2. The strict search
+    # of test_inner_failure_surfaces_with_partial_trace, exhausted above
+    # the floor, raises instead.
+    exhausted = []
+
+    def spy(*args, search=tnewton.line_search):
+        try:
+            return search(*args)
+        except LineSearchError as exc:
+            exhausted.append(exc)
+            raise
+
+    monkeypatch.setattr(tnewton, "line_search", spy)
+    lax = TnewtonConfig(chi1=1e-20, chi2=1e-20, ls_max_backtracks=0)
+    point, trace = solve_increasing_rank(
+        gen_poisson(60, 0), Metric.EMBEDDED,
+        IrrConfig(p_min=1, p_max=2, tau=1e-14, seed=0), lax, "none",
+    )
+    assert exhausted
+    for exc in exhausted:
+        floor = 64.0 * np.finfo(float).eps * max(1.0, abs(exc.f0))
+        assert exc.demanded <= floor
+    assert visited_ranks(trace) == [1, 2]

@@ -165,6 +165,25 @@ def test_project_idempotent_and_complementary(metric):
 
 
 @pytest.mark.parametrize("metric", ALL_METRICS)
+@pytest.mark.parametrize("s", [1.0, 0.5, -1.0])
+def test_remove_range_reproduces_inline_projector(metric, s):
+    # The Hessian (s = 1), the EMBEDDED lift (s = 1/2) and the
+    # preconditioner's right-hand side (s = -1) all call remove_range; it
+    # must give their former inline forms bit for bit, on horizontal input
+    # and on the ambient N Y the gradient lifts.
+    prob, at, rng = _instance(seed=4)
+    y = at.y
+    dense = np.eye(at.n) - s * (y @ np.linalg.inv(at.gram) @ y.T)
+    for x in (random_horizontal(metric, at, rng), at.products(prob).ny):
+        py = y @ at.solve_gram(y.T @ x)
+        inline = {1.0: x - py, 0.5: x - 0.5 * py, -1.0: x + py}[s]
+        got = at.remove_range(x, s)
+        assert np.array_equal(got, inline)
+        np.testing.assert_allclose(got, dense @ x, rtol=0,
+                                   atol=1e-12 * np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS)
 def test_projection_metric_orthogonal(metric):
     prob, at, rng = _instance(seed=3)
     w = rng.standard_normal(at.y.shape)

@@ -17,6 +17,7 @@ from helpers import (
     metric_inner,
     random_horizontal,
     random_problem,
+    saddle_solve,
 )
 from lyapfactor import (
     FactorPoint,
@@ -46,7 +47,6 @@ from lyapfactor.precond import (
     apply_cached,
     apply_preconditioner,
     build_shift_cache,
-    saddle_solve,
 )
 
 

@@ -19,6 +19,8 @@ from lyapfactor import (
 )
 from lyapfactor.manifold import hessian_action
 from lyapfactor.tnewton import (
+    EPS_CURV,
+    FORCING_BETA,
     InnerSolveError,
     LineSearchError,
     line_search,
@@ -168,8 +170,8 @@ def _newton_direction(metric, problem, at, config):
     def inner(x, e):
         return horizontal_inner(metric, at, x, e)
 
-    state = tpcg(grad, hess, lambda v: v, config.eps_curv,
-                 min(config.forcing_beta, gnorm ** config.forcing_t),
+    state = tpcg(grad, hess, lambda v: v, EPS_CURV,
+                 min(FORCING_BETA, gnorm ** config.forcing_t),
                  inner=inner)
     slope = horizontal_inner(metric, at, grad, state.direction)
     return grad, state.direction, slope
@@ -217,6 +219,9 @@ def test_line_search_exhaustion_reports_diagnostics():
     assert err.slope0 == slope
     assert err.alpha < 1e-3
     assert "backtracks" in str(err)
+    norm_sq = horizontal_inner(Metric.EMBEDDED, at, direction, direction)
+    assert err.demanded == min(config.chi1 * slope * slope / norm_sq,
+                               -config.chi2 * slope)
 
 
 def test_accepted_steps_satisfy_decrease_conditions():

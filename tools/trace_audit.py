@@ -1,0 +1,122 @@
+"""Bit-level audit of solver traces on the benchmark's instances.
+
+Usage:
+
+    python3 tools/trace_audit.py write ROOT OUT.json
+    python3 tools/trace_audit.py compare BEFORE.json AFTER.json
+
+`write` imports lyapfactor from ROOT/src and the instance generators from
+ROOT/perfbench/workloads.py, so ROOT may be any source checkout (a parent
+commit unpacked beside this one, say). It solves irr-poisson1d instance
+seeds 0-199 and fixed-grid2d instance seeds 0-59 and writes one record per
+instance: a sha256 over float.hex of the trace columns k, p, f, gradnorm,
+relres, inner_iters, nH and alpha of every row, and over the bytes of the
+final factor, with the final rank as the outcome. A solve that raises is
+hashed over the partial trace its exception carries, and its outcome is
+the exception type (with the type of the cause, if any).
+
+`compare` prints every instance whose record differs between two files and
+exits with status 1 if any does. Two traces are bit-identical exactly when
+their hashes agree.
+
+BLAS is pinned to one thread before numpy is imported, as the benchmark
+does, so that a run is reproducible bit for bit.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Workload name and the instance seeds audited on it.
+INSTANCES = (("irr-poisson1d", range(200)), ("fixed-grid2d", range(60)))
+
+COLUMNS = ("k", "p", "f", "gradnorm", "relres", "inner_iters", "nH", "alpha")
+
+
+def trace_digest(trace, y=None):
+    """sha256 over float.hex of the audited columns and the bytes of y."""
+    digest = hashlib.sha256()
+    for row in trace.rows:
+        text = ",".join(float(getattr(row, name)).hex() for name in COLUMNS)
+        digest.update(text.encode("ascii") + b"\n")
+    if y is not None:
+        digest.update(y.tobytes())
+    return digest.hexdigest()
+
+
+def audit(root):
+    """Solve every audited instance with the code under root."""
+    for var in THREAD_VARS:
+        os.environ[var] = "1"
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    import lyapfactor as lf
+    import workloads
+
+    solver_errors = (lf.IncreasingRankError, lf.InnerSolveError,
+                     lf.LineSearchError, lf.PreconditionerError)
+    records = {}
+    for name, seeds in INSTANCES:
+        workload = workloads.WORKLOADS[name]
+        for seed in seeds:
+            instance = workload.setup(seed)
+            try:
+                point, trace = workload.solve(instance)
+            except solver_errors as exc:
+                cause = getattr(exc, "cause", None)
+                outcome = type(exc).__name__
+                if cause is not None:
+                    outcome += f"({type(cause).__name__})"
+                digest = trace_digest(exc.trace)
+            else:
+                outcome = f"rank {point.p}"
+                digest = trace_digest(trace, point.y)
+            records[f"{name}/{seed}"] = {"hash": digest, "outcome": outcome}
+            print(f"{name}/{seed}: {outcome}", file=sys.stderr, flush=True)
+    return records
+
+
+def compare(before, after):
+    """Keys whose records differ, with both records; None for a missing one."""
+    return {key: (before.get(key), after.get(key))
+            for key in sorted(before.keys() | after.keys())
+            if before.get(key) != after.get(key)}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="mode", required=True)
+    write = sub.add_parser("write", help="solve and record every instance")
+    write.add_argument("root", help="source checkout with src/ and perfbench/")
+    write.add_argument("out", help="output JSON file")
+    cmp = sub.add_parser("compare", help="compare two record files")
+    cmp.add_argument("before")
+    cmp.add_argument("after")
+    args = parser.parse_args(argv)
+
+    if args.mode == "write":
+        records = audit(os.path.abspath(args.root))
+        with open(args.out, "w", encoding="ascii") as fh:
+            json.dump(records, fh, indent=1, sort_keys=True)
+        failed = sorted(k for k, r in records.items()
+                        if not r["outcome"].startswith("rank"))
+        print(f"{len(records)} instances, {len(failed)} raised: "
+              f"{', '.join(failed) or 'none'}")
+        return 0
+
+    with open(args.before, encoding="ascii") as fh:
+        before = json.load(fh)
+    with open(args.after, encoding="ascii") as fh:
+        after = json.load(fh)
+    diff = compare(before, after)
+    for key, (old, new) in diff.items():
+        print(f"{key}: {old} -> {new}")
+    print(f"{len(before | after)} instances, {len(diff)} differ")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
