@@ -234,10 +234,12 @@ class ShiftSystemCache:
     (lam, lq with lq = L^{-T} Q), the orthonormal complement basis vhat of
     range(M Y), one factor per shift F_i = A + lambda_i M (band Cholesky,
     or sparse LU when the pencil is wider than BAND_LIMIT) with the Schur
-    complement of the saddle constraint, the stacks Z_i = F_i^{-1} vhat
-    and J_i (the solved blocks, whose K_i enter the coupled system), and
-    U = A Y. Everything here is independent of the metric; only the
-    right-hand side and the final projection of an apply depend on it.
+    complement S_i = vhat^T Z_i of the saddle constraint, the stacks
+    Z_i = F_i^{-1} vhat (the build's only sparse solves) and
+    J_i = 2 (I - Z_i S_i^{-1} vhat^T) Y lq (whose K_i enter the coupled
+    system), and U = A Y. Everything here is independent of the metric;
+    only the right-hand side and the final projection of an apply depend
+    on it.
     """
 
     point: FactorPoint
@@ -320,15 +322,9 @@ def build_shift_cache(problem, point, variant="proposed"):
     lq = _lower_solve(chol, q, trans=True)
     vhat = np.linalg.qr(my)[0]
 
-    # One solve per shift gives Z_i and x0 = F_i^{-1} rhs_j, the first step
-    # of the saddle solves for the J_i.
-    rhs_j = u @ lq
-    rhs_j = 2.0 * (rhs_j - vhat @ (vhat.T @ rhs_j))
-    rhs = np.hstack([vhat, rhs_j])
     pencil, band = _pencil(problem, variant)
     shift_lus, schur_factors = [], []
     z_stack = np.empty((p, y.shape[0], p))
-    x0_stack = np.empty_like(z_stack)
     for i, lam_i in enumerate(lam):
         # lam_i > 0 makes the shift SPD, so Cholesky, or diagonal pivots in a
         # symmetric order, are stable; a non-finite Z_i fails the Schur
@@ -341,8 +337,7 @@ def build_shift_cache(problem, point, variant="proposed"):
                                  options={"SymmetricMode": True})
             else:
                 lu = _band_cholesky(band, lam_i)
-            sol = lu.solve(rhs)
-            z_stack[i], x0_stack[i] = sol[:, :p], sol[:, p:]
+            z_stack[i] = lu.solve(vhat)
             schur_mat = vhat.T @ z_stack[i]
             schur_factors.append(_cho_factor(0.5 * (schur_mat + schur_mat.T)))
         except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
@@ -353,9 +348,13 @@ def build_shift_cache(problem, point, variant="proposed"):
     cache = ShiftSystemCache(
         point=point, u=u, lq=lq, lam=lam, vhat=vhat,
         shift_lus=shift_lus, schur_factors=schur_factors, z_stack=z_stack,
-        j_stack=x0_stack, coupled=None)
-    for i in range(p):
-        cache.j_stack[i] = _eliminate(cache, i, x0_stack[i])[0]
+        j_stack=None, coupled=None)
+    # J_i, the saddle solve of 2 (I - vhat vhat^T) U lq, needs no sparse
+    # solve: with M Y = vhat R (Y = vhat R for "bart"), F_i^{-1} U is
+    # Y - lambda_i Z_i R, and the elimination removes every Z_i term.
+    two_ylq = 2.0 * (y @ lq)
+    cache.j_stack = np.stack([_eliminate(cache, i, two_ylq)[0]
+                              for i in range(p)])
     k_stack = 2.0 * lam[:, None, None] * np.eye(p)
     k_stack -= lq.T @ (u.T @ cache.j_stack)
     cache.coupled = CoupledSystem(0.5 * (k_stack + k_stack.swapaxes(1, 2)))

@@ -4,8 +4,9 @@ The outer loop approximately solves the Newton equation
 Hess f[eta] = -grad f by a truncated preconditioned conjugate gradient
 method with two early exits (insufficient curvature and a forcing-sequence
 residual test), then takes a step accepted by a two-branch decrease
-condition. The inner solver works on raw arrays with an injected inner
-product, so it is independent of the manifold it runs on.
+condition, or by Armijo's condition when backtracking finds none. The
+inner solver works on raw arrays with an injected inner product, so it is
+independent of the manifold it runs on.
 """
 
 import math
@@ -174,6 +175,12 @@ def tpcg(gradient, hess, precond, eps_curv, phi_k, *,
     return TpcgState(eta, max_inner, "max_inner", rel)
 
 
+def _rounding_floor(f):
+    """Smallest decrease of a cost value f that rounding lets a line search
+    certify."""
+    return 64.0 * np.finfo(float).eps * max(1.0, abs(f))
+
+
 @dataclass
 class LineSearchResult:
     alpha: float
@@ -198,6 +205,12 @@ def line_search(problem, metric, point, direction, f0, slope0, config):
     interpolation safeguarded to [alpha/10, alpha/2]. A trial whose factor
     loses full column rank counts as a rejection with alpha halved.
 
+    Both demand a decrease that does not shrink with alpha. If backtracking
+    is exhausted with the demanded decrease above the rounding floor of f0,
+    the first trial that met Armijo's condition
+    f(alpha) - f0 <= chi2 * alpha * slope0 is returned, with every
+    backtrack counted.
+
     Parameters
     ----------
     problem : LyapunovProblem
@@ -218,6 +231,7 @@ def line_search(problem, metric, point, direction, f0, slope0, config):
     norm_sq = horizontal_inner(metric, point, direction, direction)
     threshold = max(-config.chi1 * slope0 * slope0 / norm_sq,
                     config.chi2 * slope0)
+    armijo = None
     alpha = 1.0
     for backtracks in range(config.ls_max_backtracks + 1):
         try:
@@ -228,12 +242,17 @@ def line_search(problem, metric, point, direction, f0, slope0, config):
         f_trial = cost(problem, trial)
         if f_trial - f0 <= threshold:
             return LineSearchResult(alpha, trial, f_trial, backtracks)
+        if armijo is None and f_trial - f0 <= config.chi2 * alpha * slope0:
+            armijo = LineSearchResult(alpha, trial, f_trial,
+                                      config.ls_max_backtracks)
         gap = f_trial - f0 - slope0 * alpha
         if gap <= 0.0 or not math.isfinite(gap):
             alpha = 0.5 * alpha
             continue
         interpolated = -slope0 * alpha * alpha / (2.0 * gap)
         alpha = min(max(interpolated, 0.1 * alpha), 0.5 * alpha)
+    if armijo is not None and -threshold > _rounding_floor(f0):
+        return armijo
     raise LineSearchError(config.ls_max_backtracks, f0, slope0, alpha,
                           -threshold)
 
@@ -360,7 +379,7 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none"):
             # A predicted decrease below the rounding resolution of f cannot
             # be certified by any line search; the rank is converged to its
             # floor.
-            floor = 64.0 * np.finfo(float).eps * max(1.0, abs(f_val))
+            floor = _rounding_floor(f_val)
             if not slope0 < -floor:
                 break
             try:

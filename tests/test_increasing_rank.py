@@ -10,6 +10,7 @@ from lyapfactor import (
     Metric,
     TnewtonConfig,
     gen_poisson,
+    horizontal_inner,
     relative_residual,
     solve_increasing_rank,
 )
@@ -277,6 +278,37 @@ def test_inner_failure_surfaces_with_partial_trace():
     assert isinstance(err.cause, LineSearchError)
     assert len(err.trace.rows) >= 1
     assert err.trace.rows[0].p == 1
+
+
+def test_exhausted_line_search_above_floor_takes_armijo_step(monkeypatch):
+    # Regression: benchmark instance irr-poisson1d/24. At rank 10 tPCG
+    # stops on a curvature exit and the slope is about -1.4e-6; the fixed
+    # decrease the two-branch rule demands is out of reach along that
+    # direction, and the exhausted search used to end the whole solve with
+    # LineSearchError. The first Armijo trial is taken instead and the
+    # solve reaches tau (at rank 14).
+    fallbacks = []
+
+    def spy(problem, metric, point, direction, f0, slope0, config,
+            search=tnewton.line_search):
+        result = search(problem, metric, point, direction, f0, slope0, config)
+        norm_sq = horizontal_inner(metric, point, direction, direction)
+        if result.f - f0 > max(-config.chi1 * slope0 * slope0 / norm_sq,
+                               config.chi2 * slope0):
+            fallbacks.append((result, f0, slope0))
+        return result
+
+    monkeypatch.setattr(tnewton, "line_search", spy)
+    config = IrrConfig(p_min=1, p_max=40, tau=1e-6, seed=24)
+    problem = gen_poisson(100, 24)
+    point, trace = solve_increasing_rank(problem, Metric.EMBEDDED, config,
+                                         None, "proposed")
+    assert trace.final().relres <= config.tau
+    assert relative_residual(problem, point) <= config.tau
+    assert point.p < config.p_max
+    assert fallbacks
+    for result, f0, slope0 in fallbacks:
+        assert result.f - f0 <= TnewtonConfig().chi2 * result.alpha * slope0
 
 
 def test_tpcg_breakdown_does_not_abort_solve():

@@ -599,10 +599,10 @@ def test_build_and_apply_sparse_work(counted_splu, counted_band, variant):
     prob, at, rng, _ = _wide_grid_point(variant, p=4)
     p = at.p
     cache = build_shift_cache(prob, at, variant=variant)
-    # p factorizations; p columns for Z_i and p for J_i per shift
+    # p factorizations and the p columns of Z_i per shift, in one call per
+    # shift; the J_i are derived from the Z_i without a solve
     assert len(counted_splu["factors"]) == p
-    assert counted_splu["cols"] == 2 * p * p
-    # solved together, in one call per shift
+    assert counted_splu["cols"] == p * p
     assert counted_splu["calls"] == p
     counted_splu["cols"] = 0
     apply_cached(cache, Metric.EMBEDDED,
@@ -623,7 +623,7 @@ def test_band_build_and_apply_work(counted_splu, counted_band, variant):
     p = at.p
     cache = build_shift_cache(prob, at, variant=variant)
     assert len(counted_band["factors"]) == p
-    assert counted_band["cols"] == 2 * p * p
+    assert counted_band["cols"] == p * p
     assert counted_band["calls"] == p
     counted_band["cols"] = 0
     apply_cached(cache, Metric.EMBEDDED,
@@ -633,6 +633,23 @@ def test_band_build_and_apply_work(counted_splu, counted_band, variant):
     kd = _pencil(prob, variant)[1][0]
     for chol in counted_band["factors"]:
         assert chol.chol.shape == (kd + 1, prob.n)
+
+
+@pytest.mark.parametrize("variant", ["proposed", "bart"])
+@pytest.mark.parametrize("backend", ["band", "splu"])
+def test_derived_j_blocks_equal_constrained_solves(backend, variant):
+    # J_i is formed from Z_i without a sparse solve; it must equal the
+    # explicit saddle solve of R_J = 2 (I - vhat vhat^T) U lq with shift i
+    point_of = _grid_point if backend == "band" else _wide_grid_point
+    prob, at, rng, _ = point_of(variant)
+    assert (_pencil(prob, variant)[1] is None) == (backend == "splu")
+    cache = build_shift_cache(prob, at, variant=variant)
+    r_j = cache.u @ cache.lq
+    r_j = 2.0 * (r_j - cache.vhat @ (cache.vhat.T @ r_j))
+    for i in range(at.p):
+        want = saddle_solve(cache, i, r_j)[0]
+        np.testing.assert_allclose(cache.j_stack[i], want, rtol=0,
+                                   atol=1e-12 * np.linalg.norm(want))
 
 
 class _NanLU:

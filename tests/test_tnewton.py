@@ -17,6 +17,7 @@ from lyapfactor import (
     solve_fixed_rank,
     tpcg,
 )
+from lyapfactor import tnewton
 from lyapfactor.manifold import hessian_action
 from lyapfactor.tnewton import (
     EPS_CURV,
@@ -203,12 +204,14 @@ def test_line_search_requires_descent_direction():
 
 
 def test_line_search_exhaustion_reports_diagnostics():
-    # chi2 ~ 1 demands nearly the whole first-order decrease at every alpha,
-    # which a quadratic-in-alpha cost cannot deliver far from the solution
+    # chi1 ~ 1 demands nearly the whole first-order decrease at every alpha,
+    # which a quadratic-in-alpha cost cannot deliver far from the solution;
+    # chi2 = 1 asks the Armijo fallback for all of it, which a cost curving
+    # up along the direction never gives at any alpha
     prob = gen_poisson(40, 0)
     rng = np.random.default_rng(8)
     at = FactorPoint(rng.standard_normal((40, 2)))
-    config = TnewtonConfig(chi1=0.999, chi2=0.999, ls_max_backtracks=20)
+    config = TnewtonConfig(chi1=0.999, chi2=1.0, ls_max_backtracks=20)
     grad, direction, slope = _newton_direction(Metric.EMBEDDED, prob, at,
                                                config)
     with pytest.raises(LineSearchError) as info:
@@ -222,6 +225,45 @@ def test_line_search_exhaustion_reports_diagnostics():
     norm_sq = horizontal_inner(Metric.EMBEDDED, at, direction, direction)
     assert err.demanded == min(config.chi1 * slope * slope / norm_sq,
                                -config.chi2 * slope)
+
+
+def test_exhausted_line_search_falls_back_to_first_armijo_trial(monkeypatch):
+    # chi = 0.999 demands a fixed decrease no trial reaches, but Armijo's
+    # condition with the same chi2 holds once alpha is small enough
+    prob = gen_poisson(40, 0)
+    at = FactorPoint(np.random.default_rng(8).standard_normal((40, 2)))
+    config = TnewtonConfig(chi1=0.999, chi2=0.999, ls_max_backtracks=20)
+    grad, direction, slope = _newton_direction(Metric.EMBEDDED, prob, at,
+                                               config)
+    f0 = cost(prob, at)
+    trials = []
+
+    def spy(point, direction, step, retract=tnewton.retract):
+        trials.append((step, retract(point, direction, step)))
+        return trials[-1][1]
+
+    monkeypatch.setattr(tnewton, "retract", spy)
+    result = line_search(prob, Metric.EMBEDDED, at, direction, f0, slope,
+                         config)
+    assert len(trials) == config.ls_max_backtracks + 1
+    costs = [cost(prob, trial) for _, trial in trials]
+    norm_sq = horizontal_inner(Metric.EMBEDDED, at, direction, direction)
+    threshold = max(-config.chi1 * slope * slope / norm_sq,
+                    config.chi2 * slope)
+    assert all(f - f0 > threshold for f in costs)
+    armijo = [k for k, ((alpha, _), f) in enumerate(zip(trials, costs))
+              if f - f0 <= config.chi2 * alpha * slope]
+    first = armijo[0]
+    assert 0 < first < config.ls_max_backtracks
+    assert result.alpha == trials[first][0]
+    assert result.point is trials[first][1]
+    assert result.f == costs[first]
+    assert result.backtracks == config.ls_max_backtracks
+    # a demanded decrease at or below the rounding floor is not a failure
+    # to be papered over: the search raises, and the caller ends the rank
+    monkeypatch.setattr(tnewton, "_rounding_floor", lambda f: np.inf)
+    with pytest.raises(LineSearchError):
+        line_search(prob, Metric.EMBEDDED, at, direction, f0, slope, config)
 
 
 def test_accepted_steps_satisfy_decrease_conditions():
@@ -338,7 +380,7 @@ def test_solve_rejects_rank_deficient_start():
 def test_solve_line_search_failure_carries_trace():
     prob = gen_poisson(40, 0)
     y0 = np.random.default_rng(14).standard_normal((40, 2))
-    config = TnewtonConfig(chi1=0.999, chi2=0.999)
+    config = TnewtonConfig(chi1=0.999, chi2=1.0)
     with pytest.raises(LineSearchError) as info:
         solve_fixed_rank(prob, Metric.EMBEDDED, y0, config)
     assert len(info.value.trace.rows) >= 1

@@ -15,9 +15,11 @@ final factor, with the final rank as the outcome. A solve that raises is
 hashed over the partial trace its exception carries, and its outcome is
 the exception type (with the type of the cause, if any).
 
-`compare` prints every instance whose record differs between two files and
-exits with status 1 if any does. Two traces are bit-identical exactly when
-their hashes agree.
+`compare` prints every instance whose record differs between two files,
+those whose outcome changed first, then counts the differing hashes and
+outcomes apart, and exits with status 1 if any record differs. Two traces
+are bit-identical exactly when their hashes agree; a change at rounding
+level alters every hash but no outcome.
 
 BLAS is pinned to one thread before numpy is imported, as the benchmark
 does, so that a run is reproducible bit for bit.
@@ -86,6 +88,10 @@ def compare(before, after):
             if before.get(key) != after.get(key)}
 
 
+def field(record, name):
+    return None if record is None else record[name]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
@@ -112,9 +118,15 @@ def main(argv=None):
     with open(args.after, encoding="ascii") as fh:
         after = json.load(fh)
     diff = compare(before, after)
-    for key, (old, new) in diff.items():
+    moved = {key for key, (old, new) in diff.items()
+             if field(old, "outcome") != field(new, "outcome")}
+    for key, (old, new) in sorted(diff.items(),
+                                  key=lambda item: item[0] not in moved):
         print(f"{key}: {old} -> {new}")
-    print(f"{len(before | after)} instances, {len(diff)} differ")
+    hashes = sum(field(old, "hash") != field(new, "hash")
+                 for old, new in diff.values())
+    print(f"{len(before | after)} instances, {hashes} hashes differ, "
+          f"{len(moved)} outcomes differ")
     return 1 if diff else 0
 
 
