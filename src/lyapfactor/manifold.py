@@ -41,11 +41,7 @@ class Metric(enum.IntEnum):
 
 def cost(problem, point):
     """Objective value tr(Y^T A Y Y^T M Y) - tr(Y^T B B^T Y) = h(Y Y^T)."""
-    point = _as_point(point)
-    prod = point.products(problem)
-    y = point.y
-    by = problem.b.T @ y
-    return float(np.sum((y.T @ prod.u) * (prod.v.T @ y)) - np.sum(by * by))
+    return _as_point(point).products(problem).cost
 
 
 def horizontal_inner(metric, at, xi, eta):

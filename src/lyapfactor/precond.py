@@ -45,6 +45,16 @@ COUPLED_DIRECT_LIMIT = 64
 # band solves are 4x slower than splu's and the factor 1.7x larger.
 BAND_LIMIT = 128
 
+# Largest band, in entries, into which band shifts are stacked for one
+# pbtrf or pbtrs call (512 KiB). Stacking saves a call per shift, which
+# pays on small bands: whole irr-poisson1d solves (n = 100, kd = 1) ran
+# 0.94x as long stacked as with one band per shift. A stack much larger
+# than a core's cache costs more than the calls it saves: on the 40x40
+# grid (kd = 41) whole solves ran 1.06-1.09x as long with the five shifts
+# in one 2.7 MB band as with one band each (fastest of 3 solves of each of
+# 8-10 instances, one thread of a 2-core Xeon with 2 MiB L2 per core).
+STACK_LIMIT = 1 << 16
+
 _PBTRF, _PBTRS = spla.get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 
@@ -205,25 +215,74 @@ def _shifted(pencil, lam):
 
 
 class _BandCholesky:
-    """Band Cholesky factor of an SPD shift, solved as a SuperLU object is."""
+    """Band Cholesky factors of the p shifts, stacked in lower bands.
 
-    def __init__(self, chol):
-        self.chol = chol
+    Each band holds `per` consecutive shifts (the last one may hold fewer):
+    shift j of a band owns its columns j n to (j + 1) n - 1, and the
+    entries that would couple two shifts are zero, so a band is block
+    diagonal and one pbtrf or pbtrs call serves all of its shifts.
+    """
 
-    def solve(self, rhs):
-        return _PBTRS(self.chol, rhs, lower=1)[0]
+    def __init__(self, chols, n, per):
+        self.chols = chols
+        self.n = n
+        self.per = per
+
+    def solve(self, i, rhs):
+        """F_i^{-1} rhs, on shift i's block of its band."""
+        band, j = divmod(i, self.per)
+        block = self.chols[band][:, j * self.n:(j + 1) * self.n]
+        return _PBTRS(block, rhs, lower=1)[0]
+
+    def solve_columns(self, rhs):
+        """Column i of the n-by-p rhs solved with shift i, one call per
+        band."""
+        flat = rhs.ravel("F")
+        size = self.per * self.n
+        out = [_PBTRS(chol, flat[k * size:(k + 1) * size], lower=1)[0]
+               for k, chol in enumerate(self.chols)]
+        return np.concatenate(out).reshape(rhs.shape, order="F")
 
 
-def _band_cholesky(band, lam):
-    """pbtrf of A + lam M, filled from the pencil's lower band."""
+class _SparseLUs:
+    """One SuperLU object per shift behind the interface of _BandCholesky."""
+
+    def __init__(self, lus):
+        self.lus = lus
+
+    def solve(self, i, rhs):
+        return self.lus[i].solve(rhs)
+
+    def solve_columns(self, rhs):
+        return np.column_stack([lu.solve(rhs[:, i])
+                                for i, lu in enumerate(self.lus)])
+
+
+def _band_cholesky(band, lams):
+    """pbtrf of the shifts A + lam_i M, filled from the pencil's lower band
+    into consecutive blocks of columns of as few bands as STACK_LIMIT
+    allows, one call per band.
+
+    A failure raises LinAlgError with the failing shift's index as `shift`
+    and pbtrf's info counted within that shift.
+    """
     kd, n, flat, values = band
-    ab = np.zeros((kd + 1) * n)
-    ab[flat] = values.real + lam * values.imag
-    chol, info = _PBTRF(ab.reshape((kd + 1, n), order="F"), lower=1,
-                        overwrite_ab=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"pbtrf failed with info {info}")
-    return _BandCholesky(chol)
+    per = max(1, STACK_LIMIT // ((kd + 1) * n))
+    chols = []
+    for first in range(0, len(lams), per):
+        group = lams[first:first + per]
+        ab = np.zeros((len(group), (kd + 1) * n))
+        ab[:, flat] = values.real + group[:, None] * values.imag
+        ab = ab.ravel().reshape((kd + 1, -1), order="F")
+        chol, info = _PBTRF(ab, lower=1, overwrite_ab=1)
+        if info != 0:
+            shift = (info - 1) // n
+            err = np.linalg.LinAlgError(
+                f"pbtrf failed with info {info - shift * n}")
+            err.shift = first + shift
+            raise err
+        chols.append(chol)
+    return _BandCholesky(chols, n, per)
 
 
 @dataclass
@@ -232,14 +291,17 @@ class ShiftSystemCache:
 
     Built once per outer iteration. Holds the pencil diagonalization
     (lam, lq with lq = L^{-T} Q), the orthonormal complement basis vhat of
-    range(M Y), one factor per shift F_i = A + lambda_i M (band Cholesky,
-    or sparse LU when the pencil is wider than BAND_LIMIT) with the Schur
-    complement S_i = vhat^T Z_i of the saddle constraint, the stacks
+    range(M Y), the factors of the p shifts F_i = A + lambda_i M in
+    `shifts` (band Cholesky factors stacked in as few bands as
+    STACK_LIMIT allows, or one sparse LU per shift when the pencil is
+    wider than BAND_LIMIT), and U = A Y. The Schur step of
+    the saddle constraint is folded into W_i = Z_i S_i^{-1}, with
     Z_i = F_i^{-1} vhat (the build's only sparse solves) and
-    J_i = 2 (I - Z_i S_i^{-1} vhat^T) Y lq (whose K_i enter the coupled
-    system), and U = A Y. Everything here is independent of the metric;
-    only the right-hand side and the final projection of an apply depend
-    on it.
+    S_i = vhat^T Z_i, so a constrained solve is x0 - W_i vhat^T x0 with
+    x0 = F_i^{-1} rhs. J_i = 2 (I - W_i vhat^T) Y lq is that solve of
+    2 (I - vhat vhat^T) U lq; its K_i enter the coupled system.
+    Everything here is independent of the metric; only the right-hand
+    side and the final projection of an apply depend on it.
     """
 
     point: FactorPoint
@@ -247,22 +309,10 @@ class ShiftSystemCache:
     lq: np.ndarray
     lam: np.ndarray
     vhat: np.ndarray
-    shift_lus: list
-    schur_factors: list
-    z_stack: np.ndarray
+    shifts: object
+    w_stack: np.ndarray
     j_stack: np.ndarray
     coupled: CoupledSystem
-
-
-def _eliminate(cache, i, x0):
-    """Finish the i-th constrained shifted solve from x0 = F_i^{-1} rhs.
-
-    Returns the pair (x, y) with (A + lambda_i M) x + vhat y = rhs and
-    vhat^T x = 0, by Schur elimination: y = (vhat^T Z_i)^{-1} vhat^T x0
-    and x = x0 - Z_i y.
-    """
-    mult = _cho_solve(cache.schur_factors[i], cache.vhat.T @ x0)
-    return x0 - cache.z_stack[i] @ mult, mult
 
 
 def build_shift_cache(problem, point, variant="proposed"):
@@ -293,7 +343,7 @@ def build_shift_cache(problem, point, variant="proposed"):
     if not point.has_full_rank:
         raise ValueError("preconditioner needs a full rank factor")
     y = point.y
-    p = y.shape[1]
+    n, p = y.shape
     prod = point.products(problem)
     if variant == "proposed":
         my = prod.v
@@ -323,42 +373,44 @@ def build_shift_cache(problem, point, variant="proposed"):
     vhat = np.linalg.qr(my)[0]
 
     pencil, band = _pencil(problem, variant)
-    shift_lus, schur_factors = [], []
-    z_stack = np.empty((p, y.shape[0], p))
-    for i, lam_i in enumerate(lam):
-        # lam_i > 0 makes the shift SPD, so Cholesky, or diagonal pivots in a
-        # symmetric order, are stable; a non-finite Z_i fails the Schur
-        # factor's check.
-        try:
-            if band is None:
-                lu = sps_la.splu(_shifted(pencil, lam_i),
-                                 permc_spec="MMD_AT_PLUS_A",
-                                 diag_pivot_thresh=0.0,
-                                 options={"SymmetricMode": True})
-            else:
-                lu = _band_cholesky(band, lam_i)
-            z_stack[i] = lu.solve(vhat)
-            schur_mat = vhat.T @ z_stack[i]
-            schur_factors.append(_cho_factor(0.5 * (schur_mat + schur_mat.T)))
-        except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
-            raise PreconditionerError(
-                f"shift {lam_i:.3e} failed to factor: {exc}") from None
-        shift_lus.append(lu)
+    w_stack = np.empty((p, n, p))
+    eye = np.eye(p)
+    i = 0
+    # lam_i > 0 makes every shift SPD, so Cholesky, or diagonal pivots in a
+    # symmetric order, are stable; a non-finite Z_i fails the Schur
+    # factor's check.
+    try:
+        if band is None:
+            lus = []
+            for i, lam_i in enumerate(lam):
+                lus.append(sps_la.splu(_shifted(pencil, lam_i),
+                                       permc_spec="MMD_AT_PLUS_A",
+                                       diag_pivot_thresh=0.0,
+                                       options={"SymmetricMode": True}))
+            shifts = _SparseLUs(lus)
+        else:
+            shifts = _band_cholesky(band, lam)
+        for i in range(p):
+            z = shifts.solve(i, vhat)
+            schur = vhat.T @ z
+            cho = _cho_factor(0.5 * (schur + schur.T))
+            w_stack[i] = z @ _cho_solve(cho, eye)
+    except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
+        lam_i = lam[getattr(exc, "shift", i)]
+        raise PreconditionerError(
+            f"shift {lam_i:.3e} failed to factor: {exc}") from None
 
-    cache = ShiftSystemCache(
-        point=point, u=u, lq=lq, lam=lam, vhat=vhat,
-        shift_lus=shift_lus, schur_factors=schur_factors, z_stack=z_stack,
-        j_stack=None, coupled=None)
     # J_i, the saddle solve of 2 (I - vhat vhat^T) U lq, needs no sparse
     # solve: with M Y = vhat R (Y = vhat R for "bart"), F_i^{-1} U is
     # Y - lambda_i Z_i R, and the elimination removes every Z_i term.
     two_ylq = 2.0 * (y @ lq)
-    cache.j_stack = np.stack([_eliminate(cache, i, two_ylq)[0]
-                              for i in range(p)])
-    k_stack = 2.0 * lam[:, None, None] * np.eye(p)
-    k_stack -= lq.T @ (u.T @ cache.j_stack)
-    cache.coupled = CoupledSystem(0.5 * (k_stack + k_stack.swapaxes(1, 2)))
-    return cache
+    j_stack = two_ylq - w_stack @ (vhat.T @ two_ylq)
+    k_stack = 2.0 * lam[:, None, None] * eye
+    k_stack -= lq.T @ (u.T @ j_stack)
+    return ShiftSystemCache(
+        point=point, u=u, lq=lq, lam=lam, vhat=vhat, shifts=shifts,
+        w_stack=w_stack, j_stack=j_stack,
+        coupled=CoupledSystem(0.5 * (k_stack + k_stack.swapaxes(1, 2))))
 
 
 def _defining_rhs(metric, point, eta):
@@ -383,15 +435,10 @@ def apply_cached(cache, metric, eta):
     t = _defining_rhs(metric, point, eta)
     tm = t @ cache.lq
     tm = tm - cache.vhat @ (cache.vhat.T @ tm)
-    # One sparse solve per shift; the Schur steps and the Z_i and J_i
-    # corrections act on all p columns at once.
-    x0 = np.empty_like(tm)
-    for i, lu in enumerate(cache.shift_lus):
-        x0[:, i] = lu.solve(tm[:, i])
-    w = cache.vhat.T @ x0
-    mult = np.column_stack([_cho_solve(schur, w[:, i])
-                            for i, schur in enumerate(cache.schur_factors)])
-    tvec = x0 - np.einsum("inj,ji->ni", cache.z_stack, mult)
+    # Column i is solved with shift i, all in one call; the Schur steps
+    # and the J_i corrections act on all p columns at once.
+    x0 = cache.shifts.solve_columns(tm)
+    tvec = x0 - np.einsum("inj,ji->ni", cache.w_stack, cache.vhat.T @ x0)
     vmat = cache.lq.T @ (cache.u.T @ tvec)
     r_small = cache.lq.T @ (y.T @ t) @ cache.lq - vmat - vmat.T
     r_small = 0.5 * (r_small + r_small.T)

@@ -204,7 +204,9 @@ class FactorPoint:
 
 
 class _PointProducts:
-    """Lazy U = A Y, V = M Y and N Y, with N = U V^T + V U^T - B B^T."""
+    """Lazy U = A Y, V = M Y and N Y, with N = U V^T + V U^T - B B^T, and
+    the cost and residual norm that depend on them: every quantity at a
+    point is computed at most once."""
 
     def __init__(self, problem, y):
         self.problem = problem
@@ -226,6 +228,23 @@ class _PointProducts:
         """Product N @ w, never forming N."""
         b = self.problem.b
         return self.u @ (self.v.T @ w) + self.v @ (self.u.T @ w) - b @ (b.T @ w)
+
+    @cached_property
+    def cost(self):
+        """tr(Y^T A Y Y^T M Y) - tr(Y^T B B^T Y) (see manifold.cost)."""
+        y = self.y
+        by = self.problem.b.T @ y
+        return float(np.sum((y.T @ self.u) * (self.v.T @ y)) - np.sum(by * by))
+
+    @cached_property
+    def residual_fro(self):
+        """||U V^T + V U^T - B B^T||_F (see residual_fro)."""
+        p = self.y.shape[1]
+        coeff = np.linalg.qr(np.hstack([self.u, self.v, self.problem.b]),
+                             mode="r")
+        small = _compressed_residual(coeff[:, :p], coeff[:, p:2 * p],
+                                     coeff[:, 2 * p:])
+        return float(np.linalg.norm(small))
 
 
 def _as_point(point):
@@ -255,13 +274,7 @@ def residual_fro(problem, point):
     -------
     float
     """
-    point = _as_point(point)
-    prod = point.products(problem)
-    p = point.p
-    coeff = np.linalg.qr(np.hstack([prod.u, prod.v, problem.b]), mode="r")
-    small = _compressed_residual(coeff[:, :p], coeff[:, p:2 * p],
-                                 coeff[:, 2 * p:])
-    return float(np.linalg.norm(small))
+    return _as_point(point).products(problem).residual_fro
 
 
 def _compressed_residual(cu, cv, cb):

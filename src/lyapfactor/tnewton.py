@@ -183,10 +183,14 @@ def _rounding_floor(f):
 
 @dataclass
 class LineSearchResult:
+    """An accepted step; `fallback` marks the Armijo trial taken when
+    backtracking was exhausted (see line_search)."""
+
     alpha: float
     point: FactorPoint
     f: float
     backtracks: int
+    fallback: bool = False
 
 
 def line_search(problem, metric, point, direction, f0, slope0, config):
@@ -209,7 +213,7 @@ def line_search(problem, metric, point, direction, f0, slope0, config):
     is exhausted with the demanded decrease above the rounding floor of f0,
     the first trial that met Armijo's condition
     f(alpha) - f0 <= chi2 * alpha * slope0 is returned, with every
-    backtrack counted.
+    backtrack counted and `fallback` set.
 
     Parameters
     ----------
@@ -244,7 +248,7 @@ def line_search(problem, metric, point, direction, f0, slope0, config):
             return LineSearchResult(alpha, trial, f_trial, backtracks)
         if armijo is None and f_trial - f0 <= config.chi2 * alpha * slope0:
             armijo = LineSearchResult(alpha, trial, f_trial,
-                                      config.ls_max_backtracks)
+                                      config.ls_max_backtracks, True)
         gap = f_trial - f0 - slope0 * alpha
         if gap <= 0.0 or not math.isfinite(gap):
             alpha = 0.5 * alpha

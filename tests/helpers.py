@@ -5,8 +5,8 @@ reference computations that the library must reproduce, small random
 problem generators, and the dense verification tools the solver never
 needs (the full metric inner product, an orthonormal horizontal basis,
 the dense matrix of the preconditioner and a standalone saddle solve).
-Beyond the public API only `project_horizontal`, `vertical_part` and the
-preconditioner's Schur elimination `_eliminate` are imported.
+Beyond the public API only `project_horizontal` and `vertical_part` are
+imported, and `saddle_solve` reads a shift cache's factors.
 """
 
 import numpy as np
@@ -24,7 +24,6 @@ from lyapfactor import (
     riemannian_gradient,
 )
 from lyapfactor.manifold import project_horizontal, vertical_part
-from lyapfactor.precond import _eliminate
 
 
 def rand_spd_banded(n, rng, bw=2):
@@ -218,10 +217,16 @@ def saddle_solve(cache, i, rhs):
     """Solve the i-th constrained shifted system of a shift cache.
 
     Returns the pair (x, y) with (A + lambda_i M) x + vhat y = rhs and
-    vhat^T x = 0; `rhs` may carry several columns. Schur elimination:
-    x0 = F_i^{-1} rhs, y = (vhat^T Z_i)^{-1} vhat^T x0 and x = x0 - Z_i y.
+    vhat^T x = 0; `rhs` may carry several columns. Schur elimination with
+    the cache's factor of F_i = A + lambda_i M and nothing else from the
+    cache: x0 = F_i^{-1} rhs, Z_i = F_i^{-1} vhat,
+    y = (vhat^T Z_i)^{-1} vhat^T x0 and x = x0 - Z_i y.
     """
-    return _eliminate(cache, i, cache.shift_lus[i].solve(rhs))
+    vhat = cache.vhat
+    x0 = cache.shifts.solve(i, rhs)
+    z = cache.shifts.solve(i, vhat)
+    mult = np.linalg.solve(vhat.T @ z, vhat.T @ x0)
+    return x0 - z @ mult, mult
 
 
 def random_horizontal(metric, at, rng):

@@ -1,5 +1,8 @@
 """Tests for the increasing-rank outer loop and its warm start."""
 
+from collections import Counter
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from lyapfactor import (
 from lyapfactor import tnewton
 from lyapfactor.increasing_rank import warm_start
 from lyapfactor.manifold import cost
+from lyapfactor.problems import _PointProducts
 from lyapfactor.tnewton import LineSearchError
 
 from helpers import dense_residual, identity_problem, random_problem
@@ -292,10 +296,11 @@ def test_exhausted_line_search_above_floor_takes_armijo_step(monkeypatch):
     def spy(problem, metric, point, direction, f0, slope0, config,
             search=tnewton.line_search):
         result = search(problem, metric, point, direction, f0, slope0, config)
-        norm_sq = horizontal_inner(metric, point, direction, direction)
-        if result.f - f0 > max(-config.chi1 * slope0 * slope0 / norm_sq,
-                               config.chi2 * slope0):
-            fallbacks.append((result, f0, slope0))
+        if result.fallback:
+            norm_sq = horizontal_inner(metric, point, direction, direction)
+            threshold = max(-config.chi1 * slope0 * slope0 / norm_sq,
+                            config.chi2 * slope0)
+            fallbacks.append((result, f0, slope0, threshold))
         return result
 
     monkeypatch.setattr(tnewton, "line_search", spy)
@@ -307,8 +312,32 @@ def test_exhausted_line_search_above_floor_takes_armijo_step(monkeypatch):
     assert relative_residual(problem, point) <= config.tau
     assert point.p < config.p_max
     assert fallbacks
-    for result, f0, slope0 in fallbacks:
+    for result, f0, slope0, threshold in fallbacks:
+        assert result.f - f0 > threshold
         assert result.f - f0 <= TnewtonConfig().chi2 * result.alpha * slope0
+
+
+def test_cost_and_residual_computed_once_per_point(monkeypatch):
+    # warm_start, the line search, row 0 of each rank and the rank's
+    # reference residual ask for the same values at the same points; each
+    # cost and each residual norm is evaluated once per factor
+    evaluations = Counter()
+    for name in ("cost", "residual_fro"):
+        func = getattr(_PointProducts, name).func
+
+        def counted(self, func=func, name=name):
+            evaluations[name, self.y.tobytes()] += 1
+            return func(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(_PointProducts, name)
+        monkeypatch.setattr(_PointProducts, name, prop)
+    config = IrrConfig(p_min=1, p_max=8, tau=1e-6, seed=0)
+    solve_increasing_rank(gen_poisson(60, 0), Metric.EMBEDDED, config, None,
+                          "proposed")
+    kinds = Counter(name for name, _ in evaluations)
+    assert kinds["cost"] > 0 and kinds["residual_fro"] > 0
+    assert max(evaluations.values()) == 1
 
 
 def test_tpcg_breakdown_does_not_abort_solve():

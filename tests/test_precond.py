@@ -1,9 +1,11 @@
 """Shifted saddle systems, coupled solve, and the full preconditioner."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+import scipy.linalg as spla
 import scipy.sparse as sps
 import scipy.sparse.linalg as sps_la
 from scipy.sparse.linalg import splu as general_splu
@@ -574,15 +576,21 @@ def counted_splu(monkeypatch):
 
 @pytest.fixture
 def counted_band(monkeypatch):
-    counts = {"factors": [], "calls": 0, "cols": 0}
-    band_cholesky = precond._band_cholesky
+    """The band shape of every pbtrf call, and the band and right-hand-side
+    shapes of every pbtrs call."""
+    counts = {"factors": [], "solves": []}
+    pbtrf, pbtrs = precond._PBTRF, precond._PBTRS
 
-    def factor(band, lam):
-        chol = band_cholesky(band, lam)
-        counts["factors"].append(chol)
-        return _CountingLU(chol, counts)
+    def factor(ab, **kwargs):
+        counts["factors"].append(ab.shape)
+        return pbtrf(ab, **kwargs)
 
-    monkeypatch.setattr(precond, "_band_cholesky", factor)
+    def solve(chol, rhs, **kwargs):
+        counts["solves"].append((chol.shape, rhs.shape))
+        return pbtrs(chol, rhs, **kwargs)
+
+    monkeypatch.setattr(precond, "_PBTRF", factor)
+    monkeypatch.setattr(precond, "_PBTRS", solve)
     return counts
 
 
@@ -609,6 +617,7 @@ def test_build_and_apply_sparse_work(counted_splu, counted_band, variant):
                  random_horizontal(Metric.EMBEDDED, at, rng))
     assert counted_splu["cols"] == p
     assert counted_band["factors"] == []
+    assert counted_band["solves"] == []
     for mat, lu in counted_splu["factors"]:
         # a symmetric permutation: no row was pivoted away from its column
         np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
@@ -620,19 +629,20 @@ def test_build_and_apply_sparse_work(counted_splu, counted_band, variant):
 @pytest.mark.parametrize("variant", ["proposed", "bart"])
 def test_band_build_and_apply_work(counted_splu, counted_band, variant):
     prob, at, rng, _ = _grid_point(variant, p=4)
-    p = at.p
+    n, p = at.n, at.p
+    kd = _pencil(prob, variant)[1][0]
     cache = build_shift_cache(prob, at, variant=variant)
-    assert len(counted_band["factors"]) == p
-    assert counted_band["cols"] == p * p
-    assert counted_band["calls"] == p
-    counted_band["cols"] = 0
+    # one pbtrf of the p shifts stacked in a (kd + 1)-by-(n p) band, and the
+    # p columns of Z_i per shift on that shift's block: p^2 columns; the
+    # J_i are derived from the Z_i without a solve
+    assert counted_band["factors"] == [(kd + 1, n * p)]
+    assert counted_band["solves"] == [((kd + 1, n), (n, p))] * p
+    counted_band["solves"].clear()
     apply_cached(cache, Metric.EMBEDDED,
                  random_horizontal(Metric.EMBEDDED, at, rng))
-    assert counted_band["cols"] == p
+    # one call solves column i with shift i: p columns of length n
+    assert counted_band["solves"] == [((kd + 1, n * p), (n * p,))]
     assert counted_splu["factors"] == []
-    kd = _pencil(prob, variant)[1][0]
-    for chol in counted_band["factors"]:
-        assert chol.chol.shape == (kd + 1, prob.n)
 
 
 @pytest.mark.parametrize("variant", ["proposed", "bart"])
@@ -686,7 +696,147 @@ def test_failed_band_factorization_keeps_partial_trace(monkeypatch, lapack):
     _assert_build_fails_with_partial_trace(prob, at)
 
 
+def _middle_shift_fails(monkeypatch, backend):
+    """Make shift 1 of 3 indefinite in the chosen backend; returns the
+    problem, the point and the shift's lambda. "split-band" puts each
+    shift in a band of its own."""
+    point_of = _wide_grid_point if backend == "splu" else _grid_point
+    prob, at, rng, _ = point_of("proposed")
+    lam = build_shift_cache(prob, at).lam
+    n = at.n
+    calls = []
+    if backend == "splu":
+        def factor(mat, **kwargs):
+            calls.append(mat)
+            return general_splu(-mat if len(calls) == 2 else mat, **kwargs)
+
+        monkeypatch.setattr(precond.sps_la, "splu", factor)
+        return prob, at, lam[1]
+    if backend == "split-band":
+        kd = _pencil(prob, "proposed")[1][0]
+        monkeypatch.setattr(precond, "STACK_LIMIT", (kd + 1) * n)
+    per = 1 if backend == "split-band" else 3
+    band, block = divmod(1, per)
+    pbtrf = precond._PBTRF
+
+    def factor(ab, **kwargs):
+        if len(calls) == band:
+            ab[0, block * n + n - 1] = -1.0  # last diagonal entry of shift 1
+        calls.append(ab.shape)
+        return pbtrf(ab, **kwargs)
+
+    monkeypatch.setattr(precond, "_PBTRF", factor)
+    return prob, at, lam[1]
+
+
+@pytest.mark.parametrize("backend", ["band", "split-band", "splu"])
+def test_indefinite_middle_shift_is_named_with_partial_trace(monkeypatch,
+                                                             backend):
+    # the band fails in pbtrf at shift 1's last column; the negated LU
+    # factors, but its Schur complement is negative definite
+    prob, at, lam = _middle_shift_fails(monkeypatch, backend)
+    reason = ("potrf failed" if backend == "splu"
+              else f"pbtrf failed with info {at.n}")
+    message = f"shift {lam:.3e} failed to factor: {reason}"
+    with pytest.raises(PreconditionerError, match=re.escape(message)) as err:
+        solve_fixed_rank(prob, Metric.EMBEDDED, at.y, TnewtonConfig(),
+                         "proposed")
+    assert len(err.value.trace.rows) == 1
+
+
+def _per_column_apply(cache, metric, eta):
+    """apply_cached with every constrained shifted solve, those of the J_i
+    included, done one column at a time by helpers.saddle_solve."""
+    point = cache.point
+    y, lq, vhat, u = point.y, cache.lq, cache.vhat, cache.u
+    p = point.p
+    t = precond._defining_rhs(metric, point, eta)
+    tm = t @ lq
+    tm = tm - vhat @ (vhat.T @ tm)
+    tvec = np.column_stack([saddle_solve(cache, i, tm[:, i])[0]
+                            for i in range(p)])
+    r_j = u @ lq
+    r_j = 2.0 * (r_j - vhat @ (vhat.T @ r_j))
+    j_blocks = [np.column_stack([saddle_solve(cache, i, r_j[:, k])[0]
+                                 for k in range(p)]) for i in range(p)]
+    k_blocks = [2.0 * cache.lam[i] * np.eye(p) - lq.T @ (u.T @ j)
+                for i, j in enumerate(j_blocks)]
+    coupled = CoupledSystem([0.5 * (k + k.T) for k in k_blocks])
+    vmat = lq.T @ (u.T @ tvec)
+    r_small = lq.T @ (y.T @ t) @ lq - vmat - vmat.T
+    s_tilde = coupled.solve(0.5 * (r_small + r_small.T))
+    z_tilde = tvec - np.column_stack([j @ s_tilde[:, i]
+                                      for i, j in enumerate(j_blocks)])
+    xi = y @ (lq @ s_tilde @ lq.T) + z_tilde @ lq.T
+    return project_horizontal(metric, point, xi)
+
+
+@pytest.mark.parametrize("variant", ["proposed", "bart"])
+@pytest.mark.parametrize("backend", ["band", "splu"])
+def test_apply_matches_per_column_saddle_solves(backend, variant):
+    point_of = _grid_point if backend == "band" else _wide_grid_point
+    prob, at, rng, _ = point_of(variant, p=4)
+    assert (_pencil(prob, variant)[1] is None) == (backend == "splu")
+    cache = build_shift_cache(prob, at, variant=variant)
+    for metric in ALL_METRICS:
+        eta = random_horizontal(metric, at, rng)
+        want = _per_column_apply(cache, metric, eta)
+        np.testing.assert_allclose(apply_cached(cache, metric, eta), want,
+                                   rtol=0, atol=1e-12 * np.linalg.norm(want))
+
+
 # ----------------------------------------------------------- band shifts
+
+
+def _band_of(dense, kd):
+    """LAPACK lower band storage of a dense symmetric matrix."""
+    n = dense.shape[0]
+    ab = np.zeros((kd + 1, n), order="F")
+    for d in range(kd + 1):
+        ab[d, :n - d] = np.diagonal(dense, -d)
+    return ab
+
+
+@pytest.mark.parametrize("case", ["poisson", "grid"])
+def test_stacked_band_factor_equals_per_shift_pbtrf(case):
+    # the couplings between shifts are zero in the stacked band, so each
+    # shift's block of the one factorization is its own pbtrf, bit for bit
+    prob = _grid_problem(7) if case == "grid" else gen_poisson(40, 3)
+    band = _pencil(prob, "proposed")[1]
+    kd, n = band[:2]
+    lams = np.array([1e-3, 0.7, 3.0, 2.5e4])
+    chols = precond._band_cholesky(band, lams).chols
+    assert [chol.shape for chol in chols] == [(kd + 1, n * lams.size)]
+    stacked = chols[0]
+    pbtrf = spla.get_lapack_funcs("pbtrf", dtype=np.float64)
+    for i, lam in enumerate(lams):
+        dense = (prob.a.mat + lam * prob.m.mat).toarray()
+        chol, info = pbtrf(_band_of(dense, kd), lower=1)
+        assert info == 0
+        np.testing.assert_array_equal(stacked[:, i * n:(i + 1) * n], chol)
+
+
+def test_band_stacks_split_at_stack_limit(monkeypatch, counted_band):
+    # a stack that would exceed STACK_LIMIT entries is split into bands of
+    # as many whole shifts as fit, one pbtrf and one apply solve per band,
+    # with the results of the single stack
+    prob, at, rng, _ = _grid_point("proposed", p=3)
+    n = at.n
+    kd = _pencil(prob, "proposed")[1][0]
+    eta = random_horizontal(Metric.EMBEDDED, at, rng)
+    whole = build_shift_cache(prob, at)
+    want = apply_cached(whole, Metric.EMBEDDED, eta)
+    monkeypatch.setattr(precond, "STACK_LIMIT", 2 * (kd + 1) * n + 1)
+    counted_band["factors"].clear()
+    split = build_shift_cache(prob, at)
+    assert counted_band["factors"] == [(kd + 1, 2 * n), (kd + 1, n)]
+    np.testing.assert_array_equal(split.w_stack, whole.w_stack)
+    counted_band["solves"].clear()
+    got = apply_cached(split, Metric.EMBEDDED, eta)
+    assert counted_band["solves"] == [((kd + 1, 2 * n), (2 * n,)),
+                                      ((kd + 1, n), (n,))]
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-13 * np.linalg.norm(want))
 
 
 @pytest.mark.parametrize("variant", ["proposed", "bart"])
@@ -696,12 +846,14 @@ def test_band_solve_matches_splu(case, variant):
     pencil, band = _pencil(prob, variant)
     rng = np.random.default_rng(3)
     rhs = rng.standard_normal((prob.n, 3))
-    for lam in (1e-3, 0.7, 3.0, 2.5e4):
+    lams = np.array([1e-3, 0.7, 3.0, 2.5e4])
+    chol = precond._band_cholesky(band, lams)
+    for i, lam in enumerate(lams):
         want = general_splu(_shifted(pencil, lam)).solve(rhs)
-        chol = precond._band_cholesky(band, lam)
-        np.testing.assert_allclose(chol.solve(rhs), want, rtol=0,
+        np.testing.assert_allclose(chol.solve(i, rhs), want, rtol=0,
                                    atol=1e-12 * np.linalg.norm(want))
-        np.testing.assert_allclose(chol.solve(rhs[:, 0]), want[:, 0], rtol=0,
+        np.testing.assert_allclose(chol.solve(i, rhs[:, 0]), want[:, 0],
+                                   rtol=0,
                                    atol=1e-12 * np.linalg.norm(want[:, 0]))
 
 
@@ -725,7 +877,8 @@ def test_shift_factorization_follows_half_bandwidth():
         at = FactorPoint(np.random.default_rng(0).standard_normal((prob.n, 2)))
         cache = build_shift_cache(prob, at)
         kind = sps_la.SuperLU if kd is None else precond._BandCholesky
-        assert all(isinstance(lu, kind) for lu in cache.shift_lus)
+        factors = cache.shifts.lus if kd is None else [cache.shifts]
+        assert all(isinstance(lu, kind) for lu in factors)
     n = precond.BAND_LIMIT + 10
     for dist in (precond.BAND_LIMIT, precond.BAND_LIMIT + 1):
         a = _two_band_matrix(n, dist)
@@ -740,4 +893,4 @@ def test_shift_factorization_follows_half_bandwidth():
 def test_band_cholesky_rejects_indefinite_shift():
     pencil, band = _pencil(gen_poisson(30, 0), "proposed")
     with pytest.raises(np.linalg.LinAlgError, match="pbtrf failed"):
-        precond._band_cholesky(band, -1e9)
+        precond._band_cholesky(band, np.array([-1e9]))

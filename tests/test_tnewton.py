@@ -190,6 +190,7 @@ def test_line_search_accepts_unit_step_near_solution():
                          slope, config)
     assert result.alpha == 1.0
     assert result.backtracks == 0
+    assert not result.fallback
 
 
 def test_line_search_requires_descent_direction():
@@ -259,6 +260,7 @@ def test_exhausted_line_search_falls_back_to_first_armijo_trial(monkeypatch):
     assert result.point is trials[first][1]
     assert result.f == costs[first]
     assert result.backtracks == config.ls_max_backtracks
+    assert result.fallback
     # a demanded decrease at or below the rounding floor is not a failure
     # to be papered over: the search raises, and the caller ends the rank
     monkeypatch.setattr(tnewton, "_rounding_floor", lambda f: np.inf)

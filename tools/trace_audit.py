@@ -11,15 +11,24 @@ commit unpacked beside this one, say). It solves irr-poisson1d instance
 seeds 0-199 and fixed-grid2d instance seeds 0-59 and writes one record per
 instance: a sha256 over float.hex of the trace columns k, p, f, gradnorm,
 relres, inner_iters, nH and alpha of every row, and over the bytes of the
-final factor, with the final rank as the outcome. A solve that raises is
-hashed over the partial trace its exception carries, and its outcome is
-the exception type (with the type of the cause, if any).
+final factor, with the final rank as the outcome, the relres of each
+rank's last row and the workload's residual target tau (null for a
+fixed-rank solve). A solve that raises is hashed over the partial trace
+its exception carries, and its outcome is the exception type (with the
+type of the cause, if any).
 
-`compare` prints every instance whose record differs between two files,
-those whose outcome changed first, then counts the differing hashes and
-outcomes apart, and exits with status 1 if any record differs. Two traces
+`compare` prints every instance whose hash or outcome differs between two
+files, those whose outcome changed first, then counts the differing
+hashes and outcomes apart, and exits with status 1 if any record differs. Two traces
 are bit-identical exactly when their hashes agree; a change at rounding
-level alters every hash but no outcome.
+level alters every hash but no outcome. For a final rank that moved,
+relres / tau at the lower of the two ranks is printed for both sides, and
+the change is labelled knife-edge when the first file's value lies within
+KNIFE_EDGE of 1: such an instance stops within rounding of tau, so any
+rounding-level change can move its rank by one. The closing line counts
+the outcome changes that are not knife-edge. Files written before the
+relres field existed still compare; their rank changes are never
+knife-edge.
 
 BLAS is pinned to one thread before numpy is imported, as the benchmark
 does, so that a run is reproducible bit for bit.
@@ -38,6 +47,9 @@ INSTANCES = (("irr-poisson1d", range(200)), ("fixed-grid2d", range(60)))
 
 COLUMNS = ("k", "p", "f", "gradnorm", "relres", "inner_iters", "nH", "alpha")
 
+# Largest |relres / tau - 1| at which a moved final rank is knife-edge.
+KNIFE_EDGE = 0.03
+
 
 def trace_digest(trace, y=None):
     """sha256 over float.hex of the audited columns and the bytes of y."""
@@ -48,6 +60,11 @@ def trace_digest(trace, y=None):
     if y is not None:
         digest.update(y.tobytes())
     return digest.hexdigest()
+
+
+def final_relres(trace):
+    """relres of each rank's last trace row, keyed by the rank as text."""
+    return {str(row.p): float(row.relres) for row in trace.rows}
 
 
 def audit(root):
@@ -72,24 +89,72 @@ def audit(root):
                 outcome = type(exc).__name__
                 if cause is not None:
                     outcome += f"({type(cause).__name__})"
-                digest = trace_digest(exc.trace)
+                trace = exc.trace
+                digest = trace_digest(trace)
             else:
                 outcome = f"rank {point.p}"
                 digest = trace_digest(trace, point.y)
-            records[f"{name}/{seed}"] = {"hash": digest, "outcome": outcome}
+            records[f"{name}/{seed}"] = {
+                "hash": digest, "outcome": outcome,
+                "relres": final_relres(trace), "tau": workload.tau}
             print(f"{name}/{seed}: {outcome}", file=sys.stderr, flush=True)
     return records
 
 
 def compare(before, after):
-    """Keys whose records differ, with both records; None for a missing one."""
-    return {key: (before.get(key), after.get(key))
-            for key in sorted(before.keys() | after.keys())
-            if before.get(key) != after.get(key)}
+    """Keys whose hash or outcome differ, with both records; None for a
+    missing one."""
+    diff = {}
+    for key in sorted(before.keys() | after.keys()):
+        old, new = before.get(key), after.get(key)
+        if any(field(old, name) != field(new, name)
+               for name in ("hash", "outcome")):
+            diff[key] = old, new
+    return diff
 
 
 def field(record, name):
-    return None if record is None else record[name]
+    return None if record is None else record.get(name)
+
+
+def final_rank(record):
+    """The final rank of a completed solve, None for one that raised."""
+    outcome = field(record, "outcome") or ""
+    return int(outcome.split()[1]) if outcome.startswith("rank ") else None
+
+
+def tau_ratio(record, rank):
+    """relres / tau at the end of `rank`, None where it is not recorded."""
+    relres = (field(record, "relres") or {}).get(str(rank))
+    tau = field(record, "tau")
+    return None if relres is None or not tau else relres / tau
+
+
+def rank_move(old, new):
+    """relres / tau at the lower final rank on both sides, and whether the
+    move is knife-edge; None when either side raised."""
+    ranks = final_rank(old), final_rank(new)
+    if None in ranks:
+        return None
+    rank = min(ranks)
+    before, after = tau_ratio(old, rank), tau_ratio(new, rank)
+    knife = before is not None and abs(before - 1.0) <= KNIFE_EDGE
+    return rank, before, after, knife
+
+
+def describe(old, new, moved):
+    """One line on a differing record."""
+    line = (f"{field(old, 'outcome')} -> {field(new, 'outcome')}, hash "
+            f"{(field(old, 'hash') or '')[:8]} -> "
+            f"{(field(new, 'hash') or '')[:8]}")
+    move = rank_move(old, new) if moved else None
+    if move is not None:
+        rank, before, after, knife = move
+        text = ["n/a" if r is None else f"{r:.3f}" for r in (before, after)]
+        line += f"; relres/tau at rank {rank}: {text[0]} -> {text[1]}"
+        if knife:
+            line += " (knife-edge)"
+    return line
 
 
 def main(argv=None):
@@ -122,11 +187,13 @@ def main(argv=None):
              if field(old, "outcome") != field(new, "outcome")}
     for key, (old, new) in sorted(diff.items(),
                                   key=lambda item: item[0] not in moved):
-        print(f"{key}: {old} -> {new}")
+        print(f"{key}: {describe(old, new, key in moved)}")
     hashes = sum(field(old, "hash") != field(new, "hash")
                  for old, new in diff.values())
+    knife = sum((rank_move(*diff[key]) or (False,))[-1] for key in moved)
     print(f"{len(before | after)} instances, {hashes} hashes differ, "
-          f"{len(moved)} outcomes differ")
+          f"{len(moved)} outcomes differ, {len(moved) - knife} of them "
+          f"not knife-edge")
     return 1 if diff else 0
 
 
