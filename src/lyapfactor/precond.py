@@ -214,59 +214,36 @@ def _shifted(pencil, lam):
     return mat
 
 
-class _BandCholesky:
-    """Band Cholesky factors of the p shifts, stacked in lower bands.
+def _factor_shifts(pencil, band, lams):
+    """Factor the shifts F_i = A + lam_i M (A + lam_i I for "bart") and
+    return solve(rhs), which solves block i of an (n p)-row rhs, rows i n
+    to (i + 1) n - 1, with F_i; rhs may carry several columns.
 
-    Each band holds `per` consecutive shifts (the last one may hold fewer):
-    shift j of a band owns its columns j n to (j + 1) n - 1, and the
-    entries that would couple two shifts are zero, so a band is block
-    diagonal and one pbtrf or pbtrs call serves all of its shifts.
+    lam_i > 0 makes every shift SPD, so Cholesky, or diagonal pivots in a
+    symmetric order, are stable. A band pencil is factored by pbtrf, its
+    shifts filled from the pencil's lower band into consecutive blocks of
+    columns of as few bands as STACK_LIMIT allows. The entries that would
+    couple two shifts are zero, so a band is block diagonal and one pbtrf
+    or pbtrs call serves all of its shifts. A pencil wider than BAND_LIMIT
+    gets one sparse LU per shift.
+
+    Raises PreconditionerError naming the shift that fails to factor.
     """
-
-    def __init__(self, chols, n, per):
-        self.chols = chols
-        self.n = n
-        self.per = per
-
-    def solve(self, i, rhs):
-        """F_i^{-1} rhs, on shift i's block of its band."""
-        band, j = divmod(i, self.per)
-        block = self.chols[band][:, j * self.n:(j + 1) * self.n]
-        return _PBTRS(block, rhs, lower=1)[0]
-
-    def solve_columns(self, rhs):
-        """Column i of the n-by-p rhs solved with shift i, one call per
-        band."""
-        flat = rhs.ravel("F")
-        size = self.per * self.n
-        out = [_PBTRS(chol, flat[k * size:(k + 1) * size], lower=1)[0]
-               for k, chol in enumerate(self.chols)]
-        return np.concatenate(out).reshape(rhs.shape, order="F")
-
-
-class _SparseLUs:
-    """One SuperLU object per shift behind the interface of _BandCholesky."""
-
-    def __init__(self, lus):
-        self.lus = lus
-
-    def solve(self, i, rhs):
-        return self.lus[i].solve(rhs)
-
-    def solve_columns(self, rhs):
-        return np.column_stack([lu.solve(rhs[:, i])
-                                for i, lu in enumerate(self.lus)])
-
-
-def _band_cholesky(band, lams):
-    """pbtrf of the shifts A + lam_i M, filled from the pencil's lower band
-    into consecutive blocks of columns of as few bands as STACK_LIMIT
-    allows, one call per band.
-
-    A failure raises LinAlgError with the failing shift's index as `shift`
-    and pbtrf's info counted within that shift.
-    """
-    kd, n, flat, values = band
+    n = pencil.shape[0]
+    if band is None:
+        lus = []
+        for lam in lams:
+            try:
+                lus.append(sps_la.splu(_shifted(pencil, lam),
+                                       permc_spec="MMD_AT_PLUS_A",
+                                       diag_pivot_thresh=0.0,
+                                       options={"SymmetricMode": True}))
+            except RuntimeError as exc:
+                raise PreconditionerError(
+                    f"shift {lam:.3e} failed to factor: {exc}") from None
+        return lambda rhs: np.concatenate(
+            [lu.solve(rhs[i * n:(i + 1) * n]) for i, lu in enumerate(lus)])
+    kd, _, flat, values = band
     per = max(1, STACK_LIMIT // ((kd + 1) * n))
     chols = []
     for first in range(0, len(lams), per):
@@ -277,12 +254,14 @@ def _band_cholesky(band, lams):
         chol, info = _PBTRF(ab, lower=1, overwrite_ab=1)
         if info != 0:
             shift = (info - 1) // n
-            err = np.linalg.LinAlgError(
+            raise PreconditionerError(
+                f"shift {group[shift]:.3e} failed to factor: "
                 f"pbtrf failed with info {info - shift * n}")
-            err.shift = first + shift
-            raise err
         chols.append(chol)
-    return _BandCholesky(chols, n, per)
+    size = per * n
+    return lambda rhs: np.concatenate(
+        [_PBTRS(chol, rhs[k * size:(k + 1) * size], lower=1)[0]
+         for k, chol in enumerate(chols)])
 
 
 @dataclass
@@ -291,12 +270,12 @@ class ShiftSystemCache:
 
     Built once per outer iteration. Holds the pencil diagonalization
     (lam, lq with lq = L^{-T} Q), the orthonormal complement basis vhat of
-    range(M Y), the factors of the p shifts F_i = A + lambda_i M in
-    `shifts` (band Cholesky factors stacked in as few bands as
-    STACK_LIMIT allows, or one sparse LU per shift when the pencil is
-    wider than BAND_LIMIT), and U = A Y. The Schur step of
+    range(M Y), U = A Y, and the p shifts F_i = A + lambda_i M as one
+    block-diagonal system: `solve_shifts(rhs)` solves block i of an
+    (n p)-row rhs with F_i (see _factor_shifts). The Schur step of
     the saddle constraint is folded into W_i = Z_i S_i^{-1}, with
-    Z_i = F_i^{-1} vhat (the build's only sparse solves) and
+    Z_i = F_i^{-1} vhat, all p formed by one solve_shifts call on p
+    stacked copies of vhat (the build's only sparse solves), and
     S_i = vhat^T Z_i, so a constrained solve is x0 - W_i vhat^T x0 with
     x0 = F_i^{-1} rhs. J_i = 2 (I - W_i vhat^T) Y lq is that solve of
     2 (I - vhat vhat^T) U lq; its K_i enter the coupled system.
@@ -309,7 +288,7 @@ class ShiftSystemCache:
     lq: np.ndarray
     lam: np.ndarray
     vhat: np.ndarray
-    shifts: object
+    solve_shifts: object
     w_stack: np.ndarray
     j_stack: np.ndarray
     coupled: CoupledSystem
@@ -373,32 +352,20 @@ def build_shift_cache(problem, point, variant="proposed"):
     vhat = np.linalg.qr(my)[0]
 
     pencil, band = _pencil(problem, variant)
+    solve_shifts = _factor_shifts(pencil, band, lam)
+    z_stack = solve_shifts(np.tile(vhat, (p, 1)))
     w_stack = np.empty((p, n, p))
     eye = np.eye(p)
-    i = 0
-    # lam_i > 0 makes every shift SPD, so Cholesky, or diagonal pivots in a
-    # symmetric order, are stable; a non-finite Z_i fails the Schur
-    # factor's check.
-    try:
-        if band is None:
-            lus = []
-            for i, lam_i in enumerate(lam):
-                lus.append(sps_la.splu(_shifted(pencil, lam_i),
-                                       permc_spec="MMD_AT_PLUS_A",
-                                       diag_pivot_thresh=0.0,
-                                       options={"SymmetricMode": True}))
-            shifts = _SparseLUs(lus)
-        else:
-            shifts = _band_cholesky(band, lam)
-        for i in range(p):
-            z = shifts.solve(i, vhat)
-            schur = vhat.T @ z
+    for i in range(p):
+        z = z_stack[i * n:(i + 1) * n]
+        schur = vhat.T @ z
+        # ValueError: a non-finite Z_i, or potrf's LinAlgError (a subclass)
+        try:
             cho = _cho_factor(0.5 * (schur + schur.T))
-            w_stack[i] = z @ _cho_solve(cho, eye)
-    except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
-        lam_i = lam[getattr(exc, "shift", i)]
-        raise PreconditionerError(
-            f"shift {lam_i:.3e} failed to factor: {exc}") from None
+        except ValueError as exc:
+            raise PreconditionerError(
+                f"shift {lam[i]:.3e} failed to factor: {exc}") from None
+        w_stack[i] = z @ _cho_solve(cho, eye)
 
     # J_i, the saddle solve of 2 (I - vhat vhat^T) U lq, needs no sparse
     # solve: with M Y = vhat R (Y = vhat R for "bart"), F_i^{-1} U is
@@ -408,7 +375,8 @@ def build_shift_cache(problem, point, variant="proposed"):
     k_stack = 2.0 * lam[:, None, None] * eye
     k_stack -= lq.T @ (u.T @ j_stack)
     return ShiftSystemCache(
-        point=point, u=u, lq=lq, lam=lam, vhat=vhat, shifts=shifts,
+        point=point, u=u, lq=lq, lam=lam, vhat=vhat,
+        solve_shifts=solve_shifts,
         w_stack=w_stack, j_stack=j_stack,
         coupled=CoupledSystem(0.5 * (k_stack + k_stack.swapaxes(1, 2))))
 
@@ -437,7 +405,7 @@ def apply_cached(cache, metric, eta):
     tm = tm - cache.vhat @ (cache.vhat.T @ tm)
     # Column i is solved with shift i, all in one call; the Schur steps
     # and the J_i corrections act on all p columns at once.
-    x0 = cache.shifts.solve_columns(tm)
+    x0 = cache.solve_shifts(tm.ravel("F")).reshape(tm.shape, order="F")
     tvec = x0 - np.einsum("inj,ji->ni", cache.w_stack, cache.vhat.T @ x0)
     vmat = cache.lq.T @ (cache.u.T @ tvec)
     r_small = cache.lq.T @ (y.T @ t) @ cache.lq - vmat - vmat.T

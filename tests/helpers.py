@@ -6,7 +6,7 @@ problem generators, and the dense verification tools the solver never
 needs (the full metric inner product, an orthonormal horizontal basis,
 the dense matrix of the preconditioner and a standalone saddle solve).
 Beyond the public API only `project_horizontal` and `vertical_part` are
-imported, and `saddle_solve` reads a shift cache's factors.
+imported, and `saddle_solve` calls a shift cache's shift solves.
 """
 
 import numpy as np
@@ -43,6 +43,24 @@ def random_problem(n, s, rng, bw=2):
     m = rand_spd_banded(n, rng, bw)
     b = rng.standard_normal((n, s))
     return LyapunovProblem(a, m, b)
+
+
+def grid_problem(side=6, perm_seed=None):
+    """5-point stiffness and consistent mass. In natural order the pencil's
+    half-bandwidth is at most side + 1; a random symmetric permutation of
+    the unknowns (perm_seed) widens it to nearly n."""
+    h = 1.0 / (side + 1)
+    ones = np.ones(side - 1)
+    t = sps.diags([-ones, np.full(side, 2.0), -ones], [-1, 0, 1]) / (h * h)
+    mh = sps.diags([ones, np.full(side, 4.0), ones], [-1, 0, 1]) / 6.0
+    eye = sps.identity(side)
+    a = (sps.kron(t, eye) + sps.kron(eye, t)).tocsr()
+    m = sps.kron(mh, mh).tocsr()
+    if perm_seed is not None:
+        perm = np.random.default_rng(perm_seed).permutation(side * side)
+        a, m = a[perm][:, perm], m[perm][:, perm]
+    return LyapunovProblem(SpdSparseMatrix(a), SpdSparseMatrix(m),
+                           np.ones((side * side, 1)))
 
 
 def kron_solve(problem):
@@ -218,13 +236,23 @@ def saddle_solve(cache, i, rhs):
 
     Returns the pair (x, y) with (A + lambda_i M) x + vhat y = rhs and
     vhat^T x = 0; `rhs` may carry several columns. Schur elimination with
-    the cache's factor of F_i = A + lambda_i M and nothing else from the
-    cache: x0 = F_i^{-1} rhs, Z_i = F_i^{-1} vhat,
-    y = (vhat^T Z_i)^{-1} vhat^T x0 and x = x0 - Z_i y.
+    the cache's shift solves and nothing else from the cache:
+    x0 = F_i^{-1} rhs, Z_i = F_i^{-1} vhat,
+    y = (vhat^T Z_i)^{-1} vhat^T x0 and x = x0 - Z_i y. Shift i is reached
+    through `solve_shifts` on a stacked right-hand side that is zero
+    outside block i.
     """
     vhat = cache.vhat
-    x0 = cache.shifts.solve(i, rhs)
-    z = cache.shifts.solve(i, vhat)
+    n, p = vhat.shape
+    rows = slice(i * n, (i + 1) * n)
+
+    def solve(block):
+        stacked = np.zeros((n * p,) + block.shape[1:])
+        stacked[rows] = block
+        return cache.solve_shifts(stacked)[rows]
+
+    x0 = solve(rhs)
+    z = solve(vhat)
     mult = np.linalg.solve(vhat.T @ z, vhat.T @ x0)
     return x0 - z @ mult, mult
 

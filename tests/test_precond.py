@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 import scipy.linalg as spla
 import scipy.sparse as sps
-import scipy.sparse.linalg as sps_la
 from scipy.sparse.linalg import splu as general_splu
 
 from helpers import (
     ALL_METRICS,
     assemble_precond_operator_dense,
+    grid_problem,
     hnorm,
     horizontal_basis,
     identity_problem,
@@ -130,7 +130,7 @@ def test_saddle_residual_of_block_equation():
 def _grid_point(variant, side=7, p=3, seed=11, perm_seed=None):
     """Grid problem with consistent mass, a random point, and the operator
     pair the variant inverts: (A, M) for "proposed", (A, I) for "bart"."""
-    prob = _grid_problem(side, perm_seed)
+    prob = grid_problem(side, perm_seed)
     rng = np.random.default_rng(seed)
     at = FactorPoint(rng.standard_normal((prob.n, p)))
     m = prob.m if variant == "proposed" else SpdSparseMatrix(
@@ -278,27 +278,9 @@ def _assert_same_csc(got, ref):
         np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
 
 
-def _grid_problem(side=6, perm_seed=None):
-    """5-point stiffness and consistent mass. In natural order the pencil's
-    half-bandwidth is at most side + 1; a random symmetric permutation of
-    the unknowns (perm_seed) widens it to nearly n."""
-    h = 1.0 / (side + 1)
-    ones = np.ones(side - 1)
-    t = sps.diags([-ones, np.full(side, 2.0), -ones], [-1, 0, 1]) / (h * h)
-    mh = sps.diags([ones, np.full(side, 4.0), ones], [-1, 0, 1]) / 6.0
-    eye = sps.identity(side)
-    a = (sps.kron(t, eye) + sps.kron(eye, t)).tocsr()
-    m = sps.kron(mh, mh).tocsr()
-    if perm_seed is not None:
-        perm = np.random.default_rng(perm_seed).permutation(side * side)
-        a, m = a[perm][:, perm], m[perm][:, perm]
-    return LyapunovProblem(SpdSparseMatrix(a), SpdSparseMatrix(m),
-                           np.ones((side * side, 1)))
-
-
 @pytest.mark.parametrize("case", ["poisson", "grid", "bart"])
 def test_pencil_shift_matches_sparse_sum(case):
-    prob = _grid_problem() if case == "grid" else gen_poisson(40, 3)
+    prob = grid_problem() if case == "grid" else gen_poisson(40, 3)
     variant = "bart" if case == "bart" else "proposed"
     m = sps.identity(prob.n, format="csr") if case == "bart" else prob.m.mat
     pencil, _ = _pencil(prob, variant)
@@ -632,11 +614,11 @@ def test_band_build_and_apply_work(counted_splu, counted_band, variant):
     n, p = at.n, at.p
     kd = _pencil(prob, variant)[1][0]
     cache = build_shift_cache(prob, at, variant=variant)
-    # one pbtrf of the p shifts stacked in a (kd + 1)-by-(n p) band, and the
-    # p columns of Z_i per shift on that shift's block: p^2 columns; the
-    # J_i are derived from the Z_i without a solve
+    # one pbtrf of the p shifts stacked in a (kd + 1)-by-(n p) band, and
+    # one pbtrs for every Z_i: p columns on each shift's block; the J_i are
+    # derived from the Z_i without a solve
     assert counted_band["factors"] == [(kd + 1, n * p)]
-    assert counted_band["solves"] == [((kd + 1, n), (n, p))] * p
+    assert counted_band["solves"] == [((kd + 1, n * p), (n * p, p))]
     counted_band["solves"].clear()
     apply_cached(cache, Metric.EMBEDDED,
                  random_horizontal(Metric.EMBEDDED, at, rng))
@@ -699,16 +681,22 @@ def test_failed_band_factorization_keeps_partial_trace(monkeypatch, lapack):
 def _middle_shift_fails(monkeypatch, backend):
     """Make shift 1 of 3 indefinite in the chosen backend; returns the
     problem, the point and the shift's lambda. "split-band" puts each
-    shift in a band of its own."""
-    point_of = _wide_grid_point if backend == "splu" else _grid_point
+    shift in a band of its own; "splu-raises" makes the sparse LU of
+    shift 1 raise."""
+    splu = backend.startswith("splu")
+    point_of = _wide_grid_point if splu else _grid_point
     prob, at, rng, _ = point_of("proposed")
     lam = build_shift_cache(prob, at).lam
     n = at.n
     calls = []
-    if backend == "splu":
+    if splu:
         def factor(mat, **kwargs):
             calls.append(mat)
-            return general_splu(-mat if len(calls) == 2 else mat, **kwargs)
+            if len(calls) != 2:
+                return general_splu(mat, **kwargs)
+            if backend == "splu-raises":
+                _singular()
+            return general_splu(-mat, **kwargs)
 
         monkeypatch.setattr(precond.sps_la, "splu", factor)
         return prob, at, lam[1]
@@ -729,14 +717,17 @@ def _middle_shift_fails(monkeypatch, backend):
     return prob, at, lam[1]
 
 
-@pytest.mark.parametrize("backend", ["band", "split-band", "splu"])
+@pytest.mark.parametrize("backend",
+                         ["band", "split-band", "splu", "splu-raises"])
 def test_indefinite_middle_shift_is_named_with_partial_trace(monkeypatch,
                                                              backend):
     # the band fails in pbtrf at shift 1's last column; the negated LU
-    # factors, but its Schur complement is negative definite
+    # factors, but its Schur complement is negative definite; the raising
+    # LU fails at shift 1 after shift 0 factored
     prob, at, lam = _middle_shift_fails(monkeypatch, backend)
-    reason = ("potrf failed" if backend == "splu"
-              else f"pbtrf failed with info {at.n}")
+    reason = {"splu": "potrf failed",
+              "splu-raises": "Factor is exactly singular"}.get(
+        backend, f"pbtrf failed with info {at.n}")
     message = f"shift {lam:.3e} failed to factor: {reason}"
     with pytest.raises(PreconditionerError, match=re.escape(message)) as err:
         solve_fixed_rank(prob, Metric.EMBEDDED, at.y, TnewtonConfig(),
@@ -798,17 +789,25 @@ def _band_of(dense, kd):
 
 
 @pytest.mark.parametrize("case", ["poisson", "grid"])
-def test_stacked_band_factor_equals_per_shift_pbtrf(case):
+def test_stacked_band_factor_equals_per_shift_pbtrf(monkeypatch, case):
     # the couplings between shifts are zero in the stacked band, so each
     # shift's block of the one factorization is its own pbtrf, bit for bit
-    prob = _grid_problem(7) if case == "grid" else gen_poisson(40, 3)
-    band = _pencil(prob, "proposed")[1]
+    prob = grid_problem(7) if case == "grid" else gen_poisson(40, 3)
+    pencil, band = _pencil(prob, "proposed")
     kd, n = band[:2]
     lams = np.array([1e-3, 0.7, 3.0, 2.5e4])
-    chols = precond._band_cholesky(band, lams).chols
+    pbtrf = spla.get_lapack_funcs("pbtrf", dtype=np.float64)
+    chols = []
+
+    def factor(ab, **kwargs):
+        chol, info = pbtrf(ab, **kwargs)
+        chols.append(chol)
+        return chol, info
+
+    monkeypatch.setattr(precond, "_PBTRF", factor)
+    precond._factor_shifts(pencil, band, lams)
     assert [chol.shape for chol in chols] == [(kd + 1, n * lams.size)]
     stacked = chols[0]
-    pbtrf = spla.get_lapack_funcs("pbtrf", dtype=np.float64)
     for i, lam in enumerate(lams):
         dense = (prob.a.mat + lam * prob.m.mat).toarray()
         chol, info = pbtrf(_band_of(dense, kd), lower=1)
@@ -842,18 +841,21 @@ def test_band_stacks_split_at_stack_limit(monkeypatch, counted_band):
 @pytest.mark.parametrize("variant", ["proposed", "bart"])
 @pytest.mark.parametrize("case", ["poisson", "grid"])
 def test_band_solve_matches_splu(case, variant):
-    prob = _grid_problem(7) if case == "grid" else gen_poisson(40, 3)
+    prob = grid_problem(7) if case == "grid" else gen_poisson(40, 3)
     pencil, band = _pencil(prob, variant)
     rng = np.random.default_rng(3)
     rhs = rng.standard_normal((prob.n, 3))
     lams = np.array([1e-3, 0.7, 3.0, 2.5e4])
-    chol = precond._band_cholesky(band, lams)
+    solve = precond._factor_shifts(pencil, band, lams)
+    n = prob.n
+    got = solve(np.tile(rhs, (lams.size, 1)))
+    got_col = solve(np.tile(rhs[:, 0], lams.size))
     for i, lam in enumerate(lams):
         want = general_splu(_shifted(pencil, lam)).solve(rhs)
-        np.testing.assert_allclose(chol.solve(i, rhs), want, rtol=0,
+        block = slice(i * n, (i + 1) * n)
+        np.testing.assert_allclose(got[block], want, rtol=0,
                                    atol=1e-12 * np.linalg.norm(want))
-        np.testing.assert_allclose(chol.solve(i, rhs[:, 0]), want[:, 0],
-                                   rtol=0,
+        np.testing.assert_allclose(got_col[block], want[:, 0], rtol=0,
                                    atol=1e-12 * np.linalg.norm(want[:, 0]))
 
 
@@ -866,19 +868,23 @@ def _two_band_matrix(n, dist):
     return SpdSparseMatrix(mat)
 
 
-def test_shift_factorization_follows_half_bandwidth():
+def test_shift_factorization_follows_half_bandwidth(counted_splu,
+                                                    counted_band):
     # gen_poisson is tridiagonal (kd = 1), the natural-order grid has
     # kd = side + 1, and the permuted grid is wider than BAND_LIMIT
-    cases = [(gen_poisson(50, 0), 1), (_grid_problem(7), 8),
-             (_grid_problem(12, perm_seed=0), None)]
+    cases = [(gen_poisson(50, 0), 1), (grid_problem(7), 8),
+             (grid_problem(12, perm_seed=0), None)]
     for prob, kd in cases:
         band = _pencil(prob, "proposed")[1]
         assert (None if band is None else band[0]) == kd
         at = FactorPoint(np.random.default_rng(0).standard_normal((prob.n, 2)))
-        cache = build_shift_cache(prob, at)
-        kind = sps_la.SuperLU if kd is None else precond._BandCholesky
-        factors = cache.shifts.lus if kd is None else [cache.shifts]
-        assert all(isinstance(lu, kind) for lu in factors)
+        counted_splu["factors"].clear()
+        counted_band["factors"].clear()
+        build_shift_cache(prob, at)
+        # two splu factorizations, or one pbtrf of the two stacked shifts
+        assert len(counted_splu["factors"]) == (2 if kd is None else 0)
+        assert counted_band["factors"] == (
+            [] if kd is None else [(kd + 1, 2 * prob.n)])
     n = precond.BAND_LIMIT + 10
     for dist in (precond.BAND_LIMIT, precond.BAND_LIMIT + 1):
         a = _two_band_matrix(n, dist)
@@ -892,5 +898,5 @@ def test_shift_factorization_follows_half_bandwidth():
 
 def test_band_cholesky_rejects_indefinite_shift():
     pencil, band = _pencil(gen_poisson(30, 0), "proposed")
-    with pytest.raises(np.linalg.LinAlgError, match="pbtrf failed"):
-        precond._band_cholesky(band, np.array([-1e9]))
+    with pytest.raises(PreconditionerError, match="pbtrf failed"):
+        precond._factor_shifts(pencil, band, np.array([-1e9]))
