@@ -2,9 +2,9 @@
 
 Solves at rank p_min, checks the relative residual against the target, and
 warm-starts rank p + p_inc from the previous solution until the target or
-p_max is reached. The per-rank gradient tolerance is tied to the residual
-at the rank's starting point, so early ranks are solved loosely and late
-ranks sharply.
+p_max is reached. A rank need only give the next a good start, so each
+rank but the last of the schedule also ends once its residual stalls short
+of the target (the `target` of tnewton.solve_fixed_rank).
 
 Increasing the rank needs care: the Euclidean cost gradient at a zero-padded
 factor [Y 0] vanishes identically in the padded block, so a plain descent
@@ -22,12 +22,8 @@ import numpy as np
 
 from .manifold import Metric, cost, riemannian_gradient
 from .precond import PreconditionerError
-from .problems import (
-    FactorPoint,
-    _as_point,
-    _compressed_residual,
-    relative_residual,
-)
+from .problems import FactorPoint, _as_point, _compressed_residual
+from .problems import relative_residual  # noqa: F401 (perfbench patches it)
 from .tnewton import (
     InnerSolveError,
     LineSearchError,
@@ -43,16 +39,14 @@ class IrrConfig:
 
     Ranks p_min, p_min + p_inc, ... are visited, never exceeding p_max.
     The loop stops at the first rank whose relative residual is at most
-    tau. Each rank is solved to a gradient reduction of
-    min(inner_tol_floor, r/10) where r is the relative residual at the
-    rank's starting point.
+    tau. Every rank but the last of the schedule also ends when its
+    residual stalls above tau (tnewton.solve_fixed_rank's `target`).
     """
 
     p_min: int = 1
     p_max: int = 20
     p_inc: int = 1
     tau: float = 1e-6
-    inner_tol_floor: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -186,14 +180,16 @@ def solve_increasing_rank(problem, metric, config=None, tnewton_config=None,
     Returns
     -------
     (FactorPoint, SolveTrace)
-        Final point and the concatenated multi-rank trace; the nH column
-        accumulates across ranks. The cost column decreases across every
-        rank transition unless a warm start warned about a failed step.
+        Final point and the concatenated multi-rank trace, with one `stops`
+        entry per completed rank; the nH column accumulates across ranks.
+        The cost column decreases across every rank transition unless a
+        warm start warned about a failed step.
 
     Raises
     ------
     IncreasingRankError
-        On an inner solve failure; the partial trace rides along.
+        On an inner solve failure; the partial trace (rows, and the stops
+        of the ranks that completed) rides along.
     """
     if config is None:
         config = IrrConfig()
@@ -209,15 +205,11 @@ def solve_increasing_rank(problem, metric, config=None, tnewton_config=None,
     full_trace = SolveTrace()
     nh_offset = 0
     schedule = list(range(config.p_min, config.p_max + 1, config.p_inc))
-    for position, rank in enumerate(schedule):
-        r_ref = relative_residual(problem, point)
-        rank_config = replace(
-            tnewton_config,
-            grad_tol_rel=min(config.inner_tol_floor, r_ref / 10.0),
-        )
+    for rank in schedule:
+        target = None if rank == schedule[-1] else config.tau
         try:
             point, trace = solve_fixed_rank(
-                problem, metric, point, rank_config, precond_choice
+                problem, metric, point, tnewton_config, precond_choice, target
             )
         except (InnerSolveError, LineSearchError, PreconditionerError) as exc:
             # Keep the rows the failing rank did complete.
@@ -226,9 +218,9 @@ def solve_increasing_rank(problem, metric, config=None, tnewton_config=None,
             raise IncreasingRankError(rank, full_trace, exc) from exc
         for row in trace.rows:
             full_trace.append(replace(row, nH=row.nH + nh_offset))
+        full_trace.stops += trace.stops
         nh_offset = full_trace.final().nH
-        if full_trace.final().relres <= config.tau:
+        if full_trace.final().relres <= config.tau or target is None:
             break
-        if position + 1 < len(schedule):
-            point, _ = warm_start(problem, point, config.p_inc, rng)
+        point, _ = warm_start(problem, point, config.p_inc, rng)
     return point, full_trace

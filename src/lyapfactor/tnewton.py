@@ -26,10 +26,13 @@ from .precond import PreconditionerError, preconditioner
 from .problems import FactorPoint, _as_point, relative_residual
 
 
-# Curvature exit threshold of the inner solve, and the cap of the forcing
-# sequence phi_k = min(FORCING_BETA, ||grad||^forcing_t).
+# Curvature exit threshold of the inner solve, the cap of the forcing
+# sequence phi_k = min(FORCING_BETA, ||grad||^forcing_t), and the ratio and
+# margin of the stall rule of a solve given a residual target.
 EPS_CURV = 1e-10
 FORCING_BETA = 0.1
+STALL_RATIO = 0.99
+STALL_MARGIN = 3.0
 
 
 class InnerSolveError(RuntimeError):
@@ -285,9 +288,16 @@ class SolveTrace:
     zero there); each later row holds the accepted iterate of outer
     iteration k. nH accumulates Hessian actions within the rank. The cost
     column decreases strictly within a rank.
+
+    `stops` holds why each completed fixed-rank solve ended, one entry per
+    solve: "gradient" (grad_tol_rel reached), "max_outer", "floor" (no
+    decrease above the rounding floor of f could be certified) or "stall"
+    (the residual target's stall rule, see solve_fixed_rank). A solve that
+    raises adds no entry.
     """
 
     rows: list = field(default_factory=list)
+    stops: list = field(default_factory=list)
 
     def append(self, row):
         self.rows.append(row)
@@ -315,13 +325,17 @@ class SolveTrace:
         return "\n".join(lines) + "\n"
 
 
-def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none"):
+def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
+                     target=None):
     """Riemannian truncated Newton iteration at fixed rank.
 
     Runs until the gradient norm falls to grad_tol_rel times its initial
     value or max_outer iterations. Each outer iteration builds the chosen
     preconditioner at the current point, runs the truncated conjugate
-    gradient on the Newton equation and takes a line search step.
+    gradient on the Newton equation and takes a line search step. Given a
+    residual `target`, the solve also ends after an iteration k >= 2 whose
+    unit step lowered the gradient norm but left relres above STALL_RATIO
+    times the previous relres and STALL_MARGIN times the target.
 
     Parameters
     ----------
@@ -331,10 +345,12 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none"):
         Initial factor of full column rank.
     config : TnewtonConfig, optional
     precond_choice : {"none", "proposed", "bart"}
+    target : float, optional
 
     Returns
     -------
     (FactorPoint, SolveTrace)
+        The trace's `stops` holds the one reason the solve ended.
     """
     if precond_choice not in ("none", "proposed", "bart"):
         raise ValueError(f"unknown preconditioner choice {precond_choice!r}")
@@ -384,6 +400,7 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none"):
             # be certified by any line search; the rank is converged to its
             # floor.
             floor = _rounding_floor(f_val)
+            stop = "floor"  # if either break below ends the solve
             if not slope0 < -floor:
                 break
             try:
@@ -403,16 +420,26 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none"):
             grad = riemannian_gradient(metric, problem, point)
             gnorm = math.sqrt(horizontal_inner(metric, point, grad, grad))
             nh_total += state.hessian_actions
+            prev = trace.final()
+            relres = relative_residual(problem, point)
             trace.append(TraceRow(
-                k=k, p=p, f=f_val, gradnorm=gnorm,
-                relres=relative_residual(problem, point),
+                k=k, p=p, f=f_val, gradnorm=gnorm, relres=relres,
                 inner_iters=state.hessian_actions, nH=nh_total,
                 alpha=result.alpha,
                 ms=(time.perf_counter() - t_iter) * 1e3,
             ))
+            if (target is not None and k >= 2 and result.alpha == 1.0
+                    and gnorm < prev.gradnorm and relres > max(
+                        STALL_RATIO * prev.relres, STALL_MARGIN * target)):
+                stop = "stall"
+                break
+        else:
+            stop = "max_outer" if gnorm > config.grad_tol_rel * gnorm0 \
+                else "gradient"
     except (InnerSolveError, LineSearchError, PreconditionerError) as exc:
         # Callers that keep going (the increasing-rank loop, the command
         # line) still want the iterations that did complete.
         exc.trace = trace
         raise
+    trace.stops.append(stop)
     return point, trace

@@ -7,7 +7,11 @@ needs (the full metric inner product, an orthonormal horizontal basis,
 the dense matrix of the preconditioner and a standalone saddle solve).
 Beyond the public API only `project_horizontal` and `vertical_part` are
 imported, and `saddle_solve` calls a shift cache's shift solves.
+`trace_audit` is tools/trace_audit.py, loaded from its path.
 """
+
+import importlib.util
+import pathlib
 
 import numpy as np
 import scipy.sparse as sps
@@ -24,6 +28,11 @@ from lyapfactor import (
     riemannian_gradient,
 )
 from lyapfactor.manifold import project_horizontal, vertical_part
+
+TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "trace_audit.py"
+_spec = importlib.util.spec_from_file_location("trace_audit", TOOL)
+trace_audit = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(trace_audit)
 
 
 def rand_spd_banded(n, rng, bw=2):

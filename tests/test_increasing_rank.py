@@ -1,5 +1,6 @@
 """Tests for the increasing-rank outer loop and its warm start."""
 
+import dataclasses
 from collections import Counter
 from functools import cached_property
 
@@ -15,9 +16,10 @@ from lyapfactor import (
     gen_poisson,
     horizontal_inner,
     relative_residual,
+    solve_fixed_rank,
     solve_increasing_rank,
 )
-from lyapfactor import tnewton
+from lyapfactor import increasing_rank, tnewton
 from lyapfactor.increasing_rank import warm_start
 from lyapfactor.manifold import cost
 from lyapfactor.problems import _PointProducts
@@ -81,8 +83,7 @@ def test_exactly_representable_solution_stops_at_p_min(seed):
     rng = np.random.default_rng(5)
     ystar = rng.standard_normal((40, 2)) / np.sqrt(40)
     problem = identity_problem(40, ystar)
-    config = IrrConfig(p_min=2, p_max=6, tau=1e-6, inner_tol_floor=1e-8,
-                       seed=seed)
+    config = IrrConfig(p_min=2, p_max=6, tau=1e-6, seed=seed)
     point, trace = solve_increasing_rank(
         problem, Metric.EMBEDDED, config, None, "none"
     )
@@ -285,13 +286,17 @@ def test_inner_failure_surfaces_with_partial_trace():
 
 
 def test_exhausted_line_search_above_floor_takes_armijo_step(monkeypatch):
-    # Regression: benchmark instance irr-poisson1d/24. At rank 10 tPCG
-    # stops on a curvature exit and the slope is about -1.4e-6; the fixed
-    # decrease the two-branch rule demands is out of reach along that
+    # Regression: benchmark instance irr-poisson1d/24, under the schedule it
+    # had before the stall rule: each rank solved to a gradient reduction
+    # of min(1e-6, r/10), r the residual at the rank's start. At rank 10
+    # tPCG stops on a curvature exit and the slope is about -1.4e-6; the
+    # fixed decrease the two-branch rule demands is out of reach along that
     # direction, and the exhausted search used to end the whole solve with
-    # LineSearchError. The first Armijo trial is taken instead and the
-    # solve reaches tau (at rank 14).
+    # LineSearchError. The first Armijo trial is taken instead. The stall
+    # rule ends that rank before the fallback, so the old schedule is
+    # replayed here through the fixed-rank solver and the warm start.
     fallbacks = []
+    rank = 0
 
     def spy(problem, metric, point, direction, f0, slope0, config,
             search=tnewton.line_search):
@@ -300,27 +305,40 @@ def test_exhausted_line_search_above_floor_takes_armijo_step(monkeypatch):
             norm_sq = horizontal_inner(metric, point, direction, direction)
             threshold = max(-config.chi1 * slope0 * slope0 / norm_sq,
                             config.chi2 * slope0)
-            fallbacks.append((result, f0, slope0, threshold))
+            fallbacks.append((rank, result, f0, slope0, threshold))
         return result
 
     monkeypatch.setattr(tnewton, "line_search", spy)
-    config = IrrConfig(p_min=1, p_max=40, tau=1e-6, seed=24)
     problem = gen_poisson(100, 24)
+    rng = np.random.default_rng(24)
+    point = FactorPoint(rng.standard_normal((problem.n, 1)))
+    for rank in range(1, 11):
+        r = relative_residual(problem, point)
+        point, _ = solve_fixed_rank(
+            problem, Metric.EMBEDDED, point,
+            TnewtonConfig(grad_tol_rel=min(1e-6, r / 10.0)), "proposed")
+        if rank < 10:
+            point, _ = warm_start(problem, point, 1, rng)
+    assert fallbacks
+    for at_rank, result, f0, slope0, threshold in fallbacks:
+        assert at_rank == 10
+        assert result.f - f0 > threshold
+        assert result.f - f0 <= TnewtonConfig().chi2 * result.alpha * slope0
+
+    # The instance itself, under the stall rule, still reaches tau below
+    # the rank cap.
+    config = IrrConfig(p_min=1, p_max=40, tau=1e-6, seed=24)
     point, trace = solve_increasing_rank(problem, Metric.EMBEDDED, config,
                                          None, "proposed")
     assert trace.final().relres <= config.tau
     assert relative_residual(problem, point) <= config.tau
     assert point.p < config.p_max
-    assert fallbacks
-    for result, f0, slope0, threshold in fallbacks:
-        assert result.f - f0 > threshold
-        assert result.f - f0 <= TnewtonConfig().chi2 * result.alpha * slope0
 
 
 def test_cost_and_residual_computed_once_per_point(monkeypatch):
-    # warm_start, the line search, row 0 of each rank and the rank's
-    # reference residual ask for the same values at the same points; each
-    # cost and each residual norm is evaluated once per factor
+    # warm_start, the line search and row 0 of each rank ask for the same
+    # values at the same points; each cost and each residual norm is
+    # evaluated once per factor
     evaluations = Counter()
     for name in ("cost", "residual_fro"):
         func = getattr(_PointProducts, name).func
@@ -391,3 +409,109 @@ def test_stagnated_line_search_ends_rank_instead_of_failing(monkeypatch):
         floor = 64.0 * np.finfo(float).eps * max(1.0, abs(exc.f0))
         assert exc.demanded <= floor
     assert visited_ranks(trace) == [1, 2]
+    assert trace.stops[0] == "floor"
+
+
+# ------------------------------------------------------------ stall rule
+
+
+@pytest.mark.parametrize("seed", [40, 26])
+def test_stall_rule_keeps_the_final_rank(seed):
+    # Regression: with the stall test alone (relres moving by under 1 %
+    # while above 3 tau), instance 40 stopped a rank in its scale phase,
+    # with steps near 1e-3 and relres near 5e4 tau, and ended at rank 20.
+    # Asking for a unit step as well, instance 26 stopped a rank on a unit
+    # step that raised both relres and the gradient norm, and ended at rank
+    # 15. The rule also asks that the step lowered the gradient norm.
+    problem = gen_poisson(100, seed)
+    config = IrrConfig(p_min=1, p_max=40, tau=1e-6, seed=seed)
+    point, trace = solve_increasing_rank(problem, Metric.EMBEDDED, config,
+                                         None, "proposed")
+    assert point.p == 14
+    assert trace.final().relres <= config.tau
+    assert "stall" in trace.stops
+
+
+def test_stall_ends_some_rank_of_criterion_10_problem():
+    problem = gen_poisson(500, 0)
+    config = IrrConfig(p_min=1, p_max=40, tau=1e-6, seed=0)
+    point, trace = solve_increasing_rank(problem, Metric.EMBEDDED, config,
+                                         None, "proposed")
+    assert trace.final().relres <= config.tau
+    assert len(trace.stops) == len(visited_ranks(trace))
+    assert trace.stops.count("stall") >= 1
+    assert trace.stops[-1] != "stall"
+
+
+def strip_ms(rows):
+    return [dataclasses.replace(row, ms=0.0) for row in rows]
+
+
+def test_last_rank_of_schedule_never_stalls():
+    # The same instance with the schedule cut at rank 3: ranks 1 and 2
+    # run as before, rank 3 is the last and runs without a target, past
+    # the point where it stalled when it was not the last.
+    problem = gen_poisson(60, 0)
+    _, full = solve_increasing_rank(
+        problem, Metric.EMBEDDED, IrrConfig(p_min=1, p_max=8, seed=0),
+        None, "proposed")
+    _, cut = solve_increasing_rank(
+        problem, Metric.EMBEDDED, IrrConfig(p_min=1, p_max=3, seed=0),
+        None, "proposed")
+    assert full.stops[:3] == ["stall"] * 3
+    assert visited_ranks(cut) == [1, 2, 3]
+    assert cut.stops[:2] == full.stops[:2]
+    assert cut.stops[2] != "stall"
+    full3 = strip_ms(row for row in full.rows if row.p <= 3)
+    cut3 = strip_ms(cut.rows)
+    assert len(cut3) > len(full3)
+    assert cut3[:len(full3)] == full3
+
+
+def test_stall_rule_only_ends_the_solve_early():
+    # A fixed-rank solve with a target follows the solve without one row
+    # for row and stops at the first iteration that meets every condition
+    # of the rule; without a target it never stops on a stall.
+    problem = gen_poisson(60, 0)
+    y0 = np.random.default_rng(1).standard_normal((60, 3))
+    target = 1e-6
+    _, stalled = solve_fixed_rank(problem, Metric.EMBEDDED, y0, None,
+                                  "proposed", target=target)
+    _, free = solve_fixed_rank(problem, Metric.EMBEDDED, y0, None,
+                               "proposed")
+    assert stalled.stops == ["stall"]
+    assert free.stops != ["stall"] and len(free.stops) == 1
+    rows = strip_ms(stalled.rows)
+    assert rows == strip_ms(free.rows)[:len(rows)]
+
+    def meets_rule(prev, row):
+        return (row.k >= 2 and row.alpha == 1.0
+                and row.gradnorm < prev.gradnorm
+                and row.relres > tnewton.STALL_RATIO * prev.relres
+                and row.relres > tnewton.STALL_MARGIN * target)
+
+    pairs = list(zip(rows, rows[1:]))
+    assert meets_rule(*pairs[-1])
+    assert not any(meets_rule(*pair) for pair in pairs[:-1])
+
+
+def test_failed_rank_keeps_stops_of_completed_ranks(monkeypatch):
+    # The third fixed-rank solve raises: the partial trace carries the
+    # stop reasons of the two ranks that completed.
+    calls = []
+
+    def failing(*args, solve=increasing_rank.solve_fixed_rank):
+        calls.append(args)
+        if len(calls) == 3:
+            exc = LineSearchError(0, 0.0, -1.0, 1.0, 1.0)
+            exc.trace = tnewton.SolveTrace()
+            raise exc
+        return solve(*args)
+
+    monkeypatch.setattr(increasing_rank, "solve_fixed_rank", failing)
+    with pytest.raises(IncreasingRankError) as info:
+        solve_increasing_rank(gen_poisson(60, 0), Metric.EMBEDDED,
+                              IrrConfig(p_min=1, p_max=8, seed=0), None,
+                              "proposed")
+    assert info.value.rank == 3
+    assert info.value.trace.stops == ["stall", "stall"]

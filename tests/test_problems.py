@@ -405,3 +405,13 @@ def test_steel_profile_benchmark_loads():
     assert problem.n == 1357
     assert problem.a.mat.shape == (1357, 1357)
     assert problem.m.mat.shape == (1357, 1357)
+
+
+def test_blas_pinned_to_one_thread_before_numpy_import():
+    # tests/conftest.py sets the thread variables; they take effect only if
+    # numpy was not yet loaded when it ran.
+    import conftest
+
+    assert not conftest.NUMPY_PRELOADED
+    for var in conftest.THREAD_VARS:
+        assert os.environ[var] == "1"

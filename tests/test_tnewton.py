@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import identity_problem, random_problem
+from helpers import identity_problem, random_problem, trace_audit
 from lyapfactor import (
     FactorPoint,
     Metric,
@@ -304,6 +304,7 @@ def test_solve_stationary_start_takes_no_steps():
     prob = identity_problem(25, ystar)
     point, trace = solve_fixed_rank(prob, Metric.EMBEDDED, ystar)
     assert len(trace.rows) == 1
+    assert trace.stops == ["floor"]
     np.testing.assert_array_equal(point.y, ystar)
 
 
@@ -349,6 +350,7 @@ def test_solve_monotone_decrease_and_gradient_reduction():
     assert all(f[i + 1] < f[i] for i in range(len(f) - 1))
     g = trace.column("gradnorm")
     assert g[-1] <= 1e-10 * g[0]
+    assert trace.stops == ["gradient"]
 
 
 def test_solve_respects_max_outer():
@@ -359,6 +361,7 @@ def test_solve_respects_max_outer():
                                     TnewtonConfig(max_outer=3))
     assert trace.final().k <= 3
     assert len(trace.rows) <= 4
+    assert trace.stops == ["max_outer"]
 
 
 def test_solve_deterministic():
@@ -371,6 +374,30 @@ def test_solve_deterministic():
     for name in ("k", "f", "gradnorm", "relres", "inner_iters", "nH",
                  "alpha"):
         assert r1.column(name) == r2.column(name)
+
+
+# tools/trace_audit.py's digest of the trace and final factor of the solve
+# in test_solve_reproduces_trace_before_stall_rule, recorded with BLAS on
+# one thread before the stall rule existed.
+TRACE_SHA256 = {
+    "proposed": "fb7fac50e6452a8c6558df895e99b854"
+                "d57877b097e3e90dd384b4e4a1c8506b",
+    "none": "600a28da5cce74f22a1118235ebc26b8"
+            "ecec7a4244342ac7c1424ebd4e7ba4a9",
+}
+
+
+@pytest.mark.parametrize("choice", sorted(TRACE_SHA256))
+def test_solve_reproduces_trace_before_stall_rule(choice):
+    # Without a residual target the stall rule is off, and a fixed-rank
+    # solve takes exactly the steps it took before the rule was added.
+    prob = gen_poisson(80, 3)
+    y0 = np.random.default_rng(13).standard_normal((80, 2))
+    point, trace = solve_fixed_rank(prob, Metric.EMBEDDED, y0,
+                                    TnewtonConfig(), choice)
+    digest = trace_audit.trace_digest(trace, point.y)
+    assert digest == TRACE_SHA256[choice]
+    assert trace.stops == ["gradient"]
 
 
 def test_solve_rejects_rank_deficient_start():

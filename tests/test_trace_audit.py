@@ -1,13 +1,8 @@
 """The comparison side of tools/trace_audit.py, on hand-made records."""
 
-import importlib.util
 import json
-import pathlib
 
-TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "trace_audit.py"
-_spec = importlib.util.spec_from_file_location("trace_audit", TOOL)
-trace_audit = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(trace_audit)
+from helpers import trace_audit
 
 
 def _record(digest, rank, relres=None, tau=1e-6):
