@@ -8,19 +8,19 @@ of the target (the `target` of tnewton.solve_fixed_rank).
 
 Increasing the rank needs care: the Euclidean cost gradient at a zero-padded
 factor [Y 0] vanishes identically in the padded block, so a plain descent
-step cannot activate the new columns. The padded columns are therefore
-seeded with the most negative eigendirections of the residual
-N = A Y Y^T M + M Y Y^T A - B B^T (computed in a compressed basis, never
-forming N), which decrease the cost to second order, before one safeguarded
-steepest-descent step is taken.
+step cannot activate the new columns. They are seeded with the most
+negative eigendirections of the residual N = A Y Y^T M + M Y Y^T A - B B^T
+(computed in a compressed basis, never forming N) at the exact minimizer
+of the cost, which is quartic in their scale; the random factor of rank
+p_min is scaled the same way.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import Metric, cost, riemannian_gradient
+from .manifold import cost
 from .precond import PreconditionerError
 from .problems import FactorPoint, _as_point, _compressed_residual
 from .problems import relative_residual  # noqa: F401 (perfbench patches it)
@@ -69,38 +69,48 @@ class IncreasingRankError(RuntimeError):
 
 
 def _padded_column_seed(problem, point, p_inc):
-    """Directions and scale for activating p_inc new factor columns.
+    """Unit directions V for activating p_inc new factor columns.
 
     Works in the orthonormal column span of [A Y, M Y, B], where the
     residual N compresses to a small symmetric matrix; its most negative
     eigendirections give the steepest second-order cost decrease among
-    unit-norm column additions.
+    unit-norm column additions. Columns beyond that span's dimension are
+    leading unit vectors.
     """
-    y = point.y
     prod = point.products(problem)
-    u, v = prod.u, prod.v
-    basis, _ = np.linalg.qr(np.hstack([u, v, problem.b]))
-    compressed = _compressed_residual(basis.T @ u, basis.T @ v,
+    basis, _ = np.linalg.qr(np.hstack([prod.u, prod.v, problem.b]))
+    compressed = _compressed_residual(basis.T @ prod.u, basis.T @ prod.v,
                                       basis.T @ problem.b)
     _, vecs = np.linalg.eigh(compressed)
-    take = min(p_inc, vecs.shape[1])
-    dirs = basis @ vecs[:, :take]
-    if take < p_inc:
-        extra = np.zeros((y.shape[0], p_inc - take))
-        extra[: p_inc - take] = np.eye(p_inc - take)
-        dirs = np.hstack([dirs, extra])
-    scale = 1e-4 * np.linalg.norm(y) / np.sqrt(p_inc)
-    return dirs, scale
+    dirs = basis @ vecs[:, :p_inc]
+    return np.hstack([dirs, np.eye(point.n, p_inc - dirs.shape[1])])
+
+
+def _seed_scale(problem, dirs, products=None):
+    """Scale s > 0 minimizing the cost of [Y, s V], V = dirs, or None.
+
+    The cost is exactly f(Y) + c2 s^2 + c4 s^4 with c2 = tr(V^T N V),
+    N = A Y Y^T M + M Y Y^T A - B B^T, and c4 = tr(V^T A V V^T M V) > 0.
+    `products` are Y's (FactorPoint.products); without them Y is empty and
+    N = -B B^T. The minimizer s^2 = -c2 / (2 c4) exists when c2 < 0.
+    """
+    b = problem.b
+    nv = -b @ (b.T @ dirs) if products is None else \
+        products.apply_residual(dirs)
+    c2 = float(np.sum(dirs * nv))
+    av, mv = problem.a.mat @ dirs, problem.m.mat @ dirs
+    c4 = float(np.sum((dirs.T @ av) * (mv.T @ dirs)))
+    return float(np.sqrt(-c2 / (2.0 * c4))) if c2 < 0.0 else None
 
 
 def warm_start(problem, y_p, p_inc, rng=None):
-    """Grow a solved factor by p_inc columns and take one descent step.
+    """Grow a solved factor by p_inc columns at their cost-optimal scale.
 
     Seeds the new columns along the most negative residual eigendirections
-    at a small scale (shrinking the scale until the cost actually drops
-    below the padded start), jitters if the seeded factor is rank
-    deficient, then takes one Euclidean steepest-descent step on the
-    factored cost with Armijo backtracking.
+    V at the exact minimizer of the cost's quartic in their scale (see
+    _seed_scale), or at 1e-4 ||Y|| / sqrt(p_inc) when no scale lowers the
+    cost (tr(V^T N V) >= 0), and jitters them if the grown factor is rank
+    deficient.
 
     Parameters
     ----------
@@ -114,9 +124,11 @@ def warm_start(problem, y_p, p_inc, rng=None):
     Returns
     -------
     (FactorPoint, bool)
-        The rank p + p_inc starting point and whether the descent step
-        succeeded. On failure the seeded point is returned with a warning
-        and the flag False; the outer loop is never aborted here.
+        The rank p + p_inc starting point and whether its cost is at most
+        that of the padded factor [Y 0]. When it is above (no scale lowers
+        the cost, or the jitter raised it), the point is returned all the
+        same with a warning and the flag False; the outer loop is never
+        aborted here.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -125,46 +137,19 @@ def warm_start(problem, y_p, p_inc, rng=None):
         raise ValueError("warm start needs a full rank factor")
     if p_inc < 1:
         raise ValueError("p_inc must be at least 1")
-    y = point.y
-    f_padded = cost(problem, point)
-
-    dirs, scale = _padded_column_seed(problem, point, p_inc)
-    for _ in range(5):
-        trial = FactorPoint(np.hstack([y, scale * dirs]))
-        if cost(problem, trial) < f_padded:
-            break
-        scale *= 0.1
-    else:
-        trial = FactorPoint(np.hstack([y, scale * dirs]))
-
+    norm = np.linalg.norm(point.y)
+    dirs = _padded_column_seed(problem, point, p_inc)
+    scale = _seed_scale(problem, dirs, point.products(problem))
+    grown = (1e-4 * norm / np.sqrt(p_inc) if scale is None else scale) * dirs
+    trial = FactorPoint(np.hstack([point.y, grown]))
     if not trial.has_full_rank:
-        jitter = 1e-8 * np.linalg.norm(y)
-        seeded = trial.y.copy()
-        seeded[:, y.shape[1]:] += jitter * rng.standard_normal(
-            (y.shape[0], p_inc)
-        )
-        trial = FactorPoint(seeded)
+        grown += 1e-8 * norm * rng.standard_normal(grown.shape)
+        trial = FactorPoint(np.hstack([point.y, grown]))
         assert trial.has_full_rank, "seeded factor still rank deficient"
-
-    f0 = cost(problem, trial)
-    grad = riemannian_gradient(Metric.EUCLIDEAN, problem, trial)
-    slope = -float(np.sum(grad * grad))
-    if slope >= 0.0:
-        # Stationary padded point; nothing to improve.
+    if cost(problem, trial) <= cost(problem, point):
         return trial, True
-
-    step = 1.0
-    for _ in range(200):
-        candidate = FactorPoint(trial.y - step * grad)
-        if candidate.has_full_rank and \
-                cost(problem, candidate) <= f0 + 1e-4 * step * slope:
-            return candidate, True
-        step *= 0.5
-    warnings.warn(
-        "steepest descent on the padded factor found no acceptable step; "
-        "continuing from the seeded factor",
-        RuntimeWarning,
-    )
+    warnings.warn("the seeded columns raise the cost; continuing from the "
+                  "seeded factor", RuntimeWarning)
     return trial, False
 
 
@@ -175,21 +160,22 @@ def solve_increasing_rank(problem, metric, config=None, tnewton_config=None,
     Visits ranks p_min, p_min + p_inc, ... up to p_max, solving each with
     the truncated Newton iteration and stopping at the first rank whose
     relative residual reaches config.tau. All randomness (initial factor,
-    warm start jitter) flows from one generator seeded by config.seed.
+    warm start jitter) flows from one generator seeded by config.seed; the
+    random factor of rank p_min is scaled to its cost-optimal size.
 
     Returns
     -------
     (FactorPoint, SolveTrace)
         Final point and the concatenated multi-rank trace, with one `stops`
-        entry per completed rank; the nH column accumulates across ranks.
-        The cost column decreases across every rank transition unless a
-        warm start warned about a failed step.
+        entry per completed rank and one `warm_starts` entry per rank
+        transition; the nH column accumulates across ranks. The cost column
+        does not rise across a rank transition whose `warm_starts` entry is
+        True.
 
     Raises
     ------
     IncreasingRankError
-        On an inner solve failure; the partial trace (rows, and the stops
-        of the ranks that completed) rides along.
+        On an inner solve failure, with the partial trace.
     """
     if config is None:
         config = IrrConfig()
@@ -199,11 +185,12 @@ def solve_increasing_rank(problem, metric, config=None, tnewton_config=None,
     if config.p_max > n:
         raise ValueError(f"p_max = {config.p_max} exceeds the problem size {n}")
     rng = np.random.default_rng(config.seed)
-    point = FactorPoint(rng.standard_normal((n, config.p_min)))
+    draw = rng.standard_normal((n, config.p_min))
+    scale = _seed_scale(problem, draw)
+    point = FactorPoint(draw if scale is None else scale * draw)
     assert point.has_full_rank
 
     full_trace = SolveTrace()
-    nh_offset = 0
     schedule = list(range(config.p_min, config.p_max + 1, config.p_inc))
     for rank in schedule:
         target = None if rank == schedule[-1] else config.tau
@@ -213,14 +200,11 @@ def solve_increasing_rank(problem, metric, config=None, tnewton_config=None,
             )
         except (InnerSolveError, LineSearchError, PreconditionerError) as exc:
             # Keep the rows the failing rank did complete.
-            for row in getattr(exc, "trace", SolveTrace()).rows:
-                full_trace.append(replace(row, nH=row.nH + nh_offset))
+            full_trace.extend(getattr(exc, "trace", SolveTrace()))
             raise IncreasingRankError(rank, full_trace, exc) from exc
-        for row in trace.rows:
-            full_trace.append(replace(row, nH=row.nH + nh_offset))
-        full_trace.stops += trace.stops
-        nh_offset = full_trace.final().nH
+        full_trace.extend(trace)
         if full_trace.final().relres <= config.tau or target is None:
             break
-        point, _ = warm_start(problem, point, config.p_inc, rng)
+        point, lowered = warm_start(problem, point, config.p_inc, rng)
+        full_trace.warm_starts.append(lowered)
     return point, full_trace

@@ -11,7 +11,7 @@ independent of the manifold it runs on.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -294,13 +294,26 @@ class SolveTrace:
     decrease above the rounding floor of f could be certified) or "stall"
     (the residual target's stall rule, see solve_fixed_rank). A solve that
     raises adds no entry.
+    `fallbacks` lists the rows whose step the line search's Armijo fallback
+    took (within one solve, the iterations k); `warm_starts` holds the flag
+    of each warm start of an increasing-rank solve, one per rank transition.
     """
 
     rows: list = field(default_factory=list)
     stops: list = field(default_factory=list)
+    fallbacks: list = field(default_factory=list)
+    warm_starts: list = field(default_factory=list)
 
     def append(self, row):
         self.rows.append(row)
+
+    def extend(self, other):
+        """Append a later solve's record, continuing nH and the row indices
+        of its fallbacks from this trace's last row."""
+        nh = self.rows[-1].nH if self.rows else 0
+        self.fallbacks += [len(self.rows) + i for i in other.fallbacks]
+        self.rows += [replace(row, nH=row.nH + nh) for row in other.rows]
+        self.stops += other.stops
 
     def final(self):
         if not self.rows:
@@ -415,6 +428,8 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
                     break
                 raise
 
+            if result.fallback:
+                trace.fallbacks.append(k)
             point = result.point
             f_val = result.f
             grad = riemannian_gradient(metric, problem, point)

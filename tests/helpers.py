@@ -5,13 +5,16 @@ reference computations that the library must reproduce, small random
 problem generators, and the dense verification tools the solver never
 needs (the full metric inner product, an orthonormal horizontal basis,
 the dense matrix of the preconditioner and a standalone saddle solve).
-Beyond the public API only `project_horizontal` and `vertical_part` are
-imported, and `saddle_solve` calls a shift cache's shift solves.
+Beyond the public API only `project_horizontal`, `vertical_part`,
+`_as_point` and `_compressed_residual` are imported, and `saddle_solve`
+calls a shift cache's shift solves. `legacy_warm_start` is the library's
+warm start before the cost-optimal seed, kept for a regression replay.
 `trace_audit` is tools/trace_audit.py, loaded from its path.
 """
 
 import importlib.util
 import pathlib
+import warnings
 
 import numpy as np
 import scipy.sparse as sps
@@ -24,10 +27,12 @@ from lyapfactor import (
     SpdSparseMatrix,
     apply_cached,
     build_shift_cache,
+    cost,
     horizontal_inner,
     riemannian_gradient,
 )
 from lyapfactor.manifold import project_horizontal, vertical_part
+from lyapfactor.problems import _as_point, _compressed_residual
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "trace_audit.py"
 _spec = importlib.util.spec_from_file_location("trace_audit", TOOL)
@@ -276,3 +281,106 @@ def hnorm(metric, at, z):
 
 
 ALL_METRICS = (Metric.EMBEDDED, Metric.GRAM, Metric.EUCLIDEAN)
+
+
+def _legacy_column_seed(problem, point, p_inc):
+    """Directions and scale for activating p_inc new factor columns.
+
+    Works in the orthonormal column span of [A Y, M Y, B], where the
+    residual N compresses to a small symmetric matrix; its most negative
+    eigendirections give the steepest second-order cost decrease among
+    unit-norm column additions.
+    """
+    y = point.y
+    prod = point.products(problem)
+    u, v = prod.u, prod.v
+    basis, _ = np.linalg.qr(np.hstack([u, v, problem.b]))
+    compressed = _compressed_residual(basis.T @ u, basis.T @ v,
+                                      basis.T @ problem.b)
+    _, vecs = np.linalg.eigh(compressed)
+    take = min(p_inc, vecs.shape[1])
+    dirs = basis @ vecs[:, :take]
+    if take < p_inc:
+        extra = np.zeros((y.shape[0], p_inc - take))
+        extra[: p_inc - take] = np.eye(p_inc - take)
+        dirs = np.hstack([dirs, extra])
+    scale = 1e-4 * np.linalg.norm(y) / np.sqrt(p_inc)
+    return dirs, scale
+
+
+def legacy_warm_start(problem, y_p, p_inc, rng=None):
+    """Grow a solved factor by p_inc columns and take one descent step.
+
+    The library's warm start before it seeded at the cost-optimal scale
+    (increasing_rank.warm_start), kept verbatim for regression replays.
+
+    Seeds the new columns along the most negative residual eigendirections
+    at a small scale (shrinking the scale until the cost actually drops
+    below the padded start), jitters if the seeded factor is rank
+    deficient, then takes one Euclidean steepest-descent step on the
+    factored cost with Armijo backtracking.
+
+    Parameters
+    ----------
+    problem : LyapunovProblem
+    y_p : FactorPoint
+        Full rank solution of the previous rank.
+    p_inc : int
+    rng : numpy Generator, optional
+        Source of the jitter; a fixed-seed generator when omitted.
+
+    Returns
+    -------
+    (FactorPoint, bool)
+        The rank p + p_inc starting point and whether the descent step
+        succeeded. On failure the seeded point is returned with a warning
+        and the flag False; the outer loop is never aborted here.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    point = _as_point(y_p)
+    if not point.has_full_rank:
+        raise ValueError("warm start needs a full rank factor")
+    if p_inc < 1:
+        raise ValueError("p_inc must be at least 1")
+    y = point.y
+    f_padded = cost(problem, point)
+
+    dirs, scale = _legacy_column_seed(problem, point, p_inc)
+    for _ in range(5):
+        trial = FactorPoint(np.hstack([y, scale * dirs]))
+        if cost(problem, trial) < f_padded:
+            break
+        scale *= 0.1
+    else:
+        trial = FactorPoint(np.hstack([y, scale * dirs]))
+
+    if not trial.has_full_rank:
+        jitter = 1e-8 * np.linalg.norm(y)
+        seeded = trial.y.copy()
+        seeded[:, y.shape[1]:] += jitter * rng.standard_normal(
+            (y.shape[0], p_inc)
+        )
+        trial = FactorPoint(seeded)
+        assert trial.has_full_rank, "seeded factor still rank deficient"
+
+    f0 = cost(problem, trial)
+    grad = riemannian_gradient(Metric.EUCLIDEAN, problem, trial)
+    slope = -float(np.sum(grad * grad))
+    if slope >= 0.0:
+        # Stationary padded point; nothing to improve.
+        return trial, True
+
+    step = 1.0
+    for _ in range(200):
+        candidate = FactorPoint(trial.y - step * grad)
+        if candidate.has_full_rank and \
+                cost(problem, candidate) <= f0 + 1e-4 * step * slope:
+            return candidate, True
+        step *= 0.5
+    warnings.warn(
+        "steepest descent on the padded factor found no acceptable step; "
+        "continuing from the seeded factor",
+        RuntimeWarning,
+    )
+    return trial, False

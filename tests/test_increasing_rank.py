@@ -25,7 +25,8 @@ from lyapfactor.manifold import cost
 from lyapfactor.problems import _PointProducts
 from lyapfactor.tnewton import LineSearchError
 
-from helpers import dense_residual, identity_problem, random_problem
+from helpers import (dense_residual, identity_problem, legacy_warm_start,
+                     random_problem)
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +261,138 @@ def test_warm_start_rejects_rank_deficient_input():
         warm_start(problem, FactorPoint(y), 1)
 
 
+# --------------------------------------------------- cost-optimal seed
+
+# (n, columns of B, rank of Y, p_inc): one and two new columns, and more
+# new columns than the span of [A Y, M Y, B] offers eigendirections, so
+# that the seed is padded with unit vectors.
+SEED_CASES = [(30, 2, 2, 1), (30, 2, 2, 2), (12, 1, 1, 4)]
+
+
+def seeded_case(n, s, p, p_inc, seed, size=0.1):
+    rng = np.random.default_rng(seed)
+    problem = random_problem(n, s, rng)
+    point = FactorPoint(size * rng.standard_normal((n, p)))
+    dirs = increasing_rank._padded_column_seed(problem, point, p_inc)
+    assert dirs.shape == (n, p_inc)
+    return problem, point, dirs
+
+
+def grown_cost(problem, point, dirs, scale):
+    return cost(problem, FactorPoint(np.hstack([point.y, scale * dirs])))
+
+
+def seed_quartic(problem, y, dirs):
+    """c2 = tr(V^T N V) and c4 = tr(V^T A V V^T M V), formed densely."""
+    a = problem.a.mat.toarray()
+    m = problem.m.mat.toarray()
+    x = y @ y.T
+    resid = a @ x @ m + m @ x @ a - problem.b @ problem.b.T
+    c2 = np.trace(dirs.T @ resid @ dirs)
+    c4 = np.trace(dirs.T @ a @ dirs @ dirs.T @ m @ dirs)
+    return c2, c4
+
+
+@pytest.mark.parametrize("case", SEED_CASES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cost_is_quartic_along_the_seed(case, seed):
+    problem, point, dirs = seeded_case(*case, seed)
+    scale = increasing_rank._seed_scale(problem, dirs,
+                                        point.products(problem))
+    c2, c4 = seed_quartic(problem, point.y, dirs)
+    assert c2 < 0.0 < c4
+    assert scale == pytest.approx(np.sqrt(-c2 / (2.0 * c4)), rel=1e-12)
+    f0 = cost(problem, point)
+    for s in (0.5 * scale, scale, 2.0 * scale, 1.0):
+        quartic = f0 + c2 * s ** 2 + c4 * s ** 4
+        size = abs(f0) + abs(c2) * s ** 2 + c4 * s ** 4
+        fresh = grown_cost(problem, point, dirs, s)
+        assert abs(fresh - quartic) <= 1e-12 * size
+
+
+@pytest.mark.parametrize("case", SEED_CASES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_seed_scale_minimizes_the_cost(case, seed):
+    problem, point, dirs = seeded_case(*case, seed)
+    scale = increasing_rank._seed_scale(problem, dirs,
+                                        point.products(problem))
+    best = grown_cost(problem, point, dirs, scale)
+    assert best < cost(problem, point)
+    for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+        assert grown_cost(problem, point, dirs, factor * scale) >= best
+
+
+@pytest.mark.parametrize("case", SEED_CASES)
+def test_warm_start_places_the_seed_at_its_optimal_scale(case):
+    problem, point, dirs = seeded_case(*case, 3)
+    scale = increasing_rank._seed_scale(problem, dirs,
+                                        point.products(problem))
+    out, ok = warm_start(problem, point, case[3])
+    assert ok is True
+    assert np.array_equal(out.y, np.hstack([point.y, scale * dirs]))
+
+
+def test_warm_start_flags_a_seed_that_raises_the_cost():
+    # A factor far too large for B: all of span([A Y, M Y, B]) is taken,
+    # where the residual's trace is positive, so no scale lowers the cost.
+    # The columns get the small fallback scale, and the flag is False.
+    problem, point, dirs = seeded_case(12, 1, 1, 4, 0, size=1.0)
+    c2, _ = seed_quartic(problem, point.y, dirs)
+    assert c2 > 0.0
+    assert increasing_rank._seed_scale(problem, dirs,
+                                       point.products(problem)) is None
+    with pytest.warns(RuntimeWarning, match="raise the cost"):
+        out, ok = warm_start(problem, point, 4)
+    assert ok is False
+    assert out.has_full_rank
+    assert cost(problem, out) > cost(problem, point)
+    assert np.array_equal(out.y[:, 1:], 1e-4 * np.linalg.norm(point.y)
+                          / np.sqrt(4) * dirs)
+
+
+@pytest.mark.parametrize("case", SEED_CASES)
+def test_warm_start_makes_at_most_two_cost_evaluations(case, monkeypatch):
+    # Counted as in test_cost_and_residual_computed_once_per_point: the
+    # padded factor's cost and the grown factor's, nothing else.
+    evaluations = Counter()
+    func = _PointProducts.cost.func
+
+    def counted(self):
+        evaluations[self.y.tobytes()] += 1
+        return func(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(_PointProducts, "cost")
+    monkeypatch.setattr(_PointProducts, "cost", prop)
+    problem, point, _ = seeded_case(*case, 4)
+    warm_start(problem, FactorPoint(point.y), case[3])
+    assert 0 < sum(evaluations.values()) <= 2
+
+
+@pytest.mark.parametrize("p_min", [1, 2, 3])
+def test_p_min_start_is_the_draw_at_a_positive_scale(p_min, monkeypatch):
+    starts = []
+
+    def spy(*args, solve=increasing_rank.solve_fixed_rank):
+        starts.append(args[2].y)
+        return solve(*args)
+
+    monkeypatch.setattr(increasing_rank, "solve_fixed_rank", spy)
+    problem = random_problem(30, 2, np.random.default_rng(p_min))
+    config = IrrConfig(p_min=p_min, p_max=p_min, seed=11)
+    solve_increasing_rank(problem, Metric.EMBEDDED, config)
+    draw = np.random.default_rng(11).standard_normal((30, p_min))
+    scale = increasing_rank._seed_scale(problem, draw)
+    assert scale > 0.0
+    assert np.array_equal(starts[0], scale * draw)
+
+
+def test_warm_starts_recorded_once_per_rank_transition(poisson_run):
+    _, _, _, trace = poisson_run
+    assert len(trace.warm_starts) == len(visited_ranks(trace)) - 1
+    assert all(flag is True for flag in trace.warm_starts)
+
+
 # ---------------------------------------------------------------- errors
 
 
@@ -293,8 +426,10 @@ def test_exhausted_line_search_above_floor_takes_armijo_step(monkeypatch):
     # fixed decrease the two-branch rule demands is out of reach along that
     # direction, and the exhausted search used to end the whole solve with
     # LineSearchError. The first Armijo trial is taken instead. The stall
-    # rule ends that rank before the fallback, so the old schedule is
-    # replayed here through the fixed-rank solver and the warm start.
+    # rule ends that rank before the fallback, and only the warm start of
+    # that time (a small seed and a steepest-descent step) leads there, so
+    # the old schedule is replayed here through the fixed-rank solver and
+    # that warm start, kept in helpers as legacy_warm_start.
     fallbacks = []
     rank = 0
 
@@ -318,7 +453,7 @@ def test_exhausted_line_search_above_floor_takes_armijo_step(monkeypatch):
             problem, Metric.EMBEDDED, point,
             TnewtonConfig(grad_tol_rel=min(1e-6, r / 10.0)), "proposed")
         if rank < 10:
-            point, _ = warm_start(problem, point, 1, rng)
+            point, _ = legacy_warm_start(problem, point, 1, rng)
     assert fallbacks
     for at_rank, result, f0, slope0, threshold in fallbacks:
         assert at_rank == 10
@@ -333,6 +468,28 @@ def test_exhausted_line_search_above_floor_takes_armijo_step(monkeypatch):
     assert trace.final().relres <= config.tau
     assert relative_residual(problem, point) <= config.tau
     assert point.p < config.p_max
+
+
+def test_fallbacks_index_the_joined_rows_of_every_rank(monkeypatch):
+    # Each accepted search gives one row with k > 0, in order; the joined
+    # trace lists the rows whose step the Armijo fallback took, here in
+    # ranks 1 and 4
+    results = []
+
+    def spy(*args, search=tnewton.line_search):
+        results.append(search(*args))
+        return results[-1]
+
+    monkeypatch.setattr(tnewton, "line_search", spy)
+    config = TnewtonConfig(chi1=0.5, chi2=0.5, ls_max_backtracks=5)
+    _, trace = solve_increasing_rank(
+        gen_poisson(40, 0), Metric.EMBEDDED,
+        IrrConfig(p_min=1, p_max=4, tau=1e-13, seed=0), config, "proposed")
+    steps = [i for i, row in enumerate(trace.rows) if row.k > 0]
+    assert len(steps) == len(results)
+    marked = [i for i, result in zip(steps, results) if result.fallback]
+    assert trace.fallbacks == marked
+    assert len({trace.rows[i].p for i in marked}) > 1
 
 
 def test_cost_and_residual_computed_once_per_point(monkeypatch):
@@ -515,3 +672,4 @@ def test_failed_rank_keeps_stops_of_completed_ranks(monkeypatch):
                               "proposed")
     assert info.value.rank == 3
     assert info.value.trace.stops == ["stall", "stall"]
+    assert info.value.trace.warm_starts == [True, True]

@@ -268,6 +268,29 @@ def test_exhausted_line_search_falls_back_to_first_armijo_trial(monkeypatch):
         line_search(prob, Metric.EMBEDDED, at, direction, f0, slope, config)
 
 
+def test_trace_marks_the_steps_of_the_armijo_fallback(monkeypatch):
+    # chi = 0.3 demands a decrease that some steps of this solve do not
+    # give; the trace lists exactly the iterations whose step the Armijo
+    # fallback took, and their rows are those of the accepted steps
+    results = []
+
+    def spy(*args, search=tnewton.line_search):
+        results.append(search(*args))
+        return results[-1]
+
+    monkeypatch.setattr(tnewton, "line_search", spy)
+    y0 = np.random.default_rng(8).standard_normal((40, 2))
+    config = TnewtonConfig(chi1=0.3, chi2=0.3, ls_max_backtracks=5)
+    _, trace = solve_fixed_rank(gen_poisson(40, 0), Metric.EMBEDDED, y0,
+                                config, "proposed")
+    marked = [k for k, result in enumerate(results, 1) if result.fallback]
+    assert 0 < len(marked) < len(results)
+    assert trace.fallbacks == marked
+    for k in marked:
+        assert trace.rows[k].k == k
+        assert trace.rows[k].alpha == results[k - 1].alpha
+
+
 def test_accepted_steps_satisfy_decrease_conditions():
     # independent audit: every accepted (alpha, point) of a full solve must
     # satisfy at least one of the two decrease conditions, recomputed from

@@ -1,15 +1,21 @@
 """The comparison side of tools/trace_audit.py, on hand-made records."""
 
 import json
+import pathlib
+import sys
 
 from helpers import trace_audit
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-def _record(digest, rank, relres=None, tau=1e-6):
+
+def _record(digest, rank, relres=None, tau=1e-6, outer=None):
     out = {"hash": digest, "outcome": f"rank {rank}"}
     if relres is not None:
         out.update(relres={str(p): r * tau for p, r in relres.items()},
                    tau=tau)
+    if outer is not None:
+        out["outer"] = outer
     return out
 
 
@@ -50,3 +56,45 @@ def test_records_without_relres_still_compare(tmp_path, capsys):
                          "1 of them not knife-edge")
     status, lines = _compare(tmp_path, capsys, before, before)
     assert status == 0
+
+
+def test_compare_prints_outer_iterations_per_workload(tmp_path, capsys):
+    before = {"irr/1": _record("a", 14, outer=70),
+              "irr/2": _record("b", 14, outer=80),
+              "grid/0": _record("c", 5, outer=20)}
+    after = {"irr/1": _record("d", 14, outer=30),
+             "irr/2": _record("e", 14, outer=40),
+             "grid/0": _record("c", 5, outer=20)}
+    status, lines = _compare(tmp_path, capsys, before, after)
+    assert status == 1
+    assert lines[-3:-1] == ["grid: outer iterations 20 -> 20",
+                            "irr: outer iterations 150 -> 70"]
+    # a file without the field still compares; its totals read n/a
+    old = {key: {k: v for k, v in record.items() if k != "outer"}
+           for key, record in before.items()}
+    status, lines = _compare(tmp_path, capsys, old, after)
+    assert status == 1
+    assert lines[-3:-1] == ["grid: outer iterations n/a -> 20",
+                            "irr: outer iterations n/a -> 70"]
+
+
+def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
+    # One instance of each workload, solved again here: the record's outer
+    # iterations are its trace rows less one k = 0 row per rank.
+    monkeypatch.setattr(trace_audit, "INSTANCES",
+                        (("irr-poisson1d", [0]), ("fixed-grid2d", [0])))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in trace_audit.THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    out = tmp_path / "audit.json"
+    assert trace_audit.main(["write", str(ROOT), str(out)]) == 0
+    records = json.loads(out.read_text(encoding="ascii"))
+    import workloads
+
+    for key, record in records.items():
+        name, seed = key.split("/")
+        workload = workloads.WORKLOADS[name]
+        point, trace = workload.solve(workload.setup(int(seed)))
+        ranks = len({row.p for row in trace.rows})
+        assert record["outcome"] == f"rank {point.p}"
+        assert record["outer"] == len(trace.rows) - ranks > 0

@@ -12,10 +12,10 @@ seeds 0-199 and fixed-grid2d instance seeds 0-59 and writes one record per
 instance: a sha256 over float.hex of the trace columns k, p, f, gradnorm,
 relres, inner_iters, nH and alpha of every row, and over the bytes of the
 final factor, with the final rank as the outcome, the relres of each
-rank's last row and the workload's residual target tau (null for a
-fixed-rank solve). A solve that raises is hashed over the partial trace
-its exception carries, and its outcome is the exception type (with the
-type of the cause, if any).
+rank's last row, the outer iterations (rows with k > 0) and the
+workload's residual target tau (null for a fixed-rank solve). A solve
+that raises is hashed over the partial trace its exception carries, and
+its outcome is the exception type (with the type of the cause, if any).
 
 `compare` prints every instance whose hash or outcome differs between two
 files, those whose outcome changed first, then counts the differing
@@ -25,10 +25,11 @@ level alters every hash but no outcome. For a final rank that moved,
 relres / tau at the lower of the two ranks is printed for both sides, and
 the change is labelled knife-edge when the first file's value lies within
 KNIFE_EDGE of 1: such an instance stops within rounding of tau, so any
-rounding-level change can move its rank by one. The closing line counts
-the outcome changes that are not knife-edge. Files written before the
-relres field existed still compare; their rank changes are never
-knife-edge.
+rounding-level change can move its rank by one. Then one line per
+workload gives its total outer iterations in both files, and the closing
+line counts the outcome changes that are not knife-edge. Files written
+before the relres or outer fields existed still compare; their rank
+changes are never knife-edge and their totals read n/a.
 
 BLAS is pinned to one thread before numpy is imported, as the benchmark
 does, so that a run is reproducible bit for bit.
@@ -96,7 +97,9 @@ def audit(root):
                 digest = trace_digest(trace, point.y)
             records[f"{name}/{seed}"] = {
                 "hash": digest, "outcome": outcome,
-                "relres": final_relres(trace), "tau": workload.tau}
+                "relres": final_relres(trace),
+                "outer": sum(row.k > 0 for row in trace.rows),
+                "tau": workload.tau}
             print(f"{name}/{seed}: {outcome}", file=sys.stderr, flush=True)
     return records
 
@@ -140,6 +143,16 @@ def rank_move(old, new):
     before, after = tau_ratio(old, rank), tau_ratio(new, rank)
     knife = before is not None and abs(before - 1.0) <= KNIFE_EDGE
     return rank, before, after, knife
+
+
+def outer_totals(records):
+    """Outer iterations summed per workload (the key before '/'); None for
+    a workload with a record that lacks the field."""
+    outers = {}
+    for key, record in records.items():
+        outers.setdefault(key.split("/")[0], []).append(record.get("outer"))
+    return {name: None if None in values else sum(values)
+            for name, values in outers.items()}
 
 
 def describe(old, new, moved):
@@ -188,6 +201,11 @@ def main(argv=None):
     for key, (old, new) in sorted(diff.items(),
                                   key=lambda item: item[0] not in moved):
         print(f"{key}: {describe(old, new, key in moved)}")
+    totals = outer_totals(before), outer_totals(after)
+    for name in sorted(totals[0].keys() | totals[1].keys()):
+        text = ["n/a" if side.get(name) is None else str(side[name])
+                for side in totals]
+        print(f"{name}: outer iterations {text[0]} -> {text[1]}")
     hashes = sum(field(old, "hash") != field(new, "hash")
                  for old, new in diff.values())
     knife = sum((rank_move(*diff[key]) or (False,))[-1] for key in moved)
