@@ -67,15 +67,32 @@ def test_compare_prints_outer_iterations_per_workload(tmp_path, capsys):
              "grid/0": _record("c", 5, outer=20)}
     status, lines = _compare(tmp_path, capsys, before, after)
     assert status == 1
-    assert lines[-3:-1] == ["grid: outer iterations 20 -> 20",
-                            "irr: outer iterations 150 -> 70"]
+    assert lines[-3:-1] == [
+        "grid: outer iterations 20 -> 20, final rank sum 5 -> 5",
+        "irr: outer iterations 150 -> 70, final rank sum 28 -> 28"]
     # a file without the field still compares; its totals read n/a
     old = {key: {k: v for k, v in record.items() if k != "outer"}
            for key, record in before.items()}
     status, lines = _compare(tmp_path, capsys, old, after)
     assert status == 1
-    assert lines[-3:-1] == ["grid: outer iterations n/a -> 20",
-                            "irr: outer iterations n/a -> 70"]
+    assert lines[-3:-1] == [
+        "grid: outer iterations n/a -> 20, final rank sum 5 -> 5",
+        "irr: outer iterations n/a -> 70, final rank sum 28 -> 28"]
+
+
+def test_rank_sums_skip_instances_that_raised(tmp_path, capsys):
+    # irr/2 raised after the change and irr/3 before it: neither counts
+    # toward either sum, so the sums cover irr/1 and irr/4 only; a file
+    # with only hash and outcome still gives its rank sums
+    raised = {"hash": "x", "outcome": "LineSearchError"}
+    before = {"irr/1": _record("a", 14), "irr/2": _record("b", 15),
+              "irr/3": raised, "irr/4": _record("c", 12)}
+    after = {"irr/1": _record("a", 14), "irr/2": raised,
+             "irr/3": _record("d", 13), "irr/4": _record("e", 11)}
+    status, lines = _compare(tmp_path, capsys, before, after)
+    assert status == 1
+    assert lines[-2] == ("irr: outer iterations n/a -> n/a, "
+                         "final rank sum 26 -> 25")
 
 
 def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):

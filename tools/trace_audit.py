@@ -26,10 +26,12 @@ relres / tau at the lower of the two ranks is printed for both sides, and
 the change is labelled knife-edge when the first file's value lies within
 KNIFE_EDGE of 1: such an instance stops within rounding of tau, so any
 rounding-level change can move its rank by one. Then one line per
-workload gives its total outer iterations in both files, and the closing
-line counts the outcome changes that are not knife-edge. Files written
-before the relres or outer fields existed still compare; their rank
-changes are never knife-edge and their totals read n/a.
+workload gives its total outer iterations and its sum of final ranks in
+both files; an instance that raised in either file counts toward neither
+rank sum, so the two sums cover the same instances. The closing line
+counts the outcome changes that are not knife-edge. Files written before
+the relres or outer fields existed still compare; their rank changes are
+never knife-edge and their outer totals read n/a.
 
 BLAS is pinned to one thread before numpy is imported, as the benchmark
 does, so that a run is reproducible bit for bit.
@@ -155,6 +157,19 @@ def outer_totals(records):
             for name, values in outers.items()}
 
 
+def rank_sums(before, after):
+    """Final ranks summed per workload on both sides, over the instances
+    that completed in both files."""
+    sums = {}
+    for key in before.keys() | after.keys():
+        ranks = final_rank(before.get(key)), final_rank(after.get(key))
+        total = sums.setdefault(key.split("/")[0], [0, 0])
+        if None not in ranks:
+            total[0] += ranks[0]
+            total[1] += ranks[1]
+    return sums
+
+
 def describe(old, new, moved):
     """One line on a differing record."""
     line = (f"{field(old, 'outcome')} -> {field(new, 'outcome')}, hash "
@@ -202,10 +217,12 @@ def main(argv=None):
                                   key=lambda item: item[0] not in moved):
         print(f"{key}: {describe(old, new, key in moved)}")
     totals = outer_totals(before), outer_totals(after)
-    for name in sorted(totals[0].keys() | totals[1].keys()):
+    ranks = rank_sums(before, after)
+    for name in sorted(ranks):
         text = ["n/a" if side.get(name) is None else str(side[name])
                 for side in totals]
-        print(f"{name}: outer iterations {text[0]} -> {text[1]}")
+        print(f"{name}: outer iterations {text[0]} -> {text[1]}, "
+              f"final rank sum {ranks[name][0]} -> {ranks[name][1]}")
     hashes = sum(field(old, "hash") != field(new, "hash")
                  for old, new in diff.values())
     knife = sum((rank_move(*diff[key]) or (False,))[-1] for key in moved)
