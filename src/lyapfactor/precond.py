@@ -172,69 +172,56 @@ class CoupledSystem:
 
 
 def _pencil(problem, variant):
-    """A + 1j M in CSC (M = I for "bart") and its lower band, cached on the
-    problem until problem.a.mat or problem.m.mat is rebound.
+    """(A, M, band) with M = I for "bart", cached on the problem until
+    problem.a.mat or problem.m.mat is rebound.
 
-    The complex sum lines the entries of A and M up on their union pattern.
-    The band is None when the half-bandwidth kd = max |i - j| over that
-    pattern, in the given order, exceeds BAND_LIMIT.
+    band is None when the half-bandwidth kd = max |i - j| over the nonzero
+    entries of A and M, in the given order, exceeds BAND_LIMIT. Otherwise
+    it is (kd, [(flat, values) of A, (flat, values) of M]): the nonzero
+    entries on or below the diagonal and where they go in LAPACK's lower
+    band storage, ab[i - j, j] = F[i, j] with ab of shape (kd + 1, n) in
+    column-major order, so flat = i + kd j.
     """
     a, m = problem.a.mat, problem.m.mat
     pencils = vars(problem).setdefault("_pencils", {})
     (a0, m0), entry = pencils.get(variant, ((None, None), None))
     if a0 is not a or m0 is not m:
         m_op = m if variant == "proposed" else sps.eye(*a.shape, format="csr")
-        pencil = (a + 1j * m_op).tocsc()
-        entry = pencil, _lower_band(pencil)
+        lows = [sps.tril(mat, format="csr") for mat in (a, m_op)]
+        for low in lows:
+            low.eliminate_zeros()  # as scipy's sum drops exact zeros
+        lows = [low.tocoo() for low in lows]
+        kd = max(int((low.row - low.col).max(initial=0)) for low in lows)
+        band = None if kd > BAND_LIMIT else (kd, [
+            (low.row + kd * low.col.astype(np.int64), low.data)
+            for low in lows])
+        entry = a, m_op, band
         pencils[variant] = ((a, m), entry)
     return entry
 
 
-def _lower_band(pencil):
-    """(kd, n, flat, values): where the pencil's entries on or below the
-    diagonal go in LAPACK's lower band storage, ab[i - j, j] = F[i, j] with
-    ab of shape (kd + 1, n) in column-major order; None if kd > BAND_LIMIT.
-    """
-    n = pencil.shape[0]
-    col = np.repeat(np.arange(n), np.diff(pencil.indptr))
-    off = pencil.indices - col
-    kd = int(np.abs(off).max(initial=0))
-    if kd > BAND_LIMIT:
-        return None
-    low = off >= 0
-    return kd, n, off[low] + (kd + 1) * col[low], pencil.data[low]
-
-
-def _shifted(pencil, lam):
-    """A + lam M from the pencil, bit for bit equal to (A + lam M).tocsc()."""
-    data = pencil.data.real + lam * pencil.data.imag
-    mat = sps.csc_matrix((data, pencil.indices.copy(), pencil.indptr.copy()),
-                         shape=pencil.shape)
-    mat.eliminate_zeros()  # as scipy's sum drops exact-zero entries
-    return mat
-
-
-def _factor_shifts(pencil, band, lams):
-    """Factor the shifts F_i = A + lam_i M (A + lam_i I for "bart") and
+def _factor_shifts(pencil, lams):
+    """Factor the shifts F_i = A + lam_i M of pencil = (A, M, band) and
     return solve(rhs), which solves block i of an (n p)-row rhs, rows i n
     to (i + 1) n - 1, with F_i; rhs may carry several columns.
 
     lam_i > 0 makes every shift SPD, so Cholesky, or diagonal pivots in a
     symmetric order, are stable. A band pencil is factored by pbtrf, its
-    shifts filled from the pencil's lower band into consecutive blocks of
-    columns of as few bands as STACK_LIMIT allows. The entries that would
-    couple two shifts are zero, so a band is block diagonal and one pbtrf
-    or pbtrs call serves all of its shifts. A pencil wider than BAND_LIMIT
-    gets one sparse LU per shift.
+    shifts filled from the lower-band entries of A and M into consecutive
+    blocks of columns of as few bands as STACK_LIMIT allows. The entries
+    that would couple two shifts are zero, so a band is block diagonal and
+    one pbtrf or pbtrs call serves all of its shifts. A pencil wider than
+    BAND_LIMIT gets one sparse LU of (A + lam_i M).tocsc() per shift.
 
     Raises PreconditionerError naming the shift that fails to factor.
     """
-    n = pencil.shape[0]
+    a, m, band = pencil
+    n = a.shape[0]
     if band is None:
         lus = []
         for lam in lams:
             try:
-                lus.append(sps_la.splu(_shifted(pencil, lam),
+                lus.append(sps_la.splu((a + lam * m).tocsc(),
                                        permc_spec="MMD_AT_PLUS_A",
                                        diag_pivot_thresh=0.0,
                                        options={"SymmetricMode": True}))
@@ -243,13 +230,14 @@ def _factor_shifts(pencil, band, lams):
                     f"shift {lam:.3e} failed to factor: {exc}") from None
         return lambda rhs: np.concatenate(
             [lu.solve(rhs[i * n:(i + 1) * n]) for i, lu in enumerate(lus)])
-    kd, _, flat, values = band
+    kd, ((flat_a, a_low), (flat_m, m_low)) = band
     per = max(1, STACK_LIMIT // ((kd + 1) * n))
     chols = []
     for first in range(0, len(lams), per):
         group = lams[first:first + per]
         ab = np.zeros((len(group), (kd + 1) * n))
-        ab[:, flat] = values.real + group[:, None] * values.imag
+        ab[:, flat_a] = a_low
+        ab[:, flat_m] += group[:, None] * m_low
         ab = ab.ravel().reshape((kd + 1, -1), order="F")
         chol, info = _PBTRF(ab, lower=1, overwrite_ab=1)
         if info != 0:
@@ -351,8 +339,7 @@ def build_shift_cache(problem, point, variant="proposed"):
     lq = _lower_solve(chol, q, trans=True)
     vhat = np.linalg.qr(my)[0]
 
-    pencil, band = _pencil(problem, variant)
-    solve_shifts = _factor_shifts(pencil, band, lam)
+    solve_shifts = _factor_shifts(_pencil(problem, variant), lam)
     z_stack = solve_shifts(np.tile(vhat, (p, 1)))
     w_stack = np.empty((p, n, p))
     eye = np.eye(p)

@@ -31,7 +31,7 @@ P = 3
 
 def _traced_grid_solve(perm_seed):
     prob = grid_problem(12, perm_seed)
-    assert (precond._pencil(prob, "proposed")[1] is None) == (
+    assert (precond._pencil(prob, "proposed")[2] is None) == (
         perm_seed is not None)
     y0 = np.random.default_rng(1).standard_normal((prob.n, P))
     tracer = tracing.Tracer()

@@ -43,13 +43,13 @@ from lyapfactor.precond import (
     PreconditionerError,
     _coupled_matrix,
     _pencil,
-    _shifted,
     _sym_to_vec,
     _vec_to_sym,
     apply_cached,
     apply_preconditioner,
     build_shift_cache,
 )
+from lyapfactor.problems import SPD_CHECK_LIMIT
 
 
 def _poisson_point(n=50, p=3, seed=0, identity_mass=False):
@@ -67,6 +67,41 @@ def test_shift_cache_eigenvalues_positive():
     cache = build_shift_cache(prob, at)
     assert cache.lam.shape == (3,)
     assert np.all(cache.lam > 0.0)
+
+
+def _unchecked_diagonal_problem(a00, m00):
+    """Diagonal A and M with first entries a00 and m00 and ones elsewhere,
+    of a size above SPD_CHECK_LIMIT so that both are taken on trust, and
+    the point Y = e_0."""
+    n = 600
+    assert n > SPD_CHECK_LIMIT
+    a, m = (SpdSparseMatrix(sps.diags(np.r_[first, np.ones(n - 1)]))
+            for first in (a00, m00))
+    return LyapunovProblem(a, m, np.ones(n)), FactorPoint(np.eye(n, 1))
+
+
+PROJECTED_PENCIL_ERRORS = [
+    ("proposed", 1.0, -1.0,
+     "mass Gram matrix of the factor is not positive definite"),
+    ("proposed", -1.0, 1.0,
+     "projected pencil has a nonpositive eigenvalue (-1.000e+00)"),
+    ("bart", -1.0, 1.0,
+     "projected pencil has a nonpositive eigenvalue (-1.000e+00)"),
+]
+
+
+@pytest.mark.parametrize("variant, a00, m00, message",
+                         PROJECTED_PENCIL_ERRORS)
+def test_indefinite_projected_pencil_is_rejected(variant, a00, m00, message):
+    prob, at = _unchecked_diagonal_problem(a00, m00)
+    with pytest.raises(PreconditionerError, match=re.escape(message)):
+        build_shift_cache(prob, at, variant=variant)
+    if variant == "proposed":
+        with pytest.raises(PreconditionerError,
+                           match=re.escape(message)) as err:
+            solve_fixed_rank(prob, Metric.EMBEDDED, at.y, TnewtonConfig(),
+                             variant)
+        assert [row.k for row in err.value.trace.rows] == [0]
 
 
 def test_shift_cache_rejects_unknown_variant():
@@ -278,20 +313,50 @@ def _assert_same_csc(got, ref):
         np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
 
 
+def _filled_bands(monkeypatch, pencil, lams):
+    """The band of each shift as _factor_shifts hands it to pbtrf."""
+    bands = []
+    pbtrf = precond._PBTRF
+
+    def factor(ab, **kwargs):
+        bands.append(ab.copy(order="F"))
+        return pbtrf(ab, **kwargs)
+
+    monkeypatch.setattr(precond, "_PBTRF", factor)
+    precond._factor_shifts(pencil, lams)
+    stacked = np.concatenate(bands, axis=1)
+    n = pencil[0].shape[0]
+    return [stacked[:, i * n:(i + 1) * n] for i in range(lams.size)]
+
+
+def _assert_bands_match_sums(monkeypatch, pencil, a, m, lams):
+    # kd is the half-bandwidth of every shift, and the band filled from
+    # the entries of A and M is the shift's lower band, bit for bit
+    kd = pencil[2][0]
+    for lam, band in zip(lams, _filled_bands(monkeypatch, pencil, lams)):
+        dense = (a + lam * m).toarray()
+        rows, cols = np.nonzero(dense)
+        assert np.abs(rows - cols).max() == kd
+        np.testing.assert_array_equal(band, _band_of(dense, kd))
+
+
 @pytest.mark.parametrize("case", ["poisson", "grid", "bart"])
-def test_pencil_shift_matches_sparse_sum(case):
+def test_pencil_shift_matches_sparse_sum(monkeypatch, case):
     prob = grid_problem() if case == "grid" else gen_poisson(40, 3)
     variant = "bart" if case == "bart" else "proposed"
     m = sps.identity(prob.n, format="csr") if case == "bart" else prob.m.mat
-    pencil, _ = _pencil(prob, variant)
-    assert _pencil(prob, variant)[0] is pencil
-    for lam in np.array([1e-3, 0.7, 3.0, 2.5e4]):
-        _assert_same_csc(_shifted(pencil, lam), (prob.a.mat + lam * m).tocsc())
+    pencil = _pencil(prob, variant)
+    assert _pencil(prob, variant) is pencil
+    assert pencil[0] is prob.a.mat
+    assert (pencil[1] is prob.m.mat) == (case != "bart")
+    _assert_bands_match_sums(monkeypatch, pencil, prob.a.mat, m,
+                             np.array([1e-3, 0.7, 3.0, 2.5e4]))
 
 
-def test_pencil_shift_drops_exact_cancellation():
+def test_pencil_shift_drops_exact_cancellation(counted_splu):
     # Off-diagonals cancel at lam = 2, and M stores an explicit zero where
-    # A has no entry: scipy's sum drops both, and so must the pencil.
+    # A has no entry: scipy's sum drops both, and so must the sparse LU's
+    # input; the explicit zero does not widen the band either.
     n = 5
     off = np.ones(n - 1)
     a = sps.diags([-off, np.full(n, 4.0), -off], [-1, 0, 1], format="csr")
@@ -305,18 +370,22 @@ def test_pencil_shift_drops_exact_cancellation():
     lam = np.float64(2.0)
     ref = (prob.a.mat + lam * prob.m.mat).tocsc()
     assert ref.nnz == n
-    _assert_same_csc(_shifted(_pencil(prob, "proposed")[0], lam), ref)
+    a_op, m_op, band = _pencil(prob, "proposed")
+    assert band[0] == 1
+    precond._factor_shifts((a_op, m_op, None), np.array([lam]))
+    [(mat, _)] = counted_splu["factors"]
+    _assert_same_csc(mat, ref)
 
 
-def test_pencil_rebuilt_when_matrix_is_rebound():
+def test_pencil_rebuilt_when_matrix_is_rebound(monkeypatch):
     prob = gen_poisson(30, 4)
-    first, _ = _pencil(prob, "proposed")
+    first = _pencil(prob, "proposed")
     prob.a.mat = 2.0 * prob.a.mat
-    second, _ = _pencil(prob, "proposed")
+    second = _pencil(prob, "proposed")
     assert second is not first
-    lam = np.float64(0.5)
-    _assert_same_csc(_shifted(second, lam),
-                     (prob.a.mat + lam * prob.m.mat).tocsc())
+    assert second[0] is prob.a.mat
+    _assert_bands_match_sums(monkeypatch, second, prob.a.mat, prob.m.mat,
+                             np.array([0.5]))
 
 
 @pytest.mark.parametrize("metric", ALL_METRICS)
@@ -580,7 +649,7 @@ def _wide_grid_point(variant, p=3):
     """A grid point whose pencil is wider than BAND_LIMIT, so its shifts
     go to splu."""
     out = _grid_point(variant, side=12, p=p, perm_seed=0)
-    assert _pencil(out[0], variant)[1] is None
+    assert _pencil(out[0], variant)[2] is None
     return out
 
 
@@ -612,7 +681,7 @@ def test_build_and_apply_sparse_work(counted_splu, counted_band, variant):
 def test_band_build_and_apply_work(counted_splu, counted_band, variant):
     prob, at, rng, _ = _grid_point(variant, p=4)
     n, p = at.n, at.p
-    kd = _pencil(prob, variant)[1][0]
+    kd = _pencil(prob, variant)[2][0]
     cache = build_shift_cache(prob, at, variant=variant)
     # one pbtrf of the p shifts stacked in a (kd + 1)-by-(n p) band, and
     # one pbtrs for every Z_i: p columns on each shift's block; the J_i are
@@ -634,7 +703,7 @@ def test_derived_j_blocks_equal_constrained_solves(backend, variant):
     # explicit saddle solve of R_J = 2 (I - vhat vhat^T) U lq with shift i
     point_of = _grid_point if backend == "band" else _wide_grid_point
     prob, at, rng, _ = point_of(variant)
-    assert (_pencil(prob, variant)[1] is None) == (backend == "splu")
+    assert (_pencil(prob, variant)[2] is None) == (backend == "splu")
     cache = build_shift_cache(prob, at, variant=variant)
     r_j = cache.u @ cache.lq
     r_j = 2.0 * (r_j - cache.vhat @ (cache.vhat.T @ r_j))
@@ -701,7 +770,7 @@ def _middle_shift_fails(monkeypatch, backend):
         monkeypatch.setattr(precond.sps_la, "splu", factor)
         return prob, at, lam[1]
     if backend == "split-band":
-        kd = _pencil(prob, "proposed")[1][0]
+        kd = _pencil(prob, "proposed")[2][0]
         monkeypatch.setattr(precond, "STACK_LIMIT", (kd + 1) * n)
     per = 1 if backend == "split-band" else 3
     band, block = divmod(1, per)
@@ -767,7 +836,7 @@ def _per_column_apply(cache, metric, eta):
 def test_apply_matches_per_column_saddle_solves(backend, variant):
     point_of = _grid_point if backend == "band" else _wide_grid_point
     prob, at, rng, _ = point_of(variant, p=4)
-    assert (_pencil(prob, variant)[1] is None) == (backend == "splu")
+    assert (_pencil(prob, variant)[2] is None) == (backend == "splu")
     cache = build_shift_cache(prob, at, variant=variant)
     for metric in ALL_METRICS:
         eta = random_horizontal(metric, at, rng)
@@ -793,8 +862,8 @@ def test_stacked_band_factor_equals_per_shift_pbtrf(monkeypatch, case):
     # the couplings between shifts are zero in the stacked band, so each
     # shift's block of the one factorization is its own pbtrf, bit for bit
     prob = grid_problem(7) if case == "grid" else gen_poisson(40, 3)
-    pencil, band = _pencil(prob, "proposed")
-    kd, n = band[:2]
+    pencil = _pencil(prob, "proposed")
+    kd, n = pencil[2][0], prob.n
     lams = np.array([1e-3, 0.7, 3.0, 2.5e4])
     pbtrf = spla.get_lapack_funcs("pbtrf", dtype=np.float64)
     chols = []
@@ -805,7 +874,7 @@ def test_stacked_band_factor_equals_per_shift_pbtrf(monkeypatch, case):
         return chol, info
 
     monkeypatch.setattr(precond, "_PBTRF", factor)
-    precond._factor_shifts(pencil, band, lams)
+    precond._factor_shifts(pencil, lams)
     assert [chol.shape for chol in chols] == [(kd + 1, n * lams.size)]
     stacked = chols[0]
     for i, lam in enumerate(lams):
@@ -821,7 +890,7 @@ def test_band_stacks_split_at_stack_limit(monkeypatch, counted_band):
     # with the results of the single stack
     prob, at, rng, _ = _grid_point("proposed", p=3)
     n = at.n
-    kd = _pencil(prob, "proposed")[1][0]
+    kd = _pencil(prob, "proposed")[2][0]
     eta = random_horizontal(Metric.EMBEDDED, at, rng)
     whole = build_shift_cache(prob, at)
     want = apply_cached(whole, Metric.EMBEDDED, eta)
@@ -842,16 +911,16 @@ def test_band_stacks_split_at_stack_limit(monkeypatch, counted_band):
 @pytest.mark.parametrize("case", ["poisson", "grid"])
 def test_band_solve_matches_splu(case, variant):
     prob = grid_problem(7) if case == "grid" else gen_poisson(40, 3)
-    pencil, band = _pencil(prob, variant)
+    a, m, _ = pencil = _pencil(prob, variant)
     rng = np.random.default_rng(3)
     rhs = rng.standard_normal((prob.n, 3))
     lams = np.array([1e-3, 0.7, 3.0, 2.5e4])
-    solve = precond._factor_shifts(pencil, band, lams)
+    solve = precond._factor_shifts(pencil, lams)
     n = prob.n
     got = solve(np.tile(rhs, (lams.size, 1)))
     got_col = solve(np.tile(rhs[:, 0], lams.size))
     for i, lam in enumerate(lams):
-        want = general_splu(_shifted(pencil, lam)).solve(rhs)
+        want = general_splu((a + lam * m).tocsc()).solve(rhs)
         block = slice(i * n, (i + 1) * n)
         np.testing.assert_allclose(got[block], want, rtol=0,
                                    atol=1e-12 * np.linalg.norm(want))
@@ -875,7 +944,7 @@ def test_shift_factorization_follows_half_bandwidth(counted_splu,
     cases = [(gen_poisson(50, 0), 1), (grid_problem(7), 8),
              (grid_problem(12, perm_seed=0), None)]
     for prob, kd in cases:
-        band = _pencil(prob, "proposed")[1]
+        band = _pencil(prob, "proposed")[2]
         assert (None if band is None else band[0]) == kd
         at = FactorPoint(np.random.default_rng(0).standard_normal((prob.n, 2)))
         counted_splu["factors"].clear()
@@ -889,7 +958,7 @@ def test_shift_factorization_follows_half_bandwidth(counted_splu,
     for dist in (precond.BAND_LIMIT, precond.BAND_LIMIT + 1):
         a = _two_band_matrix(n, dist)
         prob = LyapunovProblem(a, a, np.ones(n))
-        band = _pencil(prob, "proposed")[1]
+        band = _pencil(prob, "proposed")[2]
         if dist <= precond.BAND_LIMIT:
             assert band[0] == dist
         else:
@@ -897,6 +966,6 @@ def test_shift_factorization_follows_half_bandwidth(counted_splu,
 
 
 def test_band_cholesky_rejects_indefinite_shift():
-    pencil, band = _pencil(gen_poisson(30, 0), "proposed")
+    pencil = _pencil(gen_poisson(30, 0), "proposed")
     with pytest.raises(PreconditionerError, match="pbtrf failed"):
-        precond._factor_shifts(pencil, band, np.array([-1e9]))
+        precond._factor_shifts(pencil, np.array([-1e9]))
