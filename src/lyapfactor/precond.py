@@ -33,7 +33,6 @@ import scipy.sparse.linalg as sps_la
 
 from .manifold import Metric, project_horizontal
 from .problems import FactorPoint, _as_point, _cho_factor, _cho_solve
-from .problems import _lower_solve
 
 # Largest p for which the coupled symmetric system is assembled densely;
 # beyond it the solve falls back to conjugate gradient on the operator.
@@ -256,9 +255,10 @@ def _factor_shifts(pencil, lams):
 class ShiftSystemCache:
     """Point-dependent factorizations shared by all preconditioner applies.
 
-    Built once per outer iteration. Holds the pencil diagonalization
-    (lam, lq with lq = L^{-T} Q), the orthonormal complement basis vhat of
-    range(M Y), U = A Y, and the p shifts F_i = A + lambda_i M as one
+    Built once per outer iteration. Holds the eigenpairs (lam, lq) of the
+    projected pencil (Y^T A Y, Y^T M Y), lq^T Y^T M Y lq = I (Y^T Y for
+    "bart"), the orthonormal complement basis vhat of range(M Y),
+    U = A Y, and the p shifts F_i = A + lambda_i M as one
     block-diagonal system: `solve_shifts(rhs)` solves block i of an
     (n p)-row rhs with F_i (see _factor_shifts). The Schur step of
     the saddle constraint is folded into W_i = Z_i S_i^{-1}, with
@@ -312,31 +312,19 @@ def build_shift_cache(problem, point, variant="proposed"):
     y = point.y
     n, p = y.shape
     prod = point.products(problem)
-    if variant == "proposed":
-        my = prod.v
-        g_m = y.T @ my
-    else:
-        my = y
-        g_m = point.gram
-
+    u = prod.u
+    my = prod.v if variant == "proposed" else y
     try:
-        chol = np.linalg.cholesky(g_m)
+        lam, lq = spla.eigh(y.T @ u, y.T @ my)
     except np.linalg.LinAlgError:
         raise PreconditionerError(
             "mass Gram matrix of the factor is not positive definite"
         ) from None
-    u = prod.u
-    a_small = y.T @ u
-    tmp = _lower_solve(chol, a_small)
-    pencil = _lower_solve(chol, tmp.T).T
-    pencil = 0.5 * (pencil + pencil.T)
-    lam, q = spla.eigh(pencil)
     if lam[0] <= 0.0:
         raise PreconditionerError(
             "projected pencil has a nonpositive eigenvalue "
             f"({lam[0]:.3e}); the operator pair is not definite here"
         )
-    lq = _lower_solve(chol, q, trans=True)
     vhat = np.linalg.qr(my)[0]
 
     solve_shifts = _factor_shifts(_pencil(problem, variant), lam)

@@ -23,10 +23,10 @@ SPD_CHECK_LIMIT = 500
 DENSE_LIMIT = 2000
 
 # Direct LAPACK calls on small dense blocks, with the LinAlgError and the
-# ValueError on non-finite input of scipy's cho_factor, cho_solve and
-# solve_triangular(lower=True) but without its per-call wrapper. On a
-# Cholesky factor, potrs and trtrs flag only bad shapes, which f2py rejects.
-_POTRF, _POTRS, _TRTRS = spla.get_lapack_funcs(("potrf", "potrs", "trtrs"))
+# ValueError on non-finite input of scipy's cho_factor and cho_solve but
+# without their per-call wrapper. On a Cholesky factor, potrs flags only
+# bad shapes, which f2py rejects.
+_POTRF, _POTRS = spla.get_lapack_funcs(("potrf", "potrs"))
 
 
 def _check_finite(*arrays):
@@ -40,11 +40,6 @@ def _cho_factor(mat, lower=False):
     if info != 0:
         raise np.linalg.LinAlgError(f"potrf failed with info {info}")
     return cho, lower
-
-
-def _lower_solve(chol, rhs, trans=False):
-    _check_finite(chol, rhs)
-    return _TRTRS(chol.T, rhs, lower=False, trans=not trans)[0]
 
 
 def _cho_solve(cho, rhs):

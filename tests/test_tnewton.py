@@ -401,10 +401,13 @@ def test_solve_deterministic():
 
 # tools/trace_audit.py's digest of the trace and final factor of the solve
 # in test_solve_reproduces_trace_before_stall_rule, recorded with BLAS on
-# one thread before the stall rule existed.
+# one thread before the stall rule existed. "proposed" was recorded again
+# when the projected pencil moved to one generalized eigensolve, which
+# changed its trace at rounding level only: the same 18 rows, inner
+# iterations and nH.
 TRACE_SHA256 = {
-    "proposed": "fb7fac50e6452a8c6558df895e99b854"
-                "d57877b097e3e90dd384b4e4a1c8506b",
+    "proposed": "d9cee6827f78da4a7cb172462eb4a440"
+                "ac09ce0dd60f4624b12861224be68e14",
     "none": "600a28da5cce74f22a1118235ebc26b8"
             "ecec7a4244342ac7c1424ebd4e7ba4a9",
 }
