@@ -174,26 +174,25 @@ def _pencil(problem, variant):
     """(A, M, band) with M = I for "bart", cached on the problem until
     problem.a.mat or problem.m.mat is rebound.
 
-    band is None when the half-bandwidth kd = max |i - j| over the nonzero
-    entries of A and M, in the given order, exceeds BAND_LIMIT. Otherwise
-    it is (kd, [(flat, values) of A, (flat, values) of M]): the nonzero
-    entries on or below the diagonal and where they go in LAPACK's lower
-    band storage, ab[i - j, j] = F[i, j] with ab of shape (kd + 1, n) in
-    column-major order, so flat = i + kd j.
+    band is None when the half-bandwidth kd = max |i - j| over the union
+    of the nonzero entries of A and M, in the given order, exceeds
+    BAND_LIMIT. Otherwise it is (kd, flat, a_low, m_low): for the union's
+    entries on or below the diagonal, where they go in LAPACK's lower band
+    storage, ab[i - j, j] = F[i, j] with ab of shape (kd + 1, n) in
+    column-major order (flat = i + kd j), and the values of A and of M
+    there, zero where a matrix has no entry.
     """
     a, m = problem.a.mat, problem.m.mat
     pencils = vars(problem).setdefault("_pencils", {})
     (a0, m0), entry = pencils.get(variant, ((None, None), None))
     if a0 is not a or m0 is not m:
         m_op = m if variant == "proposed" else sps.eye(*a.shape, format="csr")
-        lows = [sps.tril(mat, format="csr") for mat in (a, m_op)]
-        for low in lows:
-            low.eliminate_zeros()  # as scipy's sum drops exact zeros
-        lows = [low.tocoo() for low in lows]
-        kd = max(int((low.row - low.col).max(initial=0)) for low in lows)
-        band = None if kd > BAND_LIMIT else (kd, [
-            (low.row + kd * low.col.astype(np.int64), low.data)
-            for low in lows])
+        # the sum drops the exact zeros that A and M share
+        low = sps.tril(abs(a) + abs(m_op), format="coo")
+        kd = int((low.row - low.col).max(initial=0))
+        band = None if kd > BAND_LIMIT else (
+            kd, low.row + kd * low.col.astype(np.int64),
+            *(np.asarray(mat[low.row, low.col]).ravel() for mat in (a, m_op)))
         entry = a, m_op, band
         pencils[variant] = ((a, m), entry)
     return entry
@@ -206,11 +205,12 @@ def _factor_shifts(pencil, lams):
 
     lam_i > 0 makes every shift SPD, so Cholesky, or diagonal pivots in a
     symmetric order, are stable. A band pencil is factored by pbtrf, its
-    shifts filled from the lower-band entries of A and M into consecutive
-    blocks of columns of as few bands as STACK_LIMIT allows. The entries
-    that would couple two shifts are zero, so a band is block diagonal and
-    one pbtrf or pbtrs call serves all of its shifts. A pencil wider than
-    BAND_LIMIT gets one sparse LU of (A + lam_i M).tocsc() per shift.
+    shifts filled by one scatter of the aligned lower-band entries of A
+    and M into consecutive blocks of columns of as few bands as
+    STACK_LIMIT allows. The entries that would couple two shifts are zero,
+    so a band is block diagonal and one pbtrf or pbtrs call serves all of
+    its shifts. A pencil wider than BAND_LIMIT gets one sparse LU of
+    (A + lam_i M).tocsc() per shift.
 
     Raises PreconditionerError naming the shift that fails to factor.
     """
@@ -229,14 +229,13 @@ def _factor_shifts(pencil, lams):
                     f"shift {lam:.3e} failed to factor: {exc}") from None
         return lambda rhs: np.concatenate(
             [lu.solve(rhs[i * n:(i + 1) * n]) for i, lu in enumerate(lus)])
-    kd, ((flat_a, a_low), (flat_m, m_low)) = band
+    kd, flat, a_low, m_low = band
     per = max(1, STACK_LIMIT // ((kd + 1) * n))
     chols = []
     for first in range(0, len(lams), per):
         group = lams[first:first + per]
         ab = np.zeros((len(group), (kd + 1) * n))
-        ab[:, flat_a] = a_low
-        ab[:, flat_m] += group[:, None] * m_low
+        ab[:, flat] = a_low + group[:, None] * m_low
         ab = ab.ravel().reshape((kd + 1, -1), order="F")
         chol, info = _PBTRF(ab, lower=1, overwrite_ab=1)
         if info != 0:
