@@ -911,7 +911,8 @@ def test_band_stacks_split_at_stack_limit(monkeypatch, counted_band):
 @pytest.mark.parametrize("case", ["poisson", "grid"])
 def test_band_solve_matches_splu(case, variant):
     prob = grid_problem(7) if case == "grid" else gen_poisson(40, 3)
-    a, m, _ = pencil = _pencil(prob, variant)
+    pencil = _pencil(prob, variant)
+    a, m, _ = pencil
     rng = np.random.default_rng(3)
     rhs = rng.standard_normal((prob.n, 3))
     lams = np.array([1e-3, 0.7, 3.0, 2.5e4])
