@@ -3,16 +3,18 @@
 Solves at rank p_min, checks the relative residual against the target, and
 warm-starts rank p + p_inc from the previous solution until the target or
 p_max is reached. A rank need only give the next a good start, so each
-rank but the last of the schedule also ends once its residual stalls short
-of the target (the `target` of tnewton.solve_fixed_rank).
+rank but the last of the schedule also ends once an iterate meets the
+target or its residual stalls short of it (the `target` of
+tnewton.solve_fixed_rank).
 
 Increasing the rank needs care: the Euclidean cost gradient at a zero-padded
 factor [Y 0] vanishes identically in the padded block, so a plain descent
 step cannot activate the new columns. They are seeded with the most
 negative eigendirections of the residual N = A Y Y^T M + M Y Y^T A - B B^T
 (computed in a compressed basis, never forming N) at the exact minimizer
-of the cost, which is quartic in their scale; the random factor of rank
-p_min is scaled the same way.
+of the cost, which is quartic in their scale. The random factor of rank
+p_min is given to the fixed-rank solver as drawn; that solver starts from
+its cost-optimal scale.
 """
 
 import warnings
@@ -22,7 +24,8 @@ import numpy as np
 
 from .manifold import cost
 from .precond import PreconditionerError
-from .problems import FactorPoint, _as_point, _compressed_residual
+from .problems import (ROUNDING, CostQuartic, FactorPoint, _as_point,
+                       _compressed_residual)
 from .problems import relative_residual  # noqa: F401 (perfbench patches it)
 from .tnewton import (
     InnerSolveError,
@@ -39,8 +42,10 @@ class IrrConfig:
 
     Ranks p_min, p_min + p_inc, ... are visited, never exceeding p_max.
     The loop stops at the first rank whose relative residual is at most
-    tau. Every rank but the last of the schedule also ends when its
-    residual stalls above tau (tnewton.solve_fixed_rank's `target`).
+    tau. Every rank but the last of the schedule is solved with tau as
+    tnewton.solve_fixed_rank's `target`: it ends after its first iterate
+    with relative residual at most tau (stop "target"), so the loop stops
+    at that rank, or when its residual stalls above tau (stop "stall").
     """
 
     p_min: int = 1
@@ -86,21 +91,27 @@ def _padded_column_seed(problem, point, p_inc):
     return np.hstack([dirs, np.eye(point.n, p_inc - dirs.shape[1])])
 
 
-def _seed_scale(problem, dirs, products=None):
+def _seed_scale(problem, dirs, products):
     """Scale s > 0 minimizing the cost of [Y, s V], V = dirs, or None.
 
-    The cost is exactly f(Y) + c2 s^2 + c4 s^4 with c2 = tr(V^T N V),
-    N = A Y Y^T M + M Y Y^T A - B B^T, and c4 = tr(V^T A V V^T M V) > 0.
-    `products` are Y's (FactorPoint.products); without them Y is empty and
-    N = -B B^T. The minimizer s^2 = -c2 / (2 c4) exists when c2 < 0.
+    The cost along the line [Y, 0] + s [0, V] is the problems.CostQuartic
+    f(Y) + c2 s^2 + c4 s^4 (c1 = c3 = 0), with c2 = tr(V^T N V),
+    N = A Y Y^T M + M Y Y^T A - B B^T, and c4 = tr(V^T A V V^T M V) > 0;
+    `products` are Y's (FactorPoint.products). The minimizer
+    s^2 = -c2 / (2 c4) is returned when c2 is negative beyond its rounding
+    bound, so that rounding does not decide whether some scale lowers the
+    cost.
     """
     b = problem.b
-    nv = -b @ (b.T @ dirs) if products is None else \
-        products.apply_residual(dirs)
-    c2 = float(np.sum(dirs * nv))
-    av, mv = problem.a.mat @ dirs, problem.m.mat @ dirs
-    c4 = float(np.sum((dirs.T @ av) * (mv.T @ dirs)))
-    return float(np.sqrt(-c2 / (2.0 * c4))) if c2 < 0.0 else None
+    seed = (dirs, problem.a.mat @ dirs, problem.m.mat @ dirs, b.T @ dirs)
+    given = (products.y, products.u, products.v, products.by)
+    at = tuple(np.hstack([x, np.zeros_like(z)]) for x, z in zip(given, seed))
+    along = tuple(np.hstack([np.zeros_like(x), z])
+                  for x, z in zip(given, seed))
+    line = CostQuartic(at, along)
+    if not line.coeffs[1] < -ROUNDING * line.sizes[1]:
+        return None
+    return line.minimizer
 
 
 def warm_start(problem, y_p, p_inc, rng=None):
@@ -161,14 +172,16 @@ def solve_increasing_rank(problem, metric, config=None, tnewton_config=None,
     the truncated Newton iteration and stopping at the first rank whose
     relative residual reaches config.tau. All randomness (initial factor,
     warm start jitter) flows from one generator seeded by config.seed; the
-    random factor of rank p_min is scaled to its cost-optimal size.
+    random factor of rank p_min is passed as drawn, and the fixed-rank
+    solver starts from its cost-optimal scale.
 
     Returns
     -------
     (FactorPoint, SolveTrace)
         Final point and the concatenated multi-rank trace, with one `stops`
-        entry per completed rank and one `warm_starts` entry per rank
-        transition; the nH column accumulates across ranks. The cost column
+        entry per completed rank, one `scales` entry per rank started and
+        one `warm_starts` entry per rank transition; the nH column
+        accumulates across ranks. The cost column
         does not rise across a rank transition whose `warm_starts` entry is
         True.
 
@@ -185,9 +198,7 @@ def solve_increasing_rank(problem, metric, config=None, tnewton_config=None,
     if config.p_max > n:
         raise ValueError(f"p_max = {config.p_max} exceeds the problem size {n}")
     rng = np.random.default_rng(config.seed)
-    draw = rng.standard_normal((n, config.p_min))
-    scale = _seed_scale(problem, draw)
-    point = FactorPoint(draw if scale is None else scale * draw)
+    point = FactorPoint(rng.standard_normal((n, config.p_min)))
     assert point.has_full_rank
 
     full_trace = SolveTrace()

@@ -225,11 +225,24 @@ class _PointProducts:
         return self.u @ (self.v.T @ w) + self.v @ (self.u.T @ w) - b @ (b.T @ w)
 
     @cached_property
+    def by(self):
+        return self.problem.b.T @ self.y
+
+    @cached_property
     def cost(self):
         """tr(Y^T A Y Y^T M Y) - tr(Y^T B B^T Y) (see manifold.cost)."""
-        y = self.y
-        by = self.problem.b.T @ y
+        y, by = self.y, self.by
         return float(np.sum((y.T @ self.u) * (self.v.T @ y)) - np.sum(by * by))
+
+    def line(self, d):
+        """The cost along Y + alpha d as a CostQuartic: two sparse products
+        with d, none for d = Y."""
+        at = (self.y, self.u, self.v, self.by)
+        if d is self.y:
+            return CostQuartic(at, at)
+        problem = self.problem
+        return CostQuartic(at, (d, problem.a.mat @ d, problem.m.mat @ d,
+                                problem.b.T @ d))
 
     @cached_property
     def residual_fro(self):
@@ -240,6 +253,76 @@ class _PointProducts:
         small = _compressed_residual(coeff[:, :p], coeff[:, p:2 * p],
                                      coeff[:, 2 * p:])
         return float(np.linalg.norm(small))
+
+
+# A cost difference formed from terms of total magnitude s is trusted only
+# beyond ROUNDING * s.
+ROUNDING = 64.0 * np.finfo(float).eps
+
+
+class CostQuartic:
+    """The cost along a line in factor space, exactly quartic in the step:
+
+        f(Y + alpha D) - f(Y) = c1 alpha + c2 alpha^2 + c3 alpha^3
+                                + c4 alpha^4.
+
+    `at` is (Y, A Y, M Y, B^T Y) and `along` is (D, A D, M D, B^T D). With
+    (Y + alpha D)^T A (Y + alpha D) = P0 + alpha P1 + alpha^2 P2, likewise
+    Q0, Q1, Q2 for M, and B^T (Y + alpha D) = B^T Y + alpha B^T D:
+
+        c1 = tr(P0 Q1 + P1 Q0) - 2 tr(Y^T B B^T D)
+        c2 = tr(P0 Q2 + P1 Q1 + P2 Q0) - tr(D^T B B^T D)
+        c3 = tr(P1 Q2 + P2 Q1)
+        c4 = tr(P2 Q2)
+
+    Only p-by-p products are formed beyond those given. `coeffs` holds
+    c1 ... c4 and `sizes` the sum of the magnitudes of the entrywise terms
+    each is formed from, so that `bound(alpha)` bounds the rounding error
+    of `delta(alpha)`.
+    """
+
+    def __init__(self, at, along):
+        y, u, v, by = at
+        d, ad, md, bd = along
+        ya, ym = y.T @ ad, y.T @ md
+        pa = np.stack([y.T @ u, ya + ya.T, d.T @ ad])
+        qm = np.stack([y.T @ v, ym + ym.T, d.T @ md])
+        bb = np.stack([by, bd])
+        self.coeffs = self._combine(np.einsum("iab,jab->ij", pa, qm),
+                                    -np.einsum("iab,jab->ij", bb, bb))
+        self.sizes = self._combine(
+            np.einsum("iab,jab->ij", np.abs(pa), np.abs(qm)),
+            np.einsum("iab,jab->ij", np.abs(bb), np.abs(bb)))
+
+    @staticmethod
+    def _combine(t, b):
+        """c1 ... c4 from t[i, j] = tr(Pi Qj) and b[i, j] the B^T terms,
+        or their magnitudes."""
+        return np.array([t[0, 1] + t[1, 0] + 2.0 * b[0, 1],
+                         t[0, 2] + t[1, 1] + t[2, 0] + b[1, 1],
+                         t[1, 2] + t[2, 1],
+                         t[2, 2]])
+
+    def delta(self, alpha):
+        """f(Y + alpha D) - f(Y)."""
+        c1, c2, c3, c4 = self.coeffs
+        return float(alpha * (c1 + alpha * (c2 + alpha * (c3 + alpha * c4))))
+
+    def bound(self, alpha):
+        """eps(alpha) = ROUNDING * sum_k sizes_k |alpha|^k."""
+        powers = abs(alpha) ** np.arange(1, 5)
+        return float(ROUNDING * np.dot(self.sizes, powers))
+
+    @cached_property
+    def minimizer(self):
+        """The smallest alpha > 0 at which the quartic has a local minimum,
+        or None."""
+        c1, c2, c3, c4 = self.coeffs
+        roots = np.roots([4.0 * c4, 3.0 * c3, 2.0 * c2, c1])
+        real = roots[np.abs(roots.imag) <= 1e-12 * np.abs(roots)].real
+        found = [r for r in real
+                 if r > 0.0 and 2.0 * c2 + r * (6.0 * c3 + 12.0 * c4 * r) > 0.0]
+        return float(min(found)) if found else None
 
 
 def _as_point(point):

@@ -1,12 +1,15 @@
 """Truncated Newton iteration with preconditioned conjugate gradient inner solves.
 
-The outer loop approximately solves the Newton equation
-Hess f[eta] = -grad f by a truncated preconditioned conjugate gradient
-method with two early exits (insufficient curvature and a forcing-sequence
-residual test), then takes a step accepted by a two-branch decrease
-condition, or by Armijo's condition when backtracking finds none. The
-inner solver works on raw arrays with an injected inner product, so it is
-independent of the manifold it runs on.
+The outer loop starts from the cost-optimal scale of the given factor,
+approximately solves the Newton equation Hess f[eta] = -grad f by a
+truncated preconditioned conjugate gradient method with two early exits
+(insufficient curvature and a forcing-sequence residual test), then takes
+a step accepted by a two-branch decrease condition, or by Armijo's
+condition when backtracking finds none. The cost is exactly quartic along
+every line the solver searches (problems.CostQuartic), so each trial's
+decrease is read off the polynomial and trusted only beyond its rounding
+bound. The inner solver works on raw arrays with an injected inner
+product, so it is independent of the manifold it runs on.
 """
 
 import math
@@ -23,7 +26,7 @@ from .manifold import (
     riemannian_gradient,
 )
 from .precond import PreconditionerError, preconditioner
-from .problems import FactorPoint, _as_point, relative_residual
+from .problems import ROUNDING, FactorPoint, _as_point, relative_residual
 
 
 # Curvature exit threshold of the inner solve, the cap of the forcing
@@ -49,10 +52,13 @@ class LineSearchError(RuntimeError):
     """Backtracking exhausted without an acceptable step.
 
     `demanded` is the decrease the acceptance conditions asked for,
-    min(chi1 slope0^2 / ||d||_g^2, -chi2 slope0).
+    min(chi1 slope0^2 / ||d||_g^2, -chi2 slope0), and `resolution` the
+    rounding bound eps(alpha*) of the cost difference at the line's
+    minimizer alpha* (at alpha = 1 when it has none).
     """
 
-    def __init__(self, backtracks, f0, slope0, alpha, demanded):
+    def __init__(self, backtracks, f0, slope0, alpha, demanded,
+                 resolution=0.0):
         super().__init__(
             f"no acceptable step after {backtracks} backtracks "
             f"(f0 = {f0:.6e}, slope = {slope0:.6e}, last alpha = {alpha:.3e})"
@@ -62,6 +68,7 @@ class LineSearchError(RuntimeError):
         self.slope0 = slope0
         self.alpha = alpha
         self.demanded = demanded
+        self.resolution = resolution
 
 
 @dataclass
@@ -178,16 +185,11 @@ def tpcg(gradient, hess, precond, eps_curv, phi_k, *,
     return TpcgState(eta, max_inner, "max_inner", rel)
 
 
-def _rounding_floor(f):
-    """Smallest decrease of a cost value f that rounding lets a line search
-    certify."""
-    return 64.0 * np.finfo(float).eps * max(1.0, abs(f))
-
-
 @dataclass
 class LineSearchResult:
-    """An accepted step; `fallback` marks the Armijo trial taken when
-    backtracking was exhausted (see line_search)."""
+    """An accepted step, with f = f0 + the exact cost difference of the
+    step; `fallback` marks the Armijo trial taken when backtracking was
+    exhausted (see line_search)."""
 
     alpha: float
     point: FactorPoint
@@ -208,15 +210,23 @@ def line_search(problem, metric, point, direction, f0, slope0, config):
         f(alpha) - f0 <= chi2 * slope0,
 
     both of which force a strict decrease for a descent direction. The
-    first trial is alpha = 1; rejections shrink alpha by quadratic
-    interpolation safeguarded to [alpha/10, alpha/2]. A trial whose factor
-    loses full column rank counts as a rejection with alpha halved.
+    cost along the line is the quartic of problems.CostQuartic, so
+    f(alpha) - f0 is taken from its coefficients, with no cost evaluation,
+    and a decrease counts only beyond its rounding bound eps(alpha). This
+    is the interpolating line search of Nocedal and Wright (Numerical
+    Optimization, sec. 3.5) made exact for this cost. The first trial is
+    alpha = 1; if it is rejected and the quartic's first positive minimizer
+    alpha* is below 1, the next is max(alpha*, 1/10). Other rejections
+    shrink alpha by quadratic interpolation safeguarded to
+    [alpha/10, alpha/2]. A trial whose factor loses full column rank counts
+    as a rejection with alpha halved.
 
-    Both demand a decrease that does not shrink with alpha. If backtracking
-    is exhausted with the demanded decrease above the rounding floor of f0,
-    the first trial that met Armijo's condition
+    Both conditions demand a decrease that does not shrink with alpha. If
+    backtracking is exhausted with the demanded decrease above
+    eps(alpha*), the first trial that met Armijo's condition
     f(alpha) - f0 <= chi2 * alpha * slope0 is returned, with every
-    backtrack counted and `fallback` set.
+    backtrack counted and `fallback` set; otherwise LineSearchError is
+    raised.
 
     Parameters
     ----------
@@ -227,6 +237,7 @@ def line_search(problem, metric, point, direction, f0, slope0, config):
         Horizontal lift at the point.
     f0, slope0 : float
         Cost and directional derivative g(grad, direction) at the point.
+        The returned f is f0 plus the polynomial's difference.
     config : TnewtonConfig
 
     Returns
@@ -238,6 +249,7 @@ def line_search(problem, metric, point, direction, f0, slope0, config):
     norm_sq = horizontal_inner(metric, point, direction, direction)
     threshold = max(-config.chi1 * slope0 * slope0 / norm_sq,
                     config.chi2 * slope0)
+    line = point.products(problem).line(direction)
     armijo = None
     alpha = 1.0
     for backtracks in range(config.ls_max_backtracks + 1):
@@ -246,22 +258,30 @@ def line_search(problem, metric, point, direction, f0, slope0, config):
         except ValueError:
             alpha = 0.5 * alpha
             continue
-        f_trial = cost(problem, trial)
-        if f_trial - f0 <= threshold:
-            return LineSearchResult(alpha, trial, f_trial, backtracks)
-        if armijo is None and f_trial - f0 <= config.chi2 * alpha * slope0:
-            armijo = LineSearchResult(alpha, trial, f_trial,
+        delta = line.delta(alpha)
+        certified = delta < -line.bound(alpha)
+        if certified and delta <= threshold:
+            return LineSearchResult(alpha, trial, f0 + delta, backtracks)
+        if armijo is None and certified and \
+                delta <= config.chi2 * alpha * slope0:
+            armijo = LineSearchResult(alpha, trial, f0 + delta,
                                       config.ls_max_backtracks, True)
-        gap = f_trial - f0 - slope0 * alpha
+        star = line.minimizer if backtracks == 0 else None
+        if star is not None and star < alpha:
+            alpha = max(star, 0.1 * alpha)
+            continue
+        gap = delta - slope0 * alpha
         if gap <= 0.0 or not math.isfinite(gap):
             alpha = 0.5 * alpha
             continue
         interpolated = -slope0 * alpha * alpha / (2.0 * gap)
         alpha = min(max(interpolated, 0.1 * alpha), 0.5 * alpha)
-    if armijo is not None and -threshold > _rounding_floor(f0):
+    star = line.minimizer
+    resolution = line.bound(1.0 if star is None else star)
+    if armijo is not None and -threshold > resolution:
         return armijo
     raise LineSearchError(config.ls_max_backtracks, f0, slope0, alpha,
-                          -threshold)
+                          -threshold, resolution)
 
 
 @dataclass
@@ -284,16 +304,27 @@ _TRACE_HEADER = "k,p,f,gradnorm,relres,inner_iters,nH,alpha,ms"
 class SolveTrace:
     """Per-iteration record of a solve.
 
-    Row k = 0 holds the initial state of a rank (alpha and inner_iters are
-    zero there); each later row holds the accepted iterate of outer
-    iteration k. nH accumulates Hessian actions within the rank. The cost
-    column decreases strictly within a rank.
+    Row k = 0 holds the initial state of a rank, at the factor as given
+    (alpha and inner_iters are zero there); each later row holds the
+    accepted iterate of outer iteration k. A solve that scales its start
+    but ends before its first step records the scaled start it returns as
+    row 1, with alpha and inner_iters zero. nH accumulates Hessian actions
+    within the rank. The f column of a row k > 0 is the previous value plus
+    the exact cost difference of the step, f0 + Delta, not a fresh
+    evaluation; at k = 1 the previous value is the closed-form cost at the
+    scaled start, when the start was scaled. Every accepted Delta is a
+    certified decrease, so the column never rises within a rank; it stays
+    level where Delta is below the resolution of f.
 
     `stops` holds why each completed fixed-rank solve ended, one entry per
-    solve: "gradient" (grad_tol_rel reached), "max_outer", "floor" (no
-    decrease above the rounding floor of f could be certified) or "stall"
-    (the residual target's stall rule, see solve_fixed_rank). A solve that
-    raises adds no entry.
+    solve: "gradient" (grad_tol_rel reached), "max_outer", "floor" (the
+    gradient N Y is at the rounding level of its terms, or the decrease an
+    exhausted line search demanded is within the rounding bound of the
+    cost difference), "target" (an iterate met the residual target) or
+    "stall" (the residual target's stall rule, see solve_fixed_rank). A
+    solve that raises adds no entry.
+    `scales` holds the start scale t* each fixed-rank solve applied to its
+    given factor, one entry per solve started (1.0 when not applied).
     `fallbacks` lists the rows whose step the line search's Armijo fallback
     took (within one solve, the iterations k); `warm_starts` holds the flag
     of each warm start of an increasing-rank solve, one per rank transition.
@@ -301,6 +332,7 @@ class SolveTrace:
 
     rows: list = field(default_factory=list)
     stops: list = field(default_factory=list)
+    scales: list = field(default_factory=list)
     fallbacks: list = field(default_factory=list)
     warm_starts: list = field(default_factory=list)
 
@@ -314,6 +346,7 @@ class SolveTrace:
         self.fallbacks += [len(self.rows) + i for i in other.fallbacks]
         self.rows += [replace(row, nH=row.nH + nh) for row in other.rows]
         self.stops += other.stops
+        self.scales += other.scales
 
     def final(self):
         if not self.rows:
@@ -338,17 +371,55 @@ class SolveTrace:
         return "\n".join(lines) + "\n"
 
 
+def _start_scale(prod):
+    """The cost-optimal scale t* of a factor Y and the cost there,
+    f(t* Y) = -||B^T Y||^4 / (4 tr(Y^T A Y Y^T M Y)), free of the
+    cancellation in f(Y) minus the decrease; or (1.0, None) when t* is
+    undefined or the decrease tr(Y^T A Y Y^T M Y) (1 - t*^2)^2 is within the
+    rounding bound of the line Y + (t* - 1) Y."""
+    line = prod.line(prod.y)
+    quartic = float(line.coeffs[3])
+    squared = float(np.sum(prod.by * prod.by))
+    if not (quartic > 0.0 and squared > 0.0):
+        return 1.0, None
+    scale = math.sqrt(squared / (2.0 * quartic))
+    if not quartic * (1.0 - scale * scale) ** 2 > line.bound(scale - 1.0):
+        return 1.0, None
+    return scale, -squared * squared / (4.0 * quartic)
+
+
+def _at_rounding_floor(prod):
+    """Whether N Y = U (V^T Y) + V (U^T Y) - B (B^T Y) is within the
+    rounding of its three terms."""
+    y, u, v = prod.y, prod.u, prod.v
+    terms = (np.linalg.norm(u) * np.linalg.norm(v.T @ y)
+             + np.linalg.norm(v) * np.linalg.norm(u.T @ y)
+             + np.linalg.norm(prod.problem.b) * np.linalg.norm(prod.by))
+    return np.linalg.norm(prod.ny) <= ROUNDING * terms
+
+
 def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
                      target=None):
     """Riemannian truncated Newton iteration at fixed rank.
 
-    Runs until the gradient norm falls to grad_tol_rel times its initial
-    value or max_outer iterations. Each outer iteration builds the chosen
-    preconditioner at the current point, runs the truncated conjugate
-    gradient on the Newton equation and takes a line search step. Given a
-    residual `target`, the solve also ends after an iteration k >= 2 whose
+    Row 0 of the trace is the factor Y as given, and grad_tol_rel is
+    relative to its gradient norm. The cost is quartic in a scale t of Y,
+    f(t Y) = t^4 tr(Y^T A Y Y^T M Y) - t^2 ||B^T Y||^2, so the iteration
+    then starts from t* Y, t*^2 = ||B^T Y||^2 / (2 tr(Y^T A Y Y^T M Y)),
+    when the closed-form decrease tr(Y^T A Y Y^T M Y) (1 - t*^2)^2 exceeds
+    its rounding bound. It runs until the gradient norm falls to
+    grad_tol_rel times its initial value or max_outer iterations. Each
+    outer iteration builds the chosen preconditioner at the current point,
+    runs the truncated conjugate gradient on the Newton equation and takes
+    a line search step (see line_search). It ends at the rounding floor
+    ("floor") when, before the build, ||N Y||_F is within rounding of its
+    terms, 64 eps (||A Y|| ||Y^T M Y|| + ||M Y|| ||Y^T A Y||
+    + ||B|| ||B^T Y||), or when an exhausted line search demanded no more
+    than the rounding bound of the cost difference. Given a residual
+    `target`, the solve also ends after the first iteration whose relres
+    is at most the target ("target"), and after an iteration k >= 2 whose
     unit step lowered the gradient norm but left relres above STALL_RATIO
-    times the previous relres and STALL_MARGIN times the target.
+    times the previous relres and STALL_MARGIN times the target ("stall").
 
     Parameters
     ----------
@@ -363,7 +434,8 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
     Returns
     -------
     (FactorPoint, SolveTrace)
-        The trace's `stops` holds the one reason the solve ended.
+        The trace's `stops` holds the one reason the solve ended, and its
+        `scales` the start scale t* (1.0 when not applied).
     """
     if precond_choice not in ("none", "proposed", "bart"):
         raise ValueError(f"unknown preconditioner choice {precond_choice!r}")
@@ -388,13 +460,23 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
         inner_iters=0, nH=0, alpha=0.0,
         ms=(time.perf_counter() - t_start) * 1e3,
     ))
+    scale, f_scaled = _start_scale(point.products(problem))
+    trace.scales.append(scale)
+    if f_scaled is not None:
+        point = FactorPoint(scale * point.y)
+        f_val = f_scaled
+        grad = riemannian_gradient(metric, problem, point)
+        gnorm = math.sqrt(horizontal_inner(metric, point, grad, grad))
 
     k = 0
+    stop = "floor"  # if a break below ends the solve at the rounding floor
     try:
         while k < config.max_outer and gnorm > config.grad_tol_rel * gnorm0:
             k += 1
             t_iter = time.perf_counter()
             at = point
+            if _at_rounding_floor(at.products(problem)):
+                break
 
             def hess_fn(arr, at=at):
                 return hessian_action(metric, problem, at, arr)
@@ -409,22 +491,18 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
                 inner=inner_fn, max_inner=max_inner,
             )
             slope0 = horizontal_inner(metric, at, grad, state.direction)
-            # A predicted decrease below the rounding resolution of f cannot
-            # be certified by any line search; the rank is converged to its
-            # floor.
-            floor = _rounding_floor(f_val)
-            stop = "floor"  # if either break below ends the solve
-            if not slope0 < -floor:
+            # Only rounding gives tPCG a direction that is not descent.
+            if not slope0 < 0.0:
                 break
             try:
                 result = line_search(problem, metric, at, state.direction,
                                      f_val, slope0, config)
             except LineSearchError as exc:
-                # When the decrease the acceptance conditions demand is
-                # below the rounding resolution of f no trial step can be
-                # certified either, so an exhausted search means the same
-                # floor, not a failure.
-                if exc.demanded <= floor:
+                # When the acceptance conditions demand no more than the
+                # rounding bound of the cost difference, no trial step can
+                # be certified, so an exhausted search means the floor, not
+                # a failure.
+                if exc.demanded <= exc.resolution:
                     break
                 raise
 
@@ -443,6 +521,9 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
                 alpha=result.alpha,
                 ms=(time.perf_counter() - t_iter) * 1e3,
             ))
+            if target is not None and relres <= target:
+                stop = "target"
+                break
             if (target is not None and k >= 2 and result.alpha == 1.0
                     and gnorm < prev.gradnorm and relres > max(
                         STALL_RATIO * prev.relres, STALL_MARGIN * target)):
@@ -456,5 +537,12 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
         # line) still want the iterations that did complete.
         exc.trace = trace
         raise
+    if len(trace.rows) == 1 and f_scaled is not None:
+        # The last row describes the returned factor, here the scaled start.
+        trace.append(TraceRow(
+            k=1, p=p, f=f_val, gradnorm=gnorm,
+            relres=relative_residual(problem, point), inner_iters=0, nH=0,
+            alpha=0.0, ms=(time.perf_counter() - t_start) * 1e3,
+        ))
     trace.stops.append(stop)
     return point, trace

@@ -15,15 +15,20 @@ from lyapfactor import (
     FactorPoint,
     LyapunovProblem,
     MatrixMarketError,
+    Metric,
     SpdSparseMatrix,
+    TnewtonConfig,
+    cost,
     dense_oracle_solve,
     gen_poisson,
     load_manifest,
     load_matrix_market,
     relative_residual,
     residual_fro,
+    riemannian_gradient,
     save_matrix_market,
     save_problem,
+    solve_fixed_rank,
 )
 
 
@@ -236,6 +241,74 @@ def test_kronecker_operator_is_spd():
         big = (sps.kron(prob.m.mat, prob.a.mat)
                + sps.kron(prob.a.mat, prob.m.mat)).toarray()
         assert np.linalg.eigvalsh(big).min() > 0.0
+
+
+# ---------------------------------------------------- cost along a line
+
+
+def _grid_problem(side, seed):
+    """5-point stiffness and consistent mass on a side-by-side grid."""
+    h = 1.0 / (side + 1)
+    ones = np.ones(side - 1)
+    t = sps.diags([-ones, np.full(side, 2.0), -ones], [-1, 0, 1]) / (h * h)
+    mh = sps.diags([ones, np.full(side, 4.0), ones], [-1, 0, 1]) / 6.0
+    eye = sps.identity(side)
+    b = np.random.default_rng(seed).standard_normal((side * side, 1))
+    return LyapunovProblem(SpdSparseMatrix(sps.kron(t, eye) + sps.kron(eye, t)),
+                           SpdSparseMatrix(sps.kron(mh, mh)), b)
+
+
+def _extended_cost(problem, y):
+    """The cost in extended precision, from dense copies of A, M and B."""
+    a, m, b = (np.asarray(x, dtype=np.longdouble) for x in
+               (problem.a.mat.toarray(), problem.m.mat.toarray(), problem.b))
+    by = b.T @ y
+    return np.sum((y.T @ (a @ y)) * (y.T @ (m @ y))) - np.sum(by * by)
+
+
+@pytest.mark.parametrize("case", ["poisson", "grid"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cost_quartic_matches_direct_cost_differences(case, seed):
+    # Along a random line, and along a short steepest descent line from a
+    # point near a fixed-rank solution, where the cost's terms cancel:
+    # wherever |Delta| is far above the rounding bound eps(alpha), the
+    # quartic's Delta(alpha) is the cost difference along the exact line,
+    # formed in extended precision wherever that resolves it, and the
+    # difference of two costs of the library wherever those resolve it.
+    # Near the solution the quartic certifies differences below the
+    # rounding of the cost itself.
+    problem = gen_poisson(200, seed) if case == "poisson" \
+        else _grid_problem(14, seed)
+    rng = np.random.default_rng(seed + 10)
+    y = 1e-3 * rng.standard_normal((problem.n, 3))
+    solved, _ = solve_fixed_rank(problem, Metric.EMBEDDED, y,
+                                 TnewtonConfig(grad_tol_rel=1e-8), "proposed")
+    grad = riemannian_gradient(Metric.EMBEDDED, problem, solved)
+    lines = [(y, 1e-3 * rng.standard_normal(y.shape)),
+             (solved.y, -1e-4 * np.linalg.norm(solved.y)
+              / np.linalg.norm(grad) * grad)]
+    resolution = 1e13 * np.finfo(np.longdouble).eps
+    counts = np.zeros(3, dtype=int)
+    for base, d in lines:
+        line = FactorPoint(base).products(problem).line(d)
+        exact = (np.asarray(base, dtype=np.longdouble),
+                 np.asarray(d, dtype=np.longdouble))
+        f0 = _extended_cost(problem, exact[0])
+        for alpha in [s * 10.0 ** k for k in range(-6, 3) for s in (1, -1)]:
+            delta = line.delta(alpha)
+            if not abs(delta) > 1e3 * line.bound(alpha):
+                continue
+            if abs(delta) > resolution * abs(f0):
+                direct = _extended_cost(problem, exact[0] + alpha * exact[1])
+                assert abs(delta - float(direct - f0)) <= 1e-10 * abs(delta)
+                counts[0] += 1
+            fresh = (cost(problem, FactorPoint(base + alpha * d))
+                     - cost(problem, FactorPoint(base)))
+            if abs(delta) > 1e-4 * abs(f0):
+                assert abs(delta - fresh) <= 1e-10 * abs(delta)
+                counts[1] += 1
+            counts[2] += abs(delta) < np.finfo(float).eps * abs(f0)
+    assert counts[0] >= 12 and counts[1] >= 6 and counts[2] >= 1
 
 
 # ------------------------------------------------------------ generator

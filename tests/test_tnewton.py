@@ -17,7 +17,7 @@ from lyapfactor import (
     solve_fixed_rank,
     tpcg,
 )
-from lyapfactor import tnewton
+from lyapfactor import problems, tnewton
 from lyapfactor.manifold import hessian_action
 from lyapfactor.tnewton import (
     EPS_CURV,
@@ -230,7 +230,9 @@ def test_line_search_exhaustion_reports_diagnostics():
 
 def test_exhausted_line_search_falls_back_to_first_armijo_trial(monkeypatch):
     # chi = 0.999 demands a fixed decrease no trial reaches, but Armijo's
-    # condition with the same chi2 holds once alpha is small enough
+    # condition with the same chi2 holds once alpha is small enough. Each
+    # trial's cost is f0 plus the line's quartic difference, and counts
+    # only as a decrease beyond the quartic's rounding bound.
     prob = gen_poisson(40, 0)
     at = FactorPoint(np.random.default_rng(8).standard_normal((40, 2)))
     config = TnewtonConfig(chi1=0.999, chi2=0.999, ls_max_backtracks=20)
@@ -247,13 +249,18 @@ def test_exhausted_line_search_falls_back_to_first_armijo_trial(monkeypatch):
     result = line_search(prob, Metric.EMBEDDED, at, direction, f0, slope,
                          config)
     assert len(trials) == config.ls_max_backtracks + 1
-    costs = [cost(prob, trial) for _, trial in trials]
+    line = at.products(prob).line(direction)
+    costs = [f0 + line.delta(alpha) for alpha, _ in trials]
+    for (alpha, trial), f in zip(trials, costs):
+        fresh = cost(prob, trial)
+        assert abs(f - fresh) <= 1e-10 * abs(fresh)
     norm_sq = horizontal_inner(Metric.EMBEDDED, at, direction, direction)
     threshold = max(-config.chi1 * slope * slope / norm_sq,
                     config.chi2 * slope)
     assert all(f - f0 > threshold for f in costs)
     armijo = [k for k, ((alpha, _), f) in enumerate(zip(trials, costs))
-              if f - f0 <= config.chi2 * alpha * slope]
+              if f - f0 <= config.chi2 * alpha * slope
+              and f - f0 < -line.bound(alpha)]
     first = armijo[0]
     assert 0 < first < config.ls_max_backtracks
     assert result.alpha == trials[first][0]
@@ -261,17 +268,24 @@ def test_exhausted_line_search_falls_back_to_first_armijo_trial(monkeypatch):
     assert result.f == costs[first]
     assert result.backtracks == config.ls_max_backtracks
     assert result.fallback
-    # a demanded decrease at or below the rounding floor is not a failure
-    # to be papered over: the search raises, and the caller ends the rank
-    monkeypatch.setattr(tnewton, "_rounding_floor", lambda f: np.inf)
-    with pytest.raises(LineSearchError):
+    # a demanded decrease within the rounding bound eps(alpha*) at the
+    # line's minimizer is not a failure to be papered over: the search
+    # raises, and the caller ends the rank (here alpha* is put where that
+    # bound exceeds the demand)
+    monkeypatch.setattr(problems.CostQuartic, "minimizer",
+                        property(lambda self: 1e30))
+    with pytest.raises(LineSearchError) as info:
         line_search(prob, Metric.EMBEDDED, at, direction, f0, slope, config)
+    assert info.value.demanded == -threshold
+    assert info.value.demanded <= info.value.resolution
 
 
 def test_trace_marks_the_steps_of_the_armijo_fallback(monkeypatch):
     # chi = 0.3 demands a decrease that some steps of this solve do not
     # give; the trace lists exactly the iterations whose step the Armijo
-    # fallback took, and their rows are those of the accepted steps
+    # fallback took, and their rows are those of the accepted steps. The
+    # start is the first of default_rng(0 ... 19) whose solve takes the
+    # fallback: 20 of the 120 starts of gen_poisson(40, 0 ... 5) do.
     results = []
 
     def spy(*args, search=tnewton.line_search):
@@ -279,7 +293,7 @@ def test_trace_marks_the_steps_of_the_armijo_fallback(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(tnewton, "line_search", spy)
-    y0 = np.random.default_rng(8).standard_normal((40, 2))
+    y0 = np.random.default_rng(1).standard_normal((40, 2))
     config = TnewtonConfig(chi1=0.3, chi2=0.3, ls_max_backtracks=5)
     _, trace = solve_fixed_rank(gen_poisson(40, 0), Metric.EMBEDDED, y0,
                                 config, "proposed")
@@ -328,7 +342,74 @@ def test_solve_stationary_start_takes_no_steps():
     point, trace = solve_fixed_rank(prob, Metric.EMBEDDED, ystar)
     assert len(trace.rows) == 1
     assert trace.stops == ["floor"]
+    assert trace.scales == [1.0]
     np.testing.assert_array_equal(point.y, ystar)
+
+
+@pytest.mark.parametrize("choice", ["none", "proposed"])
+@pytest.mark.parametrize("metric", ALL_METRICS)
+def test_start_scale_makes_the_first_iterate_scale_free(metric, choice):
+    # Row 0 is the factor as given; the iteration starts from its
+    # cost-optimal scale t*, which is the same point for Y0, 1e3 Y0 and
+    # 1e-3 Y0, so the first iterate is too. (grad_tol_rel = 0: under the
+    # EUCLIDEAN metric the gradient norm at 1e3 Y0 is so large that t* Y0
+    # already meets the default tolerance relative to it.)
+    prob = gen_poisson(150, 1)
+    y0 = np.random.default_rng(11).standard_normal((150, 3))
+    by = prob.b.T @ y0
+    quartic = np.trace(y0.T @ (prob.a.mat @ y0) @ y0.T @ (prob.m.mat @ y0))
+    scale = np.sqrt(np.sum(by * by) / (2.0 * quartic))
+    firsts = []
+    for size in (1.0, 1e3, 1e-3):
+        point, trace = solve_fixed_rank(
+            prob, metric, size * y0,
+            TnewtonConfig(grad_tol_rel=0.0, max_outer=1), choice)
+        assert trace.rows[0].f == cost(prob, FactorPoint(size * y0))
+        assert trace.scales == [pytest.approx(scale / size, rel=1e-12)]
+        assert trace.rows[1].f < cost(prob, FactorPoint(scale * y0))
+        # f0 + Delta from f(t* Y0), not from the far larger f(Y0)
+        assert trace.rows[1].f == pytest.approx(cost(prob, point), rel=1e-12)
+        firsts.append(point.y)
+    for y in firsts[1:]:
+        assert np.linalg.norm(y - firsts[0]) <= \
+            1e-10 * np.linalg.norm(firsts[0])
+
+
+def test_scaled_start_returned_without_a_step_has_its_own_row():
+    # 1e3 Y0 has a gradient so large that t* Y0 already meets the default
+    # grad_tol_rel under the EUCLIDEAN metric: the solve takes no step and
+    # returns t* Y0, recorded as row 1, so the last row describes the
+    # returned factor.
+    prob = gen_poisson(150, 1)
+    y0 = 1e3 * np.random.default_rng(11).standard_normal((150, 3))
+    point, trace = solve_fixed_rank(prob, Metric.EUCLIDEAN, y0)
+    assert trace.stops == ["gradient"]
+    assert len(trace.rows) == 2
+    row = trace.final()
+    assert (row.k, row.alpha, row.inner_iters, row.nH) == (1, 0.0, 0, 0)
+    np.testing.assert_array_equal(point.y, trace.scales[0] * y0)
+    assert row.relres == relative_residual(prob, point)
+    assert row.f < trace.rows[0].f
+    assert row.f == pytest.approx(cost(prob, point), rel=1e-12)
+
+
+def test_target_ends_the_solve_at_the_first_iterate_that_meets_it():
+    # Without a target this solve passes relres 0.0283 at k = 7 and ends
+    # at 0.0495; given the target 0.03 it ends at k = 7, on the same rows.
+    prob = gen_poisson(100, 0)
+    y0 = np.random.default_rng(3).standard_normal((100, 4))
+    _, full = solve_fixed_rank(prob, Metric.EMBEDDED, y0, TnewtonConfig(),
+                               "proposed")
+    assert full.final().relres > 0.03
+    point, trace = solve_fixed_rank(prob, Metric.EMBEDDED, y0,
+                                    TnewtonConfig(), "proposed", 0.03)
+    assert trace.stops == ["target"]
+    relres = trace.column("relres")
+    assert relres[-1] <= 0.03 < min(relres[:-1])
+    assert trace.final().k == 7
+    for name in ("k", "f", "gradnorm", "relres", "nH", "alpha"):
+        assert trace.column(name) == full.column(name)[:8]
+    assert relative_residual(prob, point) == relres[-1]
 
 
 @pytest.mark.parametrize("metric,seed", [
@@ -346,6 +427,21 @@ def test_solve_exact_solution_instance_converges(metric, seed):
     point, trace = solve_fixed_rank(prob, metric, y0,
                                     TnewtonConfig(grad_tol_rel=1e-13))
     assert relative_residual(prob, point) <= 1e-10
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS)
+def test_solve_exact_solution_family_converges(metric):
+    # The family of test_solve_exact_solution_instance_converges on every
+    # seed: no cost difference the line search can certify is lost to the
+    # rounding of the cost itself.
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        ystar = rng.standard_normal((60, 3)) / np.sqrt(60)
+        prob = identity_problem(60, ystar)
+        y0 = rng.standard_normal((60, 3))
+        point, trace = solve_fixed_rank(prob, metric, y0,
+                                        TnewtonConfig(grad_tol_rel=1e-13))
+        assert relative_residual(prob, point) <= 1e-10
 
 
 @pytest.mark.parametrize("metric", ALL_METRICS)
@@ -401,15 +497,16 @@ def test_solve_deterministic():
 
 # tools/trace_audit.py's digest of the trace and final factor of the solve
 # in test_solve_reproduces_trace_before_stall_rule, recorded with BLAS on
-# one thread before the stall rule existed. "proposed" was recorded again
-# when the projected pencil moved to one generalized eigensolve, which
-# changed its trace at rounding level only: the same 18 rows, inner
-# iterations and nH.
+# one thread. Both were recorded again when the solve came to start at the
+# cost-optimal scale of its factor and to take line-search differences
+# from the exact quartic, which changes the trajectory by design: "none"
+# went from 20 rows and nH 283 to 13 rows and nH 194, "proposed" from 18
+# rows and nH 29 to 10 rows and nH 17, both still ending on "gradient".
 TRACE_SHA256 = {
-    "proposed": "d9cee6827f78da4a7cb172462eb4a440"
-                "ac09ce0dd60f4624b12861224be68e14",
-    "none": "600a28da5cce74f22a1118235ebc26b8"
-            "ecec7a4244342ac7c1424ebd4e7ba4a9",
+    "proposed": "28cf4f5a35a3dbe83e99a736cf850e5d"
+                "24a63d70630ee397bb0f9d219496d389",
+    "none": "892dd9136d942a8bc20ab80c91598a8b"
+            "991e1ad2574dedf0999e949fca1cda34",
 }
 
 

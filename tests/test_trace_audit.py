@@ -115,3 +115,38 @@ def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
         ranks = len({row.p for row in trace.rows})
         assert record["outcome"] == f"rank {point.p}"
         assert record["outer"] == len(trace.rows) - ranks > 0
+        assert record["stops"] == trace.stops
+        assert len(record["stops"]) == ranks
+        assert record["fallbacks"] == len(trace.fallbacks)
+
+
+def test_compare_prints_stop_reasons_and_fallbacks(tmp_path, capsys):
+    # One line per workload, before the outer iterations: the total of
+    # each stop reason and of the fallbacks in both files.
+    before = {"irr/1": _record("a", 14, outer=70),
+              "irr/2": _record("b", 15, outer=80),
+              "grid/0": _record("c", 5, outer=20)}
+    after = {"irr/1": _record("d", 14, outer=60),
+             "irr/2": _record("e", 14, outer=50),
+             "grid/0": _record("f", 5, outer=10)}
+    before["irr/1"].update(stops=["stall", "floor"], fallbacks=1)
+    before["irr/2"].update(stops=["stall", "stall", "floor"], fallbacks=0)
+    before["grid/0"].update(stops=["gradient"], fallbacks=2)
+    after["irr/1"].update(stops=["stall", "floor"], fallbacks=0)
+    after["irr/2"].update(stops=["stall", "target"], fallbacks=0)
+    after["grid/0"].update(stops=["gradient"], fallbacks=0)
+    status, lines = _compare(tmp_path, capsys, before, after)
+    assert status == 1
+    assert lines[-5:-3] == [
+        "grid: stops gradient 1; fallbacks 2 -> gradient 1; fallbacks 0",
+        "irr: stops floor 2, stall 3; fallbacks 1 -> floor 1, stall 2, "
+        "target 1; fallbacks 0"]
+    # a file written before the fields existed still compares
+    old = {key: {k: v for k, v in record.items()
+                 if k not in ("stops", "fallbacks")}
+           for key, record in before.items()}
+    status, lines = _compare(tmp_path, capsys, old, after)
+    assert status == 1
+    assert lines[-5:-3] == [
+        "grid: stops n/a -> gradient 1; fallbacks 0",
+        "irr: stops n/a -> floor 1, stall 2, target 1; fallbacks 0"]

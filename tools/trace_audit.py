@@ -12,10 +12,12 @@ seeds 0-199 and fixed-grid2d instance seeds 0-59 and writes one record per
 instance: a sha256 over float.hex of the trace columns k, p, f, gradnorm,
 relres, inner_iters, nH and alpha of every row, and over the bytes of the
 final factor, with the final rank as the outcome, the relres of each
-rank's last row, the outer iterations (rows with k > 0) and the
-workload's residual target tau (null for a fixed-rank solve). A solve
-that raises is hashed over the partial trace its exception carries, and
-its outcome is the exception type (with the type of the cause, if any).
+rank's last row, the outer iterations (rows with k > 0), the reason each
+fixed-rank solve ended (the trace's stops), the number of steps the line
+search's Armijo fallback took and the workload's residual target tau
+(null for a fixed-rank solve). A solve that raises is hashed over the
+partial trace its exception carries, and its outcome is the exception
+type (with the type of the cause, if any).
 
 `compare` prints every instance whose hash or outcome differs between two
 files, those whose outcome changed first, then counts the differing
@@ -26,12 +28,14 @@ relres / tau at the lower of the two ranks is printed for both sides, and
 the change is labelled knife-edge when the first file's value lies within
 KNIFE_EDGE of 1: such an instance stops within rounding of tau, so any
 rounding-level change can move its rank by one. Then one line per
-workload gives its total outer iterations and its sum of final ranks in
-both files; an instance that raised in either file counts toward neither
-rank sum, so the two sums cover the same instances. The closing line
-counts the outcome changes that are not knife-edge. Files written before
-the relres or outer fields existed still compare; their rank changes are
-never knife-edge and their outer totals read n/a.
+workload gives the total of each stop reason and of the fallbacks in
+both files, and one more its total outer iterations and its sum of final
+ranks in both files; an instance that raised in either file counts
+toward neither rank sum, so the two sums cover the same instances. The
+closing line counts the outcome changes that are not knife-edge. Files
+written before the relres, outer, stops or fallbacks fields existed still
+compare; their rank changes are never knife-edge and their missing
+totals read n/a.
 
 BLAS is pinned to one thread before numpy is imported, as the benchmark
 does, so that a run is reproducible bit for bit.
@@ -42,6 +46,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -101,6 +106,8 @@ def audit(root):
                 "hash": digest, "outcome": outcome,
                 "relres": final_relres(trace),
                 "outer": sum(row.k > 0 for row in trace.rows),
+                "stops": list(trace.stops),
+                "fallbacks": len(trace.fallbacks),
                 "tau": workload.tau}
             print(f"{name}/{seed}: {outcome}", file=sys.stderr, flush=True)
     return records
@@ -155,6 +162,32 @@ def outer_totals(records):
         outers.setdefault(key.split("/")[0], []).append(record.get("outer"))
     return {name: None if None in values else sum(values)
             for name, values in outers.items()}
+
+
+def stop_totals(records):
+    """Per workload (the key before '/'), the count of each stop reason
+    and the total fallbacks; None for a workload with a record that lacks
+    either field."""
+    totals = {}
+    for key, record in records.items():
+        name = key.split("/")[0]
+        stops, fallbacks = record.get("stops"), record.get("fallbacks")
+        total = totals.setdefault(name, [Counter(), 0])
+        if total is None or stops is None or fallbacks is None:
+            totals[name] = None
+            continue
+        total[0].update(stops)
+        total[1] += fallbacks
+    return totals
+
+
+def describe_stops(total):
+    """'floor 3, gradient 57; fallbacks 1', or n/a."""
+    if total is None:
+        return "n/a"
+    stops, fallbacks = total
+    text = ", ".join(f"{reason} {stops[reason]}" for reason in sorted(stops))
+    return f"{text or 'none'}; fallbacks {fallbacks}"
 
 
 def rank_sums(before, after):
@@ -216,6 +249,10 @@ def main(argv=None):
     for key, (old, new) in sorted(diff.items(),
                                   key=lambda item: item[0] not in moved):
         print(f"{key}: {describe(old, new, key in moved)}")
+    stops = stop_totals(before), stop_totals(after)
+    for name in sorted(stops[0].keys() | stops[1].keys()):
+        print(f"{name}: stops {describe_stops(stops[0].get(name))} -> "
+              f"{describe_stops(stops[1].get(name))}")
     totals = outer_totals(before), outer_totals(after)
     ranks = rank_sums(before, after)
     for name in sorted(ranks):
