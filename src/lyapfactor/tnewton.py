@@ -112,7 +112,10 @@ def tpcg(gradient, hess, precond, eps_curv, phi_k, *,
     preconditioned residual if that happens immediately), or when the
     residual drops below phi_k relative to the gradient norm, or at a
     breakdown, where rounding has left <r, P r> nonpositive and the next
-    step would divide by it, or after max_inner steps.
+    step would divide by it, or after max_inner steps. The forcing test
+    comes before the preconditioner apply, so there is no apply after the
+    last residual update of a "forcing" stop: k Hessian actions take k
+    applies, where a stop on curvature at step i takes i + 1.
 
     Parameters
     ----------
@@ -167,19 +170,21 @@ def tpcg(gradient, hess, precond, eps_curv, phi_k, *,
             direction = d0 if i == 0 else eta
             return TpcgState(direction, i + 1, "curvature", rel)
         alpha = ry / dq
+        if not math.isfinite(alpha):
+            raise InnerSolveError(i)
         eta = eta + alpha * d
         r = r - alpha * q
+        rel = math.sqrt(max(inner(r, r), 0.0)) / grad_norm
+        if rel <= phi_k:
+            return TpcgState(eta, i + 1, "forcing", rel)
         yv = precond(r)
         ry_new = inner(r, yv)
-        if not (math.isfinite(alpha) and math.isfinite(ry_new)):
+        if not math.isfinite(ry_new):
             raise InnerSolveError(i)
         beta = ry_new / ry
         d = yv + beta * d
         delta = inner(yv, yv) + beta * beta * delta
         ry = ry_new
-        rel = math.sqrt(max(inner(r, r), 0.0)) / grad_norm
-        if rel <= phi_k:
-            return TpcgState(eta, i + 1, "forcing", rel)
         if ry <= 0.0:
             return TpcgState(eta, i + 1, "breakdown", rel)
     return TpcgState(eta, max_inner, "max_inner", rel)

@@ -8,11 +8,14 @@ the dense matrix of the preconditioner and a standalone saddle solve).
 Beyond the public API only `project_horizontal`, `vertical_part`,
 `_as_point` and `_compressed_residual` are imported, and `saddle_solve`
 calls a shift cache's shift solves. `legacy_warm_start` is the library's
-warm start before the cost-optimal seed, kept for a regression replay.
+warm start before the cost-optimal seed, kept for a regression replay,
+and `legacy_tpcg` the inner solve before its forcing test moved ahead of
+the preconditioner apply.
 `trace_audit` is tools/trace_audit.py, loaded from its path.
 """
 
 import importlib.util
+import math
 import pathlib
 import warnings
 
@@ -22,9 +25,11 @@ import scipy.sparse.linalg as spla
 
 from lyapfactor import (
     FactorPoint,
+    InnerSolveError,
     LyapunovProblem,
     Metric,
     SpdSparseMatrix,
+    TpcgState,
     apply_cached,
     build_shift_cache,
     cost,
@@ -384,3 +389,46 @@ def legacy_warm_start(problem, y_p, p_inc, rng=None):
         RuntimeWarning,
     )
     return trial, False
+
+
+def legacy_tpcg(gradient, hess, precond, eps_curv, phi_k, *, inner,
+                max_inner):
+    """tnewton.tpcg as it was when it applied the preconditioner to every
+    updated residual before its forcing test, kept verbatim (less the
+    record) to show that moving the test ahead of the apply changes only
+    the number of applies."""
+    grad_norm = math.sqrt(inner(gradient, gradient))
+    eta = np.zeros_like(gradient)
+    r = -gradient
+    yv = precond(r)
+    d = yv
+    d0 = yv
+    delta = inner(yv, yv)
+    ry = inner(r, yv)
+    rel = 1.0
+
+    for i in range(max_inner):
+        q = hess(d)
+        dq = inner(d, q)
+        if not math.isfinite(dq):
+            raise InnerSolveError(i)
+        if dq <= eps_curv * delta:
+            direction = d0 if i == 0 else eta
+            return TpcgState(direction, i + 1, "curvature", rel)
+        alpha = ry / dq
+        eta = eta + alpha * d
+        r = r - alpha * q
+        yv = precond(r)
+        ry_new = inner(r, yv)
+        if not (math.isfinite(alpha) and math.isfinite(ry_new)):
+            raise InnerSolveError(i)
+        beta = ry_new / ry
+        d = yv + beta * d
+        delta = inner(yv, yv) + beta * beta * delta
+        ry = ry_new
+        rel = math.sqrt(max(inner(r, r), 0.0)) / grad_norm
+        if rel <= phi_k:
+            return TpcgState(eta, i + 1, "forcing", rel)
+        if ry <= 0.0:
+            return TpcgState(eta, i + 1, "breakdown", rel)
+    return TpcgState(eta, max_inner, "max_inner", rel)

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from helpers import identity_problem, random_problem, trace_audit
+from helpers import (
+    identity_problem,
+    legacy_tpcg,
+    random_problem,
+    trace_audit,
+)
 from lyapfactor import (
     FactorPoint,
     Metric,
@@ -156,6 +161,62 @@ def test_tpcg_curvature_truncation_mid_run():
     assert state.stop == "curvature"
     assert state.hessian_actions >= 2
     assert np.linalg.norm(state.direction) > 0.0
+
+
+def _counted(fn, counts, key):
+    def wrapped(v):
+        counts[key] += 1
+        return fn(v)
+    return wrapped
+
+
+def _tpcg_case(case):
+    """(gradient, H, P, phi_k, max_inner) for a fixed system whose tPCG
+    stops for the named reason; P is a fixed SPD diagonal."""
+    rng = np.random.default_rng(7)
+    n = 12
+    w = rng.standard_normal((n, n))
+    hmat = w @ w.T + n * np.eye(n)
+    pmat = np.diag(1.0 / (np.arange(n) + 1.0))
+    g = rng.standard_normal((n, 1))
+    if case == "curvature":
+        hmat[-1, -1] = -1e3
+        return g, hmat, pmat, 1e-14, n
+    if case == "max_inner":
+        return g, hmat, pmat, 1e-14, 3
+    return g, hmat, pmat, 1e-8, n
+
+
+@pytest.mark.parametrize("case", ["forcing", "curvature", "max_inner"])
+def test_tpcg_applies_the_preconditioner_only_to_residuals_it_uses(case):
+    # A "forcing" stop after k Hessian actions applies the preconditioner
+    # k times (the initial residual and k - 1 updates), one fewer than the
+    # loop that applied it before the forcing test; a stop on curvature at
+    # step i makes i + 1 applies either way. The returned state is the old
+    # loop's, bit for bit.
+    g, hmat, pmat, phi, max_inner = _tpcg_case(case)
+    states, counts = [], []
+    for solve in (tpcg, legacy_tpcg):
+        count = {"hess": 0, "precond": 0}
+        states.append(solve(
+            g, _counted(lambda v: hmat @ v, count, "hess"),
+            _counted(lambda v: pmat @ v, count, "precond"), 1e-12, phi,
+            inner=lambda x, e: float(np.sum(x * e)), max_inner=max_inner))
+        counts.append(count)
+    new, old = states
+    assert new.stop == old.stop == case
+    k = new.hessian_actions
+    assert counts[0]["hess"] == counts[1]["hess"] == k == old.hessian_actions
+    if case == "forcing":
+        assert k >= 3
+        assert (counts[0]["precond"], counts[1]["precond"]) == (k, k + 1)
+    else:
+        assert counts[0]["precond"] == counts[1]["precond"] == k + (
+            case == "max_inner")
+    if case == "curvature":
+        assert k >= 2
+    np.testing.assert_array_equal(new.direction, old.direction)
+    assert new.rel_residual == old.rel_residual
 
 
 # ------------------------------------------------------------ line search
