@@ -140,6 +140,11 @@ def warm_start(problem, y_p, p_inc, rng=None):
         the cost, or the jitter raised it), the point is returned all the
         same with a warning and the flag False; the outer loop is never
         aborted here.
+
+    Raises
+    ------
+    RuntimeError
+        If the grown factor is still rank deficient after its jitter.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -156,7 +161,9 @@ def warm_start(problem, y_p, p_inc, rng=None):
     if not trial.has_full_rank:
         grown += 1e-8 * norm * rng.standard_normal(grown.shape)
         trial = FactorPoint(np.hstack([point.y, grown]))
-        assert trial.has_full_rank, "seeded factor still rank deficient"
+        if not trial.has_full_rank:
+            raise RuntimeError("seeded factor still rank deficient after "
+                               "its jitter")
     if cost(problem, trial) <= cost(problem, point):
         return trial, True
     warnings.warn("the seeded columns raise the cost; continuing from the "
@@ -199,7 +206,6 @@ def solve_increasing_rank(problem, metric, config=None, tnewton_config=None,
         raise ValueError(f"p_max = {config.p_max} exceeds the problem size {n}")
     rng = np.random.default_rng(config.seed)
     point = FactorPoint(rng.standard_normal((n, config.p_min)))
-    assert point.has_full_rank
 
     full_trace = SolveTrace()
     schedule = list(range(config.p_min, config.p_max + 1, config.p_inc))

@@ -39,13 +39,14 @@ from .problems import FactorPoint, _as_point, _cho_factor, _cho_solve
 COUPLED_DIRECT_LIMIT = 64
 
 # Largest half-bandwidth for which the shifts are factored by band Cholesky
-# (LAPACK pbtrf/pbtrs); wider pencils go to the sparse LU (splu). On a
-# 200-by-200 grid (kd = 201) pbtrf is the faster factorization, but the
-# band solves are 4x slower than splu's and the factor 1.7x larger.
+# (LAPACK pbtrf, with tbtrs sweeps); wider pencils go to the sparse LU
+# (splu). On a 200-by-200 grid (kd = 201) pbtrf is the faster
+# factorization, but the band solves are 4x slower than splu's and the
+# factor 1.7x larger.
 BAND_LIMIT = 128
 
 # Largest band, in entries, into which band shifts are stacked for one
-# pbtrf or pbtrs call (512 KiB). Stacking saves a call per shift, which
+# pbtrf or tbtrs call (512 KiB). Stacking saves a call per shift, which
 # pays on small bands: whole irr-poisson1d solves (n = 100, kd = 1) ran
 # 0.94x as long stacked as with one band per shift. A stack much larger
 # than a core's cache costs more than the calls it saves: on the 40x40
@@ -54,7 +55,7 @@ BAND_LIMIT = 128
 # 8-10 instances, one thread of a 2-core Xeon with 2 MiB L2 per core).
 STACK_LIMIT = 1 << 16
 
-_PBTRF, _PBTRS = spla.get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+_PBTRF, _TBTRS = spla.get_lapack_funcs(("pbtrf", "tbtrs"), dtype=np.float64)
 
 
 class PreconditionerError(RuntimeError):
@@ -200,17 +201,20 @@ def _pencil(problem, variant):
 
 def _factor_shifts(pencil, lams):
     """Factor the shifts F_i = A + lam_i M of pencil = (A, M, band) and
-    return solve(rhs), which solves block i of an (n p)-row rhs, rows i n
-    to (i + 1) n - 1, with F_i; rhs may carry several columns.
+    return (half, rest), with rest(half(rhs)) the solve of block i of an
+    (n p)-row rhs, rows i n to (i + 1) n - 1, with F_i; rhs may carry
+    several columns.
 
     lam_i > 0 makes every shift SPD, so Cholesky, or diagonal pivots in a
-    symmetric order, are stable. A band pencil is factored by pbtrf, its
-    shifts filled by one scatter of the aligned lower-band entries of A
-    and M into consecutive blocks of columns of as few bands as
-    STACK_LIMIT allows. The entries that would couple two shifts are zero,
-    so a band is block diagonal and one pbtrf or pbtrs call serves all of
-    its shifts. A pencil wider than BAND_LIMIT gets one sparse LU of
-    (A + lam_i M).tocsc() per shift.
+    symmetric order, are stable. A band pencil is factored F_i = L_i L_i^T
+    by pbtrf, its shifts filled by one scatter of the aligned lower-band
+    entries of A and M into consecutive blocks of columns of as few bands
+    as STACK_LIMIT allows. The entries that would couple two shifts are
+    zero, so a band is block diagonal and one pbtrf call, and one tbtrs
+    call per sweep, serves all of its shifts: half is the forward sweep
+    L_i^{-1} and rest the back sweep L_i^{-T}. A pencil wider than
+    BAND_LIMIT gets one sparse LU of (A + lam_i M).tocsc() per shift;
+    half is its whole solve and rest the identity.
 
     Raises PreconditionerError naming the shift that fails to factor.
     """
@@ -227,8 +231,9 @@ def _factor_shifts(pencil, lams):
             except RuntimeError as exc:
                 raise PreconditionerError(
                     f"shift {lam:.3e} failed to factor: {exc}") from None
-        return lambda rhs: np.concatenate(
-            [lu.solve(rhs[i * n:(i + 1) * n]) for i, lu in enumerate(lus)])
+        return (lambda rhs: np.concatenate(
+            [lu.solve(rhs[i * n:(i + 1) * n]) for i, lu in enumerate(lus)]),
+            lambda rhs: rhs)
     kd, flat, a_low, m_low = band
     per = max(1, STACK_LIMIT // ((kd + 1) * n))
     chols = []
@@ -245,9 +250,33 @@ def _factor_shifts(pencil, lams):
                 f"pbtrf failed with info {info - shift * n}")
         chols.append(chol)
     size = per * n
-    return lambda rhs: np.concatenate(
-        [_PBTRS(chol, rhs[k * size:(k + 1) * size], lower=1)[0]
-         for k, chol in enumerate(chols)])
+
+    def sweep(trans):
+        return lambda rhs: np.concatenate(
+            [_TBTRS(chol, rhs[k * size:(k + 1) * size], uplo="L",
+                    trans=trans)[0] for k, chol in enumerate(chols)])
+
+    return sweep("N"), sweep("T")
+
+
+def _spd_inverses(s, lams):
+    """The inverses of a stack of symmetric S_i, by one batched Cholesky,
+    naming the first shift whose S_i is non-finite or not positive
+    definite."""
+    if np.isfinite(s).all():
+        try:
+            inv = np.linalg.inv(np.linalg.cholesky(s))
+            return inv.swapaxes(1, 2) @ inv
+        except np.linalg.LinAlgError:
+            pass
+    for lam, s_i in zip(lams, s):
+        # ValueError: a non-finite S_i, or potrf's LinAlgError (a subclass)
+        try:
+            _cho_factor(s_i)
+        except ValueError as exc:
+            raise PreconditionerError(
+                f"shift {lam:.3e} failed to factor: {exc}") from None
+    raise PreconditionerError("a shift failed to factor")
 
 
 @dataclass
@@ -256,28 +285,29 @@ class ShiftSystemCache:
 
     Built once per outer iteration. Holds the eigenpairs (lam, lq) of the
     projected pencil (Y^T A Y, Y^T M Y), lq^T Y^T M Y lq = I (Y^T Y for
-    "bart"), the orthonormal complement basis vhat of range(M Y),
-    U = A Y, and the p shifts F_i = A + lambda_i M as one
-    block-diagonal system: `solve_shifts(rhs)` solves block i of an
-    (n p)-row rhs with F_i (see _factor_shifts). The Schur step of
-    the saddle constraint is folded into W_i = Z_i S_i^{-1}, with
-    Z_i = F_i^{-1} vhat, all p formed by one solve_shifts call on p
-    stacked copies of vhat (the build's only sparse solves), and
-    S_i = vhat^T Z_i, so a constrained solve is x0 - W_i vhat^T x0 with
-    x0 = F_i^{-1} rhs. J_i = 2 (I - W_i vhat^T) Y lq is that solve of
-    2 (I - vhat vhat^T) U lq; its K_i enter the coupled system.
-    Everything here is independent of the metric; only the right-hand
-    side and the final projection of an apply depend on it.
+    "bart"), the orthonormal basis vhat of range(M Y), M Y = vhat R,
+    ylq = Y lq, E = vhat^T Y lq, and the shifts F_i = A + lambda_i M as
+    the maps (half, rest) of _factor_shifts. The build's only sparse
+    solves are G_i = half(vhat) for all i: L_i^{-1} vhat on a band, with
+    `left` = G_i, and Z_i = F_i^{-1} vhat for an LU, with `left` = vhat.
+    S_i = left_i^T G_i = vhat^T Z_i, the Schur complement of the saddle
+    constraint vhat^T x = 0, is kept as its inverse. Since
+    F_i^{-1} A Y = Y - lambda_i Z_i R, the coupled system's blocks are
+    K_i = 2 (E^T S_i^{-1} E - diag(lam)). Nothing here depends on the
+    metric.
     """
 
     point: FactorPoint
-    u: np.ndarray
     lq: np.ndarray
     lam: np.ndarray
     vhat: np.ndarray
-    solve_shifts: object
-    w_stack: np.ndarray
-    j_stack: np.ndarray
+    ylq: np.ndarray
+    e: np.ndarray
+    half: object
+    rest: object
+    g_stack: np.ndarray
+    left: np.ndarray
+    s_inv: np.ndarray
     coupled: CoupledSystem
 
 
@@ -311,10 +341,9 @@ def build_shift_cache(problem, point, variant="proposed"):
     y = point.y
     n, p = y.shape
     prod = point.products(problem)
-    u = prod.u
     my = prod.v if variant == "proposed" else y
     try:
-        lam, lq = spla.eigh(y.T @ u, y.T @ my)
+        lam, lq = spla.eigh(y.T @ prod.u, y.T @ my)
     except np.linalg.LinAlgError:
         raise PreconditionerError(
             "mass Gram matrix of the factor is not positive definite"
@@ -326,32 +355,19 @@ def build_shift_cache(problem, point, variant="proposed"):
         )
     vhat = np.linalg.qr(my)[0]
 
-    solve_shifts = _factor_shifts(_pencil(problem, variant), lam)
-    z_stack = solve_shifts(np.tile(vhat, (p, 1)))
-    w_stack = np.empty((p, n, p))
-    eye = np.eye(p)
-    for i in range(p):
-        z = z_stack[i * n:(i + 1) * n]
-        schur = vhat.T @ z
-        # ValueError: a non-finite Z_i, or potrf's LinAlgError (a subclass)
-        try:
-            cho = _cho_factor(0.5 * (schur + schur.T))
-        except ValueError as exc:
-            raise PreconditionerError(
-                f"shift {lam[i]:.3e} failed to factor: {exc}") from None
-        w_stack[i] = z @ _cho_solve(cho, eye)
-
-    # J_i, the saddle solve of 2 (I - vhat vhat^T) U lq, needs no sparse
-    # solve: with M Y = vhat R (Y = vhat R for "bart"), F_i^{-1} U is
-    # Y - lambda_i Z_i R, and the elimination removes every Z_i term.
-    two_ylq = 2.0 * (y @ lq)
-    j_stack = two_ylq - w_stack @ (vhat.T @ two_ylq)
-    k_stack = 2.0 * lam[:, None, None] * eye
-    k_stack -= lq.T @ (u.T @ j_stack)
+    pencil = _pencil(problem, variant)
+    half, rest = _factor_shifts(pencil, lam)
+    g_stack = half(np.tile(vhat, (p, 1))).reshape(p, n, p)
+    left = g_stack if pencil[2] is not None else np.broadcast_to(
+        vhat, g_stack.shape)
+    s = left.swapaxes(1, 2) @ g_stack
+    s_inv = _spd_inverses(0.5 * (s + s.swapaxes(1, 2)), lam)
+    ylq = y @ lq
+    e = vhat.T @ ylq
+    k_stack = 2.0 * (e.T @ s_inv @ e - np.diag(lam))
     return ShiftSystemCache(
-        point=point, u=u, lq=lq, lam=lam, vhat=vhat,
-        solve_shifts=solve_shifts,
-        w_stack=w_stack, j_stack=j_stack,
+        point=point, lq=lq, lam=lam, vhat=vhat, ylq=ylq, e=e,
+        half=half, rest=rest, g_stack=g_stack, left=left, s_inv=s_inv,
         coupled=CoupledSystem(0.5 * (k_stack + k_stack.swapaxes(1, 2))))
 
 
@@ -368,26 +384,31 @@ def _defining_rhs(metric, point, eta):
 def apply_cached(cache, metric, eta):
     """Apply the preconditioner to a horizontal array, reusing the cache.
 
-    Runs the shifted saddle solves on the projected right-hand side, the
-    coupled solve for the symmetric coefficient, recovers the ambient
-    solution and projects it horizontal under the requested metric.
+    Column t_i of the projected right-hand side is solved with shift i.
+    After the forward sweep h_i = half(t_i), the saddle multiplier is
+    mu_i = S_i^{-1} left_i^T h_i, and the coupled right-hand side needs
+    the saddle solve x_i only as U^T x_i = Y^T (t_i - vhat mu_i). With the
+    coupled solution S~ and nu_i = 2 S_i^{-1} E S~_i, one back sweep gives
+    rest(h_i - G_i (mu_i - nu_i)) = x_i - J_i S~_i + 2 Y lq S~_i. The
+    ambient solution is projected horizontal under the requested metric.
     """
     point = cache.point
-    y = point.y
+    n, p = point.y.shape
     t = _defining_rhs(metric, point, eta)
-    tm = t @ cache.lq
-    tm = tm - cache.vhat @ (cache.vhat.T @ tm)
-    # Column i is solved with shift i, all in one call; the Schur steps
-    # and the J_i corrections act on all p columns at once.
-    x0 = cache.solve_shifts(tm.ravel("F")).reshape(tm.shape, order="F")
-    tvec = x0 - np.einsum("inj,ji->ni", cache.w_stack, cache.vhat.T @ x0)
-    vmat = cache.lq.T @ (cache.u.T @ tvec)
-    r_small = cache.lq.T @ (y.T @ t) @ cache.lq - vmat - vmat.T
-    r_small = 0.5 * (r_small + r_small.T)
-    s_tilde = cache.coupled.solve(r_small)
-    z_tilde = tvec - np.einsum("inj,ji->ni", cache.j_stack, s_tilde)
-    xi_raw = y @ (cache.lq @ s_tilde @ cache.lq.T) + z_tilde @ cache.lq.T
-    return project_horizontal(metric, point, xi_raw)
+    tl = t @ cache.lq
+    tm = tl - cache.vhat @ (cache.vhat.T @ tl)
+    # row i of each (p, ...) array belongs to shift i
+    h = cache.half(tm.T.ravel()).reshape(p, n)
+    mu = np.einsum("ijk,ik->ij", cache.s_inv,
+                   np.einsum("inj,in->ij", cache.left, h))
+    vmat = cache.ylq.T @ tm - cache.e.T @ mu.T
+    r_small = cache.ylq.T @ tl - vmat - vmat.T
+    s_tilde = cache.coupled.solve(0.5 * (r_small + r_small.T))
+    nu = 2.0 * np.einsum("ijk,ki->ij", cache.s_inv, cache.e @ s_tilde)
+    x = h - np.einsum("inj,ij->in", cache.g_stack, mu - nu)
+    x = cache.rest(x.ravel()).reshape(p, n).T
+    return project_horizontal(metric, point,
+                              (x - cache.ylq @ s_tilde) @ cache.lq.T)
 
 
 def preconditioner(choice, metric, problem, point):

@@ -197,6 +197,15 @@ class FactorPoint:
             self._products = _PointProducts(problem, self.y)
         return self._products
 
+    def scaled(self, t, problem):
+        """The point t Y, whose products with `problem` start from t A Y,
+        t M Y and t B^T Y of this point's, with no sparse product."""
+        prod = self.products(problem)
+        point = FactorPoint(t * self.y)
+        out = point.products(problem)
+        out.u, out.v, out.by = t * prod.u, t * prod.v, t * prod.by
+        return point
+
 
 class _PointProducts:
     """Lazy U = A Y, V = M Y and N Y, with N = U V^T + V U^T - B B^T, and

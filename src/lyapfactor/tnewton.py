@@ -412,7 +412,8 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
     f(t Y) = t^4 tr(Y^T A Y Y^T M Y) - t^2 ||B^T Y||^2, so the iteration
     then starts from t* Y, t*^2 = ||B^T Y||^2 / (2 tr(Y^T A Y Y^T M Y)),
     when the closed-form decrease tr(Y^T A Y Y^T M Y) (1 - t*^2)^2 exceeds
-    its rounding bound. It runs until the gradient norm falls to
+    its rounding bound; its products A Y, M Y and B^T Y are t* times those
+    of Y (FactorPoint.scaled). It runs until the gradient norm falls to
     grad_tol_rel times its initial value or max_outer iterations. Each
     outer iteration builds the chosen preconditioner at the current point,
     runs the truncated conjugate gradient on the Newton equation and takes
@@ -468,7 +469,7 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
     scale, f_scaled = _start_scale(point.products(problem))
     trace.scales.append(scale)
     if f_scaled is not None:
-        point = FactorPoint(scale * point.y)
+        point = point.scaled(scale, problem)
         f_val = f_scaled
         grad = riemannian_gradient(metric, problem, point)
         gnorm = math.sqrt(horizontal_inner(metric, point, grad, grad))

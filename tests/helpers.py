@@ -7,7 +7,7 @@ needs (the full metric inner product, an orthonormal horizontal basis,
 the dense matrix of the preconditioner and a standalone saddle solve).
 Beyond the public API only `project_horizontal`, `vertical_part`,
 `_as_point` and `_compressed_residual` are imported, and `saddle_solve`
-calls a shift cache's shift solves. `legacy_warm_start` is the library's
+calls a shift cache's two sweeps. `legacy_warm_start` is the library's
 warm start before the cost-optimal seed, kept for a regression replay,
 and `legacy_tpcg` the inner solve before its forcing test moved ahead of
 the preconditioner apply.
@@ -257,9 +257,9 @@ def saddle_solve(cache, i, rhs):
     vhat^T x = 0; `rhs` may carry several columns. Schur elimination with
     the cache's shift solves and nothing else from the cache:
     x0 = F_i^{-1} rhs, Z_i = F_i^{-1} vhat,
-    y = (vhat^T Z_i)^{-1} vhat^T x0 and x = x0 - Z_i y. Shift i is reached
-    through `solve_shifts` on a stacked right-hand side that is zero
-    outside block i.
+    y = (vhat^T Z_i)^{-1} vhat^T x0 and x = x0 - Z_i y. Shift i is solved
+    by both of the cache's sweeps, rest(half(.)), on a stacked right-hand
+    side that is zero outside block i.
     """
     vhat = cache.vhat
     n, p = vhat.shape
@@ -268,7 +268,7 @@ def saddle_solve(cache, i, rhs):
     def solve(block):
         stacked = np.zeros((n * p,) + block.shape[1:])
         stacked[rows] = block
-        return cache.solve_shifts(stacked)[rows]
+        return cache.rest(cache.half(stacked))[rows]
 
     x0 = solve(rhs)
     z = solve(vhat)

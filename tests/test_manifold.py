@@ -20,6 +20,7 @@ from lyapfactor import (
     LyapunovProblem,
     Metric,
     SpdSparseMatrix,
+    TnewtonConfig,
     build_shift_cache,
     cost,
     gen_poisson,
@@ -28,6 +29,7 @@ from lyapfactor import (
     residual_fro,
     retract,
     riemannian_gradient,
+    solve_fixed_rank,
 )
 from lyapfactor.manifold import (
     hessian_action,
@@ -463,3 +465,25 @@ def test_products_with_y_formed_once_per_point_and_problem():
     assert cost(other, at) == cost(other, FactorPoint(at.y.copy()))
     assert other_calls[0] == 4
     assert cost(prob, at) == f
+
+
+def test_scaled_start_reuses_the_products_of_the_given_factor():
+    # t Y takes t A Y, t M Y and t B^T Y from Y's products: a solve that
+    # starts from its cost-optimal scale and takes no step forms A Y and
+    # M Y of the given factor only
+    prob, calls = _counting_problem(40, 0)
+    at = FactorPoint(np.random.default_rng(2).standard_normal((40, 3)))
+    prod = at.products(prob)
+    scaled = at.scaled(0.5, prob)
+    np.testing.assert_array_equal(scaled.y, 0.5 * at.y)
+    out = scaled.products(prob)
+    for name in ("u", "v", "by"):
+        np.testing.assert_array_equal(getattr(out, name),
+                                      0.5 * getattr(prod, name))
+    assert calls[0] == 2
+    calls[0] = 0
+    _, trace = solve_fixed_rank(prob, Metric.EMBEDDED, at.y,
+                                TnewtonConfig(max_outer=0))
+    assert trace.scales[0] != 1.0
+    assert len(trace.rows) == 2
+    assert calls[0] == 2

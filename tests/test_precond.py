@@ -628,20 +628,20 @@ def counted_splu(monkeypatch):
 @pytest.fixture
 def counted_band(monkeypatch):
     """The band shape of every pbtrf call, and the band and right-hand-side
-    shapes of every pbtrs call."""
+    shapes and the sweep ("N" forward, "T" back) of every tbtrs call."""
     counts = {"factors": [], "solves": []}
-    pbtrf, pbtrs = precond._PBTRF, precond._PBTRS
+    pbtrf, tbtrs = precond._PBTRF, precond._TBTRS
 
     def factor(ab, **kwargs):
         counts["factors"].append(ab.shape)
         return pbtrf(ab, **kwargs)
 
     def solve(chol, rhs, **kwargs):
-        counts["solves"].append((chol.shape, rhs.shape))
-        return pbtrs(chol, rhs, **kwargs)
+        counts["solves"].append((chol.shape, rhs.shape, kwargs["trans"]))
+        return tbtrs(chol, rhs, **kwargs)
 
     monkeypatch.setattr(precond, "_PBTRF", factor)
-    monkeypatch.setattr(precond, "_PBTRS", solve)
+    monkeypatch.setattr(precond, "_TBTRS", solve)
     return counts
 
 
@@ -659,7 +659,7 @@ def test_build_and_apply_sparse_work(counted_splu, counted_band, variant):
     p = at.p
     cache = build_shift_cache(prob, at, variant=variant)
     # p factorizations and the p columns of Z_i per shift, in one call per
-    # shift; the J_i are derived from the Z_i without a solve
+    # shift; K_i is formed from the Z_i without a solve
     assert len(counted_splu["factors"]) == p
     assert counted_splu["cols"] == p * p
     assert counted_splu["calls"] == p
@@ -684,32 +684,39 @@ def test_band_build_and_apply_work(counted_splu, counted_band, variant):
     kd = _pencil(prob, variant)[2][0]
     cache = build_shift_cache(prob, at, variant=variant)
     # one pbtrf of the p shifts stacked in a (kd + 1)-by-(n p) band, and
-    # one pbtrs for every Z_i: p columns on each shift's block; the J_i are
-    # derived from the Z_i without a solve
-    assert counted_band["factors"] == [(kd + 1, n * p)]
-    assert counted_band["solves"] == [((kd + 1, n * p), (n * p, p))]
+    # one forward sweep for every G_i = L_i^{-1} vhat: p columns on each
+    # shift's block; K_i is formed from the G_i without a further sweep
+    band = (kd + 1, n * p)
+    assert counted_band["factors"] == [band]
+    assert counted_band["solves"] == [(band, (n * p, p), "N")]
     counted_band["solves"].clear()
     apply_cached(cache, Metric.EMBEDDED,
                  random_horizontal(Metric.EMBEDDED, at, rng))
-    # one call solves column i with shift i: p columns of length n
-    assert counted_band["solves"] == [((kd + 1, n * p), (n * p,))]
+    # one forward and one back sweep, each solving column i with shift i:
+    # p columns of length n
+    assert counted_band["solves"] == [(band, (n * p,), "N"),
+                                      (band, (n * p,), "T")]
     assert counted_splu["factors"] == []
 
 
 @pytest.mark.parametrize("variant", ["proposed", "bart"])
 @pytest.mark.parametrize("backend", ["band", "splu"])
 def test_derived_j_blocks_equal_constrained_solves(backend, variant):
-    # J_i is formed from Z_i without a sparse solve; it must equal the
-    # explicit saddle solve of R_J = 2 (I - vhat vhat^T) U lq with shift i
+    # K_i = 2 (E^T S_i^{-1} E - diag(lam)) is formed in closed form; it
+    # must equal 2 lam_i I - lq^T U^T J_i with J_i the explicit saddle solve
+    # of R_J = 2 (I - vhat vhat^T) U lq with shift i
     point_of = _grid_point if backend == "band" else _wide_grid_point
     prob, at, rng, _ = point_of(variant)
     assert (_pencil(prob, variant)[2] is None) == (backend == "splu")
     cache = build_shift_cache(prob, at, variant=variant)
-    r_j = cache.u @ cache.lq
+    u = prob.a.mat @ at.y
+    r_j = u @ cache.lq
     r_j = 2.0 * (r_j - cache.vhat @ (cache.vhat.T @ r_j))
     for i in range(at.p):
-        want = saddle_solve(cache, i, r_j)[0]
-        np.testing.assert_allclose(cache.j_stack[i], want, rtol=0,
+        j_block = saddle_solve(cache, i, r_j)[0]
+        want = 2.0 * cache.lam[i] * np.eye(at.p) - cache.lq.T @ (u.T @ j_block)
+        want = 0.5 * (want + want.T)
+        np.testing.assert_allclose(cache.coupled.k_stack[i], want, rtol=0,
                                    atol=1e-12 * np.linalg.norm(want))
 
 
@@ -739,7 +746,7 @@ def test_failed_shift_factorization_keeps_partial_trace(monkeypatch, splu):
 
 @pytest.mark.parametrize("lapack", [
     ("_PBTRF", lambda ab, **k: (ab, 2)),
-    ("_PBTRS", lambda chol, rhs, **k: (np.full(rhs.shape, np.nan), 0)),
+    ("_TBTRS", lambda chol, rhs, **k: (np.full(rhs.shape, np.nan), 0)),
 ], ids=["pbtrf-info", "non-finite"])
 def test_failed_band_factorization_keeps_partial_trace(monkeypatch, lapack):
     prob, at, rng, _ = _grid_point("proposed")
@@ -804,11 +811,12 @@ def test_indefinite_middle_shift_is_named_with_partial_trace(monkeypatch,
     assert len(err.value.trace.rows) == 1
 
 
-def _per_column_apply(cache, metric, eta):
+def _per_column_apply(problem, cache, metric, eta):
     """apply_cached with every constrained shifted solve, those of the J_i
     included, done one column at a time by helpers.saddle_solve."""
     point = cache.point
-    y, lq, vhat, u = point.y, cache.lq, cache.vhat, cache.u
+    y, lq, vhat = point.y, cache.lq, cache.vhat
+    u = problem.a.mat @ y
     p = point.p
     t = precond._defining_rhs(metric, point, eta)
     tm = t @ lq
@@ -840,7 +848,7 @@ def test_apply_matches_per_column_saddle_solves(backend, variant):
     cache = build_shift_cache(prob, at, variant=variant)
     for metric in ALL_METRICS:
         eta = random_horizontal(metric, at, rng)
-        want = _per_column_apply(cache, metric, eta)
+        want = _per_column_apply(prob, cache, metric, eta)
         np.testing.assert_allclose(apply_cached(cache, metric, eta), want,
                                    rtol=0, atol=1e-12 * np.linalg.norm(want))
 
@@ -886,8 +894,9 @@ def test_stacked_band_factor_equals_per_shift_pbtrf(monkeypatch, case):
 
 def test_band_stacks_split_at_stack_limit(monkeypatch, counted_band):
     # a stack that would exceed STACK_LIMIT entries is split into bands of
-    # as many whole shifts as fit, one pbtrf and one apply solve per band,
-    # with the results of the single stack
+    # as many whole shifts as fit, one pbtrf per band and one forward and
+    # one back sweep per band in an apply, with the results of the single
+    # stack
     prob, at, rng, _ = _grid_point("proposed", p=3)
     n = at.n
     kd = _pencil(prob, "proposed")[2][0]
@@ -898,11 +907,13 @@ def test_band_stacks_split_at_stack_limit(monkeypatch, counted_band):
     counted_band["factors"].clear()
     split = build_shift_cache(prob, at)
     assert counted_band["factors"] == [(kd + 1, 2 * n), (kd + 1, n)]
-    np.testing.assert_array_equal(split.w_stack, whole.w_stack)
+    np.testing.assert_array_equal(split.g_stack, whole.g_stack)
     counted_band["solves"].clear()
     got = apply_cached(split, Metric.EMBEDDED, eta)
-    assert counted_band["solves"] == [((kd + 1, 2 * n), (2 * n,)),
-                                      ((kd + 1, n), (n,))]
+    assert counted_band["solves"] == [
+        ((kd + 1, 2 * n), (2 * n,), sweep) if first else
+        ((kd + 1, n), (n,), sweep)
+        for sweep in "NT" for first in (True, False)]
     np.testing.assert_allclose(got, want, rtol=0,
                                atol=1e-13 * np.linalg.norm(want))
 
@@ -916,7 +927,11 @@ def test_band_solve_matches_splu(case, variant):
     rng = np.random.default_rng(3)
     rhs = rng.standard_normal((prob.n, 3))
     lams = np.array([1e-3, 0.7, 3.0, 2.5e4])
-    solve = precond._factor_shifts(pencil, lams)
+    half, rest = precond._factor_shifts(pencil, lams)
+
+    def solve(rhs):
+        return rest(half(rhs))
+
     n = prob.n
     got = solve(np.tile(rhs, (lams.size, 1)))
     got_col = solve(np.tile(rhs[:, 0], lams.size))

@@ -199,13 +199,20 @@ def test_input_validation_survives_optimized_interpreter():
     script = """
 import numpy as np, scipy.sparse as sps
 from lyapfactor import (FactorPoint, IrrConfig, LyapunovProblem, SolveTrace,
-                        SpdSparseMatrix)
-def rejected(make):
+                        SpdSparseMatrix, gen_poisson, increasing_rank)
+def rejected(make, error=ValueError):
     try:
         make()
-    except ValueError:
+    except error:
         return True
     return False
+class NoJitter:
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+# seed directions in range(Y) and a zero jitter: still rank deficient
+increasing_rank._padded_column_seed = lambda problem, point, p_inc: (
+    point.y[:, :p_inc].copy())
+start = FactorPoint(np.random.default_rng(0).standard_normal((20, 2)))
 a = SpdSparseMatrix(sps.identity(6, format="csr"))
 m = SpdSparseMatrix(sps.identity(5, format="csr"))
 deficient = FactorPoint(np.ones((6, 2)))
@@ -215,14 +222,16 @@ print(__debug__, rejected(lambda: IrrConfig(p_min=5, p_max=2)),
       rejected(lambda: deficient.solve_gram_right(np.eye(2))),
       rejected(lambda: SolveTrace().final()),
       rejected(lambda: SpdSparseMatrix(sps.diags(np.r_[np.ones(599), np.inf]))),
-      rejected(lambda: LyapunovProblem(a, a, np.full((6, 1), np.inf))))
+      rejected(lambda: LyapunovProblem(a, a, np.full((6, 1), np.inf))),
+      rejected(lambda: increasing_rank.warm_start(
+          gen_poisson(20, 0), start, 1, NoJitter()), RuntimeError))
 """
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"] + ["True"] * 7
+    assert proc.stdout.split() == ["False"] + ["True"] * 8
 
 
 def test_oracle_rejects_large_problems():
@@ -274,9 +283,11 @@ def test_cost_quartic_matches_direct_cost_differences(case, seed):
     # wherever |Delta| is far above the rounding bound eps(alpha), the
     # quartic's Delta(alpha) is the cost difference along the exact line,
     # formed in extended precision wherever that resolves it, and the
-    # difference of two costs of the library wherever those resolve it.
-    # Near the solution the quartic certifies differences below the
-    # rounding of the cost itself.
+    # difference of two costs of the library wherever those resolve it:
+    # each cost rounds relative to the magnitude of its terms,
+    # sum |Y^T A Y * Y^T M Y| + ||B^T Y||^2, which near a solution is a
+    # few times |f|. Near the solution the quartic certifies differences
+    # below the rounding of the cost itself.
     problem = gen_poisson(200, seed) if case == "poisson" \
         else _grid_problem(14, seed)
     rng = np.random.default_rng(seed + 10)
@@ -294,6 +305,9 @@ def test_cost_quartic_matches_direct_cost_differences(case, seed):
         exact = (np.asarray(base, dtype=np.longdouble),
                  np.asarray(d, dtype=np.longdouble))
         f0 = _extended_cost(problem, exact[0])
+        prod = FactorPoint(base).products(problem)
+        terms = (np.sum(np.abs((base.T @ prod.u) * (base.T @ prod.v)))
+                 + np.sum(prod.by * prod.by))
         for alpha in [s * 10.0 ** k for k in range(-6, 3) for s in (1, -1)]:
             delta = line.delta(alpha)
             if not abs(delta) > 1e3 * line.bound(alpha):
@@ -304,7 +318,7 @@ def test_cost_quartic_matches_direct_cost_differences(case, seed):
                 counts[0] += 1
             fresh = (cost(problem, FactorPoint(base + alpha * d))
                      - cost(problem, FactorPoint(base)))
-            if abs(delta) > 1e-4 * abs(f0):
+            if abs(delta) > 1e-4 * terms:
                 assert abs(delta - fresh) <= 1e-10 * abs(delta)
                 counts[1] += 1
             counts[2] += abs(delta) < np.finfo(float).eps * abs(f0)

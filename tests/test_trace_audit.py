@@ -9,13 +9,15 @@ from helpers import trace_audit
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def _record(digest, rank, relres=None, tau=1e-6, outer=None):
+def _record(digest, rank, relres=None, tau=1e-6, outer=None, actions=None):
     out = {"hash": digest, "outcome": f"rank {rank}"}
     if relres is not None:
         out.update(relres={str(p): r * tau for p, r in relres.items()},
                    tau=tau)
     if outer is not None:
         out["outer"] = outer
+    if actions is not None:
+        out["actions"] = actions
     return out
 
 
@@ -59,25 +61,35 @@ def test_records_without_relres_still_compare(tmp_path, capsys):
 
 
 def test_compare_prints_outer_iterations_per_workload(tmp_path, capsys):
-    before = {"irr/1": _record("a", 14, outer=70),
-              "irr/2": _record("b", 14, outer=80),
-              "grid/0": _record("c", 5, outer=20)}
-    after = {"irr/1": _record("d", 14, outer=30),
-             "irr/2": _record("e", 14, outer=40),
-             "grid/0": _record("c", 5, outer=20)}
+    # the total outer iterations and Hessian actions of each workload
+    before = {"irr/1": _record("a", 14, outer=70, actions=190),
+              "irr/2": _record("b", 14, outer=80, actions=210),
+              "grid/0": _record("c", 5, outer=20, actions=31)}
+    after = {"irr/1": _record("d", 14, outer=30, actions=95),
+             "irr/2": _record("e", 14, outer=40, actions=331),
+             "grid/0": _record("c", 5, outer=20, actions=31)}
     status, lines = _compare(tmp_path, capsys, before, after)
     assert status == 1
     assert lines[-3:-1] == [
-        "grid: outer iterations 20 -> 20, final rank sum 5 -> 5",
-        "irr: outer iterations 150 -> 70, final rank sum 28 -> 28"]
-    # a file without the field still compares; its totals read n/a
-    old = {key: {k: v for k, v in record.items() if k != "outer"}
-           for key, record in before.items()}
-    status, lines = _compare(tmp_path, capsys, old, after)
-    assert status == 1
-    assert lines[-3:-1] == [
-        "grid: outer iterations n/a -> 20, final rank sum 5 -> 5",
-        "irr: outer iterations n/a -> 70, final rank sum 28 -> 28"]
+        "grid: outer iterations 20 -> 20, Hessian actions 31 -> 31, "
+        "final rank sum 5 -> 5",
+        "irr: outer iterations 150 -> 70, Hessian actions 400 -> 426, "
+        "final rank sum 28 -> 28"]
+    # a file without a field still compares; its totals read n/a
+    for dropped, want in (
+            ("outer", ["grid: outer iterations n/a -> 20, Hessian actions "
+                       "31 -> 31, final rank sum 5 -> 5",
+                       "irr: outer iterations n/a -> 70, Hessian actions "
+                       "400 -> 426, final rank sum 28 -> 28"]),
+            ("actions", ["grid: outer iterations 20 -> 20, Hessian actions "
+                         "n/a -> 31, final rank sum 5 -> 5",
+                         "irr: outer iterations 150 -> 70, Hessian actions "
+                         "n/a -> 426, final rank sum 28 -> 28"])):
+        old = {key: {k: v for k, v in record.items() if k != dropped}
+               for key, record in before.items()}
+        status, lines = _compare(tmp_path, capsys, old, after)
+        assert status == 1
+        assert lines[-3:-1] == want
 
 
 def test_rank_sums_skip_instances_that_raised(tmp_path, capsys):
@@ -91,13 +103,14 @@ def test_rank_sums_skip_instances_that_raised(tmp_path, capsys):
              "irr/3": _record("d", 13), "irr/4": _record("e", 11)}
     status, lines = _compare(tmp_path, capsys, before, after)
     assert status == 1
-    assert lines[-2] == ("irr: outer iterations n/a -> n/a, "
-                         "final rank sum 26 -> 25")
+    assert lines[-2] == ("irr: outer iterations n/a -> n/a, Hessian "
+                         "actions n/a -> n/a, final rank sum 26 -> 25")
 
 
 def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
     # One instance of each workload, solved again here: the record's outer
-    # iterations are its trace rows less one k = 0 row per rank.
+    # iterations are its trace rows less one k = 0 row per rank, and its
+    # Hessian actions the nH of its last row.
     monkeypatch.setattr(trace_audit, "INSTANCES",
                         (("irr-poisson1d", [0]), ("fixed-grid2d", [0])))
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -115,6 +128,7 @@ def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
         ranks = len({row.p for row in trace.rows})
         assert record["outcome"] == f"rank {point.p}"
         assert record["outer"] == len(trace.rows) - ranks > 0
+        assert record["actions"] == trace.final().nH > 0
         assert record["stops"] == trace.stops
         assert len(record["stops"]) == ranks
         assert record["fallbacks"] == len(trace.fallbacks)

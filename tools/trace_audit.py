@@ -12,7 +12,8 @@ seeds 0-199 and fixed-grid2d instance seeds 0-59 and writes one record per
 instance: a sha256 over float.hex of the trace columns k, p, f, gradnorm,
 relres, inner_iters, nH and alpha of every row, and over the bytes of the
 final factor, with the final rank as the outcome, the relres of each
-rank's last row, the outer iterations (rows with k > 0), the reason each
+rank's last row, the outer iterations (rows with k > 0), the Hessian
+actions the trace reports (the nH of its last row), the reason each
 fixed-rank solve ended (the trace's stops), the number of steps the line
 search's Armijo fallback took and the workload's residual target tau
 (null for a fixed-rank solve). A solve that raises is hashed over the
@@ -29,13 +30,13 @@ the change is labelled knife-edge when the first file's value lies within
 KNIFE_EDGE of 1: such an instance stops within rounding of tau, so any
 rounding-level change can move its rank by one. Then one line per
 workload gives the total of each stop reason and of the fallbacks in
-both files, and one more its total outer iterations and its sum of final
-ranks in both files; an instance that raised in either file counts
-toward neither rank sum, so the two sums cover the same instances. The
-closing line counts the outcome changes that are not knife-edge. Files
-written before the relres, outer, stops or fallbacks fields existed still
-compare; their rank changes are never knife-edge and their missing
-totals read n/a.
+both files, and one more its total outer iterations, its total Hessian
+actions and its sum of final ranks in both files; an instance that
+raised in either file counts toward neither rank sum, so the two sums
+cover the same instances. The closing line counts the outcome changes
+that are not knife-edge. Files written before the relres, outer,
+actions, stops or fallbacks fields existed still compare; their rank
+changes are never knife-edge and their missing totals read n/a.
 
 BLAS is pinned to one thread before numpy is imported, as the benchmark
 does, so that a run is reproducible bit for bit.
@@ -106,6 +107,7 @@ def audit(root):
                 "hash": digest, "outcome": outcome,
                 "relres": final_relres(trace),
                 "outer": sum(row.k > 0 for row in trace.rows),
+                "actions": trace.rows[-1].nH if trace.rows else 0,
                 "stops": list(trace.stops),
                 "fallbacks": len(trace.fallbacks),
                 "tau": workload.tau}
@@ -154,14 +156,14 @@ def rank_move(old, new):
     return rank, before, after, knife
 
 
-def outer_totals(records):
-    """Outer iterations summed per workload (the key before '/'); None for
-    a workload with a record that lacks the field."""
-    outers = {}
+def field_totals(records, name):
+    """Field `name` summed per workload (the key before '/'); None for a
+    workload with a record that lacks the field."""
+    values = {}
     for key, record in records.items():
-        outers.setdefault(key.split("/")[0], []).append(record.get("outer"))
-    return {name: None if None in values else sum(values)
-            for name, values in outers.items()}
+        values.setdefault(key.split("/")[0], []).append(record.get(name))
+    return {workload: None if None in got else sum(got)
+            for workload, got in values.items()}
 
 
 def stop_totals(records):
@@ -253,13 +255,17 @@ def main(argv=None):
     for name in sorted(stops[0].keys() | stops[1].keys()):
         print(f"{name}: stops {describe_stops(stops[0].get(name))} -> "
               f"{describe_stops(stops[1].get(name))}")
-    totals = outer_totals(before), outer_totals(after)
+    totals = {column: [field_totals(records, column)
+                       for records in (before, after)]
+              for column in ("outer", "actions")}
     ranks = rank_sums(before, after)
     for name in sorted(ranks):
-        text = ["n/a" if side.get(name) is None else str(side[name])
-                for side in totals]
-        print(f"{name}: outer iterations {text[0]} -> {text[1]}, "
-              f"final rank sum {ranks[name][0]} -> {ranks[name][1]}")
+        text = {column: " -> ".join("n/a" if side.get(name) is None
+                                    else str(side[name]) for side in sides)
+                for column, sides in totals.items()}
+        print(f"{name}: outer iterations {text['outer']}, Hessian actions "
+              f"{text['actions']}, final rank sum {ranks[name][0]} -> "
+              f"{ranks[name][1]}")
     hashes = sum(field(old, "hash") != field(new, "hash")
                  for old, new in diff.values())
     knife = sum((rank_move(*diff[key]) or (False,))[-1] for key in moved)
