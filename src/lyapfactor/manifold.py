@@ -92,8 +92,8 @@ def retract(point, direction, step):
     Raises
     ------
     ValueError
-        If the stepped factor loses column rank; the caller (the line
-        search) must shrink the step.
+        If the stepped factor loses column rank; the line search rejects
+        that trial.
     """
     out = FactorPoint(point.y + step * direction)
     if not out.has_full_rank:

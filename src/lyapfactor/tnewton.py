@@ -5,10 +5,11 @@ approximately solves the Newton equation Hess f[eta] = -grad f by a
 truncated preconditioned conjugate gradient method with two early exits
 (insufficient curvature and a forcing-sequence residual test), then takes
 a step accepted by a two-branch decrease condition, or by Armijo's
-condition when backtracking finds none. The cost is exactly quartic along
-every line the solver searches (problems.CostQuartic), so each trial's
-decrease is read off the polynomial and trusted only beyond its rounding
-bound. The inner solver works on raw arrays with an injected inner
+condition when no trial meets it. The cost is exactly quartic along every
+line the solver searches (problems.CostQuartic), so the trial steps are
+closed-form (the unit step and the quartic's first minimizer) and each
+trial's decrease is read off the polynomial and trusted only beyond its
+rounding bound. The inner solver works on raw arrays with an injected inner
 product, so it is independent of the manifold it runs on.
 """
 
@@ -49,9 +50,10 @@ class InnerSolveError(RuntimeError):
 
 
 class LineSearchError(RuntimeError):
-    """Backtracking exhausted without an acceptable step.
+    """No trial of the line search gave an acceptable step.
 
-    `demanded` is the decrease the acceptance conditions asked for,
+    `backtracks` is the number of trials less one, `alpha` the last trial
+    and `demanded` the decrease the acceptance conditions asked for,
     min(chi1 slope0^2 / ||d||_g^2, -chi2 slope0), and `resolution` the
     rounding bound eps(alpha*) of the cost difference at the line's
     minimizer alpha* (at alpha = 1 when it has none).
@@ -60,7 +62,7 @@ class LineSearchError(RuntimeError):
     def __init__(self, backtracks, f0, slope0, alpha, demanded,
                  resolution=0.0):
         super().__init__(
-            f"no acceptable step after {backtracks} backtracks "
+            f"no acceptable step among {backtracks + 1} trials "
             f"(f0 = {f0:.6e}, slope = {slope0:.6e}, last alpha = {alpha:.3e})"
         )
         self.backtracks = backtracks
@@ -75,9 +77,11 @@ class LineSearchError(RuntimeError):
 class TnewtonConfig:
     """Parameters of the truncated Newton iteration.
 
-    chi1 and chi2 are the two step acceptance constants; forcing_t the
+    chi1 and chi2 are the two step acceptance constants (see line_search;
+    chi2 also scales Armijo's condition of its fallback); forcing_t the
     exponent of the forcing sequence (see FORCING_BETA). Each inner solve
-    is capped at the manifold dimension n p - p (p - 1) / 2 steps.
+    is capped at the manifold dimension n p - p (p - 1) / 2 steps, and each
+    line search tries at most three closed-form steps.
     """
 
     chi1: float = 1e-4
@@ -85,7 +89,6 @@ class TnewtonConfig:
     forcing_t: float = 1.0
     grad_tol_rel: float = 1e-12
     max_outer: int = 200
-    ls_max_backtracks: int = 50
 
 
 @dataclass
@@ -193,8 +196,8 @@ def tpcg(gradient, hess, precond, eps_curv, phi_k, *,
 @dataclass
 class LineSearchResult:
     """An accepted step, with f = f0 + the exact cost difference of the
-    step; `fallback` marks the Armijo trial taken when backtracking was
-    exhausted (see line_search)."""
+    step; `backtracks` is the index of the accepted trial and `fallback`
+    marks a step taken by Armijo's condition (see line_search)."""
 
     alpha: float
     point: FactorPoint
@@ -204,7 +207,7 @@ class LineSearchResult:
 
 
 def line_search(problem, metric, point, direction, f0, slope0, config):
-    """Find a step size accepted by one of the two decrease conditions.
+    """Take a step accepted by one of the two decrease conditions.
 
     A step alpha is accepted when
 
@@ -214,24 +217,22 @@ def line_search(problem, metric, point, direction, f0, slope0, config):
 
         f(alpha) - f0 <= chi2 * slope0,
 
-    both of which force a strict decrease for a descent direction. The
+    both of which demand a fixed decrease for a descent direction. The
     cost along the line is the quartic of problems.CostQuartic, so
     f(alpha) - f0 is taken from its coefficients, with no cost evaluation,
-    and a decrease counts only beyond its rounding bound eps(alpha). This
-    is the interpolating line search of Nocedal and Wright (Numerical
-    Optimization, sec. 3.5) made exact for this cost. The first trial is
-    alpha = 1; if it is rejected and the quartic's first positive minimizer
-    alpha* is below 1, the next is max(alpha*, 1/10). Other rejections
-    shrink alpha by quadratic interpolation safeguarded to
-    [alpha/10, alpha/2]. A trial whose factor loses full column rank counts
-    as a rejection with alpha halved.
+    and a decrease counts only beyond its rounding bound eps(alpha). The
+    cost falls monotonically up to the quartic's first positive minimizer
+    alpha*, so no step below alpha* meets a condition that alpha* misses,
+    and the trials are closed-form: alpha = 1; then max(alpha*, 1/10) when
+    alpha* < 1; then alpha* itself when alpha* < 1/10. The first trial that
+    meets a condition is taken; only it is retracted, and a trial whose
+    factor loses full column rank is rejected.
 
-    Both conditions demand a decrease that does not shrink with alpha. If
-    backtracking is exhausted with the demanded decrease above
-    eps(alpha*), the first trial that met Armijo's condition
-    f(alpha) - f0 <= chi2 * alpha * slope0 is returned, with every
-    backtrack counted and `fallback` set; otherwise LineSearchError is
-    raised.
+    When no trial meets either condition but the demanded decrease is
+    above eps(alpha*), the first trial that met Armijo's condition
+    f(alpha) - f0 <= chi2 * alpha * slope0 is returned, with `fallback`
+    set; otherwise LineSearchError is raised. With chi2 at or above about
+    1/2 no trial may meet Armijo's condition either.
 
     Parameters
     ----------
@@ -255,37 +256,30 @@ def line_search(problem, metric, point, direction, f0, slope0, config):
     threshold = max(-config.chi1 * slope0 * slope0 / norm_sq,
                     config.chi2 * slope0)
     line = point.products(problem).line(direction)
-    armijo = None
-    alpha = 1.0
-    for backtracks in range(config.ls_max_backtracks + 1):
+    star = line.minimizer
+    trials = [1.0]
+    if star is not None and star < 1.0:
+        trials += [max(star, 0.1)] + ([star] if star < 0.1 else [])
+    resolution = line.bound(1.0 if star is None else star)
+
+    def meets(alpha, demanded):
+        delta = line.delta(alpha)
+        return delta < -line.bound(alpha) and delta <= demanded
+
+    order = [(i, False) for i, alpha in enumerate(trials)
+             if meets(alpha, threshold)]
+    if -threshold > resolution:
+        order += [(i, True) for i, alpha in enumerate(trials)
+                  if meets(alpha, config.chi2 * alpha * slope0)]
+    for index, fallback in order:
+        alpha = trials[index]
         try:
             trial = retract(point, direction, alpha)
         except ValueError:
-            alpha = 0.5 * alpha
             continue
-        delta = line.delta(alpha)
-        certified = delta < -line.bound(alpha)
-        if certified and delta <= threshold:
-            return LineSearchResult(alpha, trial, f0 + delta, backtracks)
-        if armijo is None and certified and \
-                delta <= config.chi2 * alpha * slope0:
-            armijo = LineSearchResult(alpha, trial, f0 + delta,
-                                      config.ls_max_backtracks, True)
-        star = line.minimizer if backtracks == 0 else None
-        if star is not None and star < alpha:
-            alpha = max(star, 0.1 * alpha)
-            continue
-        gap = delta - slope0 * alpha
-        if gap <= 0.0 or not math.isfinite(gap):
-            alpha = 0.5 * alpha
-            continue
-        interpolated = -slope0 * alpha * alpha / (2.0 * gap)
-        alpha = min(max(interpolated, 0.1 * alpha), 0.5 * alpha)
-    star = line.minimizer
-    resolution = line.bound(1.0 if star is None else star)
-    if armijo is not None and -threshold > resolution:
-        return armijo
-    raise LineSearchError(config.ls_max_backtracks, f0, slope0, alpha,
+        return LineSearchResult(alpha, trial, f0 + line.delta(alpha), index,
+                                fallback)
+    raise LineSearchError(len(trials) - 1, f0, slope0, trials[-1],
                           -threshold, resolution)
 
 
@@ -323,9 +317,9 @@ class SolveTrace:
 
     `stops` holds why each completed fixed-rank solve ended, one entry per
     solve: "gradient" (grad_tol_rel reached), "max_outer", "floor" (the
-    gradient N Y is at the rounding level of its terms, or the decrease an
-    exhausted line search demanded is within the rounding bound of the
-    cost difference), "target" (an iterate met the residual target) or
+    gradient N Y is at the rounding level of its terms, or the decrease a
+    line search that found no step demanded is within the rounding bound
+    of the cost difference), "target" (an iterate met the residual target) or
     "stall" (the residual target's stall rule, see solve_fixed_rank). A
     solve that raises adds no entry.
     `scales` holds the start scale t* each fixed-rank solve applied to its
@@ -420,8 +414,8 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
     a line search step (see line_search). It ends at the rounding floor
     ("floor") when, before the build, ||N Y||_F is within rounding of its
     terms, 64 eps (||A Y|| ||Y^T M Y|| + ||M Y|| ||Y^T A Y||
-    + ||B|| ||B^T Y||), or when an exhausted line search demanded no more
-    than the rounding bound of the cost difference. Given a residual
+    + ||B|| ||B^T Y||), or when a line search that found no step demanded
+    no more than the rounding bound of the cost difference. Given a residual
     `target`, the solve also ends after the first iteration whose relres
     is at most the target ("target"), and after an iteration k >= 2 whose
     unit step lowered the gradient norm but left relres above STALL_RATIO
@@ -506,8 +500,8 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
             except LineSearchError as exc:
                 # When the acceptance conditions demand no more than the
                 # rounding bound of the cost difference, no trial step can
-                # be certified, so an exhausted search means the floor, not
-                # a failure.
+                # be certified, so a search without a step means the floor,
+                # not a failure.
                 if exc.demanded <= exc.resolution:
                     break
                 raise

@@ -1,6 +1,7 @@
 """Tests for the increasing-rank outer loop and its warm start."""
 
 import dataclasses
+import math
 from collections import Counter
 from functools import cached_property
 
@@ -19,7 +20,7 @@ from lyapfactor import (
     solve_fixed_rank,
     solve_increasing_rank,
 )
-from lyapfactor import increasing_rank, tnewton
+from lyapfactor import increasing_rank, problems, tnewton
 from lyapfactor.increasing_rank import warm_start
 from lyapfactor.manifold import cost
 from lyapfactor.problems import _PointProducts
@@ -413,11 +414,12 @@ def test_warm_starts_recorded_once_per_rank_transition(poisson_run):
 
 
 def test_inner_failure_surfaces_with_partial_trace():
-    # A line search starved of backtracks fails at the very first rank;
-    # the error must say which rank, carry the underlying cause, and
-    # keep the iterations that did complete.
+    # A line search whose conditions demand nearly the whole first-order
+    # decrease fails at the very first rank; the error must say which
+    # rank, carry the underlying cause, and keep the iterations that did
+    # complete.
     problem = gen_poisson(60, 0)
-    strict = TnewtonConfig(chi1=0.999, chi2=0.999, ls_max_backtracks=4)
+    strict = TnewtonConfig(chi1=0.999, chi2=0.999)
     with pytest.raises(IncreasingRankError) as info:
         solve_increasing_rank(
             problem,
@@ -434,27 +436,26 @@ def test_inner_failure_surfaces_with_partial_trace():
     assert err.trace.rows[0].p == 1
 
 
-def test_exhausted_line_search_above_floor_takes_armijo_step(monkeypatch):
-    # Regression: an exhausted search used to end the whole solve with
-    # LineSearchError; the first Armijo trial is taken instead. Benchmark
-    # instance irr-poisson1d/39 under the schedule it had before the stall
-    # rule (each rank solved to a gradient reduction of min(1e-6, r/10), r
-    # the residual at the rank's start, and grown by the warm start of that
-    # time, a small seed and a steepest-descent step, kept in helpers as
-    # legacy_warm_start) reaches the fallback at rank 7 with the default
-    # TnewtonConfig. No solve of the benchmark's workloads does, so the old
-    # schedule is replayed here through the fixed-rank solver.
-    fallbacks = []
-    rank = 0
+def test_irr39_replay_takes_no_armijo_fallback(monkeypatch):
+    # Regression: benchmark instance irr-poisson1d/39 under the schedule it
+    # had before the stall rule (each rank solved to a gradient reduction
+    # of min(1e-6, r/10), r the residual at the rank's start, and grown by
+    # the warm start of that time, a small seed and a steepest-descent
+    # step, kept in helpers as legacy_warm_start) reached the Armijo
+    # fallback at rank 7 with the default TnewtonConfig: the search
+    # backtracked by interpolation and never tried the line's minimizer
+    # alpha*. The closed-form trials include alpha*, which meets the
+    # two-branch conditions there, so the replay, run through the
+    # fixed-rank solver, completes with every step accepted by them.
+    searches = []
 
     def spy(problem, metric, point, direction, f0, slope0, config,
             search=tnewton.line_search):
         result = search(problem, metric, point, direction, f0, slope0, config)
-        if result.fallback:
-            norm_sq = horizontal_inner(metric, point, direction, direction)
-            threshold = max(-config.chi1 * slope0 * slope0 / norm_sq,
-                            config.chi2 * slope0)
-            fallbacks.append((rank, result, f0, slope0, threshold))
+        norm_sq = horizontal_inner(metric, point, direction, direction)
+        threshold = max(-config.chi1 * slope0 * slope0 / norm_sq,
+                        config.chi2 * slope0)
+        searches.append((rank, result, f0, threshold))
         return result
 
     monkeypatch.setattr(tnewton, "line_search", spy)
@@ -463,16 +464,17 @@ def test_exhausted_line_search_above_floor_takes_armijo_step(monkeypatch):
     point = FactorPoint(rng.standard_normal((problem.n, 1)))
     for rank in range(1, 8):
         r = relative_residual(problem, point)
-        point, _ = solve_fixed_rank(
+        point, trace = solve_fixed_rank(
             problem, Metric.EMBEDDED, point,
             TnewtonConfig(grad_tol_rel=min(1e-6, r / 10.0)), "proposed")
+        assert trace.fallbacks == []
         if rank < 7:
             point, _ = legacy_warm_start(problem, point, 1, rng)
-    assert fallbacks
-    for at_rank, result, f0, slope0, threshold in fallbacks:
-        assert at_rank == 7
-        assert result.f - f0 > threshold
-        assert result.f - f0 <= TnewtonConfig().chi2 * result.alpha * slope0
+    assert point.p == 7
+    assert 7 in {at_rank for at_rank, *_ in searches}
+    for _, result, f0, threshold in searches:
+        assert not result.fallback
+        assert result.f - f0 <= threshold
 
     # The instance itself, under the stall rule, still reaches tau below
     # the rank cap.
@@ -487,7 +489,7 @@ def test_exhausted_line_search_above_floor_takes_armijo_step(monkeypatch):
 def test_fallbacks_index_the_joined_rows_of_every_rank(monkeypatch):
     # Each accepted search gives one row with k > 0, in order; the joined
     # trace lists the rows whose step the Armijo fallback took, here in
-    # ranks 1 and 4
+    # ranks 1 and 3
     results = []
 
     def spy(*args, search=tnewton.line_search):
@@ -495,10 +497,10 @@ def test_fallbacks_index_the_joined_rows_of_every_rank(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(tnewton, "line_search", spy)
-    config = TnewtonConfig(chi1=0.5, chi2=0.5, ls_max_backtracks=5)
+    config = TnewtonConfig(chi1=0.45, chi2=0.45)
     _, trace = solve_increasing_rank(
-        gen_poisson(40, 0), Metric.EMBEDDED,
-        IrrConfig(p_min=1, p_max=4, tau=1e-13, seed=0), config, "proposed")
+        gen_poisson(40, 1), Metric.EMBEDDED,
+        IrrConfig(p_min=1, p_max=4, tau=1e-13, seed=1), config, "proposed")
     steps = [i for i, row in enumerate(trace.rows) if row.k > 0]
     assert len(steps) == len(results)
     marked = [i for i, result in zip(steps, results) if result.fallback]
@@ -555,11 +557,12 @@ def test_stagnated_line_search_ends_rank_instead_of_failing(monkeypatch):
     assert trace.final().relres <= 1e-6
     assert point.y.shape[1] <= 20
 
-    # The same exit, forced: a search allowed no backtrack whose conditions
-    # demand almost no decrease is exhausted below the floor at rank 1.
-    # The rank ends there and the loop goes on to rank 2. The strict search
-    # of test_inner_failure_surfaces_with_partial_trace, exhausted above
-    # the floor, raises instead.
+    # The same exit, forced: with the quartic's rounding bound taken as
+    # infinite, no trial's decrease is certified, and a search whose
+    # conditions demand almost no decrease finds no step below the floor
+    # at rank 1. The rank ends there and the loop goes on to rank 2. The
+    # strict search of test_inner_failure_surfaces_with_partial_trace,
+    # which finds no step above the floor, raises instead.
     exhausted = []
 
     def spy(*args, search=tnewton.line_search):
@@ -570,7 +573,9 @@ def test_stagnated_line_search_ends_rank_instead_of_failing(monkeypatch):
             raise
 
     monkeypatch.setattr(tnewton, "line_search", spy)
-    lax = TnewtonConfig(chi1=1e-20, chi2=1e-20, ls_max_backtracks=0)
+    monkeypatch.setattr(problems.CostQuartic, "bound",
+                        lambda self, alpha: math.inf)
+    lax = TnewtonConfig(chi1=1e-20, chi2=1e-20)
     point, trace = solve_increasing_rank(
         gen_poisson(60, 0), Metric.EMBEDDED,
         IrrConfig(p_min=1, p_max=2, tau=1e-14, seed=0), lax, "none",

@@ -325,6 +325,37 @@ def test_cost_quartic_matches_direct_cost_differences(case, seed):
     assert counts[0] >= 12 and counts[1] >= 6 and counts[2] >= 1
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(-3, 3))
+@settings(max_examples=50, deadline=None)
+def test_cost_quartic_minimizer_on_descent_lines(seed, exponent):
+    # Along a random line whose slope c1 is negative (c4 = tr(D^T A D
+    # D^T M D) > 0 for any D != 0), the first positive minimizer alpha*
+    # exists, the derivative vanishes there relative to its terms, the
+    # curvature is positive, and the cost falls monotonically up to it, so
+    # no alpha in (0, alpha*) gives a lower difference.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 30))
+    prob = random_problem(n, int(rng.integers(1, 4)), rng)
+    p = int(rng.integers(1, 4))
+    y = rng.standard_normal((n, p))
+    d = 10.0 ** exponent * rng.standard_normal((n, p))
+    products = FactorPoint(y).products(prob)
+    line = products.line(d)
+    if line.coeffs[0] > 0.0:
+        line = products.line(-d)
+    c1, c2, c3, c4 = line.coeffs
+    assert c1 < 0.0 < c4
+    star = line.minimizer
+    assert star is not None and star > 0.0
+    slope = (c1, 2.0 * c2 * star, 3.0 * c3 * star**2, 4.0 * c4 * star**3)
+    assert abs(sum(slope)) <= 1e-8 * sum(abs(t) for t in slope)
+    assert 2.0 * c2 + 6.0 * c3 * star + 12.0 * c4 * star**2 > 0.0
+    terms = sum(abs(c) * star**k for k, c in enumerate(line.coeffs, 1))
+    floor = line.delta(star) - 64.0 * np.finfo(float).eps * terms
+    for alpha in star * np.linspace(0.0, 1.0, 41)[1:-1]:
+        assert line.delta(alpha) >= floor
+
+
 # ------------------------------------------------------------ generator
 
 

@@ -1,5 +1,8 @@
 """Truncated Newton outer loop, inner tPCG, and the line search."""
 
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -33,6 +36,9 @@ from lyapfactor.tnewton import (
 )
 
 ALL_METRICS = (Metric.EMBEDDED, Metric.GRAM, Metric.EUCLIDEAN)
+
+WORKLOADS = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+             / "workloads.py")
 
 
 # ------------------------------------------------------------------ tpcg
@@ -265,69 +271,82 @@ def test_line_search_requires_descent_direction():
                     TnewtonConfig())
 
 
+def _trials(line):
+    """The line search's closed-form trial steps on `line`."""
+    star = line.minimizer
+    if star is None or star >= 1.0:
+        return [1.0]
+    return [1.0, max(star, 0.1)] + ([star] if star < 0.1 else [])
+
+
+def _long_newton_direction(prob, at, config, scale):
+    """The Newton direction times `scale`, whose line's minimizer alpha*
+    is 1/scale of the Newton direction's."""
+    grad, direction, slope = _newton_direction(Metric.EMBEDDED, prob, at,
+                                               config)
+    return scale * direction, scale * slope
+
+
 def test_line_search_exhaustion_reports_diagnostics():
     # chi1 ~ 1 demands nearly the whole first-order decrease at every alpha,
-    # which a quadratic-in-alpha cost cannot deliver far from the solution;
+    # which a quartic-in-alpha cost cannot deliver far from the solution;
     # chi2 = 1 asks the Armijo fallback for all of it, which a cost curving
-    # up along the direction never gives at any alpha
+    # up along the direction never gives at any alpha. The direction is 30
+    # Newton steps long, so that alpha* < 1/10 and all three trials run.
     prob = gen_poisson(40, 0)
     rng = np.random.default_rng(8)
     at = FactorPoint(rng.standard_normal((40, 2)))
-    config = TnewtonConfig(chi1=0.999, chi2=1.0, ls_max_backtracks=20)
-    grad, direction, slope = _newton_direction(Metric.EMBEDDED, prob, at,
-                                               config)
+    config = TnewtonConfig(chi1=0.999, chi2=1.0)
+    direction, slope = _long_newton_direction(prob, at, config, 30.0)
+    trials = _trials(at.products(prob).line(direction))
+    assert len(trials) == 3
     with pytest.raises(LineSearchError) as info:
         line_search(prob, Metric.EMBEDDED, at, direction, cost(prob, at),
                     slope, config)
     err = info.value
-    assert err.backtracks == 20
+    assert err.backtracks == len(trials) - 1
     assert err.slope0 == slope
-    assert err.alpha < 1e-3
-    assert "backtracks" in str(err)
+    assert err.alpha == trials[-1] < 0.1
+    assert "3 trials" in str(err)
     norm_sq = horizontal_inner(Metric.EMBEDDED, at, direction, direction)
     assert err.demanded == min(config.chi1 * slope * slope / norm_sq,
                                -config.chi2 * slope)
 
 
 def test_exhausted_line_search_falls_back_to_first_armijo_trial(monkeypatch):
-    # chi = 0.999 demands a fixed decrease no trial reaches, but Armijo's
-    # condition with the same chi2 holds once alpha is small enough. Each
-    # trial's cost is f0 plus the line's quartic difference, and counts
-    # only as a decrease beyond the quartic's rounding bound.
+    # chi1 = 0.999 and chi2 = 0.15 demand a fixed decrease no trial
+    # reaches, but Armijo's condition with the same chi2 holds at the last
+    # two trials, 1/10 and alpha* (the direction is 25 Newton steps long).
+    # Each trial's cost is f0 plus the line's quartic difference, and
+    # counts only as a decrease beyond the quartic's rounding bound.
     prob = gen_poisson(40, 0)
     at = FactorPoint(np.random.default_rng(8).standard_normal((40, 2)))
-    config = TnewtonConfig(chi1=0.999, chi2=0.999, ls_max_backtracks=20)
-    grad, direction, slope = _newton_direction(Metric.EMBEDDED, prob, at,
-                                               config)
+    config = TnewtonConfig(chi1=0.999, chi2=0.15)
+    direction, slope = _long_newton_direction(prob, at, config, 25.0)
     f0 = cost(prob, at)
-    trials = []
-
-    def spy(point, direction, step, retract=tnewton.retract):
-        trials.append((step, retract(point, direction, step)))
-        return trials[-1][1]
-
-    monkeypatch.setattr(tnewton, "retract", spy)
+    line = at.products(prob).line(direction)
+    trials = _trials(line)
+    assert len(trials) == 3
     result = line_search(prob, Metric.EMBEDDED, at, direction, f0, slope,
                          config)
-    assert len(trials) == config.ls_max_backtracks + 1
-    line = at.products(prob).line(direction)
-    costs = [f0 + line.delta(alpha) for alpha, _ in trials]
-    for (alpha, trial), f in zip(trials, costs):
-        fresh = cost(prob, trial)
+    costs = [f0 + line.delta(alpha) for alpha in trials]
+    for alpha, f in zip(trials, costs):
+        fresh = cost(prob, FactorPoint(at.y + alpha * direction))
         assert abs(f - fresh) <= 1e-10 * abs(fresh)
     norm_sq = horizontal_inner(Metric.EMBEDDED, at, direction, direction)
     threshold = max(-config.chi1 * slope * slope / norm_sq,
                     config.chi2 * slope)
     assert all(f - f0 > threshold for f in costs)
-    armijo = [k for k, ((alpha, _), f) in enumerate(zip(trials, costs))
+    armijo = [k for k, (alpha, f) in enumerate(zip(trials, costs))
               if f - f0 <= config.chi2 * alpha * slope
               and f - f0 < -line.bound(alpha)]
+    assert armijo == [1, 2]
     first = armijo[0]
-    assert 0 < first < config.ls_max_backtracks
-    assert result.alpha == trials[first][0]
-    assert result.point is trials[first][1]
+    assert result.alpha == trials[first]
+    np.testing.assert_array_equal(result.point.y,
+                                  at.y + trials[first] * direction)
     assert result.f == costs[first]
-    assert result.backtracks == config.ls_max_backtracks
+    assert result.backtracks == first
     assert result.fallback
     # a demanded decrease within the rounding bound eps(alpha*) at the
     # line's minimizer is not a failure to be papered over: the search
@@ -346,7 +365,7 @@ def test_trace_marks_the_steps_of_the_armijo_fallback(monkeypatch):
     # give; the trace lists exactly the iterations whose step the Armijo
     # fallback took, and their rows are those of the accepted steps. The
     # start is the first of default_rng(0 ... 19) whose solve takes the
-    # fallback: 20 of the 120 starts of gen_poisson(40, 0 ... 5) do.
+    # fallback: 19 of the 120 starts of gen_poisson(40, 0 ... 5) do.
     results = []
 
     def spy(*args, search=tnewton.line_search):
@@ -355,7 +374,7 @@ def test_trace_marks_the_steps_of_the_armijo_fallback(monkeypatch):
 
     monkeypatch.setattr(tnewton, "line_search", spy)
     y0 = np.random.default_rng(1).standard_normal((40, 2))
-    config = TnewtonConfig(chi1=0.3, chi2=0.3, ls_max_backtracks=5)
+    config = TnewtonConfig(chi1=0.3, chi2=0.3)
     _, trace = solve_fixed_rank(gen_poisson(40, 0), Metric.EMBEDDED, y0,
                                 config, "proposed")
     marked = [k for k, result in enumerate(results, 1) if result.fallback]
@@ -391,6 +410,49 @@ def test_accepted_steps_satisfy_decrease_conditions():
         audited += 1
         at = result.point
     assert audited >= 5
+
+
+def test_short_steps_are_closed_form_trials(monkeypatch):
+    # Regression: on benchmark instance fixed-grid2d/1 one search rejected
+    # the unit step and the quartic's minimizer alpha* = 0.0378, yet the
+    # search backtracked past alpha* by interpolation and took
+    # alpha = 0.01, a smaller decrease. Every accepted step is now one of
+    # the closed-form trials, and where the unit step is rejected and
+    # alpha* meets the conditions, no less than alpha*'s decrease is taken
+    # (on this instance no search takes the 1/10 trial above alpha*).
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    searches = []
+
+    def spy(problem, metric, point, direction, f0, slope0, config,
+            search=tnewton.line_search):
+        result = search(problem, metric, point, direction, f0, slope0, config)
+        norm_sq = horizontal_inner(metric, point, direction, direction)
+        threshold = max(-config.chi1 * slope0 * slope0 / norm_sq,
+                        config.chi2 * slope0)
+        searches.append((point.products(problem).line(direction), threshold,
+                         result))
+        return result
+
+    monkeypatch.setattr(tnewton, "line_search", spy)
+    workload = workloads.WORKLOADS["fixed-grid2d"]
+    workload.solve(workload.setup(1))
+    short = 0
+    for line, threshold, result in searches:
+        star = line.minimizer
+        assert result.alpha in (1.0, max(star, 0.1), star)
+
+        def meets(alpha):
+            delta = line.delta(alpha)
+            return delta < -line.bound(alpha) and delta <= threshold
+
+        if not meets(1.0):
+            short += 1
+            assert meets(star)
+            assert line.delta(result.alpha) <= line.delta(star)
+    assert short >= 3
+    assert any(line.minimizer < 0.1 for line, _, _ in searches)
 
 
 # -------------------------------------------------------- fixed-rank solve
@@ -455,8 +517,11 @@ def test_scaled_start_returned_without_a_step_has_its_own_row():
 
 
 def test_target_ends_the_solve_at_the_first_iterate_that_meets_it():
-    # Without a target this solve passes relres 0.0283 at k = 7 and ends
-    # at 0.0495; given the target 0.03 it ends at k = 7, on the same rows.
+    # Without a target this solve passes relres 0.0272 at k = 8 and ends
+    # at 0.0495; given the target 0.03 it ends at k = 8, on the same rows.
+    # (It was 0.0283 at k = 7 while the line search backtracked by
+    # interpolation: at k = 5 that took alpha = 0.0178, where the
+    # closed-form trials take alpha* = 0.0422.)
     prob = gen_poisson(100, 0)
     y0 = np.random.default_rng(3).standard_normal((100, 4))
     _, full = solve_fixed_rank(prob, Metric.EMBEDDED, y0, TnewtonConfig(),
@@ -467,9 +532,9 @@ def test_target_ends_the_solve_at_the_first_iterate_that_meets_it():
     assert trace.stops == ["target"]
     relres = trace.column("relres")
     assert relres[-1] <= 0.03 < min(relres[:-1])
-    assert trace.final().k == 7
+    assert trace.final().k == 8
     for name in ("k", "f", "gradnorm", "relres", "nH", "alpha"):
-        assert trace.column(name) == full.column(name)[:8]
+        assert trace.column(name) == full.column(name)[:9]
     assert relative_residual(prob, point) == relres[-1]
 
 
@@ -566,12 +631,17 @@ def test_solve_deterministic():
 # Both changed again, at rounding level, when the scaled start came to take
 # t* A Y and t* M Y from the given factor's products and "proposed" to
 # build its preconditioner from forward sweeps and a closed-form K_i; the
-# rows, nH and stops stayed as they were.
+# rows, nH and stops stayed as they were. "none" was recorded again when
+# the line search came to take only closed-form trials: its first search
+# rejected the unit step and alpha* = 4.29e-5, and the old interpolation
+# had backtracked past alpha* to 1e-5; "none" went from 13 rows and nH 194
+# to 12 rows and nH 226, still ending on "gradient" (digest before:
+# 8616cd7dd5a6731a0a486eb1a1fc5b51c5f35cedf0af429e078ae4e9f1d889bc).
 TRACE_SHA256 = {
     "proposed": "8f18f8b1c2f518a9735cb6c1609e5d0d"
                 "2c062902210f782a8ed97c62204ad2a4",
-    "none": "8616cd7dd5a6731a0a486eb1a1fc5b51"
-            "c5f35cedf0af429e078ae4e9f1d889bc",
+    "none": "5d545d0590a70da3965fa9b9bc8dac5b"
+            "c0b57a2ee17b0990669e52171e6d5149",
 }
 
 

@@ -9,7 +9,8 @@ from helpers import trace_audit
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def _record(digest, rank, relres=None, tau=1e-6, outer=None, actions=None):
+def _record(digest, rank, relres=None, tau=1e-6, outer=None, actions=None,
+            short=None):
     out = {"hash": digest, "outcome": f"rank {rank}"}
     if relres is not None:
         out.update(relres={str(p): r * tau for p, r in relres.items()},
@@ -18,6 +19,8 @@ def _record(digest, rank, relres=None, tau=1e-6, outer=None, actions=None):
         out["outer"] = outer
     if actions is not None:
         out["actions"] = actions
+    if short is not None:
+        out["short_steps"] = short
     return out
 
 
@@ -61,30 +64,41 @@ def test_records_without_relres_still_compare(tmp_path, capsys):
 
 
 def test_compare_prints_outer_iterations_per_workload(tmp_path, capsys):
-    # the total outer iterations and Hessian actions of each workload
-    before = {"irr/1": _record("a", 14, outer=70, actions=190),
-              "irr/2": _record("b", 14, outer=80, actions=210),
-              "grid/0": _record("c", 5, outer=20, actions=31)}
-    after = {"irr/1": _record("d", 14, outer=30, actions=95),
-             "irr/2": _record("e", 14, outer=40, actions=331),
-             "grid/0": _record("c", 5, outer=20, actions=31)}
+    # the total outer iterations, short steps and Hessian actions of each
+    # workload
+    before = {"irr/1": _record("a", 14, outer=70, actions=190, short=3),
+              "irr/2": _record("b", 14, outer=80, actions=210, short=1),
+              "grid/0": _record("c", 5, outer=20, actions=31, short=6)}
+    after = {"irr/1": _record("d", 14, outer=30, actions=95, short=0),
+             "irr/2": _record("e", 14, outer=40, actions=331, short=2),
+             "grid/0": _record("c", 5, outer=20, actions=31, short=6)}
     status, lines = _compare(tmp_path, capsys, before, after)
     assert status == 1
     assert lines[-3:-1] == [
-        "grid: outer iterations 20 -> 20, Hessian actions 31 -> 31, "
-        "final rank sum 5 -> 5",
-        "irr: outer iterations 150 -> 70, Hessian actions 400 -> 426, "
-        "final rank sum 28 -> 28"]
+        "grid: outer iterations 20 -> 20, short steps 6 -> 6, Hessian "
+        "actions 31 -> 31, final rank sum 5 -> 5",
+        "irr: outer iterations 150 -> 70, short steps 4 -> 2, Hessian "
+        "actions 400 -> 426, final rank sum 28 -> 28"]
     # a file without a field still compares; its totals read n/a
     for dropped, want in (
-            ("outer", ["grid: outer iterations n/a -> 20, Hessian actions "
-                       "31 -> 31, final rank sum 5 -> 5",
-                       "irr: outer iterations n/a -> 70, Hessian actions "
-                       "400 -> 426, final rank sum 28 -> 28"]),
-            ("actions", ["grid: outer iterations 20 -> 20, Hessian actions "
-                         "n/a -> 31, final rank sum 5 -> 5",
-                         "irr: outer iterations 150 -> 70, Hessian actions "
-                         "n/a -> 426, final rank sum 28 -> 28"])):
+            ("outer", ["grid: outer iterations n/a -> 20, short steps "
+                       "6 -> 6, Hessian actions 31 -> 31, final rank sum "
+                       "5 -> 5",
+                       "irr: outer iterations n/a -> 70, short steps "
+                       "4 -> 2, Hessian actions 400 -> 426, final rank "
+                       "sum 28 -> 28"]),
+            ("short_steps", ["grid: outer iterations 20 -> 20, short steps "
+                             "n/a -> 6, Hessian actions 31 -> 31, final "
+                             "rank sum 5 -> 5",
+                             "irr: outer iterations 150 -> 70, short steps "
+                             "n/a -> 2, Hessian actions 400 -> 426, final "
+                             "rank sum 28 -> 28"]),
+            ("actions", ["grid: outer iterations 20 -> 20, short steps "
+                         "6 -> 6, Hessian actions n/a -> 31, final rank "
+                         "sum 5 -> 5",
+                         "irr: outer iterations 150 -> 70, short steps "
+                         "4 -> 2, Hessian actions n/a -> 426, final rank "
+                         "sum 28 -> 28"])):
         old = {key: {k: v for k, v in record.items() if k != dropped}
                for key, record in before.items()}
         status, lines = _compare(tmp_path, capsys, old, after)
@@ -103,14 +117,16 @@ def test_rank_sums_skip_instances_that_raised(tmp_path, capsys):
              "irr/3": _record("d", 13), "irr/4": _record("e", 11)}
     status, lines = _compare(tmp_path, capsys, before, after)
     assert status == 1
-    assert lines[-2] == ("irr: outer iterations n/a -> n/a, Hessian "
-                         "actions n/a -> n/a, final rank sum 26 -> 25")
+    assert lines[-2] == ("irr: outer iterations n/a -> n/a, short steps "
+                         "n/a -> n/a, Hessian actions n/a -> n/a, final "
+                         "rank sum 26 -> 25")
 
 
 def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
     # One instance of each workload, solved again here: the record's outer
-    # iterations are its trace rows less one k = 0 row per rank, and its
-    # Hessian actions the nH of its last row.
+    # iterations are its trace rows less one k = 0 row per rank, its short
+    # steps those of them with alpha < 1, and its Hessian actions the nH of
+    # its last row.
     monkeypatch.setattr(trace_audit, "INSTANCES",
                         (("irr-poisson1d", [0]), ("fixed-grid2d", [0])))
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -128,6 +144,8 @@ def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
         ranks = len({row.p for row in trace.rows})
         assert record["outcome"] == f"rank {point.p}"
         assert record["outer"] == len(trace.rows) - ranks > 0
+        assert record["short_steps"] == sum(
+            row.k > 0 and row.alpha < 1.0 for row in trace.rows)
         assert record["actions"] == trace.final().nH > 0
         assert record["stops"] == trace.stops
         assert len(record["stops"]) == ranks

@@ -12,13 +12,14 @@ seeds 0-199 and fixed-grid2d instance seeds 0-59 and writes one record per
 instance: a sha256 over float.hex of the trace columns k, p, f, gradnorm,
 relres, inner_iters, nH and alpha of every row, and over the bytes of the
 final factor, with the final rank as the outcome, the relres of each
-rank's last row, the outer iterations (rows with k > 0), the Hessian
-actions the trace reports (the nH of its last row), the reason each
-fixed-rank solve ended (the trace's stops), the number of steps the line
-search's Armijo fallback took and the workload's residual target tau
-(null for a fixed-rank solve). A solve that raises is hashed over the
-partial trace its exception carries, and its outcome is the exception
-type (with the type of the cause, if any).
+rank's last row, the outer iterations (rows with k > 0), the short steps
+(rows with k > 0 and alpha < 1), the Hessian actions the trace reports
+(the nH of its last row), the reason each fixed-rank solve ended (the
+trace's stops), the number of steps the line search's Armijo fallback
+took and the workload's residual target tau (null for a fixed-rank
+solve). A solve that raises is hashed over the partial trace its
+exception carries, and its outcome is the exception type (with the type
+of the cause, if any).
 
 `compare` prints every instance whose hash or outcome differs between two
 files, those whose outcome changed first, then counts the differing
@@ -30,13 +31,14 @@ the change is labelled knife-edge when the first file's value lies within
 KNIFE_EDGE of 1: such an instance stops within rounding of tau, so any
 rounding-level change can move its rank by one. Then one line per
 workload gives the total of each stop reason and of the fallbacks in
-both files, and one more its total outer iterations, its total Hessian
-actions and its sum of final ranks in both files; an instance that
-raised in either file counts toward neither rank sum, so the two sums
-cover the same instances. The closing line counts the outcome changes
-that are not knife-edge. Files written before the relres, outer,
-actions, stops or fallbacks fields existed still compare; their rank
-changes are never knife-edge and their missing totals read n/a.
+both files, and one more its total outer iterations, short steps and
+Hessian actions and its sum of final ranks in both files; an instance
+that raised in either file counts toward neither rank sum, so the two
+sums cover the same instances. The closing line counts the outcome
+changes that are not knife-edge. Files written before the relres, outer,
+short_steps, actions, stops or fallbacks fields existed still compare;
+their rank changes are never knife-edge and their missing totals read
+n/a.
 
 BLAS is pinned to one thread before numpy is imported, as the benchmark
 does, so that a run is reproducible bit for bit.
@@ -107,6 +109,8 @@ def audit(root):
                 "hash": digest, "outcome": outcome,
                 "relres": final_relres(trace),
                 "outer": sum(row.k > 0 for row in trace.rows),
+                "short_steps": sum(row.k > 0 and row.alpha < 1.0
+                                   for row in trace.rows),
                 "actions": trace.rows[-1].nH if trace.rows else 0,
                 "stops": list(trace.stops),
                 "fallbacks": len(trace.fallbacks),
@@ -257,14 +261,15 @@ def main(argv=None):
               f"{describe_stops(stops[1].get(name))}")
     totals = {column: [field_totals(records, column)
                        for records in (before, after)]
-              for column in ("outer", "actions")}
+              for column in ("outer", "short_steps", "actions")}
     ranks = rank_sums(before, after)
     for name in sorted(ranks):
         text = {column: " -> ".join("n/a" if side.get(name) is None
                                     else str(side[name]) for side in sides)
                 for column, sides in totals.items()}
-        print(f"{name}: outer iterations {text['outer']}, Hessian actions "
-              f"{text['actions']}, final rank sum {ranks[name][0]} -> "
+        print(f"{name}: outer iterations {text['outer']}, short steps "
+              f"{text['short_steps']}, Hessian actions {text['actions']}, "
+              f"final rank sum {ranks[name][0]} -> "
               f"{ranks[name][1]}")
     hashes = sum(field(old, "hash") != field(new, "hash")
                  for old, new in diff.values())
