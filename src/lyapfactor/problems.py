@@ -450,11 +450,15 @@ def gen_poisson(n, seed, identity_mass=False):
 # ---------------------------------------------------------------------------
 # Matrix Market input and output.
 #
-# The reader is deliberately hand-rolled: errors must carry the offending
-# file and line, and symmetric files must round-trip exactly, neither of
-# which scipy's reader provides. Only the subset needed for problem data is
-# supported: real coordinate and real dense array, each general or
-# symmetric (the lower triangle, as the exchange format stores it).
+# The writer is scipy's mmwrite. The reader is deliberately hand-rolled:
+# its errors carry the offending file and line, and it makes checks that
+# scipy's mmread skips. mmread (scipy 1.17) mirrors an upper-triangle entry
+# of a symmetric file, so "1 1 2" and "1 2 2" read as [[2, 2], [2, 0]],
+# and it accepts a 2-by-3 symmetric array, after which the process
+# crashes at exit; this reader rejects both at their line. Only the subset
+# needed for problem data is supported: real coordinate and real dense
+# array, each general or symmetric (the lower triangle, as the exchange
+# format stores it).
 # ---------------------------------------------------------------------------
 
 
@@ -613,34 +617,22 @@ def load_matrix_market(path_a, path_m, path_b):
 
 
 def save_matrix_market(path, mat, comment=None):
-    """Write a matrix in Matrix Market exchange format.
+    """Write a real matrix in Matrix Market exchange format (scipy.io.mmwrite).
 
-    Sparse input is written in coordinate format; symmetric sparse matrices
-    are detected and stored as their lower triangle. Dense input is written
-    in array format, column major.
+    Sparse input is written in coordinate format, as its lower triangle
+    ("symmetric") when it is exactly symmetric. Dense input is written in
+    array format, column major.
     """
-    with open(path, "w", encoding="ascii") as fh:
-        if sps.issparse(mat):
-            mat = mat.tocoo()
-            if _asymmetric_entry(mat) is None:
-                lower = sps.tril(mat).tocoo()
-                fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
-            else:
-                lower = mat
-                fh.write("%%MatrixMarket matrix coordinate real general\n")
-            if comment:
-                fh.write(f"% {comment}\n")
-            fh.write(f"{mat.shape[0]} {mat.shape[1]} {lower.nnz}\n")
-            for i, j, v in zip(lower.row, lower.col, lower.data):
-                fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
-        else:
-            arr = np.atleast_2d(np.asarray(mat, dtype=float))
-            fh.write("%%MatrixMarket matrix array real general\n")
-            if comment:
-                fh.write(f"% {comment}\n")
-            fh.write(f"{arr.shape[0]} {arr.shape[1]}\n")
-            for v in arr.reshape(-1, order="F"):
-                fh.write(f"{v:.17g}\n")
+    from scipy.io import mmwrite  # not on the solve path
+
+    if sps.issparse(mat):
+        symmetry = "general" if _asymmetric_entry(mat) else "symmetric"
+    else:
+        mat, symmetry = np.atleast_2d(np.asarray(mat, dtype=float)), "general"
+    # Given a name, mmwrite would append ".mtx" where it is missing, and
+    # with symmetry="AUTO" it looks for symmetry only below size 100.
+    with open(path, "wb") as fh:
+        mmwrite(fh, mat, comment=comment, field="real", symmetry=symmetry)
 
 
 def save_problem(directory, problem, comment=None):

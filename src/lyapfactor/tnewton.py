@@ -313,7 +313,10 @@ class SolveTrace:
     evaluation; at k = 1 the previous value is the closed-form cost at the
     scaled start, when the start was scaled. Every accepted Delta is a
     certified decrease, so the column never rises within a rank; it stays
-    level where Delta is below the resolution of f.
+    level where Delta is below the resolution of f. An iteration that ends
+    the solve at the rounding floor after its inner solve adds no row; its
+    Hessian actions go to the last row's nH, its preconditioner build
+    nowhere.
 
     `stops` holds why each completed fixed-rank solve ended, one entry per
     solve: "gradient" (grad_tol_rel reached), "max_outer", "floor" (the
@@ -490,6 +493,7 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
                 grad, hess_fn, precond_fn, EPS_CURV, phi_k,
                 inner=inner_fn, max_inner=max_inner,
             )
+            nh_total += state.hessian_actions
             slope0 = horizontal_inner(metric, at, grad, state.direction)
             # Only rounding gives tPCG a direction that is not descent.
             if not slope0 < 0.0:
@@ -512,7 +516,6 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
             f_val = result.f
             grad = riemannian_gradient(metric, problem, point)
             gnorm = math.sqrt(horizontal_inner(metric, point, grad, grad))
-            nh_total += state.hessian_actions
             prev = trace.final()
             relres = relative_residual(problem, point)
             trace.append(TraceRow(
@@ -544,5 +547,6 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
             relres=relative_residual(problem, point), inner_iters=0, nH=0,
             alpha=0.0, ms=(time.perf_counter() - t_start) * 1e3,
         ))
+    trace.final().nH = nh_total  # also an iteration that added no row
     trace.stops.append(stop)
     return point, trace

@@ -11,7 +11,9 @@ calls a shift cache's two sweeps. `legacy_warm_start` is the library's
 warm start before the cost-optimal seed, kept for a regression replay,
 and `legacy_tpcg` the inner solve before its forcing test moved ahead of
 the preconditioner apply.
-`trace_audit` is tools/trace_audit.py, loaded from its path.
+`trace_audit` is tools/trace_audit.py, loaded from its path, and
+`count_hessian_actions` an independent count of the solver's Hessian
+actions.
 """
 
 import importlib.util
@@ -36,6 +38,7 @@ from lyapfactor import (
     horizontal_inner,
     riemannian_gradient,
 )
+from lyapfactor import tnewton
 from lyapfactor.manifold import project_horizontal, vertical_part
 from lyapfactor.problems import _as_point, _compressed_residual
 
@@ -43,6 +46,19 @@ TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "trace_audit.py"
 _spec = importlib.util.spec_from_file_location("trace_audit", TOOL)
 trace_audit = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(trace_audit)
+
+
+def count_hessian_actions(monkeypatch):
+    """A list that grows by one per call of tnewton.hessian_action from
+    here on."""
+    calls = []
+
+    def counted(*args, action=tnewton.hessian_action):
+        calls.append(None)
+        return action(*args)
+
+    monkeypatch.setattr(tnewton, "hessian_action", counted)
+    return calls
 
 
 def rand_spd_banded(n, rng, bw=2):

@@ -270,6 +270,30 @@ def test_warm_start_rejects_rank_deficient_input():
         warm_start(problem, FactorPoint(y), 1)
 
 
+class _ZeroNormal:
+    """A generator whose jitter is zero."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+@pytest.mark.filterwarnings("ignore:the seeded columns raise the cost")
+def test_warm_start_jitters_a_seed_inside_the_range_of_y(monkeypatch):
+    # A seed direction inside range(Y) leaves the grown factor rank
+    # deficient; the jitter restores full rank, and a zero jitter cannot.
+    problem = gen_poisson(20, 0)
+    start = FactorPoint(np.random.default_rng(0).standard_normal((20, 2)))
+    monkeypatch.setattr(
+        increasing_rank, "_padded_column_seed",
+        lambda problem, point, p_inc: point.y[:, :p_inc].copy())
+    grown, _ = warm_start(problem, start, 1, np.random.default_rng(1))
+    assert grown.p == 3
+    assert grown.has_full_rank
+    np.testing.assert_array_equal(grown.y[:, :2], start.y)
+    with pytest.raises(RuntimeError, match="rank deficient"):
+        warm_start(problem, start, 1, _ZeroNormal())
+
+
 # --------------------------------------------------- cost-optimal seed
 
 # (n, columns of B, rank of Y, p_inc): one and two new columns, and more

@@ -30,6 +30,7 @@ from lyapfactor import (
     save_problem,
     solve_fixed_rank,
 )
+from lyapfactor import problems
 
 
 # ---------------------------------------------------------------- types
@@ -447,6 +448,55 @@ def test_matrix_market_reads_symmetric_array_as_written_by_scipy(tmp_path):
     np.testing.assert_array_equal(prob.a.mat.toarray(), dense)
 
 
+def _written(path):
+    """The lines of a written file, and the matrix it reads back as."""
+    with open(path, encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    return lines, problems._parse_matrix_market(path)[2]
+
+
+def test_matrix_market_writes_symmetric_sparse_as_lower_triangle(tmp_path):
+    # n >= 100, where scipy's default symmetry="AUTO" would write "general"
+    rng = np.random.default_rng(23)
+    half = sps.random(150, 150, density=0.03, random_state=rng, format="csr")
+    mat = (half + half.T + sps.identity(150)).tocsr()
+    path = os.path.join(tmp_path, "a.mtx")
+    save_matrix_market(path, mat)
+    lines, back = _written(path)
+    assert lines[0] == "%%MatrixMarket matrix coordinate real symmetric"
+    entries = [line.split() for line in lines[1:]
+               if line and not line.startswith("%")][1:]
+    assert len(entries) == sps.tril(mat).nnz
+    assert all(int(i) >= int(j) for i, j, _ in entries)
+    np.testing.assert_array_equal(back.toarray().view(np.int64),
+                                  mat.toarray().view(np.int64))
+
+
+def test_matrix_market_writes_asymmetric_sparse_as_general(tmp_path):
+    rng = np.random.default_rng(24)
+    mat = sps.random(12, 12, density=0.3, random_state=rng, format="csr")
+    path = os.path.join(tmp_path, "g.mtx")
+    save_matrix_market(path, mat)
+    lines, back = _written(path)
+    assert lines[0] == "%%MatrixMarket matrix coordinate real general"
+    np.testing.assert_array_equal(back.toarray().view(np.int64),
+                                  mat.toarray().view(np.int64))
+
+
+def test_matrix_market_dense_round_trip_is_exact(tmp_path):
+    # A name without ".mtx" is written as given, with the comment.
+    column = np.array([[-0.0], [5e-324], [2.2250738585072014e-308],
+                       [1.7976931348623157e308]])
+    path = os.path.join(tmp_path, "b.txt")
+    save_matrix_market(path, column, comment="steel profile, input B")
+    assert os.listdir(tmp_path) == ["b.txt"]
+    lines, back = _written(path)
+    assert lines[0] == "%%MatrixMarket matrix array real general"
+    assert any(line.startswith("%") and "steel profile, input B" in line
+               for line in lines[1:])
+    np.testing.assert_array_equal(back.view(np.int64), column.view(np.int64))
+
+
 def test_matrix_market_asymmetric_general_rejected(tmp_path):
     # general-format file whose (1,2) entry has no (2,1) partner
     path = os.path.join(tmp_path, "bad.mtx")
@@ -461,21 +511,59 @@ def test_matrix_market_asymmetric_general_rejected(tmp_path):
         load_matrix_market(path, eye_path, b_path)
 
 
-@pytest.mark.parametrize("content,fragment", [
-    ("", "empty"),
-    ("%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1.0\n",
-     "complex"),
-    ("%%MatrixMarket matrix coordinate real symmetric\n", "size"),
-    ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n5 1 1.0\n",
-     "out of range"),
-    ("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1.0\n",
-     "expected 2 entries"),
-    ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 1 x\n",
-     "entry"),
-    ("%%MatrixMarket matrix array real symmetric\n2 3\n1\n2\n3\n",
-     "bad.mtx:2: symmetric array must be square"),
+def _bad_file(content, fragment, bad="a"):
+    """A case of test_matrix_market_parse_errors_carry_location, with
+    `bad` naming the file that holds `content`; the A cases keep the ids
+    pytest derives from (content, fragment)."""
+    ident = f"{content}-{fragment}"
+    return pytest.param(content, fragment, bad,
+                        id=ident if bad == "a" else f"b:{ident}")
+
+
+COORDINATE = "%%MatrixMarket matrix coordinate real general\n"
+ARRAY = "%%MatrixMarket matrix array real general\n"
+
+
+@pytest.mark.parametrize("content,fragment,bad", [
+    _bad_file("", "empty"),
+    _bad_file("%%MatrixMarket matrix coordinate complex general\n"
+              "1 1 1\n1 1 1.0\n", "complex"),
+    _bad_file("%%MatrixMarket matrix coordinate real symmetric\n", "size"),
+    _bad_file("%%MatrixMarket matrix coordinate real symmetric\n"
+              "2 2 1\n5 1 1.0\n", "out of range"),
+    _bad_file("%%MatrixMarket matrix coordinate real symmetric\n"
+              "2 2 2\n1 1 1.0\n", "expected 2 entries"),
+    _bad_file("%%MatrixMarket matrix coordinate real symmetric\n"
+              "2 2 1\n1 1 x\n", "entry"),
+    _bad_file("%%MatrixMarket matrix array real symmetric\n2 3\n1\n2\n3\n",
+              "bad.mtx:2: symmetric array must be square"),
+    _bad_file("%MatrixMarket matrix coordinate real general\n1 1 1\n",
+              "bad.mtx:1: missing %%MatrixMarket header"),
+    _bad_file("%%MatrixMarket vector coordinate real general\n",
+              "bad.mtx:1: unsupported object 'vector'"),
+    _bad_file("%%MatrixMarket matrix dense real general\n",
+              "bad.mtx:1: unsupported format 'dense'"),
+    _bad_file("%%MatrixMarket matrix coordinate real hermitian\n",
+              "bad.mtx:1: unsupported symmetry 'hermitian'"),
+    _bad_file(COORDINATE + "2 2\n", "bad.mtx:2: size line must have 3"),
+    _bad_file(COORDINATE + "2 2 x\n", "bad.mtx:2: size line must be integers"),
+    _bad_file(COORDINATE + "% rows\n0 2 0\n",
+              "bad.mtx:3: invalid matrix dimensions"),
+    _bad_file(COORDINATE + "2 2 1\n1 1\n",
+              "bad.mtx:3: entry must be 'i j value'"),
+    _bad_file("%%MatrixMarket matrix coordinate real symmetric\n"
+              "2 2 2\n1 1 2.0\n1 2 2.0\n",
+              "bad.mtx:4: symmetric file must store the lower triangle"),
+    _bad_file(ARRAY + "2 2\n1\n2\n3\n",
+              "bad.mtx:2: expected 4 values, found 3"),
+    _bad_file(ARRAY + "2 2\n1\n2\nx\n4\n", "bad.mtx:5: malformed value"),
+    _bad_file("%%MatrixMarket matrix array real symmetric\n2 2\n1\n0\n1\n",
+              "bad.mtx: right-hand side factor must be general", bad="b"),
+    _bad_file(COORDINATE + "3 1 1\n3 1 1.0\n",
+              "bad.mtx: B has 3 rows but the system has 2 unknowns", bad="b"),
 ])
-def test_matrix_market_parse_errors_carry_location(tmp_path, content, fragment):
+def test_matrix_market_parse_errors_carry_location(tmp_path, content, fragment,
+                                                   bad):
     path = os.path.join(tmp_path, "bad.mtx")
     with open(path, "w") as fh:
         fh.write(content)
@@ -483,8 +571,9 @@ def test_matrix_market_parse_errors_carry_location(tmp_path, content, fragment):
     save_matrix_market(other, sps.identity(2, format="csr"))
     b_path = os.path.join(tmp_path, "b.mtx")
     save_matrix_market(b_path, np.ones((2, 1)))
+    paths = (path, other, b_path) if bad == "a" else (other, other, path)
     with pytest.raises(MatrixMarketError) as info:
-        load_matrix_market(path, other, b_path)
+        load_matrix_market(*paths)
     assert fragment in str(info.value)
     assert os.path.basename(path) in str(info.value)
 

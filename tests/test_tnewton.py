@@ -1,12 +1,15 @@
 """Truncated Newton outer loop, inner tPCG, and the line search."""
 
+import dataclasses
 import importlib.util
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
 from helpers import (
+    count_hessian_actions,
     identity_problem,
     legacy_tpcg,
     random_problem,
@@ -21,6 +24,7 @@ from lyapfactor import (
     gen_poisson,
     horizontal_inner,
     relative_residual,
+    retract,
     riemannian_gradient,
     solve_fixed_rank,
     tpcg,
@@ -455,7 +459,74 @@ def test_short_steps_are_closed_form_trials(monkeypatch):
     assert any(line.minimizer < 0.1 for line, _, _ in searches)
 
 
+def test_line_search_skips_a_trial_whose_factor_loses_rank():
+    # The direction is -y1 in column 0 and -1.5 y2 in column 1, so the unit
+    # step meets the acceptance conditions but zeroes column 0; the search
+    # skips it and takes its next trial, alpha* = 0.799.
+    prob = gen_poisson(30, 0)
+    y = 100.0 * np.random.default_rng(0).standard_normal((30, 2))
+    at = FactorPoint(y)
+    direction = np.column_stack([-y[:, 0], -1.5 * y[:, 1]])
+    config = TnewtonConfig()
+    grad = riemannian_gradient(Metric.EMBEDDED, prob, at)
+    slope = horizontal_inner(Metric.EMBEDDED, at, grad, direction)
+    line = at.products(prob).line(direction)
+    norm_sq = horizontal_inner(Metric.EMBEDDED, at, direction, direction)
+    threshold = max(-config.chi1 * slope * slope / norm_sq,
+                    config.chi2 * slope)
+    assert line.delta(1.0) < -line.bound(1.0)
+    assert line.delta(1.0) <= threshold
+    with pytest.raises(ValueError):
+        retract(at, direction, 1.0)
+    result = line_search(prob, Metric.EMBEDDED, at, direction, cost(prob, at),
+                         slope, config)
+    assert result.alpha == line.minimizer == pytest.approx(0.799, abs=5e-4)
+    assert result.backtracks == 1
+    assert not result.fallback
+    assert result.point.has_full_rank
+
+
 # -------------------------------------------------------- fixed-rank solve
+
+
+def test_floor_after_a_search_without_a_step_counts_its_actions(monkeypatch):
+    # The forced exit of test_stagnated_line_search_ends_rank_instead_of_
+    # failing: with the quartic's rounding bound taken as infinite, no
+    # trial's decrease is certified and the first search demands less than
+    # the bound, so the solve ends on "floor" at k = 1 and adds no row. The
+    # Hessian actions of that iteration's inner solve still count in nH.
+    monkeypatch.setattr(problems.CostQuartic, "bound",
+                        lambda self, alpha: math.inf)
+    calls = count_hessian_actions(monkeypatch)
+    y0 = np.random.default_rng(0).standard_normal((60, 1))
+    _, trace = solve_fixed_rank(gen_poisson(60, 0), Metric.EMBEDDED, y0)
+    assert trace.stops == ["floor"]
+    assert len(trace.rows) == 1
+    assert trace.final().nH == len(calls) > 0
+
+
+def test_direction_that_is_not_descent_ends_on_floor(monkeypatch):
+    # Only rounding gives tPCG an ascent direction; a stub that reverses
+    # the inner solve's direction at k = 3 ends the solve there, and that
+    # solve's Hessian actions still count in nH.
+    solves = []
+
+    def reversing(*args, solve=tnewton.tpcg, **kwargs):
+        state = solve(*args, **kwargs)
+        solves.append(state)
+        if len(solves) < 3:
+            return state
+        return dataclasses.replace(state, direction=-state.direction)
+
+    monkeypatch.setattr(tnewton, "tpcg", reversing)
+    calls = count_hessian_actions(monkeypatch)
+    y0 = np.random.default_rng(1).standard_normal((60, 2))
+    _, trace = solve_fixed_rank(gen_poisson(60, 0), Metric.EMBEDDED, y0)
+    assert trace.stops == ["floor"]
+    assert len(solves) == 3
+    assert trace.final().k == 2
+    assert trace.final().nH == len(calls) == sum(
+        state.hessian_actions for state in solves)
 
 
 def test_solve_stationary_start_takes_no_steps():

@@ -4,13 +4,14 @@ import json
 import pathlib
 import sys
 
-from helpers import trace_audit
+from helpers import count_hessian_actions, trace_audit
+from lyapfactor import tnewton
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _record(digest, rank, relres=None, tau=1e-6, outer=None, actions=None,
-            short=None):
+            short=None, calls=None):
     out = {"hash": digest, "outcome": f"rank {rank}"}
     if relres is not None:
         out.update(relres={str(p): r * tau for p, r in relres.items()},
@@ -21,6 +22,8 @@ def _record(digest, rank, relres=None, tau=1e-6, outer=None, actions=None,
         out["actions"] = actions
     if short is not None:
         out["short_steps"] = short
+    if calls is not None:
+        out["calls"] = calls
     return out
 
 
@@ -64,41 +67,40 @@ def test_records_without_relres_still_compare(tmp_path, capsys):
 
 
 def test_compare_prints_outer_iterations_per_workload(tmp_path, capsys):
-    # the total outer iterations, short steps and Hessian actions of each
-    # workload
-    before = {"irr/1": _record("a", 14, outer=70, actions=190, short=3),
-              "irr/2": _record("b", 14, outer=80, actions=210, short=1),
-              "grid/0": _record("c", 5, outer=20, actions=31, short=6)}
-    after = {"irr/1": _record("d", 14, outer=30, actions=95, short=0),
-             "irr/2": _record("e", 14, outer=40, actions=331, short=2),
-             "grid/0": _record("c", 5, outer=20, actions=31, short=6)}
+    # the total outer iterations, short steps, reported and called Hessian
+    # actions of each workload
+    before = {"irr/1": _record("a", 14, outer=70, actions=190, short=3,
+                               calls=190),
+              "irr/2": _record("b", 14, outer=80, actions=210, short=1,
+                               calls=215),
+              "grid/0": _record("c", 5, outer=20, actions=31, short=6,
+                                calls=31)}
+    after = {"irr/1": _record("d", 14, outer=30, actions=95, short=0,
+                              calls=95),
+             "irr/2": _record("e", 14, outer=40, actions=331, short=2,
+                              calls=331),
+             "grid/0": _record("c", 5, outer=20, actions=31, short=6,
+                               calls=31)}
+
+    def lines_for(outer="20", short="6", actions="31", calls="31",
+                  irr_outer="150", irr_short="4", irr_actions="400",
+                  irr_calls="405"):
+        return [f"grid: outer iterations {outer} -> 20, short steps "
+                f"{short} -> 6, Hessian actions {actions} -> 31 (called "
+                f"{calls} -> 31), final rank sum 5 -> 5",
+                f"irr: outer iterations {irr_outer} -> 70, short steps "
+                f"{irr_short} -> 2, Hessian actions {irr_actions} -> 426 "
+                f"(called {irr_calls} -> 426), final rank sum 28 -> 28"]
+
     status, lines = _compare(tmp_path, capsys, before, after)
     assert status == 1
-    assert lines[-3:-1] == [
-        "grid: outer iterations 20 -> 20, short steps 6 -> 6, Hessian "
-        "actions 31 -> 31, final rank sum 5 -> 5",
-        "irr: outer iterations 150 -> 70, short steps 4 -> 2, Hessian "
-        "actions 400 -> 426, final rank sum 28 -> 28"]
+    assert lines[-3:-1] == lines_for()
     # a file without a field still compares; its totals read n/a
     for dropped, want in (
-            ("outer", ["grid: outer iterations n/a -> 20, short steps "
-                       "6 -> 6, Hessian actions 31 -> 31, final rank sum "
-                       "5 -> 5",
-                       "irr: outer iterations n/a -> 70, short steps "
-                       "4 -> 2, Hessian actions 400 -> 426, final rank "
-                       "sum 28 -> 28"]),
-            ("short_steps", ["grid: outer iterations 20 -> 20, short steps "
-                             "n/a -> 6, Hessian actions 31 -> 31, final "
-                             "rank sum 5 -> 5",
-                             "irr: outer iterations 150 -> 70, short steps "
-                             "n/a -> 2, Hessian actions 400 -> 426, final "
-                             "rank sum 28 -> 28"]),
-            ("actions", ["grid: outer iterations 20 -> 20, short steps "
-                         "6 -> 6, Hessian actions n/a -> 31, final rank "
-                         "sum 5 -> 5",
-                         "irr: outer iterations 150 -> 70, short steps "
-                         "4 -> 2, Hessian actions n/a -> 426, final rank "
-                         "sum 28 -> 28"])):
+            ("outer", lines_for(outer="n/a", irr_outer="n/a")),
+            ("short_steps", lines_for(short="n/a", irr_short="n/a")),
+            ("actions", lines_for(actions="n/a", irr_actions="n/a")),
+            ("calls", lines_for(calls="n/a", irr_calls="n/a"))):
         old = {key: {k: v for k, v in record.items() if k != dropped}
                for key, record in before.items()}
         status, lines = _compare(tmp_path, capsys, old, after)
@@ -118,28 +120,33 @@ def test_rank_sums_skip_instances_that_raised(tmp_path, capsys):
     status, lines = _compare(tmp_path, capsys, before, after)
     assert status == 1
     assert lines[-2] == ("irr: outer iterations n/a -> n/a, short steps "
-                         "n/a -> n/a, Hessian actions n/a -> n/a, final "
-                         "rank sum 26 -> 25")
+                         "n/a -> n/a, Hessian actions n/a -> n/a (called "
+                         "n/a -> n/a), final rank sum 26 -> 25")
 
 
 def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
     # One instance of each workload, solved again here: the record's outer
     # iterations are its trace rows less one k = 0 row per rank, its short
-    # steps those of them with alpha < 1, and its Hessian actions the nH of
-    # its last row.
+    # steps those of them with alpha < 1, its Hessian actions the nH of its
+    # last row, and its calls those of tnewton.hessian_action, counted here
+    # too; write puts the unwrapped function back.
     monkeypatch.setattr(trace_audit, "INSTANCES",
                         (("irr-poisson1d", [0]), ("fixed-grid2d", [0])))
     monkeypatch.setattr(sys, "path", list(sys.path))
     for var in trace_audit.THREAD_VARS:
         monkeypatch.setenv(var, "1")
     out = tmp_path / "audit.json"
+    action = tnewton.hessian_action
     assert trace_audit.main(["write", str(ROOT), str(out)]) == 0
+    assert tnewton.hessian_action is action
     records = json.loads(out.read_text(encoding="ascii"))
     import workloads
 
+    calls = count_hessian_actions(monkeypatch)
     for key, record in records.items():
         name, seed = key.split("/")
         workload = workloads.WORKLOADS[name]
+        calls.clear()
         point, trace = workload.solve(workload.setup(int(seed)))
         ranks = len({row.p for row in trace.rows})
         assert record["outcome"] == f"rank {point.p}"
@@ -147,6 +154,7 @@ def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
         assert record["short_steps"] == sum(
             row.k > 0 and row.alpha < 1.0 for row in trace.rows)
         assert record["actions"] == trace.final().nH > 0
+        assert record["calls"] == len(calls) == record["actions"]
         assert record["stops"] == trace.stops
         assert len(record["stops"]) == ranks
         assert record["fallbacks"] == len(trace.fallbacks)
