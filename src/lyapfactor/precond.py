@@ -32,7 +32,7 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as sps_la
 
 from .manifold import Metric, project_horizontal
-from .problems import FactorPoint, _as_point, _cho_factor, _cho_solve
+from .problems import _PBTRF, FactorPoint, _as_point, _cho_factor, _cho_solve
 
 # Largest p for which the coupled symmetric system is assembled densely;
 # beyond it the solve falls back to conjugate gradient on the operator.
@@ -55,7 +55,7 @@ BAND_LIMIT = 128
 # 8-10 instances, one thread of a 2-core Xeon with 2 MiB L2 per core).
 STACK_LIMIT = 1 << 16
 
-_PBTRF, _TBTRS = spla.get_lapack_funcs(("pbtrf", "tbtrs"), dtype=np.float64)
+_TBTRS = spla.get_lapack_funcs("tbtrs", dtype=np.float64)
 
 
 class PreconditionerError(RuntimeError):

@@ -15,8 +15,9 @@ import numpy as np
 import scipy.linalg as spla
 import scipy.sparse as sps
 
-# Positive definiteness is verified densely only up to this size; above it,
-# downstream Cholesky/LU factorizations fail loudly if it is violated.
+# Positive definiteness is verified by a Cholesky factorization only up to
+# this size; above it, downstream Cholesky/LU factorizations fail loudly if
+# it is violated.
 SPD_CHECK_LIMIT = 500
 
 # Hard cap for the dense reference solver.
@@ -25,8 +26,10 @@ DENSE_LIMIT = 2000
 # Direct LAPACK calls on small dense blocks, with the LinAlgError and the
 # ValueError on non-finite input of scipy's cho_factor and cho_solve but
 # without their per-call wrapper. On a Cholesky factor, potrs flags only
-# bad shapes, which f2py rejects.
-_POTRF, _POTRS = spla.get_lapack_funcs(("potrf", "potrs"))
+# bad shapes, which f2py rejects. pbtrf is the Cholesky factorization in
+# LAPACK's band storage, of the definiteness check below and of the
+# preconditioner's band shifts.
+_POTRF, _POTRS, _PBTRF = spla.get_lapack_funcs(("potrf", "potrs", "pbtrf"))
 
 
 def _check_finite(*arrays):
@@ -58,9 +61,22 @@ class MatrixMarketError(ValueError):
 
 
 def _asymmetric_entry(mat):
-    """0-based (i, j) of the largest mismatch between mat and mat^T, or None."""
+    """0-based (i, j) of the largest mismatch between mat and mat^T, or None.
+
+    A canonical CSR (sorted indices, no duplicates) equals its transpose's
+    CSR array for array exactly when the matrix is symmetric and stores
+    the same pattern on both sides of the diagonal. Anything else, such as
+    an explicit zero on one side only, is decided by the subtraction.
+    """
     mat = sps.csr_matrix(mat)
-    diff = (mat - mat.T).tocoo()
+    if not mat.has_canonical_format:
+        mat = mat.copy()  # summing duplicates in place, not the caller's
+        mat.sum_duplicates()
+    tr = mat.T.tocsr()
+    if all(np.array_equal(getattr(mat, name), getattr(tr, name))
+           for name in ("indptr", "indices", "data")):
+        return None
+    diff = (mat - tr).tocoo()
     if diff.nnz and np.abs(diff.data).max() > 0.0:
         i = int(np.argmax(np.abs(diff.data)))
         return diff.row[i], diff.col[i]
@@ -71,8 +87,11 @@ class SpdSparseMatrix:
     """Sparse symmetric positive definite matrix.
 
     Symmetry is required to hold exactly (entry by entry) and is checked on
-    construction. Positive definiteness is checked densely for
-    n <= SPD_CHECK_LIMIT and taken on trust above that size.
+    construction. Positive definiteness is checked for n <= SPD_CHECK_LIMIT
+    by a band Cholesky factorization (pbtrf) of the lower triangle, with
+    the half-bandwidth kd measured from the matrix (kd = n - 1 makes it a
+    dense Cholesky), and taken on trust above that size. The matrix is
+    kept in canonical CSR form, duplicate entries summed.
     """
 
     def __init__(self, mat):
@@ -81,18 +100,26 @@ class SpdSparseMatrix:
             raise ValueError(f"matrix must be square, got shape {mat.shape}")
         if not np.isfinite(mat.data).all():
             raise ValueError("matrix has a non-finite entry")
+        mat.sum_duplicates()
         pair = _asymmetric_entry(mat)
         if pair is not None:
             raise ValueError(
                 "matrix is not symmetric: entries ({0}, {1}) and ({1}, {0}) "
                 "differ".format(*pair)
             )
-        if mat.shape[0] <= SPD_CHECK_LIMIT:
-            smallest = float(np.linalg.eigvalsh(mat.toarray())[0])
-            if smallest <= 0.0:
+        n = mat.shape[0]
+        if n <= SPD_CHECK_LIMIT:
+            # LAPACK lower band storage, ab[i - j, j] = mat[i, j] for i >= j
+            rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+            below = rows - mat.indices
+            low = below >= 0
+            ab = np.zeros((int(below.max(initial=0)) + 1, n))
+            ab[below[low], mat.indices[low]] = mat.data[low]
+            info = _PBTRF(ab, lower=1, overwrite_ab=1)[1]
+            if info != 0:
                 raise ValueError(
-                    f"matrix is not positive definite "
-                    f"(smallest eigenvalue {smallest:.3e})"
+                    f"matrix is not positive definite (its leading "
+                    f"{info}-by-{info} block is not)"
                 )
         self.mat = mat
 
@@ -621,14 +648,17 @@ def save_matrix_market(path, mat, comment=None):
 
     Sparse input is written in coordinate format, as its lower triangle
     ("symmetric") when it is exactly symmetric. Dense input is written in
-    array format, column major.
+    array format, column major; a 1-D array as one column, as
+    LyapunovProblem takes a 1-D B.
     """
     from scipy.io import mmwrite  # not on the solve path
 
     if sps.issparse(mat):
         symmetry = "general" if _asymmetric_entry(mat) else "symmetric"
     else:
-        mat, symmetry = np.atleast_2d(np.asarray(mat, dtype=float)), "general"
+        mat, symmetry = np.asarray(mat, dtype=float), "general"
+        if mat.ndim == 1:
+            mat = mat[:, None]
     # Given a name, mmwrite would append ".mtx" where it is missing, and
     # with symmetry="AUTO" it looks for symmetry only below size 100.
     with open(path, "wb") as fh:

@@ -115,10 +115,12 @@ def tpcg(gradient, hess, precond, eps_curv, phi_k, *,
     preconditioned residual if that happens immediately), or when the
     residual drops below phi_k relative to the gradient norm, or at a
     breakdown, where rounding has left <r, P r> nonpositive and the next
-    step would divide by it, or after max_inner steps. The forcing test
-    comes before the preconditioner apply, so there is no apply after the
-    last residual update of a "forcing" stop: k Hessian actions take k
-    applies, where a stop on curvature at step i takes i + 1.
+    step would divide by it, or after max_inner steps; a breakdown at the
+    first preconditioned residual returns the zero direction after no
+    Hessian action. The forcing test comes before the preconditioner
+    apply, so there is no apply after the last residual update of a
+    "forcing" stop: k Hessian actions take k applies, where a stop on
+    curvature at step i takes i + 1.
 
     Parameters
     ----------
@@ -158,6 +160,10 @@ def tpcg(gradient, hess, precond, eps_curv, phi_k, *,
     delta = inner(yv, yv)
     ry = inner(r, yv)
     rel = 1.0
+    if not math.isfinite(ry):
+        raise InnerSolveError(0)
+    if ry <= 0.0:
+        return TpcgState(eta, 0, "breakdown", rel)
 
     for i in range(max_inner):
         q = hess(d)
@@ -322,9 +328,10 @@ class SolveTrace:
     solve: "gradient" (grad_tol_rel reached), "max_outer", "floor" (the
     gradient N Y is at the rounding level of its terms, or the decrease a
     line search that found no step demanded is within the rounding bound
-    of the cost difference), "target" (an iterate met the residual target) or
-    "stall" (the residual target's stall rule, see solve_fixed_rank). A
-    solve that raises adds no entry.
+    of the cost difference), "target" (an iterate met the residual target,
+    or the factor as given did, in which case row 0 is the solve's only
+    row) or "stall" (the residual target's stall rule, see
+    solve_fixed_rank). A solve that raises adds no entry.
     `scales` holds the start scale t* each fixed-rank solve applied to its
     given factor, one entry per solve started (1.0 when not applied).
     `fallbacks` lists the rows whose step the line search's Armijo fallback
@@ -419,10 +426,12 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
     terms, 64 eps (||A Y|| ||Y^T M Y|| + ||M Y|| ||Y^T A Y||
     + ||B|| ||B^T Y||), or when a line search that found no step demanded
     no more than the rounding bound of the cost difference. Given a residual
-    `target`, the solve also ends after the first iteration whose relres
-    is at most the target ("target"), and after an iteration k >= 2 whose
-    unit step lowered the gradient norm but left relres above STALL_RATIO
-    times the previous relres and STALL_MARGIN times the target ("stall").
+    `target`, the solve also ends ("target") at row 0, returning the factor
+    as given with scale 1.0, when its relres is at most the target, or
+    else after the first iteration whose relres is; and ("stall") after
+    an iteration k >= 2 whose unit step lowered the gradient norm but left
+    relres above STALL_RATIO times the previous relres and STALL_MARGIN
+    times the target.
 
     Parameters
     ----------
@@ -463,6 +472,10 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
         inner_iters=0, nH=0, alpha=0.0,
         ms=(time.perf_counter() - t_start) * 1e3,
     ))
+    if target is not None and trace.rows[0].relres <= target:
+        trace.scales.append(1.0)
+        trace.stops.append("target")
+        return point, trace
     scale, f_scaled = _start_scale(point.products(problem))
     trace.scales.append(scale)
     if f_scaled is not None:

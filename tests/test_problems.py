@@ -1,6 +1,7 @@
 """Problem types, generators, residuals, dense oracle, Matrix Market IO."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -61,6 +62,90 @@ def test_spd_rejects_non_finite(n, value):
     mat[n // 2, n // 2] = value
     with pytest.raises(ValueError, match="non-finite"):
         SpdSparseMatrix(mat)
+
+
+def test_spd_rejects_dense_indefinite_at_check_limit():
+    # kd = n - 1: the band Cholesky is a dense one. The corner pair makes
+    # the principal 2-by-2 block of rows 0 and n - 1 indefinite, so only
+    # the whole matrix fails.
+    n = problems.SPD_CHECK_LIMIT
+    mat = sps.lil_matrix(sps.identity(n))
+    mat[0, n - 1] = mat[n - 1, 0] = 2.0
+    with pytest.raises(ValueError, match=(
+            f"not positive definite \\(its leading {n}-by-{n} block is not")):
+        SpdSparseMatrix(mat)
+
+
+def test_spd_rejects_tridiagonal_indefinite_at_its_first_bad_block():
+    # rows 3 and 4 (0-based) couple by 2.0 on a unit diagonal: the leading
+    # 5-by-5 block is the first that is not positive definite
+    off = np.r_[0.0, 0.0, 0.0, 2.0, 0.0, 0.0]
+    mat = sps.diags([off, np.ones(7), off], [-1, 0, 1])
+    with pytest.raises(ValueError, match="leading 5-by-5 block is not"):
+        SpdSparseMatrix(mat)
+
+
+def test_spd_accepts_an_explicit_zero_on_one_side():
+    # (0, 1) stores 0.0 and (1, 0) nothing: the CSR arrays differ from the
+    # transpose's, and the exact subtraction finds no mismatch
+    mat = sps.csr_matrix((np.array([2.0, 0.0, 2.0]), np.array([0, 1, 1]),
+                          np.array([0, 2, 3])), shape=(2, 2))
+    assert problems._asymmetric_entry(mat) is None
+    np.testing.assert_array_equal(SpdSparseMatrix(mat).mat.toarray(),
+                                  2.0 * np.eye(2))
+
+
+@pytest.mark.parametrize("second,pair", [(0.5, None), (0.25, "(0, 1) and (1, 0)")],
+                         ids=["symmetric-sums", "asymmetric-sums"])
+def test_spd_sums_duplicate_entries_before_its_checks(second, pair):
+    # (0, 1) is stored twice; its sum meets (1, 0) = 1.0 only for 0.5
+    dup = sps.csr_matrix((np.array([2.0, 0.5, second, 1.0, 2.0, 2.0]),
+                          np.array([0, 1, 1, 0, 1, 2]),
+                          np.array([0, 3, 5, 6])), shape=(3, 3))
+    if pair is None:
+        mat = SpdSparseMatrix(dup).mat
+        assert mat.has_canonical_format
+        np.testing.assert_array_equal(
+            mat.toarray(), [[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
+    else:
+        with pytest.raises(ValueError, match=f"entries {re.escape(pair)} differ"):
+            SpdSparseMatrix(dup)
+    # neither check sums the caller's arrays in place
+    problems._asymmetric_entry(dup)
+    assert dup.nnz == 6 and not dup.has_canonical_format
+
+
+def test_spd_check_forms_no_dense_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense definiteness check")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(sps.csr_matrix, "toarray", refuse)
+    n = problems.SPD_CHECK_LIMIT
+    gen_poisson(n, 0)
+    dense = np.random.default_rng(4).standard_normal((n, n))
+    SpdSparseMatrix(sps.csr_matrix(dense @ dense.T + n * np.eye(n)))
+
+
+@pytest.mark.parametrize("last,verdict", [
+    (1.0, "leading 10-by-10 block is not"),
+    (1.0 + 2.0 ** -52, None),
+], ids=["singular", "last-pivot-2^-52"])
+def test_spd_verdict_within_rounding_of_a_zero_eigenvalue(last, verdict):
+    # The 1-D Neumann Laplacian (-1, 2, -1) with corner diagonal 1 is
+    # singular; its Cholesky pivots are exactly 1 up to the last, which is
+    # last - 1 exactly, so the factorization decides without rounding:
+    # singular for last = 1, positive definite with smallest eigenvalue
+    # about 2.2e-17 for last = 1 + 2^-52. A dense eigvalsh is within
+    # rounding of 0 on both and may give either sign: measured with
+    # numpy's LAPACK it read +1.1e-17 and -1.7e-17, the opposite verdicts.
+    main = np.r_[1.0, np.full(8, 2.0), last]
+    mat = sps.diags([-np.ones(9), main, -np.ones(9)], [-1, 0, 1])
+    if verdict is None:
+        SpdSparseMatrix(mat)
+    else:
+        with pytest.raises(ValueError, match=verdict):
+            SpdSparseMatrix(mat)
 
 
 def test_problem_rejects_non_finite_rhs():
@@ -233,6 +318,38 @@ print(__debug__, rejected(lambda: IrrConfig(p_min=5, p_max=2)),
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"] + ["True"] * 8
+
+
+def test_matrix_checks_reject_under_optimized_interpreter():
+    # The symmetry, definiteness, finiteness and size checks raise, also
+    # where `python -O` strips asserts.
+    script = """
+import numpy as np, scipy.sparse as sps
+from lyapfactor import LyapunovProblem, SpdSparseMatrix
+def message(make):
+    try:
+        make()
+    except ValueError as exc:
+        return str(exc)
+    return "accepted"
+eye = SpdSparseMatrix(sps.identity(3))
+print(message(lambda: SpdSparseMatrix(sps.csr_matrix([[2.0, 1.0], [0.5, 2.0]]))))
+print(message(lambda: SpdSparseMatrix(sps.csr_matrix([[1.0, 2.0], [2.0, 1.0]]))))
+print(message(lambda: SpdSparseMatrix(sps.csr_matrix([[1.0, 0.0], [0.0, np.nan]]))))
+print(message(lambda: LyapunovProblem(eye, SpdSparseMatrix(sps.identity(2)),
+                                      np.ones(3))))
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "matrix is not symmetric: entries (0, 1) and (1, 0) differ",
+        "matrix is not positive definite (its leading 2-by-2 block is not)",
+        "matrix has a non-finite entry",
+        "A and M must have the same size",
+    ]
 
 
 def test_oracle_rejects_large_problems():
@@ -416,6 +533,14 @@ def test_matrix_market_identity_round_trip(tmp_path):
     prob = load_matrix_market(path_a, os.path.join(tmp_path, "m.mtx"), path_b)
     np.testing.assert_array_equal(prob.a.mat.toarray(), np.eye(3))
     np.testing.assert_array_equal(prob.b, np.ones((3, 1)))
+
+
+def test_matrix_market_writes_a_one_dimensional_b_as_a_column(tmp_path):
+    paths = [os.path.join(tmp_path, name) for name in ("a.mtx", "b.mtx")]
+    save_matrix_market(paths[0], sps.identity(4, format="csr"))
+    save_matrix_market(paths[1], np.arange(1.0, 5.0))
+    prob = load_matrix_market(paths[0], paths[0], paths[1])
+    np.testing.assert_array_equal(prob.b, np.arange(1.0, 5.0)[:, None])
 
 
 def test_problem_save_load_round_trip(tmp_path):

@@ -157,6 +157,22 @@ def test_tpcg_breakdown_stop():
     np.testing.assert_allclose(state.direction, -(5.0 / 14.0) * g)
 
 
+def test_tpcg_checks_the_first_preconditioned_residual():
+    # <r, P r> = 0 before the first step: a breakdown with the zero
+    # direction and no Hessian action, not a division by zero; a
+    # non-finite <r, P r> is an inner-solve error at iteration 0.
+    g = np.zeros((4, 2))
+    g[0, 0] = 1.0
+    e = np.zeros((4, 2))
+    e[1, 1] = 1.0
+    state = tpcg(g, lambda x: x, lambda r: e, 1e-10, 0.1)
+    assert (state.stop, state.hessian_actions) == ("breakdown", 0)
+    np.testing.assert_array_equal(state.direction, np.zeros((4, 2)))
+    with pytest.raises(InnerSolveError) as info:
+        tpcg(g, lambda x: x, lambda r: np.nan * e, 1e-10, 0.1)
+    assert info.value.iteration == 0
+
+
 def test_tpcg_rejects_zero_gradient():
     with pytest.raises(ValueError):
         tpcg(np.zeros((3, 1)), lambda v: v, lambda v: v, 1e-12, 1e-6)
@@ -529,6 +545,19 @@ def test_direction_that_is_not_descent_ends_on_floor(monkeypatch):
         state.hessian_actions for state in solves)
 
 
+def test_breakdown_before_the_first_step_ends_on_floor(monkeypatch):
+    # A preconditioner orthogonal to the residual gives tPCG the zero
+    # direction, which is not descent, so the rank ends on "floor" with
+    # no Hessian action.
+    monkeypatch.setattr(tnewton, "preconditioner",
+                        lambda *args: np.zeros_like)
+    calls = count_hessian_actions(monkeypatch)
+    y0 = np.random.default_rng(1).standard_normal((60, 2))
+    _, trace = solve_fixed_rank(gen_poisson(60, 0), Metric.EMBEDDED, y0)
+    assert trace.stops == ["floor"]
+    assert trace.final().nH == len(calls) == 0
+
+
 def test_solve_stationary_start_takes_no_steps():
     rng = np.random.default_rng(10)
     ystar = rng.standard_normal((25, 2))
@@ -607,6 +636,23 @@ def test_target_ends_the_solve_at_the_first_iterate_that_meets_it():
     for name in ("k", "f", "gradnorm", "relres", "nH", "alpha"):
         assert trace.column(name) == full.column(name)[:9]
     assert relative_residual(prob, point) == relres[-1]
+
+
+def test_target_met_by_the_factor_as_given_ends_at_row_0(monkeypatch):
+    # From the end point of a solve, a target at its relres is met at
+    # row 0: the solve returns that factor, unscaled, with no iteration.
+    prob = gen_poisson(100, 0)
+    y0 = np.random.default_rng(3).standard_normal((100, 4))
+    start, full = solve_fixed_rank(prob, Metric.EMBEDDED, y0, TnewtonConfig(),
+                                   "proposed")
+    calls = count_hessian_actions(monkeypatch)
+    point, trace = solve_fixed_rank(prob, Metric.EMBEDDED, start,
+                                    TnewtonConfig(), "proposed",
+                                    full.final().relres)
+    assert point is start
+    assert (trace.stops, trace.scales, len(trace.rows)) == (["target"], [1.0], 1)
+    assert trace.final().relres == full.final().relres
+    assert trace.final().nH == len(calls) == 0
 
 
 @pytest.mark.parametrize("metric,seed", [
