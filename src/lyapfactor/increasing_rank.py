@@ -4,7 +4,7 @@ Solves at rank p_min, checks the relative residual against the target, and
 warm-starts rank p + p_inc from the previous solution until the target or
 p_max is reached. A rank need only give the next a good start, so each
 rank but the last of the schedule also ends once an iterate meets the
-target or its residual stalls short of it (the `target` of
+target or its residual stalls or converges short of it (the `target` of
 tnewton.solve_fixed_rank).
 
 Increasing the rank needs care: the Euclidean cost gradient at a zero-padded
@@ -17,6 +17,7 @@ p_min is given to the fixed-rank solver as drawn; that solver starts from
 its cost-optimal scale.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -45,7 +46,8 @@ class IrrConfig:
     tau. Every rank but the last of the schedule is solved with tau as
     tnewton.solve_fixed_rank's `target`: it ends after its first iterate
     with relative residual at most tau (stop "target"), so the loop stops
-    at that rank, or when its residual stalls above tau (stop "stall").
+    at that rank, or when its residual stalls or converges above tau
+    (stop "stall").
     """
 
     p_min: int = 1
@@ -109,9 +111,10 @@ def _seed_scale(problem, dirs, products):
     along = tuple(np.hstack([np.zeros_like(x), z])
                   for x, z in zip(given, seed))
     line = CostQuartic(at, along)
-    if not line.coeffs[1] < -ROUNDING * line.sizes[1]:
+    c2, c4 = line.coeffs[1], line.coeffs[3]
+    if not c2 < -ROUNDING * line.sizes[1]:
         return None
-    return line.minimizer
+    return math.sqrt(-c2 / (2.0 * c4))
 
 
 def warm_start(problem, y_p, p_inc, rng=None):

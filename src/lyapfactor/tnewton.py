@@ -31,12 +31,14 @@ from .problems import ROUNDING, FactorPoint, _as_point, relative_residual
 
 
 # Curvature exit threshold of the inner solve, the cap of the forcing
-# sequence phi_k = min(FORCING_BETA, ||grad||^forcing_t), and the ratio and
-# margin of the stall rule of a solve given a residual target.
+# sequence phi_k = min(FORCING_BETA, ||grad||^forcing_t), and the ratio,
+# margin and gradient drop of the stall rule of a solve given a residual
+# target (see _stalled).
 EPS_CURV = 1e-10
 FORCING_BETA = 0.1
 STALL_RATIO = 0.99
 STALL_MARGIN = 3.0
+STALL_GRADIENT_DROP = 0.1
 
 
 class InnerSolveError(RuntimeError):
@@ -232,7 +234,9 @@ def line_search(problem, metric, point, direction, f0, slope0, config):
     and the trials are closed-form: alpha = 1; then max(alpha*, 1/10) when
     alpha* < 1; then alpha* itself when alpha* < 1/10. The first trial that
     meets a condition is taken; only it is retracted, and a trial whose
-    factor loses full column rank is rejected.
+    factor loses full column rank is rejected. alpha* (a root of the
+    quartic's cubic derivative) is found only when the unit step is not
+    taken, so a search that takes it solves for no root.
 
     When no trial meets either condition but the demanded decrease is
     above eps(alpha*), the first trial that met Armijo's condition
@@ -262,16 +266,22 @@ def line_search(problem, metric, point, direction, f0, slope0, config):
     threshold = max(-config.chi1 * slope0 * slope0 / norm_sq,
                     config.chi2 * slope0)
     line = point.products(problem).line(direction)
-    star = line.minimizer
-    trials = [1.0]
-    if star is not None and star < 1.0:
-        trials += [max(star, 0.1)] + ([star] if star < 0.1 else [])
-    resolution = line.bound(1.0 if star is None else star)
 
     def meets(alpha, demanded):
         delta = line.delta(alpha)
         return delta < -line.bound(alpha) and delta <= demanded
 
+    if meets(1.0, threshold):
+        try:
+            return LineSearchResult(1.0, retract(point, direction, 1.0),
+                                    f0 + line.delta(1.0), 0)
+        except ValueError:
+            pass
+    star = line.minimizer
+    trials = [1.0]
+    if star is not None and star < 1.0:
+        trials += [max(star, 0.1)] + ([star] if star < 0.1 else [])
+    resolution = line.bound(1.0 if star is None else star)
     order = [(i, False) for i, alpha in enumerate(trials)
              if meets(alpha, threshold)]
     if -threshold > resolution:
@@ -330,8 +340,11 @@ class SolveTrace:
     line search that found no step demanded is within the rounding bound
     of the cost difference), "target" (an iterate met the residual target,
     or the factor as given did, in which case row 0 is the solve's only
-    row) or "stall" (the residual target's stall rule, see
-    solve_fixed_rank). A solve that raises adds no entry.
+    row) or "stall" (the residual target's stall rule, see _stalled: the
+    residual settled above the target, or the rank converged there). With
+    a target, the stall rule ends a rank that has converged above it
+    before the rounding floor; "floor" remains the usual exit of a solve
+    without a target. A solve that raises adds no entry.
     `scales` holds the start scale t* each fixed-rank solve applied to its
     given factor, one entry per solve started (1.0 when not applied).
     `fallbacks` lists the rows whose step the line search's Armijo fallback
@@ -407,6 +420,27 @@ def _at_rounding_floor(prod):
     return np.linalg.norm(prod.ny) <= ROUNDING * terms
 
 
+def _stalled(prev, row, target):
+    """Whether the stall rule ends a solve with residual `target` after
+    trace row `row`, whose predecessor is `prev`.
+
+    The rule needs k >= 2 and a unit step that lowered the gradient norm
+    but left relres above STALL_RATIO times the previous relres. Then
+    relres has stalled above the target when it is above STALL_MARGIN
+    times the target, or when it is above target / STALL_RATIO and the
+    gradient norm fell below STALL_GRADIENT_DROP times the previous one.
+    In the second case the Newton tail converges superlinearly, so relres
+    already sits at the rank's limit and more iterations do not take it
+    below the target.
+    """
+    if not (row.k >= 2 and row.alpha == 1.0 and row.gradnorm < prev.gradnorm
+            and row.relres > STALL_RATIO * prev.relres):
+        return False
+    return (row.relres > STALL_MARGIN * target
+            or (row.gradnorm < STALL_GRADIENT_DROP * prev.gradnorm
+                and row.relres > target / STALL_RATIO))
+
+
 def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
                      target=None):
     """Riemannian truncated Newton iteration at fixed rank.
@@ -430,8 +464,12 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
     as given with scale 1.0, when its relres is at most the target, or
     else after the first iteration whose relres is; and ("stall") after
     an iteration k >= 2 whose unit step lowered the gradient norm but left
-    relres above STALL_RATIO times the previous relres and STALL_MARGIN
-    times the target.
+    relres above STALL_RATIO times the previous relres and either above
+    STALL_MARGIN times the target, or above target / STALL_RATIO with the
+    gradient norm below STALL_GRADIENT_DROP times the previous one: there
+    the rank has converged above the target (see _stalled). A solve without
+    a target ends at the rounding floor unless it reaches grad_tol_rel or
+    max_outer first.
 
     Parameters
     ----------
@@ -540,9 +578,7 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
             if target is not None and relres <= target:
                 stop = "target"
                 break
-            if (target is not None and k >= 2 and result.alpha == 1.0
-                    and gnorm < prev.gradnorm and relres > max(
-                        STALL_RATIO * prev.relres, STALL_MARGIN * target)):
+            if target is not None and _stalled(prev, trace.final(), target):
                 stop = "stall"
                 break
         else:

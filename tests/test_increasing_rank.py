@@ -365,6 +365,21 @@ def test_warm_start_places_the_seed_at_its_optimal_scale(case):
     assert np.array_equal(out.y, np.hstack([point.y, scale * dirs]))
 
 
+@pytest.mark.parametrize("case", SEED_CASES)
+def test_seed_scale_finds_no_roots(case, monkeypatch):
+    # c1 = c3 = 0 on the seed line, so its minimizer sqrt(-c2 / (2 c4))
+    # is taken in closed form, not from the quartic's alpha*.
+    problem, point, dirs = seeded_case(*case, 0)
+    found = []
+    monkeypatch.setattr(problems.CostQuartic, "minimizer",
+                        property(lambda self: found.append(self)))
+    scale = increasing_rank._seed_scale(problem, dirs,
+                                        point.products(problem))
+    assert found == []
+    c2, c4 = seed_quartic(problem, point.y, dirs)
+    assert scale == pytest.approx(math.sqrt(-c2 / (2.0 * c4)), rel=1e-12)
+
+
 def test_warm_start_flags_a_seed_that_raises_the_cost():
     # A factor far too large for B: all of span([A Y, M Y, B]) is taken,
     # where the residual's trace is positive, so no scale lowers the cost.
@@ -688,11 +703,43 @@ def test_stall_rule_only_ends_the_solve_early():
         return (row.k >= 2 and row.alpha == 1.0
                 and row.gradnorm < prev.gradnorm
                 and row.relres > tnewton.STALL_RATIO * prev.relres
-                and row.relres > tnewton.STALL_MARGIN * target)
+                and (row.relres > tnewton.STALL_MARGIN * target
+                     or (row.gradnorm < 0.1 * prev.gradnorm
+                         and row.relres > target / tnewton.STALL_RATIO)))
 
     pairs = list(zip(rows, rows[1:]))
     assert meets_rule(*pairs[-1])
     assert not any(meets_rule(*pair) for pair in pairs[:-1])
+
+
+def test_rank_converged_above_tau_ends_on_stall(monkeypatch):
+    # Benchmark instance irr-poisson1d/0: rank 14 converges at relres
+    # 1.44 tau. Without the stall rule's converged-above-target branch (a
+    # gradient drop of 0 never happens) it went on to the rounding floor
+    # and ended there after k = 5. With it, the unit step of k = 4 cuts
+    # the gradient norm from 9.8e-7 to 4.1e-9 while relres moves by under
+    # 1 %, and the rank ends on "stall". Either way the loop ends at rank
+    # 15 with relres <= tau.
+    problem = gen_poisson(100, 0)
+    config = IrrConfig(p_min=1, p_max=40, tau=1e-6, seed=0)
+
+    def solve():
+        point, trace = solve_increasing_rank(problem, Metric.EMBEDDED,
+                                             config, None, "proposed")
+        assert point.p == 15
+        assert trace.final().relres <= config.tau
+        assert relative_residual(problem, point) <= config.tau
+        ranks = visited_ranks(trace)
+        last = [row.k for row in trace.rows if row.p == 14][-1]
+        return trace.stops, trace.stops[ranks.index(14)], last
+
+    stops, rank_14, last = solve()
+    assert "floor" not in stops
+    assert (rank_14, last) == ("stall", 4)
+    monkeypatch.setattr(tnewton, "STALL_GRADIENT_DROP", 0.0)
+    stops, rank_14, last = solve()
+    assert (rank_14, last) == ("floor", 5)
+    assert stops.count("floor") == 1
 
 
 def test_failed_rank_keeps_stops_of_completed_ranks(monkeypatch):

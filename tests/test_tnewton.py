@@ -20,6 +20,7 @@ from lyapfactor import (
     Metric,
     SolveTrace,
     TnewtonConfig,
+    TraceRow,
     cost,
     gen_poisson,
     horizontal_inner,
@@ -278,6 +279,110 @@ def test_line_search_accepts_unit_step_near_solution():
     assert result.alpha == 1.0
     assert result.backtracks == 0
     assert not result.fallback
+
+
+def _count_minimizer(monkeypatch):
+    """A list that grows by one per evaluation of CostQuartic.minimizer
+    (the quartic's alpha*, a cubic's roots) from here on."""
+    found = []
+
+    def minimizer(self, solve=problems.CostQuartic.minimizer.func):
+        found.append(None)
+        return solve(self)
+
+    monkeypatch.setattr(problems.CostQuartic, "minimizer",
+                        property(minimizer))
+    return found
+
+
+def _eager_search(problem, metric, point, direction, slope0, config):
+    """The trials, the accepted trial's index and its fallback flag of a
+    search that finds alpha* before it tries any trial, or None when it
+    takes none."""
+    norm_sq = horizontal_inner(metric, point, direction, direction)
+    threshold = max(-config.chi1 * slope0 * slope0 / norm_sq,
+                    config.chi2 * slope0)
+    line = point.products(problem).line(direction)
+    trials = _trials(line)
+    star = line.minimizer
+    resolution = line.bound(1.0 if star is None else star)
+
+    def meets(alpha, demanded):
+        delta = line.delta(alpha)
+        return delta < -line.bound(alpha) and delta <= demanded
+
+    order = [(i, False) for i, alpha in enumerate(trials)
+             if meets(alpha, threshold)]
+    if -threshold > resolution:
+        order += [(i, True) for i, alpha in enumerate(trials)
+                  if meets(alpha, config.chi2 * alpha * slope0)]
+    for index, fallback in order:
+        if FactorPoint(point.y + trials[index] * direction).has_full_rank:
+            return trials, index, fallback
+    return None
+
+
+def test_accepted_unit_step_solves_for_no_minimizer(monkeypatch):
+    # The unit step is tried before alpha*; where it is taken, alpha* is
+    # never found, and the step is the one the eager search takes.
+    rng = np.random.default_rng(6)
+    ystar = rng.standard_normal((30, 2)) / np.sqrt(30)
+    prob = identity_problem(30, ystar)
+    at = FactorPoint(ystar + 1e-3 * rng.standard_normal((30, 2)))
+    config = TnewtonConfig()
+    _, direction, slope = _newton_direction(Metric.EMBEDDED, prob, at,
+                                            config)
+    found = _count_minimizer(monkeypatch)
+    result = line_search(prob, Metric.EMBEDDED, at, direction, cost(prob, at),
+                         slope, config)
+    assert found == []
+    assert (result.alpha, result.backtracks, result.fallback) == (1.0, 0,
+                                                                  False)
+    np.testing.assert_array_equal(result.point.y, at.y + direction)
+    assert _eager_search(prob, Metric.EMBEDDED, at, direction, slope,
+                         config)[1:] == (0, False)
+
+
+class _ShortStep(Exception):
+    """Ends a solve at its first search that rejects the unit step."""
+
+
+def test_rejected_unit_step_finds_the_minimizer_once(monkeypatch):
+    # Benchmark instance fixed-grid2d/0 opens with curvature stops, whose
+    # searches reject the unit step. At the first of them the search finds
+    # alpha* once, and takes the trial the eager search takes.
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    searches = []
+
+    def spy(*args, search=tnewton.line_search):
+        result = search(*args)
+        if result.alpha < 1.0:
+            searches.append((args, result))
+            raise _ShortStep
+        return result
+
+    monkeypatch.setattr(tnewton, "line_search", spy)
+    workload = workloads.WORKLOADS["fixed-grid2d"]
+    with pytest.raises(_ShortStep):
+        workload.solve(workload.setup(0))
+    monkeypatch.undo()
+    (problem, metric, point, direction, f0, slope0, config), first = \
+        searches[0]
+    found = _count_minimizer(monkeypatch)
+    result = line_search(problem, metric, point, direction, f0, slope0,
+                         config)
+    assert len(found) == 1
+    trials, index, fallback = _eager_search(problem, metric, point,
+                                            direction, slope0, config)
+    assert index > 0
+    assert result.alpha == trials[index] == first.alpha
+    assert (result.backtracks, result.fallback) == (index, fallback)
+    assert result.f == f0 + point.products(problem).line(direction).delta(
+        result.alpha)
+    np.testing.assert_array_equal(result.point.y,
+                                  point.y + result.alpha * direction)
 
 
 def test_line_search_requires_descent_direction():
@@ -773,6 +878,39 @@ def test_solve_reproduces_trace_before_stall_rule(choice):
     digest = trace_audit.trace_digest(trace, point.y)
     assert digest == TRACE_SHA256[choice]
     assert trace.stops == ["gradient"]
+
+
+def _row(k, gradnorm, relres, alpha=1.0):
+    return TraceRow(k=k, p=3, f=-1.0, gradnorm=gradnorm, relres=relres,
+                    inner_iters=4, nH=4 * k, alpha=alpha, ms=0.0)
+
+
+def test_stall_rule_ends_a_rank_converged_above_its_target():
+    # The stall rule on hand-made rows: a unit step at k >= 2 that lowered
+    # the gradient norm and moved relres by under 1 % ends the solve when
+    # relres is above 3 target, or when it is above target / 0.99 and the
+    # gradient norm fell more than tenfold; never otherwise.
+    target = 1e-6
+    edge = target / tnewton.STALL_RATIO
+    for relres in (0.5 * target, target, edge, 1.02 * target, 2.9 * target,
+                   tnewton.STALL_MARGIN * target, 3.1 * target):
+        for drop in (1e-4, 0.09, tnewton.STALL_GRADIENT_DROP, 0.5, 0.99):
+            prev = _row(3, 1e-4, relres)
+            stalled = tnewton._stalled(prev, _row(4, drop * 1e-4, relres),
+                                       target)
+            if relres > 3.0 * target:
+                assert stalled
+            elif relres <= edge or drop >= 0.1:
+                assert not stalled, (relres, drop)
+            else:
+                assert stalled, (relres, drop)
+            # each condition of the rule is needed by both branches
+            for row in (_row(1, drop * 1e-4, relres),
+                        _row(4, drop * 1e-4, relres, alpha=0.5),
+                        _row(4, 1e-4, relres),
+                        _row(4, drop * 1e-4, 0.98 * relres)):
+                assert not tnewton._stalled(_row(row.k - 1, 1e-4, relres),
+                                            row, target)
 
 
 def test_solve_rejects_rank_deficient_start():

@@ -128,25 +128,36 @@ def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
     # One instance of each workload, solved again here: the record's outer
     # iterations are its trace rows less one k = 0 row per rank, its short
     # steps those of them with alpha < 1, its Hessian actions the nH of its
-    # last row, and its calls those of tnewton.hessian_action, counted here
-    # too; write puts the unwrapped function back.
+    # last row, its calls those of tnewton.hessian_action and its largest
+    # inner solve the most Hessian actions of one tnewton.tpcg call, both
+    # counted here too; write puts the unwrapped functions back.
     monkeypatch.setattr(trace_audit, "INSTANCES",
                         (("irr-poisson1d", [0]), ("fixed-grid2d", [0])))
     monkeypatch.setattr(sys, "path", list(sys.path))
     for var in trace_audit.THREAD_VARS:
         monkeypatch.setenv(var, "1")
     out = tmp_path / "audit.json"
-    action = tnewton.hessian_action
+    action, inner_solve = tnewton.hessian_action, tnewton.tpcg
     assert trace_audit.main(["write", str(ROOT), str(out)]) == 0
     assert tnewton.hessian_action is action
+    assert tnewton.tpcg is inner_solve
     records = json.loads(out.read_text(encoding="ascii"))
     import workloads
 
     calls = count_hessian_actions(monkeypatch)
+    inner = []
+
+    def recorded(*args, solve=tnewton.tpcg, **kwargs):
+        state = solve(*args, **kwargs)
+        inner.append(state.hessian_actions)
+        return state
+
+    monkeypatch.setattr(tnewton, "tpcg", recorded)
     for key, record in records.items():
         name, seed = key.split("/")
         workload = workloads.WORKLOADS[name]
         calls.clear()
+        inner.clear()
         point, trace = workload.solve(workload.setup(int(seed)))
         ranks = len({row.p for row in trace.rows})
         assert record["outcome"] == f"rank {point.p}"
@@ -155,6 +166,7 @@ def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
             row.k > 0 and row.alpha < 1.0 for row in trace.rows)
         assert record["actions"] == trace.final().nH > 0
         assert record["calls"] == len(calls) == record["actions"]
+        assert record["largest_inner"] == max(inner) > 0
         assert record["stops"] == trace.stops
         assert len(record["stops"]) == ranks
         assert record["fallbacks"] == len(trace.fallbacks)
@@ -190,3 +202,26 @@ def test_compare_prints_stop_reasons_and_fallbacks(tmp_path, capsys):
     assert lines[-5:-3] == [
         "grid: stops n/a -> gradient 1; fallbacks 0",
         "irr: stops n/a -> floor 1, stall 2, target 1; fallbacks 0"]
+
+
+def test_compare_prints_the_largest_inner_solve(tmp_path, capsys):
+    # One line per workload, before the stop reasons: the most Hessian
+    # actions of one inner solve in both files; a file without the field
+    # reads n/a.
+    before = {"irr/1": _record("a", 14), "irr/2": _record("b", 15),
+              "grid/0": _record("c", 5)}
+    after = {"irr/1": _record("d", 14), "irr/2": _record("e", 15),
+             "grid/0": _record("c", 5)}
+    for records, sizes in ((before, (820, 5, 4)), (after, (5, 4, 4))):
+        for record, size in zip(records.values(), sizes):
+            record["largest_inner"] = size
+    status, lines = _compare(tmp_path, capsys, before, after)
+    assert status == 1
+    assert lines[-7:-5] == [
+        "grid: largest inner solve 4 -> 4 Hessian actions",
+        "irr: largest inner solve 820 -> 5 Hessian actions"]
+    del before["irr/2"]["largest_inner"]
+    status, lines = _compare(tmp_path, capsys, before, after)
+    assert lines[-7:-5] == [
+        "grid: largest inner solve 4 -> 4 Hessian actions",
+        "irr: largest inner solve n/a -> 5 Hessian actions"]

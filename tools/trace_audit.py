@@ -16,6 +16,8 @@ rank's last row, the outer iterations (rows with k > 0), the short steps
 (rows with k > 0 and alpha < 1), the Hessian actions the trace reports
 (the nH of its last row), the calls of tnewton.hessian_action the solve
 made (counted by wrapping that attribute, apart from the trace), the
+Hessian actions of its largest inner solve (the largest hessian_actions
+of a tnewton.tpcg call, read by wrapping that attribute too), the
 reason each fixed-rank solve ended (the trace's stops), the number of
 steps the line search's Armijo fallback took and the workload's residual
 target tau (null for a fixed-rank solve). A solve that raises is hashed
@@ -31,15 +33,16 @@ relres / tau at the lower of the two ranks is printed for both sides, and
 the change is labelled knife-edge when the first file's value lies within
 KNIFE_EDGE of 1: such an instance stops within rounding of tau, so any
 rounding-level change can move its rank by one. Then one line per
-workload gives the total of each stop reason and of the fallbacks in
+workload gives its largest inner solve in Hessian actions in both files,
+one more the total of each stop reason and of the fallbacks in
 both files, and one more its total outer iterations, short steps,
 reported and called Hessian actions and its sum of final ranks in both
 files; an instance that raised in either file counts toward neither rank
 sum, so the two sums cover the same instances. The closing line counts
 the outcome changes that are not knife-edge. Files written before the
-relres, outer, short_steps, actions, calls, stops or fallbacks fields
-existed still compare; their rank changes are never knife-edge and their
-missing totals read n/a.
+relres, outer, short_steps, actions, calls, largest_inner, stops or
+fallbacks fields existed still compare; their rank changes are never
+knife-edge and their missing totals and maxima read n/a.
 
 BLAS is pinned to one thread before numpy is imported, as the benchmark
 does, so that a run is reproducible bit for bit.
@@ -90,12 +93,17 @@ def audit(root):
 
     solver_errors = (lf.IncreasingRankError, lf.InnerSolveError,
                      lf.LineSearchError, lf.PreconditionerError)
-    action = tnewton.hessian_action
-    calls = []
+    action, inner_solve = tnewton.hessian_action, tnewton.tpcg
+    calls, inner = [], []
 
     def counted(*args):
         calls.append(None)
         return action(*args)
+
+    def recorded(*args, **kwargs):
+        state = inner_solve(*args, **kwargs)
+        inner.append(state.hessian_actions)
+        return state
 
     records = {}
     for name, seeds in INSTANCES:
@@ -103,7 +111,8 @@ def audit(root):
         for seed in seeds:
             instance = workload.setup(seed)
             calls.clear()
-            tnewton.hessian_action = counted
+            inner.clear()
+            tnewton.hessian_action, tnewton.tpcg = counted, recorded
             try:
                 point, trace = workload.solve(instance)
             except solver_errors as exc:
@@ -117,7 +126,7 @@ def audit(root):
                 outcome = f"rank {point.p}"
                 digest = trace_digest(trace, point.y)
             finally:
-                tnewton.hessian_action = action
+                tnewton.hessian_action, tnewton.tpcg = action, inner_solve
             records[f"{name}/{seed}"] = {
                 "hash": digest, "outcome": outcome,
                 "relres": final_relres(trace),
@@ -126,6 +135,7 @@ def audit(root):
                                    for row in trace.rows),
                 "actions": trace.rows[-1].nH if trace.rows else 0,
                 "calls": len(calls),
+                "largest_inner": max(inner, default=0),
                 "stops": list(trace.stops),
                 "fallbacks": len(trace.fallbacks),
                 "tau": workload.tau}
@@ -174,13 +184,13 @@ def rank_move(old, new):
     return rank, before, after, knife
 
 
-def field_totals(records, name):
-    """Field `name` summed per workload (the key before '/'); None for a
-    workload with a record that lacks the field."""
+def field_totals(records, name, combine=sum):
+    """Field `name` summed (or combined by `combine`) per workload (the key
+    before '/'); None for a workload with a record that lacks the field."""
     values = {}
     for key, record in records.items():
         values.setdefault(key.split("/")[0], []).append(record.get(name))
-    return {workload: None if None in got else sum(got)
+    return {workload: None if None in got else combine(got)
             for workload, got in values.items()}
 
 
@@ -269,6 +279,12 @@ def main(argv=None):
     for key, (old, new) in sorted(diff.items(),
                                   key=lambda item: item[0] not in moved):
         print(f"{key}: {describe(old, new, key in moved)}")
+    largest = [field_totals(records, "largest_inner", max)
+               for records in (before, after)]
+    for name in sorted(largest[0].keys() | largest[1].keys()):
+        text = " -> ".join("n/a" if side.get(name) is None
+                           else str(side[name]) for side in largest)
+        print(f"{name}: largest inner solve {text} Hessian actions")
     stops = stop_totals(before), stop_totals(after)
     for name in sorted(stops[0].keys() | stops[1].keys()):
         print(f"{name}: stops {describe_stops(stops[0].get(name))} -> "
