@@ -65,37 +65,47 @@ def _asymmetric_entry(mat):
 
     A canonical CSR (sorted indices, no duplicates) equals its transpose's
     CSR array for array exactly when the matrix is symmetric and stores
-    the same pattern on both sides of the diagonal. Anything else, such as
-    an explicit zero on one side only, is decided by the subtraction.
+    the same pattern on both sides of the diagonal, and the transpose's
+    CSR arrays are the matrix's own CSC arrays. Anything else, such as an
+    explicit zero on one side only, is decided by the subtraction. The
+    caller's arrays are never changed.
     """
-    mat = sps.csr_matrix(mat)
+    if not isinstance(mat, sps.csr_matrix):
+        mat = sps.csr_matrix(mat)
     if not mat.has_canonical_format:
         mat = mat.copy()  # summing duplicates in place, not the caller's
         mat.sum_duplicates()
-    tr = mat.T.tocsr()
-    if all(np.array_equal(getattr(mat, name), getattr(tr, name))
+    csc = mat.tocsc()
+    if all(np.array_equal(getattr(mat, name), getattr(csc, name))
            for name in ("indptr", "indices", "data")):
         return None
-    diff = (mat - tr).tocoo()
+    diff = (mat - mat.T).tocoo()
     if diff.nnz and np.abs(diff.data).max() > 0.0:
         i = int(np.argmax(np.abs(diff.data)))
-        return diff.row[i], diff.col[i]
+        return int(diff.row[i]), int(diff.col[i])
     return None
 
 
 class SpdSparseMatrix:
     """Sparse symmetric positive definite matrix.
 
-    Symmetry is required to hold exactly (entry by entry) and is checked on
-    construction. Positive definiteness is checked for n <= SPD_CHECK_LIMIT
-    by a band Cholesky factorization (pbtrf) of the lower triangle, with
-    the half-bandwidth kd measured from the matrix (kd = n - 1 makes it a
-    dense Cholesky), and taken on trust above that size. The matrix is
-    kept in canonical CSR form, duplicate entries summed.
+    The matrix must be real; symmetry is required to hold exactly (entry
+    by entry) and is checked on construction. Positive definiteness is
+    checked for n <= SPD_CHECK_LIMIT by a band Cholesky factorization
+    (pbtrf) of the lower triangle, with the half-bandwidth kd measured
+    from the matrix (kd = n - 1 makes it a dense Cholesky), and taken on
+    trust above that size. The matrix is kept as its own canonical CSR
+    copy, duplicate entries summed. The symmetry error carries the
+    offending 0-based pair as its `pair` attribute.
     """
 
     def __init__(self, mat):
-        mat = sps.csr_matrix(mat).astype(float)
+        if np.iscomplexobj(mat):
+            raise ValueError("matrix must be real, not complex")
+        if isinstance(mat, sps.csr_matrix) and mat.dtype == float:
+            mat = mat.copy()  # its own arrays, summed in place below
+        else:
+            mat = sps.csr_matrix(mat, dtype=float, copy=True)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError(f"matrix must be square, got shape {mat.shape}")
         if not np.isfinite(mat.data).all():
@@ -103,10 +113,12 @@ class SpdSparseMatrix:
         mat.sum_duplicates()
         pair = _asymmetric_entry(mat)
         if pair is not None:
-            raise ValueError(
+            error = ValueError(
                 "matrix is not symmetric: entries ({0}, {1}) and ({1}, {0}) "
                 "differ".format(*pair)
             )
+            error.pair = pair
+            raise error
         n = mat.shape[0]
         if n <= SPD_CHECK_LIMIT:
             # LAPACK lower band storage, ab[i - j, j] = mat[i, j] for i >= j
@@ -139,11 +151,15 @@ class LyapunovProblem:
     def __post_init__(self):
         if self.a.n != self.m.n:
             raise ValueError("A and M must have the same size")
+        if np.iscomplexobj(self.b):
+            raise ValueError("B must be real, not complex")
         b = np.asarray(self.b, dtype=float)
         if b.ndim == 1:
             b = b[:, None]
         if b.ndim != 2 or b.shape[0] != self.a.n:
             raise ValueError("B must have one row per equation unknown")
+        if b.shape[1] == 0:
+            raise ValueError("B must have at least one column")
         if not np.isfinite(b).all():
             raise ValueError("B has a non-finite entry")
         self.b = b
@@ -462,14 +478,19 @@ def gen_poisson(n, seed, identity_mass=False):
         raise ValueError(f"gen_poisson needs n >= 2, got {n}")
     rng = np.random.default_rng(seed)
     h = 1.0 / (n + 1)
-    main = np.full(n, 2.0 / (h * h))
-    off = np.full(n - 1, -1.0 / (h * h))
-    a = sps.diags([off, main, off], [-1, 0, 1], format="csr")
+    diag = np.arange(n)
+    # Rows (off, main, off) at columns (i - 1, i, i + 1), laid end to end,
+    # less the two entries outside the matrix: the CSR arrays of A.
+    a = sps.csr_matrix(
+        (np.tile([-1.0 / (h * h), 2.0 / (h * h), -1.0 / (h * h)], n)[1:-1],
+         (diag[:, None] + [-1, 0, 1]).ravel()[1:-1],
+         np.clip(np.arange(-1, 3 * n, 3), 0, 3 * n - 2)),
+        shape=(n, n))
     if identity_mass:
-        m = sps.eye(n, format="csr")
+        d = np.ones(n)
     else:
         d = np.concatenate([rng.random(n - 1), [0.0]]) + 0.1
-        m = sps.diags([d], [0], format="csr")
+    m = sps.csr_matrix((d, diag, np.arange(n + 1)), shape=(n, n))
     b = rng.standard_normal((n, 1))
     return LyapunovProblem(SpdSparseMatrix(a), SpdSparseMatrix(m), b)
 
@@ -594,20 +615,19 @@ def _parse_matrix_market(path):
 
 
 def _load_spd(path):
-    kind, symmetry, mat = _parse_matrix_market(path)
+    kind, _, mat = _parse_matrix_market(path)
     if kind == "array":
         mat = sps.coo_matrix(mat)
-    pair = _asymmetric_entry(mat) if symmetry == "general" else None
-    if pair is not None:
-        raise MatrixMarketError(
-            path, 0,
-            "general matrix is not symmetric: entries "
-            "({0}, {1}) and ({1}, {0}) differ".format(pair[0] + 1, pair[1] + 1),
-        )
     try:
         return SpdSparseMatrix(mat)
     except ValueError as exc:
-        raise MatrixMarketError(path, 0, str(exc)) from exc
+        # Only a general file can be asymmetric: a symmetric one is
+        # mirrored. Its pair is named 1-based, as the file counts.
+        pair = getattr(exc, "pair", None)
+        message = str(exc) if pair is None else (
+            "general matrix is not symmetric: entries ({0}, {1}) and "
+            "({1}, {0}) differ".format(pair[0] + 1, pair[1] + 1))
+        raise MatrixMarketError(path, 0, message) from exc
 
 
 def load_matrix_market(path_a, path_m, path_b):
@@ -654,7 +674,9 @@ def save_matrix_market(path, mat, comment=None):
     from scipy.io import mmwrite  # not on the solve path
 
     if sps.issparse(mat):
-        symmetry = "general" if _asymmetric_entry(mat) else "symmetric"
+        square = mat.shape[0] == mat.shape[1]
+        symmetry = ("symmetric" if square and _asymmetric_entry(mat) is None
+                    else "general")
     else:
         mat, symmetry = np.asarray(mat, dtype=float), "general"
         if mat.ndim == 1:

@@ -13,7 +13,8 @@ and `legacy_tpcg` the inner solve before its forcing test moved ahead of
 the preconditioner apply.
 `trace_audit` is tools/trace_audit.py, loaded from its path, and
 `count_hessian_actions` an independent count of the solver's Hessian
-actions.
+actions. `poisson_reference` is gen_poisson's data built as it was
+before the generator wrote its CSR arrays directly.
 """
 
 import importlib.util
@@ -59,6 +60,25 @@ def count_hessian_actions(monkeypatch):
 
     monkeypatch.setattr(tnewton, "hessian_action", counted)
     return calls
+
+
+def poisson_reference(n, seed, identity_mass=False):
+    """(A, M, B) of gen_poisson(n, seed, identity_mass), built by
+    sps.diags and sps.eye and converted to float CSR as SpdSparseMatrix
+    converted them."""
+    rng = np.random.default_rng(seed)
+    h = 1.0 / (n + 1)
+    main = np.full(n, 2.0 / (h * h))
+    off = np.full(n - 1, -1.0 / (h * h))
+    a = sps.diags([off, main, off], [-1, 0, 1], format="csr")
+    if identity_mass:
+        m = sps.eye(n, format="csr")
+    else:
+        d = np.concatenate([rng.random(n - 1), [0.0]]) + 0.1
+        m = sps.diags([d], [0], format="csr")
+    b = rng.standard_normal((n, 1))
+    return (sps.csr_matrix(a).astype(float), sps.csr_matrix(m).astype(float),
+            b)
 
 
 def rand_spd_banded(n, rng, bw=2):

@@ -11,7 +11,8 @@ import scipy.sparse as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import identity_problem, kron_solve, rand_spd_banded, random_problem
+from helpers import (identity_problem, kron_solve, poisson_reference,
+                     rand_spd_banded, random_problem)
 from lyapfactor import (
     FactorPoint,
     LyapunovProblem,
@@ -40,6 +41,25 @@ from lyapfactor import problems
 def test_spd_rejects_asymmetric():
     mat = sps.csr_matrix(np.array([[2.0, 1.0], [0.5, 2.0]]))
     with pytest.raises(ValueError, match="not symmetric"):
+        SpdSparseMatrix(mat)
+
+
+def test_spd_asymmetry_error_carries_the_pair():
+    mat = sps.csr_matrix(np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 1.0],
+                                   [0.0, 0.5, 2.0]]))
+    with pytest.raises(ValueError, match=re.escape("(1, 2) and (2, 1)")) as info:
+        SpdSparseMatrix(mat)
+    assert info.value.pair == (1, 2)
+
+
+@pytest.mark.parametrize("mat", [
+    sps.identity(3, format="csr") * (1.0 + 2j),
+    sps.coo_matrix(np.eye(3) + 0j),
+    np.eye(3) + 2j,
+], ids=["csr", "coo-zero-imaginary", "dense"])
+def test_spd_rejects_complex_input(mat):
+    # the imaginary part is not dropped with a ComplexWarning
+    with pytest.raises(ValueError, match="matrix must be real, not complex"):
         SpdSparseMatrix(mat)
 
 
@@ -98,21 +118,34 @@ def test_spd_accepts_an_explicit_zero_on_one_side():
 @pytest.mark.parametrize("second,pair", [(0.5, None), (0.25, "(0, 1) and (1, 0)")],
                          ids=["symmetric-sums", "asymmetric-sums"])
 def test_spd_sums_duplicate_entries_before_its_checks(second, pair):
-    # (0, 1) is stored twice; its sum meets (1, 0) = 1.0 only for 0.5
-    dup = sps.csr_matrix((np.array([2.0, 0.5, second, 1.0, 2.0, 2.0]),
-                          np.array([0, 1, 1, 0, 1, 2]),
-                          np.array([0, 3, 5, 6])), shape=(3, 3))
-    if pair is None:
-        mat = SpdSparseMatrix(dup).mat
-        assert mat.has_canonical_format
-        np.testing.assert_array_equal(
-            mat.toarray(), [[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
-    else:
-        with pytest.raises(ValueError, match=f"entries {re.escape(pair)} differ"):
-            SpdSparseMatrix(dup)
-    # neither check sums the caller's arrays in place
-    problems._asymmetric_entry(dup)
-    assert dup.nnz == 6 and not dup.has_canonical_format
+    # (0, 1) is stored twice; its sum meets (1, 0) = 1.0 only for 0.5. A
+    # float csr_matrix is copied array by array, a csr_array converted;
+    # neither shares or changes the caller's arrays.
+    arrays = (np.array([2.0, 0.5, second, 1.0, 2.0, 2.0]),
+              np.array([0, 1, 1, 0, 1, 2], dtype=np.int32),
+              np.array([0, 3, 5, 6], dtype=np.int32))
+    for container in (sps.csr_matrix, sps.csr_array):
+        dup = container(tuple(x.copy() for x in arrays), shape=(3, 3))
+        if pair is None:
+            mat = SpdSparseMatrix(dup).mat
+            assert type(mat) is sps.csr_matrix and mat.has_canonical_format
+            np.testing.assert_array_equal(
+                mat.toarray(),
+                [[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
+            problem = LyapunovProblem(SpdSparseMatrix(dup),
+                                      SpdSparseMatrix(dup), np.ones(3))
+            for name in ("data", "indices", "indptr"):
+                assert not np.shares_memory(getattr(problem.a.mat, name),
+                                            getattr(dup, name))
+        else:
+            with pytest.raises(ValueError,
+                               match=f"entries {re.escape(pair)} differ"):
+                SpdSparseMatrix(dup)
+        # neither check sums the caller's arrays in place
+        problems._asymmetric_entry(dup)
+        assert dup.nnz == 6 and not dup.has_canonical_format
+        for got, given in zip((dup.data, dup.indices, dup.indptr), arrays):
+            np.testing.assert_array_equal(got, given)
 
 
 def test_spd_check_forms_no_dense_matrix(monkeypatch):
@@ -161,6 +194,22 @@ def test_factor_point_requires_full_rank():
     y[:, 0] = 1.0
     assert not FactorPoint(y).has_full_rank
     assert FactorPoint(np.eye(5)[:, :2]).has_full_rank
+
+
+@pytest.mark.parametrize("b", [np.ones((6, 1)) * (1.0 + 1j),
+                               np.ones(6, dtype=complex)],
+                         ids=["column", "one-dimensional"])
+def test_problem_rejects_complex_rhs(b):
+    # the imaginary part is not dropped with a ComplexWarning
+    eye = SpdSparseMatrix(sps.identity(6, format="csr"))
+    with pytest.raises(ValueError, match="B must be real, not complex"):
+        LyapunovProblem(eye, eye, b)
+
+
+def test_problem_rejects_rhs_without_columns():
+    eye = SpdSparseMatrix(sps.identity(6, format="csr"))
+    with pytest.raises(ValueError, match="B must have at least one column"):
+        LyapunovProblem(eye, eye, np.ones((6, 0)))
 
 
 def test_problem_dimension_checks():
@@ -502,6 +551,26 @@ def test_poisson_deterministic():
     np.testing.assert_array_equal(p1.b, p2.b)
 
 
+@pytest.mark.parametrize("identity_mass", [False, True],
+                         ids=["random-mass", "identity-mass"])
+@pytest.mark.parametrize("n", [2, 3, 100, 501])
+def test_poisson_equals_diags_reference(n, identity_mass):
+    # the CSR arrays written directly are those of the sps.diags build,
+    # bit for bit and dtype for dtype, and so is B
+    for seed in (0, 1, 7, 108):
+        prob = gen_poisson(n, seed, identity_mass)
+        ref = poisson_reference(n, seed, identity_mass)
+        for got, want in zip((prob.a.mat, prob.m.mat), ref):
+            assert type(got) is type(want) and got.shape == want.shape
+            for name in ("data", "indices", "indptr"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.dtype == w.dtype, name
+                np.testing.assert_array_equal(g.view(np.uint8),
+                                              w.view(np.uint8))
+        np.testing.assert_array_equal(prob.b.view(np.uint8),
+                                      ref[2].view(np.uint8))
+
+
 def test_poisson_rejects_tiny_n():
     with pytest.raises(ValueError):
         gen_poisson(1, 0)
@@ -634,6 +703,50 @@ def test_matrix_market_asymmetric_general_rejected(tmp_path):
     save_matrix_market(b_path, np.ones((2, 1)))
     with pytest.raises(MatrixMarketError, match="symmetric"):
         load_matrix_market(path, eye_path, b_path)
+
+
+def test_matrix_market_checks_symmetry_once_per_general_file(tmp_path,
+                                                            monkeypatch):
+    # a general coordinate A, a general array M and, in the last load, an
+    # asymmetric general A whose error names the pair 1-based
+    passes = []
+
+    def spy(mat, check=problems._asymmetric_entry):
+        passes.append(None)
+        return check(mat)
+
+    monkeypatch.setattr(problems, "_asymmetric_entry", spy)
+    paths = [os.path.join(tmp_path, name) for name in ("a.mtx", "m.mtx",
+                                                        "b.mtx", "bad.mtx")]
+    with open(paths[0], "w") as fh:
+        fh.write("%%MatrixMarket matrix coordinate real general\n"
+                 "2 2 4\n1 1 2.0\n2 1 1.0\n1 2 1.0\n2 2 2.0\n")
+    save_matrix_market(paths[1], np.eye(2))
+    save_matrix_market(paths[2], np.ones((2, 1)))
+    with open(paths[3], "w") as fh:
+        fh.write("%%MatrixMarket matrix coordinate real general\n"
+                 "2 2 3\n1 1 2.0\n2 2 2.0\n1 2 1.0\n")
+    passes.clear()
+    prob = load_matrix_market(*paths[:3])
+    assert len(passes) == 2
+    np.testing.assert_array_equal(prob.a.mat.toarray(), [[2.0, 1.0], [1.0, 2.0]])
+    passes.clear()
+    with pytest.raises(MatrixMarketError, match=re.escape(
+            "bad.mtx: general matrix is not symmetric: entries (1, 2) and "
+            "(2, 1) differ")):
+        load_matrix_market(paths[3], *paths[1:3])
+    assert len(passes) == 1
+
+
+def test_matrix_market_writes_sparse_rectangular_b_as_general(tmp_path):
+    paths = [os.path.join(tmp_path, name) for name in ("a.mtx", "b.mtx")]
+    save_matrix_market(paths[0], sps.identity(3, format="csr"))
+    b = sps.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]]))
+    save_matrix_market(paths[1], b)
+    lines, _ = _written(paths[1])
+    assert lines[0] == "%%MatrixMarket matrix coordinate real general"
+    prob = load_matrix_market(paths[0], paths[0], paths[1])
+    np.testing.assert_array_equal(prob.b, b.toarray())
 
 
 def _bad_file(content, fragment, bad="a"):
