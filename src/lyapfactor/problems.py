@@ -70,8 +70,7 @@ def _asymmetric_entry(mat):
     explicit zero on one side only, is decided by the subtraction. The
     caller's arrays are never changed.
     """
-    if not isinstance(mat, sps.csr_matrix):
-        mat = sps.csr_matrix(mat)
+    mat = sps.csr_matrix(mat)
     if not mat.has_canonical_format:
         mat = mat.copy()  # summing duplicates in place, not the caller's
         mat.sum_duplicates()
@@ -102,10 +101,7 @@ class SpdSparseMatrix:
     def __init__(self, mat):
         if np.iscomplexobj(mat):
             raise ValueError("matrix must be real, not complex")
-        if isinstance(mat, sps.csr_matrix) and mat.dtype == float:
-            mat = mat.copy()  # its own arrays, summed in place below
-        else:
-            mat = sps.csr_matrix(mat, dtype=float, copy=True)
+        mat = sps.csr_matrix(mat, dtype=float, copy=True)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError(f"matrix must be square, got shape {mat.shape}")
         if not np.isfinite(mat.data).all():

@@ -118,9 +118,9 @@ def test_spd_accepts_an_explicit_zero_on_one_side():
 @pytest.mark.parametrize("second,pair", [(0.5, None), (0.25, "(0, 1) and (1, 0)")],
                          ids=["symmetric-sums", "asymmetric-sums"])
 def test_spd_sums_duplicate_entries_before_its_checks(second, pair):
-    # (0, 1) is stored twice; its sum meets (1, 0) = 1.0 only for 0.5. A
-    # float csr_matrix is copied array by array, a csr_array converted;
-    # neither shares or changes the caller's arrays.
+    # (0, 1) is stored twice; its sum meets (1, 0) = 1.0 only for 0.5.
+    # Neither a float csr_matrix nor a csr_array shares or changes the
+    # caller's arrays.
     arrays = (np.array([2.0, 0.5, second, 1.0, 2.0, 2.0]),
               np.array([0, 1, 1, 0, 1, 2], dtype=np.int32),
               np.array([0, 3, 5, 6], dtype=np.int32))
@@ -795,6 +795,8 @@ ARRAY = "%%MatrixMarket matrix array real general\n"
     _bad_file(ARRAY + "2 2\n1\n2\n3\n",
               "bad.mtx:2: expected 4 values, found 3"),
     _bad_file(ARRAY + "2 2\n1\n2\nx\n4\n", "bad.mtx:5: malformed value"),
+    _bad_file(COORDINATE + "2 3 2\n1 1 1.0\n2 2 1.0\n",
+              "bad.mtx: matrix must be square, got shape (2, 3)"),
     _bad_file("%%MatrixMarket matrix array real symmetric\n2 2\n1\n0\n1\n",
               "bad.mtx: right-hand side factor must be general", bad="b"),
     _bad_file(COORDINATE + "3 1 1\n3 1 1.0\n",
