@@ -149,7 +149,7 @@ class LyapunovProblem:
             raise ValueError("A and M must have the same size")
         if np.iscomplexobj(self.b):
             raise ValueError("B must be real, not complex")
-        b = np.asarray(self.b, dtype=float)
+        b = np.array(self.b, dtype=float)
         if b.ndim == 1:
             b = b[:, None]
         if b.ndim != 2 or b.shape[0] != self.a.n:

@@ -16,6 +16,7 @@ product, so it is independent of the manifold it runs on.
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -332,7 +333,9 @@ class SolveTrace:
     level where Delta is below the resolution of f. An iteration that ends
     the solve at the rounding floor after its inner solve adds no row; its
     Hessian actions go to the last row's nH, its preconditioner build
-    nowhere.
+    nowhere. So do those of an iteration whose line search raises, in the
+    partial trace the exception carries; an inner solve that raises is not
+    counted.
 
     `stops` holds why each completed fixed-rank solve ended, one entry per
     solve: "gradient" (grad_tol_rel reached), "max_outer", "floor" (the
@@ -357,9 +360,6 @@ class SolveTrace:
     scales: list = field(default_factory=list)
     fallbacks: list = field(default_factory=list)
     warm_starts: list = field(default_factory=list)
-
-    def append(self, row):
-        self.rows.append(row)
 
     def extend(self, other):
         """Append a later solve's record, continuing nH and the row indices
@@ -412,7 +412,8 @@ def _start_scale(prod):
 
 def _at_rounding_floor(prod):
     """Whether N Y = U (V^T Y) + V (U^T Y) - B (B^T Y) is within the
-    rounding of its three terms."""
+    rounding of its three terms, ROUNDING (||U|| ||V^T Y|| + ||V|| ||U^T Y||
+    + ||B|| ||B^T Y||), with U = A Y and V = M Y."""
     y, u, v = prod.y, prod.u, prod.v
     terms = (np.linalg.norm(u) * np.linalg.norm(v.T @ y)
              + np.linalg.norm(v) * np.linalg.norm(u.T @ y)
@@ -451,25 +452,14 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
     then starts from t* Y, t*^2 = ||B^T Y||^2 / (2 tr(Y^T A Y Y^T M Y)),
     when the closed-form decrease tr(Y^T A Y Y^T M Y) (1 - t*^2)^2 exceeds
     its rounding bound; its products A Y, M Y and B^T Y are t* times those
-    of Y (FactorPoint.scaled). It runs until the gradient norm falls to
-    grad_tol_rel times its initial value or max_outer iterations. Each
-    outer iteration builds the chosen preconditioner at the current point,
-    runs the truncated conjugate gradient on the Newton equation and takes
-    a line search step (see line_search). It ends at the rounding floor
-    ("floor") when, before the build, ||N Y||_F is within rounding of its
-    terms, 64 eps (||A Y|| ||Y^T M Y|| + ||M Y|| ||Y^T A Y||
-    + ||B|| ||B^T Y||), or when a line search that found no step demanded
-    no more than the rounding bound of the cost difference. Given a residual
-    `target`, the solve also ends ("target") at row 0, returning the factor
-    as given with scale 1.0, when its relres is at most the target, or
-    else after the first iteration whose relres is; and ("stall") after
-    an iteration k >= 2 whose unit step lowered the gradient norm but left
-    relres above STALL_RATIO times the previous relres and either above
-    STALL_MARGIN times the target, or above target / STALL_RATIO with the
-    gradient norm below STALL_GRADIENT_DROP times the previous one: there
-    the rank has converged above the target (see _stalled). A solve without
-    a target ends at the rounding floor unless it reaches grad_tol_rel or
-    max_outer first.
+    of Y (FactorPoint.scaled). Each outer iteration builds the chosen
+    preconditioner at the current point, runs the truncated conjugate
+    gradient on the Newton equation and takes a line search step (see
+    line_search). The solve ends for one of the reasons of SolveTrace.stops.
+    The rounding floor is tested before each build (see _at_rounding_floor)
+    and after a line search that found no step. A residual `target` is
+    tested at row 0, where the factor as given is returned with scale 1.0,
+    and after each iteration, together with the stall rule (see _stalled).
 
     Parameters
     ----------
@@ -496,21 +486,29 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
         raise ValueError("initial factor must have full column rank")
     p = point.p
     max_inner = point.n * p - (p * (p - 1)) // 2
-
     trace = SolveTrace()
+
+    def gradient(at):
+        grad = riemannian_gradient(metric, problem, at)
+        return grad, math.sqrt(horizontal_inner(metric, at, grad, grad))
+
+    def add_row(k, inner_iters, alpha, since):
+        # Appends and returns the row of point, f_val, gnorm and nh_total.
+        trace.rows.append(TraceRow(
+            k=k, p=p, f=f_val, gradnorm=gnorm,
+            relres=relative_residual(problem, point),
+            inner_iters=inner_iters, nH=nh_total, alpha=alpha,
+            ms=(time.perf_counter() - since) * 1e3,
+        ))
+        return trace.rows[-1]
+
     t_start = time.perf_counter()
     f_val = cost(problem, point)
-    grad = riemannian_gradient(metric, problem, point)
-    gnorm = math.sqrt(horizontal_inner(metric, point, grad, grad))
+    grad, gnorm = gradient(point)
     gnorm0 = gnorm
     nh_total = 0
-    trace.append(TraceRow(
-        k=0, p=p, f=f_val, gradnorm=gnorm,
-        relres=relative_residual(problem, point),
-        inner_iters=0, nH=0, alpha=0.0,
-        ms=(time.perf_counter() - t_start) * 1e3,
-    ))
-    if target is not None and trace.rows[0].relres <= target:
+    row = add_row(0, 0, 0.0, t_start)
+    if target is not None and row.relres <= target:
         trace.scales.append(1.0)
         trace.stops.append("target")
         return point, trace
@@ -519,8 +517,7 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
     if f_scaled is not None:
         point = point.scaled(scale, problem)
         f_val = f_scaled
-        grad = riemannian_gradient(metric, problem, point)
-        gnorm = math.sqrt(horizontal_inner(metric, point, grad, grad))
+        grad, gnorm = gradient(point)
 
     k = 0
     stop = "floor"  # if a break below ends the solve at the rounding floor
@@ -528,29 +525,22 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
         while k < config.max_outer and gnorm > config.grad_tol_rel * gnorm0:
             k += 1
             t_iter = time.perf_counter()
-            at = point
-            if _at_rounding_floor(at.products(problem)):
+            if _at_rounding_floor(point.products(problem)):
                 break
-
-            def hess_fn(arr, at=at):
-                return hessian_action(metric, problem, at, arr)
-
-            def inner_fn(x, e, at=at):
-                return horizontal_inner(metric, at, x, e)
-
-            precond_fn = preconditioner(precond_choice, metric, problem, at)
-            phi_k = min(FORCING_BETA, gnorm ** config.forcing_t)
             state = tpcg(
-                grad, hess_fn, precond_fn, EPS_CURV, phi_k,
-                inner=inner_fn, max_inner=max_inner,
+                grad, partial(hessian_action, metric, problem, point),
+                preconditioner(precond_choice, metric, problem, point),
+                EPS_CURV, min(FORCING_BETA, gnorm ** config.forcing_t),
+                inner=partial(horizontal_inner, metric, point),
+                max_inner=max_inner,
             )
             nh_total += state.hessian_actions
-            slope0 = horizontal_inner(metric, at, grad, state.direction)
+            slope0 = horizontal_inner(metric, point, grad, state.direction)
             # Only rounding gives tPCG a direction that is not descent.
             if not slope0 < 0.0:
                 break
             try:
-                result = line_search(problem, metric, at, state.direction,
+                result = line_search(problem, metric, point, state.direction,
                                      f_val, slope0, config)
             except LineSearchError as exc:
                 # When the acceptance conditions demand no more than the
@@ -565,20 +555,13 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
                 trace.fallbacks.append(k)
             point = result.point
             f_val = result.f
-            grad = riemannian_gradient(metric, problem, point)
-            gnorm = math.sqrt(horizontal_inner(metric, point, grad, grad))
-            prev = trace.final()
-            relres = relative_residual(problem, point)
-            trace.append(TraceRow(
-                k=k, p=p, f=f_val, gradnorm=gnorm, relres=relres,
-                inner_iters=state.hessian_actions, nH=nh_total,
-                alpha=result.alpha,
-                ms=(time.perf_counter() - t_iter) * 1e3,
-            ))
-            if target is not None and relres <= target:
+            grad, gnorm = gradient(point)
+            prev, row = row, add_row(k, state.hessian_actions, result.alpha,
+                                     t_iter)
+            if target is not None and row.relres <= target:
                 stop = "target"
                 break
-            if target is not None and _stalled(prev, trace.final(), target):
+            if target is not None and _stalled(prev, row, target):
                 stop = "stall"
                 break
         else:
@@ -589,13 +572,12 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
         # line) still want the iterations that did complete.
         exc.trace = trace
         raise
+    finally:
+        # Also the actions of an iteration that added no row: a floor exit
+        # after tPCG, or a failure after it.
+        trace.final().nH = nh_total
     if len(trace.rows) == 1 and f_scaled is not None:
         # The last row describes the returned factor, here the scaled start.
-        trace.append(TraceRow(
-            k=1, p=p, f=f_val, gradnorm=gnorm,
-            relres=relative_residual(problem, point), inner_iters=0, nH=0,
-            alpha=0.0, ms=(time.perf_counter() - t_start) * 1e3,
-        ))
-    trace.final().nH = nh_total  # also an iteration that added no row
+        add_row(1, 0, 0.0, t_start)
     trace.stops.append(stop)
     return point, trace

@@ -1,6 +1,8 @@
 """Problem types, generators, residuals, dense oracle, Matrix Market IO."""
 
+import ast
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -212,6 +214,21 @@ def test_problem_rejects_rhs_without_columns():
         LyapunovProblem(eye, eye, np.ones((6, 0)))
 
 
+@pytest.mark.parametrize("shape", [(4, 1), (4,)],
+                         ids=["column", "one-dimensional"])
+def test_problem_keeps_its_own_copy_of_rhs(shape):
+    # editing the caller's array afterwards leaves the problem as built
+    eye = SpdSparseMatrix(sps.identity(4, format="csr"))
+    b = np.ones(shape)
+    problem = LyapunovProblem(eye, eye, b)
+    y = np.ones((4, 1)) / np.sqrt(2.0)
+    before = relative_residual(problem, y)
+    b[:] = 5.0
+    assert not np.shares_memory(problem.b, b)
+    assert relative_residual(problem, y) == before
+    assert before < 1e-15
+
+
 def test_problem_dimension_checks():
     a = rand_spd_banded(6, np.random.default_rng(0))
     m = rand_spd_banded(5, np.random.default_rng(1))
@@ -367,6 +384,16 @@ print(__debug__, rejected(lambda: IrrConfig(p_min=5, p_max=2)),
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"] + ["True"] * 8
+
+
+def test_library_has_no_assert_statement():
+    # `python -O` strips asserts, so no check of the library may be one.
+    package = pathlib.Path(problems.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_matrix_checks_reject_under_optimized_interpreter():

@@ -17,6 +17,7 @@ from helpers import (
 )
 from lyapfactor import (
     FactorPoint,
+    IrrConfig,
     Metric,
     SolveTrace,
     TnewtonConfig,
@@ -28,6 +29,7 @@ from lyapfactor import (
     retract,
     riemannian_gradient,
     solve_fixed_rank,
+    solve_increasing_rank,
     tpcg,
 )
 from lyapfactor import problems, tnewton
@@ -626,6 +628,46 @@ def test_floor_after_a_search_without_a_step_counts_its_actions(monkeypatch):
     assert trace.final().nH == len(calls) > 0
 
 
+def _criterion_07(precond):
+    y0 = np.random.default_rng(1).standard_normal((2000, 3))
+    return solve_fixed_rank(gen_poisson(2000, 0), Metric.EMBEDDED,
+                            FactorPoint(y0), TnewtonConfig(), precond)[1]
+
+
+def _criterion_09(seed):
+    y0 = np.random.default_rng(seed).standard_normal((500, 3))
+    return solve_fixed_rank(gen_poisson(500, 0), Metric.EMBEDDED,
+                            FactorPoint(y0), TnewtonConfig(forcing_t=1.0),
+                            "proposed")[1]
+
+
+def _increasing_rank(n, p_max):
+    return solve_increasing_rank(
+        gen_poisson(n, 0), Metric.EMBEDDED,
+        IrrConfig(p_min=1, p_max=p_max, tau=1e-6, seed=0), None,
+        "proposed")[1]
+
+
+@pytest.mark.parametrize("scenario", [
+    lambda: _criterion_07("none"),
+    lambda: _criterion_07("proposed"),
+    lambda: _criterion_09(0),
+    lambda: _criterion_09(1),
+    lambda: _criterion_09(2),
+    lambda: _increasing_rank(500, 40),
+    lambda: _increasing_rank(800, 30),
+], ids=["criterion-07-none", "criterion-07-proposed", "criterion-09-seed-0",
+        "criterion-09-seed-1", "criterion-09-seed-2", "criterion-10",
+        "criterion-11"])
+def test_acceptance_solves_report_every_hessian_action(monkeypatch, scenario):
+    # The solves of tests/test_acceptance.py with their inputs (criterion
+    # 11 without its dense oracle): the trace's nH counts every call of
+    # hessian_action the solve made.
+    calls = count_hessian_actions(monkeypatch)
+    trace = scenario()
+    assert trace.final().nH == len(calls) > 0
+
+
 def test_direction_that_is_not_descent_ends_on_floor(monkeypatch):
     # Only rounding gives tPCG an ascent direction; a stub that reverses
     # the inner solve's direction at k = 3 ends the solve there, and that
@@ -919,7 +961,10 @@ def test_solve_rejects_rank_deficient_start():
         solve_fixed_rank(prob, Metric.EMBEDDED, np.zeros((10, 2)))
 
 
-def test_solve_line_search_failure_carries_trace():
+def test_solve_line_search_failure_carries_trace(monkeypatch):
+    # The partial trace's nH also counts the inner solve of the iteration
+    # whose line search failed.
+    calls = count_hessian_actions(monkeypatch)
     prob = gen_poisson(40, 0)
     y0 = np.random.default_rng(14).standard_normal((40, 2))
     config = TnewtonConfig(chi1=0.999, chi2=1.0)
@@ -927,6 +972,7 @@ def test_solve_line_search_failure_carries_trace():
         solve_fixed_rank(prob, Metric.EMBEDDED, y0, config)
     assert len(info.value.trace.rows) >= 1
     assert info.value.trace.rows[0].k == 0
+    assert info.value.trace.final().nH == len(calls) > 0
 
 
 def test_trace_csv_round_trip(tmp_path):

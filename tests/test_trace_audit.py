@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import subprocess
 import sys
 
 from helpers import count_hessian_actions, trace_audit
@@ -225,3 +226,25 @@ def test_compare_prints_the_largest_inner_solve(tmp_path, capsys):
     assert lines[-7:-5] == [
         "grid: largest inner solve 4 -> 4 Hessian actions",
         "irr: largest inner solve n/a -> 5 Hessian actions"]
+
+
+def test_compare_into_a_closed_pipe_prints_no_traceback(tmp_path):
+    # `compare A B | head`: the reader leaves after one line, long before
+    # the output (far more than a pipe buffer) is written.
+    before = {f"irr/{i}": _record("a", 14) for i in range(5000)}
+    after = {f"irr/{i}": _record("b", 14) for i in range(5000)}
+    paths = []
+    for name, records in (("before", before), ("after", after)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(records), encoding="ascii")
+    proc = subprocess.Popen(
+        [sys.executable, str(ROOT / "tools" / "trace_audit.py"), "compare",
+         *map(str, paths)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith("irr/0: rank 14 -> rank 14")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.wait(timeout=60)
+    proc.stderr.close()
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr
