@@ -61,46 +61,3 @@ from .tnewton import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CoupledSystem",
-    "FactorPoint",
-    "IncreasingRankError",
-    "InnerSolveError",
-    "IrrConfig",
-    "LineSearchError",
-    "LineSearchResult",
-    "LyapunovProblem",
-    "MatrixMarketError",
-    "Metric",
-    "PreconditionerError",
-    "ShiftSystemCache",
-    "SolveTrace",
-    "SpdSparseMatrix",
-    "TnewtonConfig",
-    "TpcgState",
-    "TraceRow",
-    "apply_cached",
-    "apply_preconditioner",
-    "build_shift_cache",
-    "cost",
-    "dense_oracle_solve",
-    "dominant_term_action",
-    "gen_poisson",
-    "hessian_action",
-    "line_search",
-    "load_manifest",
-    "load_matrix_market",
-    "horizontal_inner",
-    "project_horizontal",
-    "relative_residual",
-    "residual_fro",
-    "retract",
-    "riemannian_gradient",
-    "save_matrix_market",
-    "save_problem",
-    "solve_fixed_rank",
-    "solve_increasing_rank",
-    "tpcg",
-    "warm_start",
-]

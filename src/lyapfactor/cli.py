@@ -150,14 +150,6 @@ def _build_problem(args):
     raise SystemExit(_config_error("one of --gen or --manifest is required"))
 
 
-def _ranks_visited(trace):
-    ranks = []
-    for row in trace.rows:
-        if not ranks or ranks[-1] != row.p:
-            ranks.append(row.p)
-    return ranks
-
-
 def _summary(point, trace, total_ms):
     final = trace.final()
     return {
@@ -165,7 +157,7 @@ def _summary(point, trace, total_ms):
         "rel_res": final.relres,
         "total_nH": int(final.nH),
         "total_ms": total_ms,
-        "ranks_visited": _ranks_visited(trace),
+        "ranks_visited": [s.p for s in trace.solves],
     }
 
 

@@ -188,12 +188,11 @@ def solve_increasing_rank(problem, metric, config=None, tnewton_config=None,
     Returns
     -------
     (FactorPoint, SolveTrace)
-        Final point and the concatenated multi-rank trace, with one `stops`
-        entry per completed rank, one `scales` entry per rank started and
-        one `warm_starts` entry per rank transition; the nH column
-        accumulates across ranks. The cost column
-        does not rise across a rank transition whose `warm_starts` entry is
-        True.
+        Final point and the concatenated multi-rank trace, with one
+        `solves` record per rank started; the nH column accumulates across
+        ranks. The record of each rank but the last holds the flag of the
+        warm start grown from it, and the cost column does not rise across
+        a rank transition whose flag is True.
 
     Raises
     ------
@@ -220,11 +219,11 @@ def solve_increasing_rank(problem, metric, config=None, tnewton_config=None,
             )
         except (InnerSolveError, LineSearchError, PreconditionerError) as exc:
             # Keep the rows the failing rank did complete.
-            full_trace.extend(getattr(exc, "trace", SolveTrace()))
+            full_trace.extend(exc.trace)
             raise IncreasingRankError(rank, full_trace, exc) from exc
         full_trace.extend(trace)
         if full_trace.final().relres <= config.tau or target is None:
             break
         point, lowered = warm_start(problem, point, config.p_inc, rng)
-        full_trace.warm_starts.append(lowered)
+        full_trace.solves[-1].warm_start = lowered
     return point, full_trace

@@ -43,13 +43,15 @@ STALL_GRADIENT_DROP = 0.1
 
 
 class InnerSolveError(RuntimeError):
-    """A non-finite quantity appeared inside the inner conjugate gradient."""
+    """A non-finite quantity appeared inside the inner conjugate gradient,
+    after `hessian_actions` Hessian actions."""
 
-    def __init__(self, iteration):
+    def __init__(self, iteration, hessian_actions):
         super().__init__(
             f"non-finite value in the inner solve at iteration {iteration}"
         )
         self.iteration = iteration
+        self.hessian_actions = hessian_actions
 
 
 class LineSearchError(RuntimeError):
@@ -164,7 +166,7 @@ def tpcg(gradient, hess, precond, eps_curv, phi_k, *,
     ry = inner(r, yv)
     rel = 1.0
     if not math.isfinite(ry):
-        raise InnerSolveError(0)
+        raise InnerSolveError(0, 0)
     if ry <= 0.0:
         return TpcgState(eta, 0, "breakdown", rel)
 
@@ -177,13 +179,13 @@ def tpcg(gradient, hess, precond, eps_curv, phi_k, *,
                  "y": yv.copy(), "delta": delta}
             )
         if not math.isfinite(dq):
-            raise InnerSolveError(i)
+            raise InnerSolveError(i, i + 1)
         if dq <= eps_curv * delta:
             direction = d0 if i == 0 else eta
             return TpcgState(direction, i + 1, "curvature", rel)
         alpha = ry / dq
         if not math.isfinite(alpha):
-            raise InnerSolveError(i)
+            raise InnerSolveError(i, i + 1)
         eta = eta + alpha * d
         r = r - alpha * q
         rel = math.sqrt(max(inner(r, r), 0.0)) / grad_norm
@@ -192,7 +194,7 @@ def tpcg(gradient, hess, precond, eps_curv, phi_k, *,
         yv = precond(r)
         ry_new = inner(r, yv)
         if not math.isfinite(ry_new):
-            raise InnerSolveError(i)
+            raise InnerSolveError(i, i + 1)
         beta = ry_new / ry
         d = yv + beta * d
         delta = inner(yv, yv) + beta * beta * delta
@@ -317,8 +319,37 @@ _TRACE_HEADER = "k,p,f,gradnorm,relres,inner_iters,nH,alpha,ms"
 
 
 @dataclass
+class SolveRecord:
+    """What one fixed-rank solve did, beyond its trace rows.
+
+    `p` is the solve's rank and `scale` the start scale t* it applied to
+    its given factor (1.0 when not applied). `stop` says why it ended:
+    "gradient" (grad_tol_rel reached), "max_outer", "floor" (the gradient
+    N Y is at the rounding level of its terms, or the decrease a line
+    search that found no step demanded is within the rounding bound of
+    the cost difference), "target" (an iterate met the residual target, or
+    the factor as given did, in which case row 0 is the solve's only row)
+    or "stall" (the residual target's stall rule, see _stalled: the
+    residual settled above the target, or the rank converged there); None
+    for a solve that raised. With a target, the stall rule ends a rank
+    that has converged above it before the rounding floor; "floor" remains
+    the usual exit of a solve without a target. `fallbacks` lists the
+    iterations k whose step the line search's Armijo fallback took, and
+    `warm_start` is the flag of the warm start an increasing-rank solve
+    grew from this solve's result (None when none followed).
+    """
+
+    p: int
+    scale: float = 1.0
+    stop: str | None = None
+    fallbacks: list = field(default_factory=list)
+    warm_start: bool | None = None
+
+
+@dataclass
 class SolveTrace:
-    """Per-iteration record of a solve.
+    """Per-iteration record of a solve, with one SolveRecord per fixed-rank
+    solve started in `solves`.
 
     Row k = 0 holds the initial state of a rank, at the factor as given
     (alpha and inner_iters are zero there); each later row holds the
@@ -333,42 +364,19 @@ class SolveTrace:
     level where Delta is below the resolution of f. An iteration that ends
     the solve at the rounding floor after its inner solve adds no row; its
     Hessian actions go to the last row's nH, its preconditioner build
-    nowhere. So do those of an iteration whose line search raises, in the
-    partial trace the exception carries; an inner solve that raises is not
-    counted.
-
-    `stops` holds why each completed fixed-rank solve ended, one entry per
-    solve: "gradient" (grad_tol_rel reached), "max_outer", "floor" (the
-    gradient N Y is at the rounding level of its terms, or the decrease a
-    line search that found no step demanded is within the rounding bound
-    of the cost difference), "target" (an iterate met the residual target,
-    or the factor as given did, in which case row 0 is the solve's only
-    row) or "stall" (the residual target's stall rule, see _stalled: the
-    residual settled above the target, or the rank converged there). With
-    a target, the stall rule ends a rank that has converged above it
-    before the rounding floor; "floor" remains the usual exit of a solve
-    without a target. A solve that raises adds no entry.
-    `scales` holds the start scale t* each fixed-rank solve applied to its
-    given factor, one entry per solve started (1.0 when not applied).
-    `fallbacks` lists the rows whose step the line search's Armijo fallback
-    took (within one solve, the iterations k); `warm_starts` holds the flag
-    of each warm start of an increasing-rank solve, one per rank transition.
+    nowhere. So do those of an iteration whose inner solve or line search
+    raises, in the partial trace the exception carries.
     """
 
     rows: list = field(default_factory=list)
-    stops: list = field(default_factory=list)
-    scales: list = field(default_factory=list)
-    fallbacks: list = field(default_factory=list)
-    warm_starts: list = field(default_factory=list)
+    solves: list = field(default_factory=list)
 
     def extend(self, other):
-        """Append a later solve's record, continuing nH and the row indices
-        of its fallbacks from this trace's last row."""
+        """Append a later solve's record, continuing nH from this trace's
+        last row."""
         nh = self.rows[-1].nH if self.rows else 0
-        self.fallbacks += [len(self.rows) + i for i in other.fallbacks]
         self.rows += [replace(row, nH=row.nH + nh) for row in other.rows]
-        self.stops += other.stops
-        self.scales += other.scales
+        self.solves += other.solves
 
     def final(self):
         if not self.rows:
@@ -455,7 +463,7 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
     of Y (FactorPoint.scaled). Each outer iteration builds the chosen
     preconditioner at the current point, runs the truncated conjugate
     gradient on the Newton equation and takes a line search step (see
-    line_search). The solve ends for one of the reasons of SolveTrace.stops.
+    line_search). The solve ends for one of the reasons of SolveRecord.stop.
     The rounding floor is tested before each build (see _at_rounding_floor)
     and after a line search that found no step. A residual `target` is
     tested at row 0, where the factor as given is returned with scale 1.0,
@@ -474,8 +482,8 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
     Returns
     -------
     (FactorPoint, SolveTrace)
-        The trace's `stops` holds the one reason the solve ended, and its
-        `scales` the start scale t* (1.0 when not applied).
+        The trace's `solves` holds the solve's one SolveRecord: why it
+        ended, its start scale t* and its Armijo fallback steps.
     """
     if precond_choice not in ("none", "proposed", "bart"):
         raise ValueError(f"unknown preconditioner choice {precond_choice!r}")
@@ -486,7 +494,8 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
         raise ValueError("initial factor must have full column rank")
     p = point.p
     max_inner = point.n * p - (p * (p - 1)) // 2
-    trace = SolveTrace()
+    record = SolveRecord(p)
+    trace = SolveTrace(solves=[record])
 
     def gradient(at):
         grad = riemannian_gradient(metric, problem, at)
@@ -509,13 +518,11 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
     nh_total = 0
     row = add_row(0, 0, 0.0, t_start)
     if target is not None and row.relres <= target:
-        trace.scales.append(1.0)
-        trace.stops.append("target")
+        record.stop = "target"
         return point, trace
-    scale, f_scaled = _start_scale(point.products(problem))
-    trace.scales.append(scale)
+    record.scale, f_scaled = _start_scale(point.products(problem))
     if f_scaled is not None:
-        point = point.scaled(scale, problem)
+        point = point.scaled(record.scale, problem)
         f_val = f_scaled
         grad, gnorm = gradient(point)
 
@@ -552,7 +559,7 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
                 raise
 
             if result.fallback:
-                trace.fallbacks.append(k)
+                record.fallbacks.append(k)
             point = result.point
             f_val = result.f
             grad, gnorm = gradient(point)
@@ -570,14 +577,16 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
     except (InnerSolveError, LineSearchError, PreconditionerError) as exc:
         # Callers that keep going (the increasing-rank loop, the command
         # line) still want the iterations that did complete.
+        if isinstance(exc, InnerSolveError):
+            nh_total += exc.hessian_actions
         exc.trace = trace
         raise
     finally:
         # Also the actions of an iteration that added no row: a floor exit
-        # after tPCG, or a failure after it.
+        # after tPCG, or a failure within it or after it.
         trace.final().nH = nh_total
     if len(trace.rows) == 1 and f_scaled is not None:
         # The last row describes the returned factor, here the scaled start.
         add_row(1, 0, 0.0, t_start)
-    trace.stops.append(stop)
+    record.stop = stop
     return point, trace

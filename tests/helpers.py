@@ -11,10 +11,11 @@ calls a shift cache's two sweeps. `legacy_warm_start` is the library's
 warm start before the cost-optimal seed, kept for a regression replay,
 and `legacy_tpcg` the inner solve before its forcing test moved ahead of
 the preconditioner apply.
-`trace_audit` is tools/trace_audit.py, loaded from its path, and
+`trace_audit` is tools/trace_audit.py, loaded from its path,
 `count_hessian_actions` an independent count of the solver's Hessian
-actions. `poisson_reference` is gen_poisson's data built as it was
-before the generator wrote its CSR arrays directly.
+actions, and `stop_reasons` the stop of each solve a trace records.
+`poisson_reference` is gen_poisson's data built as it was before the
+generator wrote its CSR arrays directly.
 """
 
 import importlib.util
@@ -60,6 +61,11 @@ def count_hessian_actions(monkeypatch):
 
     monkeypatch.setattr(tnewton, "hessian_action", counted)
     return calls
+
+
+def stop_reasons(trace):
+    """The stop of each fixed-rank solve in `trace`, in order."""
+    return [solve.stop for solve in trace.solves]
 
 
 def poisson_reference(n, seed, identity_mass=False):
@@ -447,7 +453,7 @@ def legacy_tpcg(gradient, hess, precond, eps_curv, phi_k, *, inner,
         q = hess(d)
         dq = inner(d, q)
         if not math.isfinite(dq):
-            raise InnerSolveError(i)
+            raise InnerSolveError(i, i + 1)
         if dq <= eps_curv * delta:
             direction = d0 if i == 0 else eta
             return TpcgState(direction, i + 1, "curvature", rel)
@@ -457,7 +463,7 @@ def legacy_tpcg(gradient, hess, precond, eps_curv, phi_k, *, inner,
         yv = precond(r)
         ry_new = inner(r, yv)
         if not (math.isfinite(alpha) and math.isfinite(ry_new)):
-            raise InnerSolveError(i)
+            raise InnerSolveError(i, i + 1)
         beta = ry_new / ry
         d = yv + beta * d
         delta = inner(yv, yv) + beta * beta * delta

@@ -27,7 +27,7 @@ from lyapfactor.problems import _PointProducts
 from lyapfactor.tnewton import LineSearchError
 
 from helpers import (dense_residual, identity_problem, legacy_warm_start,
-                     random_problem)
+                     random_problem, stop_reasons)
 
 
 @pytest.fixture(scope="module")
@@ -439,14 +439,22 @@ def test_p_min_start_is_the_draw_at_a_positive_scale(p_min, monkeypatch):
     scale = np.sqrt(np.sum(by * by) / (2.0 * quartic))
     assert scale > 0.0
     assert np.array_equal(starts[0], draw)
-    assert trace.scales[0] == pytest.approx(scale, rel=1e-12)
+    assert trace.solves[0].scale == pytest.approx(scale, rel=1e-12)
     assert trace.rows[0].f == cost(problem, FactorPoint(draw))
 
 
 def test_warm_starts_recorded_once_per_rank_transition(poisson_run):
+    # One record per rank, checked against the rows: its rank in order,
+    # and one record per row k = 0. Every record but the last holds the
+    # flag of the warm start grown from its result.
     _, _, _, trace = poisson_run
-    assert len(trace.warm_starts) == len(visited_ranks(trace)) - 1
-    assert all(flag is True for flag in trace.warm_starts)
+    assert [solve.p for solve in trace.solves] == visited_ranks(trace)
+    assert len(trace.solves) == sum(row.k == 0 for row in trace.rows)
+    flags = [solve.warm_start for solve in trace.solves
+             if solve.warm_start is not None]
+    assert len(flags) == len(visited_ranks(trace)) - 1
+    assert all(flag is True for flag in flags)
+    assert trace.solves[-1].warm_start is None
 
 
 # ---------------------------------------------------------------- errors
@@ -506,7 +514,7 @@ def test_irr39_replay_takes_no_armijo_fallback(monkeypatch):
         point, trace = solve_fixed_rank(
             problem, Metric.EMBEDDED, point,
             TnewtonConfig(grad_tol_rel=min(1e-6, r / 10.0)), "proposed")
-        assert trace.fallbacks == []
+        assert [solve.fallbacks for solve in trace.solves] == [[]]
         if rank < 7:
             point, _ = legacy_warm_start(problem, point, 1, rng)
     assert point.p == 7
@@ -526,9 +534,10 @@ def test_irr39_replay_takes_no_armijo_fallback(monkeypatch):
 
 
 def test_fallbacks_index_the_joined_rows_of_every_rank(monkeypatch):
-    # Each accepted search gives one row with k > 0, in order; the joined
-    # trace lists the rows whose step the Armijo fallback took, here in
-    # ranks 1 and 3
+    # Each accepted search gives one row with k > 0, in order; the record
+    # of each rank lists the iterations k whose step the Armijo fallback
+    # took, here in ranks 1 and 3, and they name the same rows of the
+    # joined trace
     results = []
 
     def spy(*args, search=tnewton.line_search):
@@ -543,7 +552,9 @@ def test_fallbacks_index_the_joined_rows_of_every_rank(monkeypatch):
     steps = [i for i, row in enumerate(trace.rows) if row.k > 0]
     assert len(steps) == len(results)
     marked = [i for i, result in zip(steps, results) if result.fallback]
-    assert trace.fallbacks == marked
+    assert [(solve.p, k) for solve in trace.solves
+            for k in solve.fallbacks] == [(trace.rows[i].p, trace.rows[i].k)
+                                          for i in marked]
     assert len({trace.rows[i].p for i in marked}) > 1
 
 
@@ -624,7 +635,7 @@ def test_stagnated_line_search_ends_rank_instead_of_failing(monkeypatch):
         floor = 64.0 * np.finfo(float).eps * max(1.0, abs(exc.f0))
         assert exc.demanded <= floor
     assert visited_ranks(trace) == [1, 2]
-    assert trace.stops[0] == "floor"
+    assert trace.solves[0].stop == "floor"
 
 
 # ------------------------------------------------------------ stall rule
@@ -644,7 +655,7 @@ def test_stall_rule_keeps_the_final_rank(seed):
                                          None, "proposed")
     assert point.p == 14
     assert trace.final().relres <= config.tau
-    assert "stall" in trace.stops
+    assert "stall" in stop_reasons(trace)
 
 
 def test_stall_ends_some_rank_of_criterion_10_problem():
@@ -653,9 +664,10 @@ def test_stall_ends_some_rank_of_criterion_10_problem():
     point, trace = solve_increasing_rank(problem, Metric.EMBEDDED, config,
                                          None, "proposed")
     assert trace.final().relres <= config.tau
-    assert len(trace.stops) == len(visited_ranks(trace))
-    assert trace.stops.count("stall") >= 1
-    assert trace.stops[-1] != "stall"
+    stops = stop_reasons(trace)
+    assert len(stops) == len(visited_ranks(trace)) and None not in stops
+    assert stops.count("stall") >= 1
+    assert stops[-1] != "stall"
 
 
 def strip_ms(rows):
@@ -673,10 +685,10 @@ def test_last_rank_of_schedule_never_stalls():
     _, cut = solve_increasing_rank(
         problem, Metric.EMBEDDED, IrrConfig(p_min=1, p_max=3, seed=0),
         None, "proposed")
-    assert full.stops[:3] == ["stall"] * 3
+    assert stop_reasons(full)[:3] == ["stall"] * 3
     assert visited_ranks(cut) == [1, 2, 3]
-    assert cut.stops[:2] == full.stops[:2]
-    assert cut.stops[2] != "stall"
+    assert stop_reasons(cut)[:2] == stop_reasons(full)[:2]
+    assert stop_reasons(cut)[2] != "stall"
     full3 = strip_ms(row for row in full.rows if row.p <= 3)
     cut3 = strip_ms(cut.rows)
     assert len(cut3) > len(full3)
@@ -694,8 +706,8 @@ def test_stall_rule_only_ends_the_solve_early():
                                   "proposed", target=target)
     _, free = solve_fixed_rank(problem, Metric.EMBEDDED, y0, None,
                                "proposed")
-    assert stalled.stops == ["stall"]
-    assert free.stops != ["stall"] and len(free.stops) == 1
+    assert stop_reasons(stalled) == ["stall"]
+    assert stop_reasons(free) != ["stall"] and len(stop_reasons(free)) == 1
     rows = strip_ms(stalled.rows)
     assert rows == strip_ms(free.rows)[:len(rows)]
 
@@ -731,7 +743,8 @@ def test_rank_converged_above_tau_ends_on_stall(monkeypatch):
         assert relative_residual(problem, point) <= config.tau
         ranks = visited_ranks(trace)
         last = [row.k for row in trace.rows if row.p == 14][-1]
-        return trace.stops, trace.stops[ranks.index(14)], last
+        stops = stop_reasons(trace)
+        return stops, stops[ranks.index(14)], last
 
     stops, rank_14, last = solve()
     assert "floor" not in stops
@@ -761,8 +774,9 @@ def test_failed_rank_keeps_stops_of_completed_ranks(monkeypatch):
                               IrrConfig(p_min=1, p_max=8, seed=0), None,
                               "proposed")
     assert info.value.rank == 3
-    assert info.value.trace.stops == ["stall", "stall"]
-    assert info.value.trace.warm_starts == [True, True]
+    assert stop_reasons(info.value.trace) == ["stall", "stall"]
+    assert [solve.warm_start for solve in info.value.trace.solves] == [
+        True, True]
 
 
 def test_rank_whose_iterate_meets_tau_is_the_last():
@@ -775,8 +789,9 @@ def test_rank_whose_iterate_meets_tau_is_the_last():
     point, trace = solve_increasing_rank(problem, Metric.EMBEDDED, config,
                                          None, "proposed")
     assert point.p == 14
-    assert trace.stops[-1] == "target"
+    assert trace.solves[-1].stop == "target"
     assert trace.final().relres <= config.tau
     assert relative_residual(problem, point) <= config.tau
-    assert len(trace.scales) == len(trace.stops) == len(visited_ranks(trace))
-    assert trace.scales[0] > 0.0
+    assert len(trace.solves) == len(visited_ranks(trace))
+    assert None not in stop_reasons(trace)
+    assert trace.solves[0].scale > 0.0

@@ -484,6 +484,6 @@ def test_scaled_start_reuses_the_products_of_the_given_factor():
     calls[0] = 0
     _, trace = solve_fixed_rank(prob, Metric.EMBEDDED, at.y,
                                 TnewtonConfig(max_outer=0))
-    assert trace.scales[0] != 1.0
+    assert trace.solves[0].scale != 1.0
     assert len(trace.rows) == 2
     assert calls[0] == 2

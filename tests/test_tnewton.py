@@ -13,6 +13,7 @@ from helpers import (
     identity_problem,
     legacy_tpcg,
     random_problem,
+    stop_reasons,
     trace_audit,
 )
 from lyapfactor import (
@@ -39,6 +40,7 @@ from lyapfactor.tnewton import (
     FORCING_BETA,
     InnerSolveError,
     LineSearchError,
+    SolveRecord,
     line_search,
 )
 
@@ -141,6 +143,7 @@ def test_tpcg_nonfinite_hessian_raises():
     with pytest.raises(InnerSolveError) as info:
         tpcg(g, bad_hess, lambda v: v, 1e-12, 1e-6)
     assert info.value.iteration == 0
+    assert info.value.hessian_actions == 1
 
 
 def test_tpcg_breakdown_stop():
@@ -174,6 +177,7 @@ def test_tpcg_checks_the_first_preconditioned_residual():
     with pytest.raises(InnerSolveError) as info:
         tpcg(g, lambda x: x, lambda r: np.nan * e, 1e-10, 0.1)
     assert info.value.iteration == 0
+    assert info.value.hessian_actions == 0
 
 
 def test_tpcg_rejects_zero_gradient():
@@ -506,7 +510,7 @@ def test_trace_marks_the_steps_of_the_armijo_fallback(monkeypatch):
                                 config, "proposed")
     marked = [k for k, result in enumerate(results, 1) if result.fallback]
     assert 0 < len(marked) < len(results)
-    assert trace.fallbacks == marked
+    assert [solve.fallbacks for solve in trace.solves] == [marked]
     for k in marked:
         assert trace.rows[k].k == k
         assert trace.rows[k].alpha == results[k - 1].alpha
@@ -623,7 +627,7 @@ def test_floor_after_a_search_without_a_step_counts_its_actions(monkeypatch):
     calls = count_hessian_actions(monkeypatch)
     y0 = np.random.default_rng(0).standard_normal((60, 1))
     _, trace = solve_fixed_rank(gen_poisson(60, 0), Metric.EMBEDDED, y0)
-    assert trace.stops == ["floor"]
+    assert stop_reasons(trace) == ["floor"]
     assert len(trace.rows) == 1
     assert trace.final().nH == len(calls) > 0
 
@@ -685,7 +689,7 @@ def test_direction_that_is_not_descent_ends_on_floor(monkeypatch):
     calls = count_hessian_actions(monkeypatch)
     y0 = np.random.default_rng(1).standard_normal((60, 2))
     _, trace = solve_fixed_rank(gen_poisson(60, 0), Metric.EMBEDDED, y0)
-    assert trace.stops == ["floor"]
+    assert stop_reasons(trace) == ["floor"]
     assert len(solves) == 3
     assert trace.final().k == 2
     assert trace.final().nH == len(calls) == sum(
@@ -701,7 +705,7 @@ def test_breakdown_before_the_first_step_ends_on_floor(monkeypatch):
     calls = count_hessian_actions(monkeypatch)
     y0 = np.random.default_rng(1).standard_normal((60, 2))
     _, trace = solve_fixed_rank(gen_poisson(60, 0), Metric.EMBEDDED, y0)
-    assert trace.stops == ["floor"]
+    assert stop_reasons(trace) == ["floor"]
     assert trace.final().nH == len(calls) == 0
 
 
@@ -711,8 +715,8 @@ def test_solve_stationary_start_takes_no_steps():
     prob = identity_problem(25, ystar)
     point, trace = solve_fixed_rank(prob, Metric.EMBEDDED, ystar)
     assert len(trace.rows) == 1
-    assert trace.stops == ["floor"]
-    assert trace.scales == [1.0]
+    assert stop_reasons(trace) == ["floor"]
+    assert [solve.scale for solve in trace.solves] == [1.0]
     np.testing.assert_array_equal(point.y, ystar)
 
 
@@ -735,7 +739,8 @@ def test_start_scale_makes_the_first_iterate_scale_free(metric, choice):
             prob, metric, size * y0,
             TnewtonConfig(grad_tol_rel=0.0, max_outer=1), choice)
         assert trace.rows[0].f == cost(prob, FactorPoint(size * y0))
-        assert trace.scales == [pytest.approx(scale / size, rel=1e-12)]
+        assert [solve.scale for solve in trace.solves] == [
+            pytest.approx(scale / size, rel=1e-12)]
         assert trace.rows[1].f < cost(prob, FactorPoint(scale * y0))
         # f0 + Delta from f(t* Y0), not from the far larger f(Y0)
         assert trace.rows[1].f == pytest.approx(cost(prob, point), rel=1e-12)
@@ -753,11 +758,11 @@ def test_scaled_start_returned_without_a_step_has_its_own_row():
     prob = gen_poisson(150, 1)
     y0 = 1e3 * np.random.default_rng(11).standard_normal((150, 3))
     point, trace = solve_fixed_rank(prob, Metric.EUCLIDEAN, y0)
-    assert trace.stops == ["gradient"]
+    assert stop_reasons(trace) == ["gradient"]
     assert len(trace.rows) == 2
     row = trace.final()
     assert (row.k, row.alpha, row.inner_iters, row.nH) == (1, 0.0, 0, 0)
-    np.testing.assert_array_equal(point.y, trace.scales[0] * y0)
+    np.testing.assert_array_equal(point.y, trace.solves[0].scale * y0)
     assert row.relres == relative_residual(prob, point)
     assert row.f < trace.rows[0].f
     assert row.f == pytest.approx(cost(prob, point), rel=1e-12)
@@ -776,7 +781,7 @@ def test_target_ends_the_solve_at_the_first_iterate_that_meets_it():
     assert full.final().relres > 0.03
     point, trace = solve_fixed_rank(prob, Metric.EMBEDDED, y0,
                                     TnewtonConfig(), "proposed", 0.03)
-    assert trace.stops == ["target"]
+    assert stop_reasons(trace) == ["target"]
     relres = trace.column("relres")
     assert relres[-1] <= 0.03 < min(relres[:-1])
     assert trace.final().k == 8
@@ -797,7 +802,8 @@ def test_target_met_by_the_factor_as_given_ends_at_row_0(monkeypatch):
                                     TnewtonConfig(), "proposed",
                                     full.final().relres)
     assert point is start
-    assert (trace.stops, trace.scales, len(trace.rows)) == (["target"], [1.0], 1)
+    assert (stop_reasons(trace), [solve.scale for solve in trace.solves],
+            len(trace.rows)) == (["target"], [1.0], 1)
     assert trace.final().relres == full.final().relres
     assert trace.final().nH == len(calls) == 0
 
@@ -859,7 +865,7 @@ def test_solve_monotone_decrease_and_gradient_reduction():
     assert all(f[i + 1] < f[i] for i in range(len(f) - 1))
     g = trace.column("gradnorm")
     assert g[-1] <= 1e-10 * g[0]
-    assert trace.stops == ["gradient"]
+    assert stop_reasons(trace) == ["gradient"]
 
 
 def test_solve_respects_max_outer():
@@ -870,7 +876,7 @@ def test_solve_respects_max_outer():
                                     TnewtonConfig(max_outer=3))
     assert trace.final().k <= 3
     assert len(trace.rows) <= 4
-    assert trace.stops == ["max_outer"]
+    assert stop_reasons(trace) == ["max_outer"]
 
 
 def test_solve_deterministic():
@@ -919,7 +925,7 @@ def test_solve_reproduces_trace_before_stall_rule(choice):
                                     TnewtonConfig(), choice)
     digest = trace_audit.trace_digest(trace, point.y)
     assert digest == TRACE_SHA256[choice]
-    assert trace.stops == ["gradient"]
+    assert stop_reasons(trace) == ["gradient"]
 
 
 def _row(k, gradnorm, relres, alpha=1.0):
@@ -975,6 +981,27 @@ def test_solve_line_search_failure_carries_trace(monkeypatch):
     assert info.value.trace.final().nH == len(calls) > 0
 
 
+def test_solve_inner_failure_counts_its_hessian_actions(monkeypatch):
+    # The 4th Hessian action returns NaN, so tPCG raises within an
+    # iteration that adds no row: the partial trace's nH still counts
+    # every action made, and the solve's record has no stop.
+    calls = count_hessian_actions(monkeypatch)
+
+    def failing(*args, action=tnewton.hessian_action):
+        out = action(*args)
+        return np.full_like(out, np.nan) if len(calls) == 4 else out
+
+    monkeypatch.setattr(tnewton, "hessian_action", failing)
+    y0 = np.random.default_rng(1).standard_normal((60, 2))
+    with pytest.raises(InnerSolveError) as info:
+        solve_fixed_rank(gen_poisson(60, 0), Metric.EMBEDDED, y0, None,
+                         "proposed")
+    trace = info.value.trace
+    assert len(calls) == 4
+    assert trace.final().nH == len(calls)
+    assert stop_reasons(trace) == [None]
+
+
 def test_trace_csv_round_trip(tmp_path):
     prob = gen_poisson(60, 4)
     y0 = np.random.default_rng(15).standard_normal((60, 2))
@@ -995,3 +1022,20 @@ def test_trace_csv_round_trip(tmp_path):
 def test_trace_column_accessor():
     trace = SolveTrace()
     assert trace.column("f") == []
+
+
+def test_extend_continues_nh_and_keeps_each_solves_record():
+    # Joining two solves continues nH from the first one's last row and
+    # leaves each record as it was: its fallbacks stay iteration numbers
+    # within its own solve, not indices into the joined rows.
+    def solve(p, nhs, fallbacks):
+        rows = [TraceRow(k, p, 0.0, 1.0, 1.0, 0, nh, 0.0, 0.0)
+                for k, nh in enumerate(nhs)]
+        return SolveTrace(rows, [SolveRecord(p, fallbacks=fallbacks)])
+
+    trace = solve(1, [0, 2, 5], [2])
+    trace.extend(solve(2, [0, 1, 3, 4], [1, 3]))
+    assert trace.column("nH") == [0, 2, 5, 5, 6, 8, 9]
+    assert trace.column("k") == [0, 1, 2, 0, 1, 2, 3]
+    assert [(solve.p, solve.fallbacks) for solve in trace.solves] == [
+        (1, [2]), (2, [1, 3])]

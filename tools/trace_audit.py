@@ -18,8 +18,9 @@ rank's last row, the outer iterations (rows with k > 0), the short steps
 made (counted by wrapping that attribute, apart from the trace), the
 Hessian actions of its largest inner solve (the largest hessian_actions
 of a tnewton.tpcg call, read by wrapping that attribute too), the
-reason each fixed-rank solve ended (the trace's stops), the number of
-steps the line search's Armijo fallback took and the workload's residual
+reason each fixed-rank solve ended (the stop of each of the trace's
+solves that did not raise), the number of steps the line search's
+Armijo fallback took and the workload's residual
 target tau (null for a fixed-rank solve). A solve that raises is hashed
 over the partial trace its exception carries, and its outcome is the
 exception type (with the type of the cause, if any).
@@ -136,8 +137,9 @@ def audit(root):
                 "actions": trace.rows[-1].nH if trace.rows else 0,
                 "calls": len(calls),
                 "largest_inner": max(inner, default=0),
-                "stops": list(trace.stops),
-                "fallbacks": len(trace.fallbacks),
+                "stops": [s.stop for s in trace.solves
+                          if s.stop is not None],
+                "fallbacks": sum(len(s.fallbacks) for s in trace.solves),
                 "tau": workload.tau}
             print(f"{name}/{seed}: {outcome}", file=sys.stderr, flush=True)
     return records
