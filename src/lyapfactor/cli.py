@@ -158,6 +158,7 @@ def _summary(point, trace, total_ms):
         "total_nH": int(final.nH),
         "total_ms": total_ms,
         "ranks_visited": [s.p for s in trace.solves],
+        "total_builds": sum(s.builds for s in trace.solves),
     }
 
 

@@ -98,11 +98,12 @@ def _seed_scale(problem, dirs, products):
 
     The cost along the line [Y, 0] + s [0, V] is the problems.CostQuartic
     f(Y) + c2 s^2 + c4 s^4 (c1 = c3 = 0), with c2 = tr(V^T N V),
-    N = A Y Y^T M + M Y Y^T A - B B^T, and c4 = tr(V^T A V V^T M V) > 0;
+    N = A Y Y^T M + M Y Y^T A - B B^T, and c4 = tr(V^T A V V^T M V);
     `products` are Y's (FactorPoint.products). The minimizer
     s^2 = -c2 / (2 c4) is returned when c2 is negative beyond its rounding
     bound, so that rounding does not decide whether some scale lowers the
-    cost.
+    cost. c4 is positive when A and M are positive definite, so ValueError
+    is raised when it is not.
     """
     b = problem.b
     seed = (dirs, problem.a.mat @ dirs, problem.m.mat @ dirs, b.T @ dirs)
@@ -112,6 +113,10 @@ def _seed_scale(problem, dirs, products):
                   for x, z in zip(given, seed))
     line = CostQuartic(at, along)
     c2, c4 = line.coeffs[1], line.coeffs[3]
+    if not c4 > 0.0:
+        raise ValueError("A or M is not positive definite: the seeded "
+                         f"columns V give c4 = tr(V^T A V V^T M V) = "
+                         f"{c4:.3e} <= 0")
     if not c2 < -ROUNDING * line.sizes[1]:
         return None
     return math.sqrt(-c2 / (2.0 * c4))

@@ -5,11 +5,13 @@ approximately solves the Newton equation Hess f[eta] = -grad f by a
 truncated preconditioned conjugate gradient method with two early exits
 (insufficient curvature and a forcing-sequence residual test), then takes
 a step accepted by a two-branch decrease condition, or by Armijo's
-condition when no trial meets it. The cost is exactly quartic along every
-line the solver searches (problems.CostQuartic), so the trial steps are
-closed-form (the unit step and the quartic's first minimizer) and each
-trial's decrease is read off the polynomial and trusted only beyond its
-rounding bound. The inner solver works on raw arrays with an injected inner
+condition when no trial meets it. A cold start first steps along -grad,
+with no preconditioner build, for as long as the Hessian's curvature
+along -grad is not positive (see solve_fixed_rank). The cost is exactly
+quartic along every line the solver searches (problems.CostQuartic), so
+the trial steps are closed-form (the unit step and the quartic's first
+minimizer) and each trial's decrease is read off the polynomial and
+trusted only beyond its rounding bound. The inner solver works on raw arrays with an injected inner
 product, so it is independent of the manifold it runs on.
 """
 
@@ -31,11 +33,14 @@ from .precond import PreconditionerError, preconditioner
 from .problems import ROUNDING, FactorPoint, _as_point, relative_residual
 
 
-# Curvature exit threshold of the inner solve, the cap of the forcing
-# sequence phi_k = min(FORCING_BETA, ||grad||^forcing_t), and the ratio,
-# margin and gradient drop of the stall rule of a solve given a residual
-# target (see _stalled).
+# Curvature exit threshold of the inner solve (and of the steepest-descent
+# probe), the factor by which the start scale t* must move the given factor
+# for a cold start (|log t*| > log COLD_START_FACTOR; see solve_fixed_rank),
+# the cap of the forcing sequence phi_k = min(FORCING_BETA,
+# ||grad||^forcing_t), and the ratio, margin and gradient drop of the stall
+# rule of a solve given a residual target (see _stalled).
 EPS_CURV = 1e-10
+COLD_START_FACTOR = 2.0
 FORCING_BETA = 0.1
 STALL_RATIO = 0.99
 STALL_MARGIN = 3.0
@@ -334,15 +339,22 @@ class SolveRecord:
     for a solve that raised. With a target, the stall rule ends a rank
     that has converged above it before the rounding floor; "floor" remains
     the usual exit of a solve without a target. `fallbacks` lists the
-    iterations k whose step the line search's Armijo fallback took, and
-    `warm_start` is the flag of the warm start an increasing-rank solve
-    grew from this solve's result (None when none followed).
+    iterations k whose step the line search's Armijo fallback took,
+    `steepest` the iterations k whose step was the steepest-descent probe's
+    (along -grad, with no build and no inner solve; see solve_fixed_rank),
+    and `builds` counts the preconditioner builds the solve made: a build
+    that raised, and that of an iteration that ended at the rounding floor
+    after its inner solve, included. `warm_start` is the flag of the warm
+    start an increasing-rank solve grew from this solve's result (None
+    when none followed).
     """
 
     p: int
     scale: float = 1.0
     stop: str | None = None
     fallbacks: list = field(default_factory=list)
+    steepest: list = field(default_factory=list)
+    builds: int = 0
     warm_start: bool | None = None
 
 
@@ -355,17 +367,21 @@ class SolveTrace:
     (alpha and inner_iters are zero there); each later row holds the
     accepted iterate of outer iteration k. A solve that scales its start
     but ends before its first step records the scaled start it returns as
-    row 1, with alpha and inner_iters zero. nH accumulates Hessian actions
-    within the rank. The f column of a row k > 0 is the previous value plus
-    the exact cost difference of the step, f0 + Delta, not a fresh
-    evaluation; at k = 1 the previous value is the closed-form cost at the
-    scaled start, when the start was scaled. Every accepted Delta is a
-    certified decrease, so the column never rises within a rank; it stays
-    level where Delta is below the resolution of f. An iteration that ends
-    the solve at the rounding floor after its inner solve adds no row; its
-    Hessian actions go to the last row's nH, its preconditioner build
-    nowhere. So do those of an iteration whose inner solve or line search
-    raises, in the partial trace the exception carries.
+    row 1, with alpha and inner_iters zero. inner_iters is the number of
+    Hessian actions of the iteration: 1 for a steepest-descent probe step,
+    the probe's action; for any other step the inner solve's actions, plus
+    1 when a probe that found positive curvature came first. nH
+    accumulates them within the rank. The f column of a row k > 0 is the
+    previous value plus the exact cost difference of the step, f0 + Delta,
+    not a fresh evaluation; at k = 1 the previous value is the closed-form
+    cost at the scaled start, when the start was scaled. Every accepted
+    Delta is a certified decrease, so the column never rises within a
+    rank; it stays level where Delta is below the resolution of f. An
+    iteration that ends the solve at the rounding floor after its inner
+    solve adds no row; its Hessian actions go to the last row's nH, its
+    preconditioner build to the SolveRecord's builds. So do those of an
+    iteration whose build, inner solve or line search raises, in the
+    partial trace the exception carries.
     """
 
     rows: list = field(default_factory=list)
@@ -463,11 +479,21 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
     of Y (FactorPoint.scaled). Each outer iteration builds the chosen
     preconditioner at the current point, runs the truncated conjugate
     gradient on the Newton equation and takes a line search step (see
-    line_search). The solve ends for one of the reasons of SolveRecord.stop.
-    The rounding floor is tested before each build (see _at_rounding_floor)
-    and after a line search that found no step. A residual `target` is
-    tested at row 0, where the factor as given is returned with scale 1.0,
-    and after each iteration, together with the stall rule (see _stalled).
+    line_search), with one exception. A solve with a preconditioner whose
+    start is cold, the scale t* moving the given factor by more than
+    COLD_START_FACTOR, probes first: it applies the Hessian to -grad, and
+    while the curvature <-grad, Hess[-grad]> is at most EPS_CURV ||grad||^2
+    (where the inner solve would stop on curvature after that one action)
+    the step is -grad, scaled to the first minimizer of the cost on that
+    line so that the unit trial is the exact line minimizer, with no
+    build. The first probe that finds positive curvature builds and runs
+    the inner solve as usual, and the solve does not probe again. Each
+    probe's action counts in nH. The solve ends for one of the reasons of
+    SolveRecord.stop. The rounding floor is tested before each probe or
+    build (see _at_rounding_floor) and after a line search that found no
+    step. A residual `target` is tested at row 0, where the factor as given
+    is returned with scale 1.0, and after each iteration, together with the
+    stall rule (see _stalled).
 
     Parameters
     ----------
@@ -483,7 +509,8 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
     -------
     (FactorPoint, SolveTrace)
         The trace's `solves` holds the solve's one SolveRecord: why it
-        ended, its start scale t* and its Armijo fallback steps.
+        ended, its start scale t*, its Armijo fallback and steepest-descent
+        steps and its preconditioner builds.
     """
     if precond_choice not in ("none", "proposed", "bart"):
         raise ValueError(f"unknown preconditioner choice {precond_choice!r}")
@@ -526,6 +553,8 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
         f_val = f_scaled
         grad, gnorm = gradient(point)
 
+    probing = (precond_choice != "none" and f_scaled is not None
+               and abs(math.log(record.scale)) > math.log(COLD_START_FACTOR))
     k = 0
     stop = "floor"  # if a break below ends the solve at the rounding floor
     try:
@@ -534,20 +563,35 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
             t_iter = time.perf_counter()
             if _at_rounding_floor(point.products(problem)):
                 break
-            state = tpcg(
-                grad, partial(hessian_action, metric, problem, point),
-                preconditioner(precond_choice, metric, problem, point),
-                EPS_CURV, min(FORCING_BETA, gnorm ** config.forcing_t),
-                inner=partial(horizontal_inner, metric, point),
-                max_inner=max_inner,
-            )
-            nh_total += state.hessian_actions
-            slope0 = horizontal_inner(metric, point, grad, state.direction)
+            hess = partial(hessian_action, metric, problem, point)
+            inner = partial(horizontal_inner, metric, point)
+            nh_iter = nh_total
+            if probing:
+                # The steepest-descent probe: while the curvature along
+                # -grad is at most EPS_CURV ||grad||^2, the step is along
+                # -grad, scaled to the cost's first minimizer on that line,
+                # with no build.
+                nh_total += 1
+                probing = inner(grad, hess(grad)) <= EPS_CURV * gnorm * gnorm
+            if probing:
+                star = point.products(problem).line(-grad).minimizer
+                direction = -(1.0 if star is None else star) * grad
+            else:
+                record.builds += precond_choice != "none"
+                state = tpcg(
+                    grad, hess,
+                    preconditioner(precond_choice, metric, problem, point),
+                    EPS_CURV, min(FORCING_BETA, gnorm ** config.forcing_t),
+                    inner=inner, max_inner=max_inner,
+                )
+                direction = state.direction
+                nh_total += state.hessian_actions
+            slope0 = inner(grad, direction)
             # Only rounding gives tPCG a direction that is not descent.
             if not slope0 < 0.0:
                 break
             try:
-                result = line_search(problem, metric, point, state.direction,
+                result = line_search(problem, metric, point, direction,
                                      f_val, slope0, config)
             except LineSearchError as exc:
                 # When the acceptance conditions demand no more than the
@@ -560,10 +604,12 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
 
             if result.fallback:
                 record.fallbacks.append(k)
+            if probing:
+                record.steepest.append(k)
             point = result.point
             f_val = result.f
             grad, gnorm = gradient(point)
-            prev, row = row, add_row(k, state.hessian_actions, result.alpha,
+            prev, row = row, add_row(k, nh_total - nh_iter, result.alpha,
                                      t_iter)
             if target is not None and row.relres <= target:
                 stop = "target"

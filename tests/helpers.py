@@ -13,7 +13,8 @@ and `legacy_tpcg` the inner solve before its forcing test moved ahead of
 the preconditioner apply.
 `trace_audit` is tools/trace_audit.py, loaded from its path,
 `count_hessian_actions` an independent count of the solver's Hessian
-actions, and `stop_reasons` the stop of each solve a trace records.
+actions, `stop_reasons` the stop of each solve a trace records and
+`at_start_scale` a factor moved to its cost-optimal scale, a warm start.
 `poisson_reference` is gen_poisson's data built as it was before the
 generator wrote its CSR arrays directly.
 """
@@ -66,6 +67,18 @@ def count_hessian_actions(monkeypatch):
 def stop_reasons(trace):
     """The stop of each fixed-rank solve in `trace`, in order."""
     return [solve.stop for solve in trace.solves]
+
+
+def at_start_scale(problem, y):
+    """t y at the cost-optimal scale t, t^2 = ||B^T y||^2 /
+    (2 tr(y^T A y y^T M y)). From it solve_fixed_rank starts warm: it
+    moves the factor by less than tnewton.COLD_START_FACTOR, so it makes
+    no steepest-descent probe and builds the preconditioner at its first
+    iteration."""
+    by = problem.b.T @ y
+    ay, my = problem.a.mat @ y, problem.m.mat @ y
+    quartic = np.trace((y.T @ ay) @ (y.T @ my))
+    return math.sqrt(np.sum(by * by) / (2.0 * quartic)) * y
 
 
 def poisson_reference(n, seed, identity_mass=False):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -10,11 +11,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from lyapfactor import LyapunovProblem, SpdSparseMatrix, save_problem
+from lyapfactor import (IrrConfig, LyapunovProblem, Metric, SpdSparseMatrix,
+                        gen_poisson, save_problem, solve_increasing_rank)
 from lyapfactor.cli import main
 
 SUMMARY_KEYS = {"final_rank", "rel_res", "total_nH", "total_ms",
-                "ranks_visited"}
+                "ranks_visited", "total_builds"}
 TRACE_HEADER = "k,p,f,gradnorm,relres,inner_iters,nH,alpha,ms"
 BENCH_HEADER = "n,mass,metric,precond,iter,nH,relres,ms"
 
@@ -70,6 +72,32 @@ def test_solve_outputs_are_consistent(tmp_path, capsys):
     assert ranks == summary["ranks_visited"]
     assert summary["final_rank"] == ranks[-1]
     assert float(rows[-1][4]) == summary["rel_res"]
+
+
+@pytest.mark.parametrize("precond", ["proposed", "none"])
+def test_summary_counts_preconditioner_builds(capsys, precond):
+    # total_builds is the sum of the builds of the trace's solve records:
+    # one per outer iteration of a rank that starts warm, none for the
+    # steepest-descent probe steps of the cold first rank, none at all
+    # without a preconditioner
+    rc = main(["solve", "--gen", "poisson", "--n", "60", "--tol", "1e-6",
+               "--precond", precond, "--seed", "3"])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)
+    _, trace = solve_increasing_rank(
+        gen_poisson(60, 3), Metric.EMBEDDED,
+        IrrConfig(p_min=1, p_max=20, tau=1e-6, seed=3), None, precond)
+    builds = [solve.builds for solve in trace.solves]
+    assert summary["total_builds"] == sum(builds)
+    assert summary["ranks_visited"] == [solve.p for solve in trace.solves]
+    if precond == "none":
+        assert sum(builds) == 0
+        return
+    outer = Counter(row.p for row in trace.rows if row.k > 0)
+    steepest = [len(solve.steepest) for solve in trace.solves]
+    assert steepest[0] > 0 and not any(steepest[1:])
+    assert builds == [outer[solve.p] - len(solve.steepest)
+                      for solve in trace.solves]
 
 
 def test_solve_missing_size_flag_exits_2(capsys):

@@ -12,7 +12,9 @@ from lyapfactor import (
     FactorPoint,
     IncreasingRankError,
     IrrConfig,
+    LyapunovProblem,
     Metric,
+    SpdSparseMatrix,
     TnewtonConfig,
     gen_poisson,
     horizontal_inner,
@@ -380,6 +382,24 @@ def test_seed_scale_finds_no_roots(case, monkeypatch):
     assert scale == pytest.approx(math.sqrt(-c2 / (2.0 * c4)), rel=1e-12)
 
 
+def test_indefinite_mass_is_named_by_the_seed_scale():
+    # M with its last diagonal entry -0.1, above the size up to which
+    # SpdSparseMatrix checks definiteness: the unpreconditioned solve runs
+    # until a warm start's quartic coefficient c4 = tr(V^T A V V^T M V) is
+    # not positive, which names A or M instead of failing in math.sqrt
+    given = gen_poisson(600, 0)
+    assert given.n > problems.SPD_CHECK_LIMIT
+    mass = given.m.mat.tolil()
+    mass[599, 599] = -0.1
+    problem = LyapunovProblem(given.a, SpdSparseMatrix(mass.tocsr()),
+                              given.b)
+    with pytest.raises(ValueError, match=r"^A or M is not positive "
+                       r"definite: .* c4 = .*e\+\d+ <= 0$"):
+        solve_increasing_rank(
+            problem, Metric.EMBEDDED,
+            IrrConfig(p_min=1, p_max=10, tau=1e-6, seed=0), None, "none")
+
+
 def test_warm_start_flags_a_seed_that_raises_the_cost():
     # A factor far too large for B: all of span([A Y, M Y, B]) is taken,
     # where the residual's trace is positive, so no scale lowers the cost.
@@ -537,7 +557,10 @@ def test_fallbacks_index_the_joined_rows_of_every_rank(monkeypatch):
     # Each accepted search gives one row with k > 0, in order; the record
     # of each rank lists the iterations k whose step the Armijo fallback
     # took, here in ranks 1 and 3, and they name the same rows of the
-    # joined trace
+    # joined trace. The solve is unpreconditioned: with the proposed
+    # preconditioner rank 1 starts cold and its first step is a
+    # steepest-descent probe step, scaled to its line's minimizer, which
+    # meets the decrease conditions, so only rank 3 falls back.
     results = []
 
     def spy(*args, search=tnewton.line_search):
@@ -548,7 +571,7 @@ def test_fallbacks_index_the_joined_rows_of_every_rank(monkeypatch):
     config = TnewtonConfig(chi1=0.45, chi2=0.45)
     _, trace = solve_increasing_rank(
         gen_poisson(40, 1), Metric.EMBEDDED,
-        IrrConfig(p_min=1, p_max=4, tau=1e-13, seed=1), config, "proposed")
+        IrrConfig(p_min=1, p_max=4, tau=1e-13, seed=1), config, "none")
     steps = [i for i, row in enumerate(trace.rows) if row.k > 0]
     assert len(steps) == len(results)
     marked = [i for i, result in zip(steps, results) if result.fallback]

@@ -10,6 +10,7 @@ import scipy.sparse as sps
 from scipy.sparse.linalg import splu as general_splu
 
 from helpers import (
+    at_start_scale,
     ALL_METRICS,
     assemble_precond_operator_dense,
     grid_problem,
@@ -730,10 +731,14 @@ def _singular(*args, **kwargs):
 
 
 def _assert_build_fails_with_partial_trace(prob, at):
+    # From a warm start the first iteration builds, so the partial trace
+    # holds row 0 alone; its record counts the build that raised.
     with pytest.raises(PreconditionerError, match=r"shift \S+ failed") as err:
-        solve_fixed_rank(prob, Metric.EMBEDDED, at.y, TnewtonConfig(),
-                         "proposed")
+        solve_fixed_rank(prob, Metric.EMBEDDED, at_start_scale(prob, at.y),
+                         TnewtonConfig(), "proposed")
     assert len(err.value.trace.rows) == 1
+    record = err.value.trace.solves[0]
+    assert (record.builds, record.steepest, record.stop) == (1, [], None)
 
 
 @pytest.mark.parametrize("splu", [_singular, lambda *a, **k: _NanLU()],
@@ -806,9 +811,26 @@ def test_indefinite_middle_shift_is_named_with_partial_trace(monkeypatch,
         backend, f"pbtrf failed with info {at.n}")
     message = f"shift {lam:.3e} failed to factor: {reason}"
     with pytest.raises(PreconditionerError, match=re.escape(message)) as err:
+        solve_fixed_rank(prob, Metric.EMBEDDED, at_start_scale(prob, at.y),
+                         TnewtonConfig(), "proposed")
+    assert len(err.value.trace.rows) == 1
+
+
+def test_failed_build_after_a_probe_step_keeps_its_row(monkeypatch):
+    # From the cold random start the first iteration steps along -grad
+    # with no build, so the failing build is the second iteration's; the
+    # partial trace keeps the probe step's row, and its nH counts the
+    # actions of both probes, the one that stepped and the one that failed
+    prob, at, rng, _ = _grid_point("proposed")
+    monkeypatch.setattr(precond, "_PBTRF", lambda ab, **k: (ab, 2))
+    with pytest.raises(PreconditionerError, match=r"shift \S+ failed") as err:
         solve_fixed_rank(prob, Metric.EMBEDDED, at.y, TnewtonConfig(),
                          "proposed")
-    assert len(err.value.trace.rows) == 1
+    trace = err.value.trace
+    assert [(row.k, row.inner_iters) for row in trace.rows] == [(0, 0), (1, 1)]
+    assert trace.final().nH == 2
+    record = trace.solves[0]
+    assert (record.builds, record.steepest, record.stop) == (1, [1], None)
 
 
 def _per_column_apply(problem, cache, metric, eta):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    at_start_scale,
     count_hessian_actions,
     identity_problem,
     legacy_tpcg,
@@ -33,7 +34,8 @@ from lyapfactor import (
     solve_increasing_rank,
     tpcg,
 )
-from lyapfactor import problems, tnewton
+from lyapfactor import precond, problems, tnewton
+from lyapfactor.increasing_rank import warm_start
 from lyapfactor.manifold import hessian_action
 from lyapfactor.tnewton import (
     EPS_CURV,
@@ -48,6 +50,14 @@ ALL_METRICS = (Metric.EMBEDDED, Metric.GRAM, Metric.EUCLIDEAN)
 
 WORKLOADS = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
              / "workloads.py")
+
+
+def _workload(name):
+    """The benchmark workload `name`, from perfbench/workloads.py."""
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS[name]
 
 
 # ------------------------------------------------------------------ tpcg
@@ -354,12 +364,10 @@ class _ShortStep(Exception):
 
 
 def test_rejected_unit_step_finds_the_minimizer_once(monkeypatch):
-    # Benchmark instance fixed-grid2d/0 opens with curvature stops, whose
-    # searches reject the unit step. At the first of them the search finds
-    # alpha* once, and takes the trial the eager search takes.
-    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    # Benchmark instance fixed-grid2d/0 opens with three steepest-descent
+    # probe steps, then stops tPCG on curvature, and the search of that
+    # stop at k = 5 rejects the unit step. There the search finds alpha*
+    # once, and takes the trial the eager search takes.
     searches = []
 
     def spy(*args, search=tnewton.line_search):
@@ -370,7 +378,7 @@ def test_rejected_unit_step_finds_the_minimizer_once(monkeypatch):
         return result
 
     monkeypatch.setattr(tnewton, "line_search", spy)
-    workload = workloads.WORKLOADS["fixed-grid2d"]
+    workload = _workload("fixed-grid2d")
     with pytest.raises(_ShortStep):
         workload.solve(workload.setup(0))
     monkeypatch.undo()
@@ -550,10 +558,11 @@ def test_short_steps_are_closed_form_trials(monkeypatch):
     # alpha = 0.01, a smaller decrease. Every accepted step is now one of
     # the closed-form trials, and where the unit step is rejected and
     # alpha* meets the conditions, no less than alpha*'s decrease is taken
-    # (on this instance no search takes the 1/10 trial above alpha*).
-    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    # (on this instance no search takes the 1/10 trial above alpha*). The
+    # instance is solved from its warm start, the random factor at its
+    # cost-optimal scale: from the random factor itself the first steps
+    # are steepest-descent probe steps, scaled so that the unit trial is
+    # alpha*, and only one search rejects the unit step.
     searches = []
 
     def spy(problem, metric, point, direction, f0, slope0, config,
@@ -567,8 +576,11 @@ def test_short_steps_are_closed_form_trials(monkeypatch):
         return result
 
     monkeypatch.setattr(tnewton, "line_search", spy)
-    workload = workloads.WORKLOADS["fixed-grid2d"]
-    workload.solve(workload.setup(1))
+    workload = _workload("fixed-grid2d")
+    instance = workload.setup(1)
+    instance.y0 = at_start_scale(instance.problem, instance.y0)
+    _, trace = workload.solve(instance)
+    assert trace.solves[0].steepest == []
     short = 0
     for line, threshold, result in searches:
         star = line.minimizer
@@ -773,11 +785,16 @@ def test_target_ends_the_solve_at_the_first_iterate_that_meets_it():
     # at 0.0495; given the target 0.03 it ends at k = 8, on the same rows.
     # (It was 0.0283 at k = 7 while the line search backtracked by
     # interpolation: at k = 5 that took alpha = 0.0178, where the
-    # closed-form trials take alpha* = 0.0422.)
+    # closed-form trials take alpha* = 0.0422.) The factor is given at its
+    # cost-optimal scale, a warm start: from the random factor itself the
+    # first step is a steepest-descent probe step, and that solve does not
+    # pass 0.03.
     prob = gen_poisson(100, 0)
     y0 = np.random.default_rng(3).standard_normal((100, 4))
+    y0 = at_start_scale(prob, y0)
     _, full = solve_fixed_rank(prob, Metric.EMBEDDED, y0, TnewtonConfig(),
                                "proposed")
+    assert full.solves[0].steepest == []
     assert full.final().relres > 0.03
     point, trace = solve_fixed_rank(prob, Metric.EMBEDDED, y0,
                                     TnewtonConfig(), "proposed", 0.03)
@@ -907,9 +924,16 @@ def test_solve_deterministic():
 # had backtracked past alpha* to 1e-5; "none" went from 13 rows and nH 194
 # to 12 rows and nH 226, still ending on "gradient" (digest before:
 # 8616cd7dd5a6731a0a486eb1a1fc5b51c5f35cedf0af429e078ae4e9f1d889bc).
+# "proposed" was recorded again when a cold start came to probe the
+# steepest-descent direction before its first build: its first step is
+# now the probe step along -grad, and it went from 10 rows, nH 17 and 9
+# builds to 11 rows, nH 22 and 9 builds, still ending on "gradient"
+# (digest before:
+# 8f18f8b1c2f518a9735cb6c1609e5d0d2c062902210f782a8ed97c62204ad2a4).
+# "none" makes no probe and kept its digest.
 TRACE_SHA256 = {
-    "proposed": "8f18f8b1c2f518a9735cb6c1609e5d0d"
-                "2c062902210f782a8ed97c62204ad2a4",
+    "proposed": "8b6ec78be25c1ca8271cafd6f1ec84e2"
+                "ff3d0e6c474e1c2af16c2ec75feebd91",
     "none": "5d545d0590a70da3965fa9b9bc8dac5b"
             "c0b57a2ee17b0990669e52171e6d5149",
 }
@@ -926,6 +950,97 @@ def test_solve_reproduces_trace_before_stall_rule(choice):
     digest = trace_audit.trace_digest(trace, point.y)
     assert digest == TRACE_SHA256[choice]
     assert stop_reasons(trace) == ["gradient"]
+
+
+def test_cold_start_takes_its_first_step_with_no_build(monkeypatch):
+    # fixed-grid2d instance 0 starts cold (t* moves its random factor by
+    # far more than COLD_START_FACTOR) and the curvature along -grad is at
+    # most EPS_CURV ||grad||^2 there, so the first step is along -grad,
+    # made before any preconditioner build, with the probe's Hessian action
+    # its only one. The record counts every build the solve made.
+    builds, searches = [], []
+
+    def built(*args, build=precond.build_shift_cache, **kwargs):
+        builds.append(None)
+        return build(*args, **kwargs)
+
+    def spy(*args, search=tnewton.line_search):
+        searches.append(len(builds))
+        return search(*args)
+
+    monkeypatch.setattr(precond, "build_shift_cache", built)
+    monkeypatch.setattr(tnewton, "line_search", spy)
+    workload = _workload("fixed-grid2d")
+    _, trace = workload.solve(workload.setup(0))
+    record = trace.solves[0]
+    assert abs(math.log(record.scale)) > math.log(tnewton.COLD_START_FACTOR)
+    assert searches[0] == 0
+    assert record.steepest[0] == 1
+    assert trace.rows[1].inner_iters == 1
+    assert record.builds == len(builds) > 0
+    assert record.fallbacks == []
+
+
+def test_warm_started_rank_never_probes(monkeypatch):
+    # Ranks 2-4 of an increasing-rank solve of gen_poisson(100, 0), each
+    # from the warm start grown from the rank before: t* moves none of them
+    # by COLD_START_FACTOR, so each builds at every iteration and calls the
+    # Hessian only inside tPCG.
+    problem = gen_poisson(100, 0)
+    rng = np.random.default_rng(0)
+    point, _ = solve_fixed_rank(problem, Metric.EMBEDDED,
+                                rng.standard_normal((100, 1)), None,
+                                "proposed", 1e-6)
+    calls = count_hessian_actions(monkeypatch)
+    inner = []
+
+    def recorded(*args, solve=tnewton.tpcg, **kwargs):
+        state = solve(*args, **kwargs)
+        inner.append(state.hessian_actions)
+        return state
+
+    monkeypatch.setattr(tnewton, "tpcg", recorded)
+    for _ in range(3):
+        grown, _ = warm_start(problem, point, 1, rng)
+        calls.clear()
+        inner.clear()
+        point, trace = solve_fixed_rank(problem, Metric.EMBEDDED, grown,
+                                        None, "proposed", 1e-6)
+        record = trace.solves[0]
+        assert abs(math.log(record.scale)) < math.log(
+            tnewton.COLD_START_FACTOR)
+        assert record.steepest == []
+        assert len(calls) == sum(inner) == trace.final().nH > 0
+        assert record.builds == len(inner) == len(trace.rows) - 1
+
+
+# tools/trace_audit.py's digests of unpreconditioned solves, recorded
+# before the steepest-descent probe was added: an increasing-rank solve of
+# gen_poisson(100, 0) (rank 15, 54 rows, nH 2202) and fixed-grid2d
+# instance 0 (15 rows, nH 145). A solve under "none" makes no probe.
+NONE_SHA256 = {
+    "irr": "867ff945ebc080569e71d60499007603"
+           "bca26c4442fc3c21033aacf4a556bffd",
+    "grid": "d49a886166ea9f05cfa22c548f6a2d18"
+            "7bd3f6ece8455a7b68f7cd19c8e10e80",
+}
+
+
+def test_unpreconditioned_solves_are_unchanged_by_the_probe():
+    instance = _workload("fixed-grid2d").setup(0)
+    solves = {
+        "irr": lambda: solve_increasing_rank(
+            gen_poisson(100, 0), Metric.EMBEDDED,
+            IrrConfig(p_min=1, p_max=40, tau=1e-6, seed=0), None, "none"),
+        "grid": lambda: solve_fixed_rank(
+            instance.problem, Metric.EMBEDDED, instance.y0, TnewtonConfig(),
+            "none"),
+    }
+    for name, solve in solves.items():
+        point, trace = solve()
+        assert trace_audit.trace_digest(trace, point.y) == NONE_SHA256[name]
+        for record in trace.solves:
+            assert (record.builds, record.steepest) == (0, [])
 
 
 def _row(k, gradnorm, relres, alpha=1.0):

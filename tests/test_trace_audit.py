@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 from helpers import count_hessian_actions, stop_reasons, trace_audit
-from lyapfactor import tnewton
+from lyapfactor import precond, tnewton
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -131,7 +131,10 @@ def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
     # steps those of them with alpha < 1, its Hessian actions the nH of its
     # last row, its calls those of tnewton.hessian_action and its largest
     # inner solve the most Hessian actions of one tnewton.tpcg call, both
-    # counted here too; write puts the unwrapped functions back.
+    # counted here too; write puts the unwrapped functions back. Its
+    # preconditioner builds are the sum of the builds of the trace's solve
+    # records, and equal the calls of precond.build_shift_cache, which
+    # write counts apart from the trace and which are counted here too.
     monkeypatch.setattr(trace_audit, "INSTANCES",
                         (("irr-poisson1d", [0]), ("fixed-grid2d", [0])))
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -139,9 +142,11 @@ def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(var, "1")
     out = tmp_path / "audit.json"
     action, inner_solve = tnewton.hessian_action, tnewton.tpcg
+    build = precond.build_shift_cache
     assert trace_audit.main(["write", str(ROOT), str(out)]) == 0
     assert tnewton.hessian_action is action
     assert tnewton.tpcg is inner_solve
+    assert precond.build_shift_cache is build
     records = json.loads(out.read_text(encoding="ascii"))
     import workloads
 
@@ -153,12 +158,21 @@ def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
         inner.append(state.hessian_actions)
         return state
 
+    builds = []
+
+    def built(*args, **kwargs):
+        builds.append(None)
+        return build(*args, **kwargs)
+
     monkeypatch.setattr(tnewton, "tpcg", recorded)
+    monkeypatch.setattr(precond, "build_shift_cache", built)
+    assert set(records) == {"irr-poisson1d/0", "fixed-grid2d/0"}
     for key, record in records.items():
         name, seed = key.split("/")
         workload = workloads.WORKLOADS[name]
         calls.clear()
         inner.clear()
+        builds.clear()
         point, trace = workload.solve(workload.setup(int(seed)))
         ranks = len({row.p for row in trace.rows})
         assert record["outcome"] == f"rank {point.p}"
@@ -172,6 +186,35 @@ def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
         assert len(record["stops"]) == ranks
         assert record["fallbacks"] == sum(len(solve.fallbacks)
                                           for solve in trace.solves)
+        assert record["builds"] == record["build_calls"] == len(builds)
+        assert record["builds"] == sum(solve.builds
+                                       for solve in trace.solves) > 0
+
+
+def test_compare_prints_preconditioner_builds(tmp_path, capsys):
+    # One line per workload, before the largest inner solve: the builds
+    # the traces report and the build calls counted apart, in both files;
+    # a file without the fields (or a library without trace builds) reads
+    # n/a.
+    before = {"irr/1": _record("a", 14), "irr/2": _record("b", 15),
+              "grid/0": _record("c", 5)}
+    after = {"irr/1": _record("d", 14), "irr/2": _record("e", 15),
+             "grid/0": _record("f", 5)}
+    for records, counts in ((before, (70, 80, 12)), (after, (69, 80, 9))):
+        for record, count in zip(records.values(), counts):
+            record.update(builds=count, build_calls=count)
+    status, lines = _compare(tmp_path, capsys, before, after)
+    assert status == 1
+    assert lines[-9:-7] == [
+        "grid: preconditioner builds 12 -> 9 (called 12 -> 9)",
+        "irr: preconditioner builds 150 -> 149 (called 150 -> 149)"]
+    for record in before.values():
+        record["builds"] = None
+    del before["irr/2"]["build_calls"]
+    status, lines = _compare(tmp_path, capsys, before, after)
+    assert lines[-9:-7] == [
+        "grid: preconditioner builds n/a -> 9 (called 12 -> 9)",
+        "irr: preconditioner builds n/a -> 149 (called n/a -> 149)"]
 
 
 def test_compare_prints_stop_reasons_and_fallbacks(tmp_path, capsys):

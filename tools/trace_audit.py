@@ -18,10 +18,13 @@ rank's last row, the outer iterations (rows with k > 0), the short steps
 made (counted by wrapping that attribute, apart from the trace), the
 Hessian actions of its largest inner solve (the largest hessian_actions
 of a tnewton.tpcg call, read by wrapping that attribute too), the
-reason each fixed-rank solve ended (the stop of each of the trace's
-solves that did not raise), the number of steps the line search's
-Armijo fallback took and the workload's residual
-target tau (null for a fixed-rank solve). A solve that raises is hashed
+preconditioner builds the trace reports (the sum of its solves' builds;
+null for a library whose solve records lack them), the calls of
+precond.build_shift_cache the solve made (counted by wrapping that
+attribute too), the reason each fixed-rank solve ended (the stop of each
+of the trace's solves that did not raise), the number of steps the line
+search's Armijo fallback took and the workload's residual target tau
+(null for a fixed-rank solve). A solve that raises is hashed
 over the partial trace its exception carries, and its outcome is the
 exception type (with the type of the cause, if any).
 
@@ -34,16 +37,18 @@ relres / tau at the lower of the two ranks is printed for both sides, and
 the change is labelled knife-edge when the first file's value lies within
 KNIFE_EDGE of 1: such an instance stops within rounding of tau, so any
 rounding-level change can move its rank by one. Then one line per
-workload gives its largest inner solve in Hessian actions in both files,
+workload gives its reported and called preconditioner builds in both
+files, one more its largest inner solve in Hessian actions in both files,
 one more the total of each stop reason and of the fallbacks in
 both files, and one more its total outer iterations, short steps,
 reported and called Hessian actions and its sum of final ranks in both
 files; an instance that raised in either file counts toward neither rank
 sum, so the two sums cover the same instances. The closing line counts
 the outcome changes that are not knife-edge. Files written before the
-relres, outer, short_steps, actions, calls, largest_inner, stops or
-fallbacks fields existed still compare; their rank changes are never
-knife-edge and their missing totals and maxima read n/a.
+relres, outer, short_steps, actions, calls, largest_inner, stops,
+fallbacks, builds or build_calls fields existed still compare; their rank
+changes are never knife-edge and their missing totals and maxima read
+n/a.
 
 BLAS is pinned to one thread before numpy is imported, as the benchmark
 does, so that a run is reproducible bit for bit.
@@ -83,6 +88,13 @@ def final_relres(trace):
     return {str(row.p): float(row.relres) for row in trace.rows}
 
 
+def reported_builds(trace):
+    """The sum of the builds of the trace's solves; None for a library
+    whose solve records do not count builds."""
+    builds = [getattr(solve, "builds", None) for solve in trace.solves]
+    return None if None in builds else sum(builds)
+
+
 def audit(root):
     """Solve every audited instance with the code under root."""
     for var in THREAD_VARS:
@@ -90,16 +102,21 @@ def audit(root):
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import lyapfactor as lf
     import workloads
-    from lyapfactor import tnewton
+    from lyapfactor import precond, tnewton
 
     solver_errors = (lf.IncreasingRankError, lf.InnerSolveError,
                      lf.LineSearchError, lf.PreconditionerError)
     action, inner_solve = tnewton.hessian_action, tnewton.tpcg
-    calls, inner = [], []
+    build = precond.build_shift_cache
+    calls, inner, builds = [], [], []
 
     def counted(*args):
         calls.append(None)
         return action(*args)
+
+    def built(*args, **kwargs):
+        builds.append(None)
+        return build(*args, **kwargs)
 
     def recorded(*args, **kwargs):
         state = inner_solve(*args, **kwargs)
@@ -113,7 +130,9 @@ def audit(root):
             instance = workload.setup(seed)
             calls.clear()
             inner.clear()
+            builds.clear()
             tnewton.hessian_action, tnewton.tpcg = counted, recorded
+            precond.build_shift_cache = built
             try:
                 point, trace = workload.solve(instance)
             except solver_errors as exc:
@@ -128,6 +147,7 @@ def audit(root):
                 digest = trace_digest(trace, point.y)
             finally:
                 tnewton.hessian_action, tnewton.tpcg = action, inner_solve
+                precond.build_shift_cache = build
             records[f"{name}/{seed}"] = {
                 "hash": digest, "outcome": outcome,
                 "relres": final_relres(trace),
@@ -137,6 +157,8 @@ def audit(root):
                 "actions": trace.rows[-1].nH if trace.rows else 0,
                 "calls": len(calls),
                 "largest_inner": max(inner, default=0),
+                "builds": reported_builds(trace),
+                "build_calls": len(builds),
                 "stops": [s.stop for s in trace.solves
                           if s.stop is not None],
                 "fallbacks": sum(len(s.fallbacks) for s in trace.solves),
@@ -194,6 +216,16 @@ def field_totals(records, name, combine=sum):
         values.setdefault(key.split("/")[0], []).append(record.get(name))
     return {workload: None if None in got else combine(got)
             for workload, got in values.items()}
+
+
+def both_totals(before, after, name, combine=sum):
+    """Per workload, 'x -> y': field_totals of `name` in both files, n/a
+    for a side without it."""
+    sides = [field_totals(records, name, combine)
+             for records in (before, after)]
+    return {workload: " -> ".join("n/a" if side.get(workload) is None
+                                  else str(side[workload]) for side in sides)
+            for workload in sides[0].keys() | sides[1].keys()}
 
 
 def stop_totals(records):
@@ -281,28 +313,25 @@ def main(argv=None):
     for key, (old, new) in sorted(diff.items(),
                                   key=lambda item: item[0] not in moved):
         print(f"{key}: {describe(old, new, key in moved)}")
-    largest = [field_totals(records, "largest_inner", max)
-               for records in (before, after)]
-    for name in sorted(largest[0].keys() | largest[1].keys()):
-        text = " -> ".join("n/a" if side.get(name) is None
-                           else str(side[name]) for side in largest)
-        print(f"{name}: largest inner solve {text} Hessian actions")
+    text = {column: both_totals(before, after, column)
+            for column in ("builds", "build_calls", "outer", "short_steps",
+                           "actions", "calls")}
+    for name in sorted(text["builds"]):
+        print(f"{name}: preconditioner builds {text['builds'][name]} "
+              f"(called {text['build_calls'][name]})")
+    largest = both_totals(before, after, "largest_inner", max)
+    for name in sorted(largest):
+        print(f"{name}: largest inner solve {largest[name]} Hessian actions")
     stops = stop_totals(before), stop_totals(after)
     for name in sorted(stops[0].keys() | stops[1].keys()):
         print(f"{name}: stops {describe_stops(stops[0].get(name))} -> "
               f"{describe_stops(stops[1].get(name))}")
-    totals = {column: [field_totals(records, column)
-                       for records in (before, after)]
-              for column in ("outer", "short_steps", "actions", "calls")}
     ranks = rank_sums(before, after)
     for name in sorted(ranks):
-        text = {column: " -> ".join("n/a" if side.get(name) is None
-                                    else str(side[name]) for side in sides)
-                for column, sides in totals.items()}
-        print(f"{name}: outer iterations {text['outer']}, short steps "
-              f"{text['short_steps']}, Hessian actions {text['actions']} "
-              f"(called {text['calls']}), final rank sum {ranks[name][0]} -> "
-              f"{ranks[name][1]}")
+        print(f"{name}: outer iterations {text['outer'][name]}, short steps "
+              f"{text['short_steps'][name]}, Hessian actions "
+              f"{text['actions'][name]} (called {text['calls'][name]}), "
+              f"final rank sum {ranks[name][0]} -> {ranks[name][1]}")
     hashes = sum(field(old, "hash") != field(new, "hash")
                  for old, new in diff.values())
     knife = sum((rank_move(*diff[key]) or (False,))[-1] for key in moved)
