@@ -37,6 +37,7 @@ from .problems import (
     FactorPoint,
     LyapunovProblem,
     MatrixMarketError,
+    SolverError,
     SpdSparseMatrix,
     dense_oracle_solve,
     gen_poisson,

@@ -20,30 +20,20 @@ import time
 
 import numpy as np
 
-from .increasing_rank import IncreasingRankError, IrrConfig, \
-    solve_increasing_rank
+from .increasing_rank import IrrConfig, solve_increasing_rank
 from .manifold import Metric
-from .precond import PreconditionerError
 from .problems import (
     DENSE_LIMIT,
     FactorPoint,
     MatrixMarketError,
+    SolverError,
     dense_oracle_solve,
     gen_poisson,
     load_manifest,
     relative_residual,
     save_problem,
 )
-from .tnewton import (
-    InnerSolveError,
-    LineSearchError,
-    TnewtonConfig,
-    solve_fixed_rank,
-)
-
-_SOLVER_ERRORS = (
-    IncreasingRankError, InnerSolveError, LineSearchError, PreconditionerError,
-)
+from .tnewton import TnewtonConfig, solve_fixed_rank
 
 
 def _add_source_args(parser):
@@ -189,8 +179,8 @@ def _solve(args, problem, t0):
             problem, Metric(args.metric), config,
             TnewtonConfig(), args.precond,
         )
-    except _SOLVER_ERRORS as exc:
-        _write_outputs(args, getattr(exc, "trace", None), None)
+    except SolverError as exc:
+        _write_outputs(args, exc.trace, None)
         _solver_error(type(exc).__name__, str(exc))
         return None, None
     total_ms = (time.perf_counter() - t0) * 1e3
@@ -223,6 +213,7 @@ _BENCH_HEADER = "n,mass,metric,precond,iter,nH,relres,ms"
 
 def cmd_bench(args):
     rank = args.p_min
+    config = TnewtonConfig(grad_tol_rel=args.tol)
     lines = [_BENCH_HEADER]
     for mass in ("general", "identity"):
         problem = gen_poisson(args.n, args.seed,
@@ -232,12 +223,11 @@ def cmd_bench(args):
         for precond in ("none", "proposed", "bart"):
             t0 = time.perf_counter()
             try:
-                config = TnewtonConfig(grad_tol_rel=args.tol)
                 point, trace = solve_fixed_rank(
                     problem, Metric(args.metric), FactorPoint(y0.copy()),
                     config, precond,
                 )
-            except _SOLVER_ERRORS:
+            except SolverError:
                 lines.append(f"{args.n},{mass},{args.metric},{precond},"
                              "nan,nan,nan,nan")
                 continue

@@ -24,17 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifold import cost
-from .precond import PreconditionerError
-from .problems import (ROUNDING, CostQuartic, FactorPoint, _as_point,
-                       _compressed_residual)
+from .problems import (ROUNDING, CostQuartic, FactorPoint, SolverError,
+                       _as_point, _compressed_residual)
 from .problems import relative_residual  # noqa: F401 (perfbench patches it)
-from .tnewton import (
-    InnerSolveError,
-    LineSearchError,
-    SolveTrace,
-    TnewtonConfig,
-    solve_fixed_rank,
-)
+from .tnewton import (SolveTrace, TnewtonConfig, _require_integers,
+                      solve_fixed_rank)
 
 
 @dataclass
@@ -47,7 +41,8 @@ class IrrConfig:
     tnewton.solve_fixed_rank's `target`: it ends after its first iterate
     with relative residual at most tau (stop "target"), so the loop stops
     at that rank, or when its residual stalls or converges above tau
-    (stop "stall").
+    (stop "stall"). The ranks and the seed must be integers, the seed
+    nonnegative, and tau finite; ValueError otherwise.
     """
 
     p_min: int = 1
@@ -57,15 +52,18 @@ class IrrConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_integers(self, "p_min", "p_max", "p_inc", "seed")
         if not 1 <= self.p_min <= self.p_max:
             raise ValueError("ranks must satisfy 1 <= p_min <= p_max")
         if self.p_inc < 1:
             raise ValueError("p_inc must be at least 1")
-        if not self.tau > 0.0:
-            raise ValueError("tau must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError("tau must be finite and positive")
 
 
-class IncreasingRankError(RuntimeError):
+class IncreasingRankError(SolverError):
     """A rank's inner solve failed; carries the trace collected so far."""
 
     def __init__(self, rank, trace, cause):
@@ -222,7 +220,7 @@ def solve_increasing_rank(problem, metric, config=None, tnewton_config=None,
             point, trace = solve_fixed_rank(
                 problem, metric, point, tnewton_config, precond_choice, target
             )
-        except (InnerSolveError, LineSearchError, PreconditionerError) as exc:
+        except SolverError as exc:
             # Keep the rows the failing rank did complete.
             full_trace.extend(exc.trace)
             raise IncreasingRankError(rank, full_trace, exc) from exc

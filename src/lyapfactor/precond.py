@@ -32,7 +32,8 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as sps_la
 
 from .manifold import Metric, project_horizontal
-from .problems import _PBTRF, FactorPoint, _as_point, _cho_factor, _cho_solve
+from .problems import (_PBTRF, FactorPoint, SolverError, _as_point,
+                       _cho_factor, _cho_solve)
 
 # Largest p for which the coupled symmetric system is assembled densely;
 # beyond it the solve falls back to conjugate gradient on the operator.
@@ -58,7 +59,7 @@ STACK_LIMIT = 1 << 16
 _TBTRS = spla.get_lapack_funcs("tbtrs", dtype=np.float64)
 
 
-class PreconditionerError(RuntimeError):
+class PreconditionerError(SolverError):
     """The preconditioner could not be built or applied at this point."""
 
     def __init__(self, message):

@@ -60,6 +60,13 @@ class MatrixMarketError(ValueError):
         self.lineno = lineno
 
 
+class SolverError(RuntimeError):
+    """A solve failed. `trace` is the SolveTrace of the iterations that did
+    complete, set as the error leaves a solve; None outside one."""
+
+    trace = None
+
+
 def _asymmetric_entry(mat):
     """0-based (i, j) of the largest mismatch between mat and mat^T, or None.
 

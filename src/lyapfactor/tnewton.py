@@ -16,9 +16,9 @@ product, so it is independent of the manifold it runs on.
 """
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -29,8 +29,9 @@ from .manifold import (
     retract,
     riemannian_gradient,
 )
-from .precond import PreconditionerError, preconditioner
-from .problems import ROUNDING, FactorPoint, _as_point, relative_residual
+from .precond import preconditioner
+from .problems import (ROUNDING, FactorPoint, SolverError, _as_point,
+                       relative_residual)
 
 
 # Curvature exit threshold of the inner solve (and of the steepest-descent
@@ -47,19 +48,18 @@ STALL_MARGIN = 3.0
 STALL_GRADIENT_DROP = 0.1
 
 
-class InnerSolveError(RuntimeError):
+class InnerSolveError(SolverError):
     """A non-finite quantity appeared inside the inner conjugate gradient,
-    after `hessian_actions` Hessian actions."""
+    at its step `iteration`."""
 
-    def __init__(self, iteration, hessian_actions):
+    def __init__(self, iteration):
         super().__init__(
             f"non-finite value in the inner solve at iteration {iteration}"
         )
         self.iteration = iteration
-        self.hessian_actions = hessian_actions
 
 
-class LineSearchError(RuntimeError):
+class LineSearchError(SolverError):
     """No trial of the line search gave an acceptable step.
 
     `backtracks` is the number of trials less one, `alpha` the last trial
@@ -91,7 +91,9 @@ class TnewtonConfig:
     chi2 also scales Armijo's condition of its fallback); forcing_t the
     exponent of the forcing sequence (see FORCING_BETA). Each inner solve
     is capped at the manifold dimension n p - p (p - 1) / 2 steps, and each
-    line search tries at most three closed-form steps.
+    line search tries at most three closed-form steps. chi1, chi2 and
+    forcing_t must be finite and positive, grad_tol_rel finite and
+    nonnegative and max_outer a nonnegative integer; ValueError otherwise.
     """
 
     chi1: float = 1e-4
@@ -99,6 +101,31 @@ class TnewtonConfig:
     forcing_t: float = 1.0
     grad_tol_rel: float = 1e-12
     max_outer: int = 200
+
+    def __post_init__(self):
+        for name in ("chi1", "chi2", "forcing_t"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {value!r}")
+        if not 0.0 <= self.grad_tol_rel < math.inf:
+            raise ValueError("grad_tol_rel must be finite and nonnegative, "
+                             f"got {self.grad_tol_rel!r}")
+        _require_integers(self, "max_outer")
+        if self.max_outer < 0:
+            raise ValueError("max_outer must be nonnegative")
+
+
+def _require_integers(config, *names):
+    """ValueError unless each named field of `config` is an integer, one
+    that operator.index accepts (so numpy integers pass)."""
+    for name in names:
+        value = getattr(config, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") \
+                from None
 
 
 @dataclass
@@ -171,7 +198,7 @@ def tpcg(gradient, hess, precond, eps_curv, phi_k, *,
     ry = inner(r, yv)
     rel = 1.0
     if not math.isfinite(ry):
-        raise InnerSolveError(0, 0)
+        raise InnerSolveError(0)
     if ry <= 0.0:
         return TpcgState(eta, 0, "breakdown", rel)
 
@@ -184,13 +211,13 @@ def tpcg(gradient, hess, precond, eps_curv, phi_k, *,
                  "y": yv.copy(), "delta": delta}
             )
         if not math.isfinite(dq):
-            raise InnerSolveError(i, i + 1)
+            raise InnerSolveError(i)
         if dq <= eps_curv * delta:
             direction = d0 if i == 0 else eta
             return TpcgState(direction, i + 1, "curvature", rel)
         alpha = ry / dq
         if not math.isfinite(alpha):
-            raise InnerSolveError(i, i + 1)
+            raise InnerSolveError(i)
         eta = eta + alpha * d
         r = r - alpha * q
         rel = math.sqrt(max(inner(r, r), 0.0)) / grad_norm
@@ -199,7 +226,7 @@ def tpcg(gradient, hess, precond, eps_curv, phi_k, *,
         yv = precond(r)
         ry_new = inner(r, yv)
         if not math.isfinite(ry_new):
-            raise InnerSolveError(i, i + 1)
+            raise InnerSolveError(i)
         beta = ry_new / ry
         d = yv + beta * d
         delta = inner(yv, yv) + beta * beta * delta
@@ -528,6 +555,15 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
         grad = riemannian_gradient(metric, problem, at)
         return grad, math.sqrt(horizontal_inner(metric, at, grad, grad))
 
+    def hess(direction):
+        # Every Hessian action of the solve, and the only count of them.
+        nonlocal nh_total
+        nh_total += 1
+        return hessian_action(metric, problem, point, direction)
+
+    def inner(x, e):
+        return horizontal_inner(metric, point, x, e)
+
     def add_row(k, inner_iters, alpha, since):
         # Appends and returns the row of point, f_val, gnorm and nh_total.
         trace.rows.append(TraceRow(
@@ -563,15 +599,12 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
             t_iter = time.perf_counter()
             if _at_rounding_floor(point.products(problem)):
                 break
-            hess = partial(hessian_action, metric, problem, point)
-            inner = partial(horizontal_inner, metric, point)
             nh_iter = nh_total
             if probing:
                 # The steepest-descent probe: while the curvature along
                 # -grad is at most EPS_CURV ||grad||^2, the step is along
                 # -grad, scaled to the cost's first minimizer on that line,
                 # with no build.
-                nh_total += 1
                 probing = inner(grad, hess(grad)) <= EPS_CURV * gnorm * gnorm
             if probing:
                 star = point.products(problem).line(-grad).minimizer
@@ -585,7 +618,6 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
                     inner=inner, max_inner=max_inner,
                 )
                 direction = state.direction
-                nh_total += state.hessian_actions
             slope0 = inner(grad, direction)
             # Only rounding gives tPCG a direction that is not descent.
             if not slope0 < 0.0:
@@ -620,11 +652,9 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
         else:
             stop = "max_outer" if gnorm > config.grad_tol_rel * gnorm0 \
                 else "gradient"
-    except (InnerSolveError, LineSearchError, PreconditionerError) as exc:
+    except SolverError as exc:
         # Callers that keep going (the increasing-rank loop, the command
         # line) still want the iterations that did complete.
-        if isinstance(exc, InnerSolveError):
-            nh_total += exc.hessian_actions
         exc.trace = trace
         raise
     finally:

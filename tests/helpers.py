@@ -466,7 +466,7 @@ def legacy_tpcg(gradient, hess, precond, eps_curv, phi_k, *, inner,
         q = hess(d)
         dq = inner(d, q)
         if not math.isfinite(dq):
-            raise InnerSolveError(i, i + 1)
+            raise InnerSolveError(i)
         if dq <= eps_curv * delta:
             direction = d0 if i == 0 else eta
             return TpcgState(direction, i + 1, "curvature", rel)
@@ -476,7 +476,7 @@ def legacy_tpcg(gradient, hess, precond, eps_curv, phi_k, *, inner,
         yv = precond(r)
         ry_new = inner(r, yv)
         if not (math.isfinite(alpha) and math.isfinite(ry_new)):
-            raise InnerSolveError(i, i + 1)
+            raise InnerSolveError(i)
         beta = ry_new / ry
         d = yv + beta * d
         delta = inner(yv, yv) + beta * beta * delta

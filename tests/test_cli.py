@@ -13,6 +13,7 @@ import scipy.sparse as sps
 
 from lyapfactor import (IrrConfig, LyapunovProblem, Metric, SpdSparseMatrix,
                         gen_poisson, save_problem, solve_increasing_rank)
+from lyapfactor import tnewton
 from lyapfactor.cli import main
 
 SUMMARY_KEYS = {"final_rank", "rel_res", "total_nH", "total_ms",
@@ -154,6 +155,38 @@ def test_solve_unreachable_tolerance_returns_1(capsys):
     assert payload["rel_res"] > 1e-14
 
 
+def test_solver_failure_returns_1_with_the_partial_trace(tmp_path, capsys,
+                                                        monkeypatch):
+    # Every Hessian action after the second is NaN, so an inner solve
+    # raises: solve prints one error line, writes the rows that did
+    # complete and returns 1; bench writes each failed cell as a NaN row
+    # and returns 0.
+    calls = []
+
+    def failing(*args, action=tnewton.hessian_action):
+        calls.append(None)
+        out = action(*args)
+        return np.full_like(out, np.nan) if len(calls) > 2 else out
+
+    monkeypatch.setattr(tnewton, "hessian_action", failing)
+    csv = tmp_path / "trace.csv"
+    rc = main(["solve", "--gen", "poisson", "--n", "60", "--precond",
+               "proposed", "--trace-out", str(csv)])
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "IncreasingRankError"
+    rows = csv.read_text(encoding="ascii").splitlines()
+    assert rows[0] == TRACE_HEADER
+    assert len(rows) == 3
+
+    rc = main(["bench", "--n", "60"])
+    assert rc == 0
+    rows = bench_rows(capsys.readouterr().out)
+    assert len(rows) == 6
+    assert all(row[4:] == ["nan"] * 4 for row in rows.values())
+
+
 def test_invalid_metric_choice_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["solve", "--gen", "poisson", "--n", "20", "--metric", "5"])
@@ -246,6 +279,12 @@ def test_bench_preconditioner_orderings(capsys):
                if math.isfinite(float(rows[(mass, pre)][6]))]
         assert res
         assert max(res) <= 1.001 * min(res)
+
+
+def test_bench_rejects_a_nan_tolerance(capsys):
+    # A NaN gradient tolerance would end every cell before its first step.
+    assert main(["bench", "--n", "120", "--tol", "nan"]) == 2
+    assert "grad_tol_rel must be finite" in capsys.readouterr().err
 
 
 def test_bench_writes_table_file(tmp_path, capsys):

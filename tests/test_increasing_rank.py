@@ -14,6 +14,7 @@ from lyapfactor import (
     IrrConfig,
     LyapunovProblem,
     Metric,
+    SolverError,
     SpdSparseMatrix,
     TnewtonConfig,
     gen_poisson,
@@ -62,11 +63,23 @@ def visited_ranks(trace):
         {"p_inc": 0},
         {"tau": 0.0},
         {"tau": -1e-6},
+        {"tau": math.inf},
+        {"p_min": 1.5},
+        {"p_max": 20.0},
+        {"p_inc": 1.5},
+        {"seed": -1},
+        {"seed": 0.5},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         IrrConfig(**kwargs)
+
+
+def test_config_takes_numpy_integers():
+    config = IrrConfig(p_min=np.int64(2), p_max=np.int32(5),
+                       p_inc=np.uint8(3), seed=np.int64(7))
+    assert list(range(config.p_min, config.p_max + 1, config.p_inc)) == [2, 5]
 
 
 def test_rank_cap_above_problem_size_rejected():
@@ -496,6 +509,8 @@ def test_inner_failure_surfaces_with_partial_trace():
             "none",
         )
     err = info.value
+    assert isinstance(err, SolverError) and isinstance(err, RuntimeError) \
+        and err.trace is not None
     assert "inner solve failed at rank 1" in str(err)
     assert err.rank == 1
     assert isinstance(err.cause, LineSearchError)

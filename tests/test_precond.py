@@ -26,6 +26,7 @@ from lyapfactor import (
     FactorPoint,
     LyapunovProblem,
     Metric,
+    SolverError,
     SpdSparseMatrix,
     TnewtonConfig,
     gen_poisson,
@@ -95,8 +96,9 @@ PROJECTED_PENCIL_ERRORS = [
                          PROJECTED_PENCIL_ERRORS)
 def test_indefinite_projected_pencil_is_rejected(variant, a00, m00, message):
     prob, at = _unchecked_diagonal_problem(a00, m00)
-    with pytest.raises(PreconditionerError, match=re.escape(message)):
+    with pytest.raises(PreconditionerError, match=re.escape(message)) as err:
         build_shift_cache(prob, at, variant=variant)
+    assert err.value.trace is None  # raised outside a solve
     if variant == "proposed":
         with pytest.raises(PreconditionerError,
                            match=re.escape(message)) as err:
@@ -736,6 +738,8 @@ def _assert_build_fails_with_partial_trace(prob, at):
     with pytest.raises(PreconditionerError, match=r"shift \S+ failed") as err:
         solve_fixed_rank(prob, Metric.EMBEDDED, at_start_scale(prob, at.y),
                          TnewtonConfig(), "proposed")
+    assert isinstance(err.value, SolverError) and \
+        isinstance(err.value, RuntimeError) and err.value.trace is not None
     assert len(err.value.trace.rows) == 1
     record = err.value.trace.solves[0]
     assert (record.builds, record.steepest, record.stop) == (1, [], None)

@@ -21,6 +21,7 @@ from lyapfactor import (
     FactorPoint,
     IrrConfig,
     Metric,
+    SolverError,
     SolveTrace,
     TnewtonConfig,
     TraceRow,
@@ -58,6 +59,26 @@ def _workload(name):
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     return workloads.WORKLOADS[name]
+
+
+# ---------------------------------------------------------------- config
+
+
+@pytest.mark.parametrize("name, value", [
+    ("chi1", 0.0), ("chi1", math.nan), ("chi2", -1e-4), ("chi2", math.inf),
+    ("forcing_t", 0.0), ("forcing_t", math.nan),
+    ("grad_tol_rel", math.nan), ("grad_tol_rel", -1e-12),
+    ("grad_tol_rel", math.inf),
+    ("max_outer", 2.5), ("max_outer", -1),
+])
+def test_config_rejects_bad_values(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        TnewtonConfig(**{name: value})
+
+
+def test_config_keeps_the_edge_values_in_use():
+    TnewtonConfig(chi1=1e-20, chi2=1.0, grad_tol_rel=0.0, max_outer=0)
+    assert TnewtonConfig(max_outer=np.int64(3)).max_outer == 3
 
 
 # ------------------------------------------------------------------ tpcg
@@ -153,7 +174,6 @@ def test_tpcg_nonfinite_hessian_raises():
     with pytest.raises(InnerSolveError) as info:
         tpcg(g, bad_hess, lambda v: v, 1e-12, 1e-6)
     assert info.value.iteration == 0
-    assert info.value.hessian_actions == 1
 
 
 def test_tpcg_breakdown_stop():
@@ -187,7 +207,6 @@ def test_tpcg_checks_the_first_preconditioned_residual():
     with pytest.raises(InnerSolveError) as info:
         tpcg(g, lambda x: x, lambda r: np.nan * e, 1e-10, 0.1)
     assert info.value.iteration == 0
-    assert info.value.hessian_actions == 0
 
 
 def test_tpcg_rejects_zero_gradient():
@@ -1091,6 +1110,8 @@ def test_solve_line_search_failure_carries_trace(monkeypatch):
     config = TnewtonConfig(chi1=0.999, chi2=1.0)
     with pytest.raises(LineSearchError) as info:
         solve_fixed_rank(prob, Metric.EMBEDDED, y0, config)
+    assert isinstance(info.value, SolverError) and \
+        isinstance(info.value, RuntimeError) and info.value.trace is not None
     assert len(info.value.trace.rows) >= 1
     assert info.value.trace.rows[0].k == 0
     assert info.value.trace.final().nH == len(calls) > 0
@@ -1111,6 +1132,8 @@ def test_solve_inner_failure_counts_its_hessian_actions(monkeypatch):
     with pytest.raises(InnerSolveError) as info:
         solve_fixed_rank(gen_poisson(60, 0), Metric.EMBEDDED, y0, None,
                          "proposed")
+    assert isinstance(info.value, SolverError) and \
+        isinstance(info.value, RuntimeError) and info.value.trace is not None
     trace = info.value.trace
     assert len(calls) == 4
     assert trace.final().nH == len(calls)

@@ -191,6 +191,31 @@ def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
                                        for solve in trace.solves) > 0
 
 
+def test_write_fails_on_counts_other_than_the_calls(tmp_path, capsys,
+                                                    monkeypatch):
+    # Hand-built records with at most one mismatch each: write still
+    # writes them all, then exits 1 naming each instance whose reported
+    # actions or builds differ from the counted calls; a null builds
+    # (a library without trace builds) is not compared.
+    def record(actions=9, calls=9, builds=4, build_calls=4):
+        return {"hash": "a", "outcome": "rank 3", "actions": actions,
+                "calls": calls, "builds": builds, "build_calls": build_calls}
+
+    records = {"irr/0": record(), "irr/1": record(actions=8),
+               "grid/0": record(builds=None, build_calls=3),
+               "grid/1": record(build_calls=5)}
+    assert trace_audit.miscounted(records) == ["grid/1", "irr/1"]
+    monkeypatch.setattr(trace_audit, "audit", lambda root: records)
+    out = tmp_path / "audit.json"
+    assert trace_audit.main(["write", str(ROOT), str(out)]) == 1
+    assert json.loads(out.read_text(encoding="ascii")) == records
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "2 instances report counts other than the counted calls: "
+        "grid/1, irr/1")
+    del records["irr/1"], records["grid/1"]
+    assert trace_audit.main(["write", str(ROOT), str(out)]) == 0
+
+
 def test_compare_prints_preconditioner_builds(tmp_path, capsys):
     # One line per workload, before the largest inner solve: the builds
     # the traces report and the build calls counted apart, in both files;

@@ -26,7 +26,10 @@ of the trace's solves that did not raise), the number of steps the line
 search's Armijo fallback took and the workload's residual target tau
 (null for a fixed-rank solve). A solve that raises is hashed
 over the partial trace its exception carries, and its outcome is the
-exception type (with the type of the cause, if any).
+exception type (with the type of the cause, if any). After writing its
+file, `write` exits with status 1 and names every instance whose reported
+Hessian actions differ from its counted calls, or whose reported builds
+(when not null) differ from its counted build calls.
 
 `compare` prints every instance whose hash or outcome differs between two
 files, those whose outcome changed first, then counts the differing
@@ -93,6 +96,15 @@ def reported_builds(trace):
     whose solve records do not count builds."""
     builds = [getattr(solve, "builds", None) for solve in trace.solves]
     return None if None in builds else sum(builds)
+
+
+def miscounted(records):
+    """Keys of the records whose reported Hessian actions or builds differ
+    from the calls counted apart from the trace; a null builds is not
+    compared."""
+    return sorted(key for key, r in records.items()
+                  if r["actions"] != r["calls"]
+                  or r["builds"] not in (None, r["build_calls"]))
 
 
 def audit(root):
@@ -301,7 +313,11 @@ def main(argv=None):
                         if not r["outcome"].startswith("rank"))
         print(f"{len(records)} instances, {len(failed)} raised: "
               f"{', '.join(failed) or 'none'}")
-        return 0
+        wrong = miscounted(records)
+        if wrong:
+            print(f"{len(wrong)} instances report counts other than the "
+                  f"counted calls: {', '.join(wrong)}")
+        return 1 if wrong else 0
 
     with open(args.before, encoding="ascii") as fh:
         before = json.load(fh)
