@@ -101,7 +101,6 @@ def build_parser():
     _add_solver_args(oracle)
     _add_output_args(oracle)
     oracle.add_argument("--seed", type=int, default=0)
-    oracle.add_argument("--dense-limit", type=int, default=DENSE_LIMIT)
 
     generate = sub.add_parser(
         "generate", help="write a generated problem to Matrix Market files")
@@ -244,14 +243,14 @@ def cmd_bench(args):
 def cmd_oracle_check(args):
     t0 = time.perf_counter()
     problem = _build_problem(args)
-    if problem.n > args.dense_limit:
+    if problem.n > DENSE_LIMIT:
         return _config_error(
-            f"oracle-check needs n <= {args.dense_limit}, got {problem.n}")
+            f"oracle-check needs n <= {DENSE_LIMIT}, got {problem.n}")
     trace, summary = _solve(args, problem, t0)
     if summary is None:
         return 1
 
-    x_star = dense_oracle_solve(problem, dense_limit=args.dense_limit)
+    x_star = dense_oracle_solve(problem)
     vals, vecs = np.linalg.eigh(x_star)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     factors = vecs * np.sqrt(np.clip(vals, 0.0, None))

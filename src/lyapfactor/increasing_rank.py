@@ -25,7 +25,7 @@ import numpy as np
 
 from .manifold import cost
 from .problems import (ROUNDING, CostQuartic, FactorPoint, SolverError,
-                       _as_point, _compressed_residual)
+                       _as_point, _compressed_residual, _not_definite)
 from .problems import relative_residual  # noqa: F401 (perfbench patches it)
 from .tnewton import (SolveTrace, TnewtonConfig, _require_integers,
                       solve_fixed_rank)
@@ -112,9 +112,8 @@ def _seed_scale(problem, dirs, products):
     line = CostQuartic(at, along)
     c2, c4 = line.coeffs[1], line.coeffs[3]
     if not c4 > 0.0:
-        raise ValueError("A or M is not positive definite: the seeded "
-                         f"columns V give c4 = tr(V^T A V V^T M V) = "
-                         f"{c4:.3e} <= 0")
+        raise _not_definite("the seeded columns V give "
+                            "c4 = tr(V^T A V V^T M V)", c4)
     if not c2 < -ROUNDING * line.sizes[1]:
         return None
     return math.sqrt(-c2 / (2.0 * c4))

@@ -67,6 +67,13 @@ class SolverError(RuntimeError):
     trace = None
 
 
+def _not_definite(quantity, value):
+    """The ValueError of a quantity that is positive when A and M are
+    positive definite but came out as `value` <= 0."""
+    return ValueError(f"A or M is not positive definite: {quantity} = "
+                      f"{value:.3e} <= 0")
+
+
 def _asymmetric_entry(mat):
     """0-based (i, j) of the largest mismatch between mat and mat^T, or None.
 
@@ -425,18 +432,18 @@ def relative_residual(problem, point):
     return residual_fro(problem, point) / denom
 
 
-def dense_oracle_solve(problem, dense_limit=DENSE_LIMIT):
+def dense_oracle_solve(problem):
     """Solve A X M + M X A = B B^T densely. Reference only.
 
     Works in the generalized eigenbasis of the pencil (A, M): with
     A W = M W diag(w) and W^T M W = I, the transformed equation is diagonal
-    and X = W ((W^T C W) / (w_i + w_j)) W^T.
+    and X = W ((W^T C W) / (w_i + w_j)) W^T. A problem with n above
+    DENSE_LIMIT is refused, so that a large one is not densified by
+    accident.
 
     Parameters
     ----------
     problem : LyapunovProblem
-    dense_limit : int
-        Guard against accidentally densifying a large problem.
 
     Returns
     -------
@@ -444,8 +451,8 @@ def dense_oracle_solve(problem, dense_limit=DENSE_LIMIT):
         The symmetric solution X, shape (n, n).
     """
     n = problem.n
-    if n > dense_limit:
-        raise ValueError(f"dense solve refused for n = {n} > {dense_limit}")
+    if n > DENSE_LIMIT:
+        raise ValueError(f"dense solve refused for n = {n} > {DENSE_LIMIT}")
     a = problem.a.mat.toarray()
     m = problem.m.mat.toarray()
     w, vecs = spla.eigh(a, m)

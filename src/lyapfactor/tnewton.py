@@ -18,7 +18,7 @@ product, so it is independent of the manifold it runs on.
 import math
 import operator
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,18 +31,21 @@ from .manifold import (
 )
 from .precond import preconditioner
 from .problems import (ROUNDING, FactorPoint, SolverError, _as_point,
-                       relative_residual)
+                       _not_definite, relative_residual)
 
 
 # Curvature exit threshold of the inner solve (and of the steepest-descent
 # probe), the factor by which the start scale t* must move the given factor
 # for a cold start (|log t*| > log COLD_START_FACTOR; see solve_fixed_rank),
-# the cap of the forcing sequence phi_k = min(FORCING_BETA,
-# ||grad||^forcing_t), and the ratio, margin and gradient drop of the stall
-# rule of a solve given a residual target (see _stalled).
+# the cap of the forcing sequence phi_k = min(FORCING_BETA, ||grad||), the
+# two step acceptance constants of line_search (CHI2 also scales Armijo's
+# condition of its fallback), and the ratio, margin and gradient drop of the
+# stall rule of a solve given a residual target (see _stalled).
 EPS_CURV = 1e-10
 COLD_START_FACTOR = 2.0
 FORCING_BETA = 0.1
+CHI1 = 1e-4
+CHI2 = 1e-4
 STALL_RATIO = 0.99
 STALL_MARGIN = 3.0
 STALL_GRADIENT_DROP = 0.1
@@ -64,7 +67,7 @@ class LineSearchError(SolverError):
 
     `backtracks` is the number of trials less one, `alpha` the last trial
     and `demanded` the decrease the acceptance conditions asked for,
-    min(chi1 slope0^2 / ||d||_g^2, -chi2 slope0), and `resolution` the
+    min(CHI1 slope0^2 / ||d||_g^2, -CHI2 slope0), and `resolution` the
     rounding bound eps(alpha*) of the cost difference at the line's
     minimizer alpha* (at alpha = 1 when it has none).
     """
@@ -85,29 +88,17 @@ class LineSearchError(SolverError):
 
 @dataclass
 class TnewtonConfig:
-    """Parameters of the truncated Newton iteration.
-
-    chi1 and chi2 are the two step acceptance constants (see line_search;
-    chi2 also scales Armijo's condition of its fallback); forcing_t the
-    exponent of the forcing sequence (see FORCING_BETA). Each inner solve
-    is capped at the manifold dimension n p - p (p - 1) / 2 steps, and each
-    line search tries at most three closed-form steps. chi1, chi2 and
-    forcing_t must be finite and positive, grad_tol_rel finite and
+    """Stopping rule of the truncated Newton iteration: a solve ends once
+    ||grad|| is at most grad_tol_rel times its value at the factor as
+    given, or after max_outer iterations. grad_tol_rel must be finite and
     nonnegative and max_outer a nonnegative integer; ValueError otherwise.
-    """
+    Each inner solve is capped at the manifold dimension n p - p (p - 1) / 2
+    steps, and each line search tries at most three closed-form steps."""
 
-    chi1: float = 1e-4
-    chi2: float = 1e-4
-    forcing_t: float = 1.0
     grad_tol_rel: float = 1e-12
     max_outer: int = 200
 
     def __post_init__(self):
-        for name in ("chi1", "chi2", "forcing_t"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, "
-                                 f"got {value!r}")
         if not 0.0 <= self.grad_tol_rel < math.inf:
             raise ValueError("grad_tol_rel must be finite and nonnegative, "
                              f"got {self.grad_tol_rel!r}")
@@ -249,16 +240,16 @@ class LineSearchResult:
     fallback: bool = False
 
 
-def line_search(problem, metric, point, direction, f0, slope0, config):
+def line_search(problem, metric, point, direction, f0, slope0):
     """Take a step accepted by one of the two decrease conditions.
 
     A step alpha is accepted when
 
-        f(alpha) - f0 <= -chi1 * slope0^2 / ||direction||_g^2
+        f(alpha) - f0 <= -CHI1 * slope0^2 / ||direction||_g^2
 
     or
 
-        f(alpha) - f0 <= chi2 * slope0,
+        f(alpha) - f0 <= CHI2 * slope0,
 
     both of which demand a fixed decrease for a descent direction. The
     cost along the line is the quartic of problems.CostQuartic, so
@@ -275,8 +266,8 @@ def line_search(problem, metric, point, direction, f0, slope0, config):
 
     When no trial meets either condition but the demanded decrease is
     above eps(alpha*), the first trial that met Armijo's condition
-    f(alpha) - f0 <= chi2 * alpha * slope0 is returned, with `fallback`
-    set; otherwise LineSearchError is raised. With chi2 at or above about
+    f(alpha) - f0 <= CHI2 * alpha * slope0 is returned, with `fallback`
+    set; otherwise LineSearchError is raised. With CHI2 at or above about
     1/2 no trial may meet Armijo's condition either.
 
     Parameters
@@ -289,7 +280,6 @@ def line_search(problem, metric, point, direction, f0, slope0, config):
     f0, slope0 : float
         Cost and directional derivative g(grad, direction) at the point.
         The returned f is f0 plus the polynomial's difference.
-    config : TnewtonConfig
 
     Returns
     -------
@@ -298,8 +288,7 @@ def line_search(problem, metric, point, direction, f0, slope0, config):
     if not slope0 < 0.0:
         raise ValueError("search direction must be a descent direction")
     norm_sq = horizontal_inner(metric, point, direction, direction)
-    threshold = max(-config.chi1 * slope0 * slope0 / norm_sq,
-                    config.chi2 * slope0)
+    threshold = max(-CHI1 * slope0 * slope0 / norm_sq, CHI2 * slope0)
     line = point.products(problem).line(direction)
 
     def meets(alpha, demanded):
@@ -321,7 +310,7 @@ def line_search(problem, metric, point, direction, f0, slope0, config):
              if meets(alpha, threshold)]
     if -threshold > resolution:
         order += [(i, True) for i, alpha in enumerate(trials)
-                  if meets(alpha, config.chi2 * alpha * slope0)]
+                  if meets(alpha, CHI2 * alpha * slope0)]
     for index, fallback in order:
         alpha = trials[index]
         try:
@@ -345,9 +334,6 @@ class TraceRow:
     nH: int
     alpha: float
     ms: float
-
-
-_TRACE_HEADER = "k,p,f,gradnorm,relres,inner_iters,nH,alpha,ms"
 
 
 @dataclass
@@ -434,26 +420,28 @@ class SolveTrace:
             fh.write(self.to_csv_text())
 
     def to_csv_text(self):
-        lines = [_TRACE_HEADER]
-        for row in self.rows:
-            lines.append(
-                f"{row.k},{row.p},{row.f:.17g},{row.gradnorm:.17g},"
-                f"{row.relres:.17g},{row.inner_iters},{row.nH},"
-                f"{row.alpha:.17g},{row.ms:.17g}"
-            )
+        names = [f.name for f in fields(TraceRow)]
+        lines = [",".join(names)]
+        lines += [",".join(f"{getattr(row, name):.17g}" for name in names)
+                  for row in self.rows]
         return "\n".join(lines) + "\n"
 
 
 def _start_scale(prod):
     """The cost-optimal scale t* of a factor Y and the cost there,
     f(t* Y) = -||B^T Y||^4 / (4 tr(Y^T A Y Y^T M Y)), free of the
-    cancellation in f(Y) minus the decrease; or (1.0, None) when t* is
-    undefined or the decrease tr(Y^T A Y Y^T M Y) (1 - t*^2)^2 is within the
-    rounding bound of the line Y + (t* - 1) Y."""
+    cancellation in f(Y) minus the decrease; or (1.0, None) when B^T Y = 0
+    or the decrease tr(Y^T A Y Y^T M Y) (1 - t*^2)^2 is within the rounding
+    bound of the line Y + (t* - 1) Y. tr(Y^T A Y Y^T M Y) is positive when
+    A and M are positive definite, so ValueError is raised when it is not.
+    """
     line = prod.line(prod.y)
     quartic = float(line.coeffs[3])
+    if not quartic > 0.0:
+        raise _not_definite("the factor Y gives tr(Y^T A Y Y^T M Y)",
+                            quartic)
     squared = float(np.sum(prod.by * prod.by))
-    if not (quartic > 0.0 and squared > 0.0):
+    if not squared > 0.0:
         return 1.0, None
     scale = math.sqrt(squared / (2.0 * quartic))
     if not quartic * (1.0 - scale * scale) ** 2 > line.bound(scale - 1.0):
@@ -614,7 +602,7 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
                 state = tpcg(
                     grad, hess,
                     preconditioner(precond_choice, metric, problem, point),
-                    EPS_CURV, min(FORCING_BETA, gnorm ** config.forcing_t),
+                    EPS_CURV, min(FORCING_BETA, gnorm),
                     inner=inner, max_inner=max_inner,
                 )
                 direction = state.direction
@@ -624,7 +612,7 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
                 break
             try:
                 result = line_search(problem, metric, point, direction,
-                                     f_val, slope0, config)
+                                     f_val, slope0)
             except LineSearchError as exc:
                 # When the acceptance conditions demand no more than the
                 # rounding bound of the cost difference, no trial step can

@@ -275,14 +275,14 @@ def test_criterion_08_proposed_never_behind_bart():
 
 
 def test_criterion_09_superlinear_tail_of_gradient_norms():
-    # forcing_t = 1 on poisson n = 500: the last three gradient-norm
-    # ratios decrease strictly and the final one is below 0.1.
+    # phi_k = min(0.1, ||grad||) on poisson n = 500: the last three
+    # gradient-norm ratios decrease strictly and the final one is below 0.1.
     problem = gen_poisson(500, 0)
     for seed in (0, 1, 2):
         y0 = FactorPoint(np.random.default_rng(seed)
                          .standard_normal((500, 3)))
         _, trace = solve_fixed_rank(problem, Metric.EMBEDDED, y0,
-                                    TnewtonConfig(forcing_t=1.0),
+                                    TnewtonConfig(),
                                     "proposed")
         g = trace.column("gradnorm")
         ratios = [g[i + 1] / g[i] for i in range(len(g) - 1)]

@@ -336,11 +336,23 @@ def test_oracle_check_final_rank_is_near_best(tmp_path, capsys):
     assert float(last[2]) <= 10.0 * float(last[1])
 
 
+def test_oracle_check_returns_1_after_a_solver_failure(capsys, monkeypatch):
+    def failing(*args, action=tnewton.hessian_action):
+        return np.full_like(action(*args), np.nan)
+
+    monkeypatch.setattr(tnewton, "hessian_action", failing)
+    rc = main(["oracle-check", "--gen", "poisson", "--n", "40"])
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "IncreasingRankError"
+
+
 def test_oracle_check_rejects_large_problem(capsys):
-    rc = main(["oracle-check", "--gen", "poisson", "--n", "40",
-               "--dense-limit", "10"])
+    # The guard fires before any solve.
+    rc = main(["oracle-check", "--gen", "poisson", "--n", "2001"])
     assert rc == 2
-    assert "n <= 10" in capsys.readouterr().err
+    assert "n <= 2000, got 2001" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ entrypoint

@@ -7,6 +7,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from lyapfactor import (
     FactorPoint,
@@ -285,6 +286,22 @@ def test_warm_start_rejects_rank_deficient_input():
         warm_start(problem, FactorPoint(y), 1)
 
 
+def test_warm_start_rejects_a_step_below_1():
+    problem = random_problem(10, 1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^p_inc must be at least 1$"):
+        warm_start(problem, FactorPoint(np.eye(10, 2)), 0)
+
+
+def test_default_configs_reach_the_default_tau():
+    # solve_increasing_rank(problem, metric), the README's call, takes
+    # IrrConfig() and TnewtonConfig().
+    problem = gen_poisson(60, 0)
+    point, trace = solve_increasing_rank(problem, Metric.EMBEDDED)
+    assert trace.final().relres <= IrrConfig().tau
+    assert relative_residual(problem, point) <= IrrConfig().tau
+    assert point.p < IrrConfig().p_max
+
+
 class _ZeroNormal:
     """A generator whose jitter is zero."""
 
@@ -413,6 +430,21 @@ def test_indefinite_mass_is_named_by_the_seed_scale():
             IrrConfig(p_min=1, p_max=10, tau=1e-6, seed=0), None, "none")
 
 
+def test_indefinite_stiffness_is_named_by_a_start_scale():
+    # A - 20 I, above the size up to which SpdSparseMatrix checks
+    # definiteness: the unpreconditioned solve used to return rank 10 at
+    # relres 1.2e+109. Rank 3 still diverges, and the start scale of rank
+    # 4 finds tr(Y^T A Y Y^T M Y) <= 0.
+    given = gen_poisson(600, 0)
+    shifted = (given.a.mat - 20.0 * sps.identity(600)).tocsr()
+    problem = LyapunovProblem(SpdSparseMatrix(shifted), given.m, given.b)
+    with pytest.raises(ValueError, match=r"^A or M is not positive "
+                       r"definite: the factor Y gives .* <= 0$"):
+        solve_increasing_rank(
+            problem, Metric.EMBEDDED,
+            IrrConfig(p_min=1, p_max=10, tau=1e-6, seed=0), None, "none")
+
+
 def test_warm_start_flags_a_seed_that_raises_the_cost():
     # A factor far too large for B: all of span([A Y, M Y, B]) is taken,
     # where the residual's trace is positive, so no scale lowers the cost.
@@ -493,19 +525,20 @@ def test_warm_starts_recorded_once_per_rank_transition(poisson_run):
 # ---------------------------------------------------------------- errors
 
 
-def test_inner_failure_surfaces_with_partial_trace():
+def test_inner_failure_surfaces_with_partial_trace(monkeypatch):
     # A line search whose conditions demand nearly the whole first-order
     # decrease fails at the very first rank; the error must say which
     # rank, carry the underlying cause, and keep the iterations that did
     # complete.
     problem = gen_poisson(60, 0)
-    strict = TnewtonConfig(chi1=0.999, chi2=0.999)
+    monkeypatch.setattr(tnewton, "CHI1", 0.999)
+    monkeypatch.setattr(tnewton, "CHI2", 0.999)
     with pytest.raises(IncreasingRankError) as info:
         solve_increasing_rank(
             problem,
             Metric.EMBEDDED,
             IrrConfig(p_min=1, p_max=4, tau=1e-14, seed=0),
-            strict,
+            None,
             "none",
         )
     err = info.value
@@ -531,12 +564,12 @@ def test_irr39_replay_takes_no_armijo_fallback(monkeypatch):
     # fixed-rank solver, completes with every step accepted by them.
     searches = []
 
-    def spy(problem, metric, point, direction, f0, slope0, config,
+    def spy(problem, metric, point, direction, f0, slope0,
             search=tnewton.line_search):
-        result = search(problem, metric, point, direction, f0, slope0, config)
+        result = search(problem, metric, point, direction, f0, slope0)
         norm_sq = horizontal_inner(metric, point, direction, direction)
-        threshold = max(-config.chi1 * slope0 * slope0 / norm_sq,
-                        config.chi2 * slope0)
+        threshold = max(-tnewton.CHI1 * slope0 * slope0 / norm_sq,
+                        tnewton.CHI2 * slope0)
         searches.append((rank, result, f0, threshold))
         return result
 
@@ -583,10 +616,11 @@ def test_fallbacks_index_the_joined_rows_of_every_rank(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(tnewton, "line_search", spy)
-    config = TnewtonConfig(chi1=0.45, chi2=0.45)
+    monkeypatch.setattr(tnewton, "CHI1", 0.45)
+    monkeypatch.setattr(tnewton, "CHI2", 0.45)
     _, trace = solve_increasing_rank(
         gen_poisson(40, 1), Metric.EMBEDDED,
-        IrrConfig(p_min=1, p_max=4, tau=1e-13, seed=1), config, "none")
+        IrrConfig(p_min=1, p_max=4, tau=1e-13, seed=1), None, "none")
     steps = [i for i, row in enumerate(trace.rows) if row.k > 0]
     assert len(steps) == len(results)
     marked = [i for i, result in zip(steps, results) if result.fallback]
@@ -663,10 +697,11 @@ def test_stagnated_line_search_ends_rank_instead_of_failing(monkeypatch):
     monkeypatch.setattr(tnewton, "line_search", spy)
     monkeypatch.setattr(problems.CostQuartic, "bound",
                         lambda self, alpha: math.inf)
-    lax = TnewtonConfig(chi1=1e-20, chi2=1e-20)
+    monkeypatch.setattr(tnewton, "CHI1", 1e-20)
+    monkeypatch.setattr(tnewton, "CHI2", 1e-20)
     point, trace = solve_increasing_rank(
         gen_poisson(60, 0), Metric.EMBEDDED,
-        IrrConfig(p_min=1, p_max=2, tau=1e-14, seed=0), lax, "none",
+        IrrConfig(p_min=1, p_max=2, tau=1e-14, seed=0), None, "none",
     )
     assert exhausted
     for exc in exhausted:

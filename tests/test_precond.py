@@ -13,6 +13,7 @@ from helpers import (
     at_start_scale,
     ALL_METRICS,
     assemble_precond_operator_dense,
+    count_hessian_actions,
     grid_problem,
     hnorm,
     horizontal_basis,
@@ -41,6 +42,7 @@ from lyapfactor.manifold import (
     project_horizontal,
 )
 from lyapfactor.precond import (
+    COUPLED_DIRECT_LIMIT,
     CoupledSystem,
     PreconditionerError,
     _coupled_matrix,
@@ -100,11 +102,60 @@ def test_indefinite_projected_pencil_is_rejected(variant, a00, m00, message):
         build_shift_cache(prob, at, variant=variant)
     assert err.value.trace is None  # raised outside a solve
     if variant == "proposed":
-        with pytest.raises(PreconditionerError,
-                           match=re.escape(message)) as err:
+        # The solve meets tr(Y^T A Y Y^T M Y) = a00 m00 < 0 in its start
+        # scale, at row 0, before it builds.
+        with pytest.raises(ValueError, match=re.escape(INDEFINITE_START)):
             solve_fixed_rank(prob, Metric.EMBEDDED, at.y, TnewtonConfig(),
                              variant)
-        assert [row.k for row in err.value.trace.rows] == [0]
+
+
+INDEFINITE_START = ("A or M is not positive definite: the factor Y gives "
+                    "tr(Y^T A Y Y^T M Y) = -1.000e+00 <= 0")
+
+
+def _indefinite_poisson_mass():
+    """gen_poisson(600, 0) with the last entry of M set to -0.1, and the
+    factor Y = e_599 concentrated on that entry."""
+    given = gen_poisson(600, 0)
+    mass = given.m.mat.tolil()
+    mass[599, 599] = -0.1
+    problem = LyapunovProblem(given.a, SpdSparseMatrix(mass.tocsr()),
+                              given.b)
+    return problem, FactorPoint(np.eye(600)[:, 599:])
+
+
+@pytest.mark.parametrize("make, choice, quartic", [
+    (lambda: _unchecked_diagonal_problem(1.0, -1.0), "none", "-1.000e+00"),
+    (lambda: _unchecked_diagonal_problem(-1.0, 1.0), "none", "-1.000e+00"),
+    (_indefinite_poisson_mass, "none", "-7.224e+04"),
+    (_indefinite_poisson_mass, "proposed", "-7.224e+04"),
+], ids=["diagonal-M-none", "diagonal-A-none", "poisson-M-none",
+        "poisson-M-proposed"])
+def test_indefinite_start_is_rejected_at_row_0(make, choice, quartic,
+                                                monkeypatch):
+    # Regression: from these starts the solve used to take scale 1.0 and
+    # return garbage with no error (the diagonal problems relres 7.2e+118
+    # on "max_outer", the Poisson one relres inf on "floor"), or raise a
+    # PreconditionerError that advised the identity preconditioner. Now
+    # the start scale's tr(Y^T A Y Y^T M Y) <= 0 ends the solve at row 0,
+    # before any Hessian action or build.
+    calls = count_hessian_actions(monkeypatch)
+    builds = []
+    monkeypatch.setattr(precond, "build_shift_cache",
+                        lambda *args, **kwargs: builds.append(args))
+    prob, at = make()
+    with pytest.raises(ValueError, match=re.escape(
+            "A or M is not positive definite: the factor Y gives "
+            f"tr(Y^T A Y Y^T M Y) = {quartic} <= 0")):
+        solve_fixed_rank(prob, Metric.EMBEDDED, at.y, None, choice)
+    assert calls == builds == []
+
+
+def test_shift_cache_rejects_a_rank_deficient_factor():
+    prob, _, _ = _poisson_point()
+    with pytest.raises(ValueError,
+                       match="^preconditioner needs a full rank factor$"):
+        build_shift_cache(prob, FactorPoint(np.ones((50, 2))))
 
 
 def test_shift_cache_rejects_unknown_variant():
@@ -250,6 +301,24 @@ def test_coupled_system_singular_raises_with_advice():
         with pytest.raises(PreconditionerError,
                            match="not positive definite.*identity"):
             CoupledSystem(blocks)
+
+
+@pytest.mark.parametrize("out, info, message", [
+    (0.0, 3, "conjugate gradient on the coupled symmetric system did not "
+             "converge (info = 3)"),
+    (math.nan, 0, "coupled symmetric system is singular at this point"),
+])
+def test_coupled_system_cg_failures_raise_with_advice(out, info, message,
+                                                      monkeypatch):
+    p = COUPLED_DIRECT_LIMIT + 1
+    system = CoupledSystem([np.eye(p)] * p)
+    assert system._cho is None
+    monkeypatch.setattr(precond.sps_la, "cg",
+                        lambda op, rhs, **kwargs: (np.full_like(rhs, out),
+                                                   info))
+    with pytest.raises(PreconditionerError, match=re.escape(
+            message + "; advising fallback to the identity preconditioner")):
+        system.solve(np.eye(p))
 
 
 def _sym_pairs(p):

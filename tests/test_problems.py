@@ -191,6 +191,20 @@ def test_problem_rejects_non_finite_rhs():
         LyapunovProblem(eye, eye, b)
 
 
+@pytest.mark.parametrize("y, message", [
+    (np.ones(5), "factor must be a 2d array"),
+    (np.ones((5, 0)), "factor must have at least one column"),
+])
+def test_factor_point_rejects_bad_shapes(y, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FactorPoint(y)
+
+
+def test_solve_gram_rejects_a_rank_deficient_factor():
+    with pytest.raises(ValueError, match="^factor is rank deficient$"):
+        FactorPoint(np.ones((5, 2))).solve_gram(np.eye(2))
+
+
 def test_factor_point_requires_full_rank():
     y = np.zeros((5, 2))
     y[:, 0] = 1.0
@@ -429,10 +443,21 @@ print(message(lambda: LyapunovProblem(eye, SpdSparseMatrix(sps.identity(2)),
 
 
 def test_oracle_rejects_large_problems():
-    rng = np.random.default_rng(15)
-    prob = random_problem(30, 1, rng)
-    with pytest.raises(ValueError):
-        dense_oracle_solve(prob, dense_limit=10)
+    limit = problems.DENSE_LIMIT
+    prob = gen_poisson(limit + 1, 0)
+    with pytest.raises(ValueError, match=f"^dense solve refused for "
+                       f"n = {limit + 1} > {limit}$"):
+        dense_oracle_solve(prob)
+
+
+def test_oracle_rejects_an_indefinite_pencil():
+    # A = diag(-1, 1, ..., 1) above the size up to which SpdSparseMatrix
+    # checks definiteness, so that it is taken on trust.
+    n = problems.SPD_CHECK_LIMIT + 1
+    a = SpdSparseMatrix(sps.diags(np.r_[-1.0, np.ones(n - 1)]))
+    m = SpdSparseMatrix(sps.identity(n, format="csr"))
+    with pytest.raises(ValueError, match="^pencil must be positive definite$"):
+        dense_oracle_solve(LyapunovProblem(a, m, np.ones(n)))
 
 
 def test_kronecker_operator_is_spd():
@@ -843,6 +868,19 @@ def test_matrix_market_parse_errors_carry_location(tmp_path, content, fragment,
         load_matrix_market(*paths)
     assert fragment in str(info.value)
     assert os.path.basename(path) in str(info.value)
+
+
+def test_manifest_skips_blank_lines_and_comments(tmp_path):
+    given = gen_poisson(8, 0)
+    path = save_problem(tmp_path, given)
+    with open(path, encoding="ascii") as fh:
+        text = fh.read()
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("# a comment\n\n" + text + "   \n")
+    loaded = load_manifest(path)
+    assert (loaded.a.mat != given.a.mat).nnz == 0
+    assert (loaded.m.mat != given.m.mat).nnz == 0
+    np.testing.assert_array_equal(loaded.b, given.b)
 
 
 def test_manifest_missing_key(tmp_path):

@@ -65,8 +65,6 @@ def _workload(name):
 
 
 @pytest.mark.parametrize("name, value", [
-    ("chi1", 0.0), ("chi1", math.nan), ("chi2", -1e-4), ("chi2", math.inf),
-    ("forcing_t", 0.0), ("forcing_t", math.nan),
     ("grad_tol_rel", math.nan), ("grad_tol_rel", -1e-12),
     ("grad_tol_rel", math.inf),
     ("max_outer", 2.5), ("max_outer", -1),
@@ -77,7 +75,7 @@ def test_config_rejects_bad_values(name, value):
 
 
 def test_config_keeps_the_edge_values_in_use():
-    TnewtonConfig(chi1=1e-20, chi2=1.0, grad_tol_rel=0.0, max_outer=0)
+    TnewtonConfig(grad_tol_rel=0.0, max_outer=0)
     assert TnewtonConfig(max_outer=np.int64(3)).max_outer == 3
 
 
@@ -209,6 +207,30 @@ def test_tpcg_checks_the_first_preconditioned_residual():
     assert info.value.iteration == 0
 
 
+def test_tpcg_rejects_a_step_limit_below_1():
+    with pytest.raises(ValueError, match="^max_inner must be at least 1$"):
+        tpcg(np.ones((3, 1)), lambda v: v, lambda v: v, 1e-12, 1e-6,
+             max_inner=0)
+
+
+def test_tpcg_nonfinite_residual_product_after_a_step_raises():
+    # The preconditioner returns NaN from its second call, the first after
+    # a step, so <r, P r> turns non-finite at iteration 0.
+    calls = []
+
+    def precond(v):
+        calls.append(None)
+        return v if len(calls) == 1 else np.full_like(v, np.nan)
+
+    hmat = np.diag([2.0, 3.0])
+    with pytest.raises(InnerSolveError, match="^non-finite value in the "
+                       "inner solve at iteration 0$") as info:
+        tpcg(np.array([[1.0], [2.0]]), lambda v: hmat @ v, precond, 1e-12,
+             1e-6)
+    assert info.value.iteration == 0
+    assert len(calls) == 2
+
+
 def test_tpcg_rejects_zero_gradient():
     with pytest.raises(ValueError):
         tpcg(np.zeros((3, 1)), lambda v: v, lambda v: v, 1e-12, 1e-6)
@@ -284,7 +306,7 @@ def test_tpcg_applies_the_preconditioner_only_to_residuals_it_uses(case):
 # ------------------------------------------------------------ line search
 
 
-def _newton_direction(metric, problem, at, config):
+def _newton_direction(metric, problem, at):
     grad = riemannian_gradient(metric, problem, at)
     gnorm = np.sqrt(horizontal_inner(metric, at, grad, grad))
 
@@ -294,8 +316,7 @@ def _newton_direction(metric, problem, at, config):
     def inner(x, e):
         return horizontal_inner(metric, at, x, e)
 
-    state = tpcg(grad, hess, lambda v: v, EPS_CURV,
-                 min(FORCING_BETA, gnorm ** config.forcing_t),
+    state = tpcg(grad, hess, lambda v: v, EPS_CURV, min(FORCING_BETA, gnorm),
                  inner=inner)
     slope = horizontal_inner(metric, at, grad, state.direction)
     return grad, state.direction, slope
@@ -306,11 +327,9 @@ def test_line_search_accepts_unit_step_near_solution():
     ystar = rng.standard_normal((30, 2)) / np.sqrt(30)
     prob = identity_problem(30, ystar)
     at = FactorPoint(ystar + 1e-3 * rng.standard_normal((30, 2)))
-    config = TnewtonConfig()
-    grad, direction, slope = _newton_direction(Metric.EMBEDDED, prob, at,
-                                               config)
+    grad, direction, slope = _newton_direction(Metric.EMBEDDED, prob, at)
     result = line_search(prob, Metric.EMBEDDED, at, direction, cost(prob, at),
-                         slope, config)
+                         slope)
     assert result.alpha == 1.0
     assert result.backtracks == 0
     assert not result.fallback
@@ -330,13 +349,13 @@ def _count_minimizer(monkeypatch):
     return found
 
 
-def _eager_search(problem, metric, point, direction, slope0, config):
+def _eager_search(problem, metric, point, direction, slope0):
     """The trials, the accepted trial's index and its fallback flag of a
     search that finds alpha* before it tries any trial, or None when it
     takes none."""
     norm_sq = horizontal_inner(metric, point, direction, direction)
-    threshold = max(-config.chi1 * slope0 * slope0 / norm_sq,
-                    config.chi2 * slope0)
+    threshold = max(-tnewton.CHI1 * slope0 * slope0 / norm_sq,
+                    tnewton.CHI2 * slope0)
     line = point.products(problem).line(direction)
     trials = _trials(line)
     star = line.minimizer
@@ -350,7 +369,7 @@ def _eager_search(problem, metric, point, direction, slope0, config):
              if meets(alpha, threshold)]
     if -threshold > resolution:
         order += [(i, True) for i, alpha in enumerate(trials)
-                  if meets(alpha, config.chi2 * alpha * slope0)]
+                  if meets(alpha, tnewton.CHI2 * alpha * slope0)]
     for index, fallback in order:
         if FactorPoint(point.y + trials[index] * direction).has_full_rank:
             return trials, index, fallback
@@ -364,18 +383,16 @@ def test_accepted_unit_step_solves_for_no_minimizer(monkeypatch):
     ystar = rng.standard_normal((30, 2)) / np.sqrt(30)
     prob = identity_problem(30, ystar)
     at = FactorPoint(ystar + 1e-3 * rng.standard_normal((30, 2)))
-    config = TnewtonConfig()
-    _, direction, slope = _newton_direction(Metric.EMBEDDED, prob, at,
-                                            config)
+    _, direction, slope = _newton_direction(Metric.EMBEDDED, prob, at)
     found = _count_minimizer(monkeypatch)
     result = line_search(prob, Metric.EMBEDDED, at, direction, cost(prob, at),
-                         slope, config)
+                         slope)
     assert found == []
     assert (result.alpha, result.backtracks, result.fallback) == (1.0, 0,
                                                                   False)
     np.testing.assert_array_equal(result.point.y, at.y + direction)
-    assert _eager_search(prob, Metric.EMBEDDED, at, direction, slope,
-                         config)[1:] == (0, False)
+    assert _eager_search(prob, Metric.EMBEDDED, at, direction,
+                         slope)[1:] == (0, False)
 
 
 class _ShortStep(Exception):
@@ -401,14 +418,12 @@ def test_rejected_unit_step_finds_the_minimizer_once(monkeypatch):
     with pytest.raises(_ShortStep):
         workload.solve(workload.setup(0))
     monkeypatch.undo()
-    (problem, metric, point, direction, f0, slope0, config), first = \
-        searches[0]
+    (problem, metric, point, direction, f0, slope0), first = searches[0]
     found = _count_minimizer(monkeypatch)
-    result = line_search(problem, metric, point, direction, f0, slope0,
-                         config)
+    result = line_search(problem, metric, point, direction, f0, slope0)
     assert len(found) == 1
     trials, index, fallback = _eager_search(problem, metric, point,
-                                            direction, slope0, config)
+                                            direction, slope0)
     assert index > 0
     assert result.alpha == trials[index] == first.alpha
     assert (result.backtracks, result.fallback) == (index, fallback)
@@ -425,8 +440,7 @@ def test_line_search_requires_descent_direction():
     grad = riemannian_gradient(Metric.EMBEDDED, prob, at)
     slope = horizontal_inner(Metric.EMBEDDED, at, grad, grad)
     with pytest.raises(ValueError, match="descent"):
-        line_search(prob, Metric.EMBEDDED, at, grad, cost(prob, at), slope,
-                    TnewtonConfig())
+        line_search(prob, Metric.EMBEDDED, at, grad, cost(prob, at), slope)
 
 
 def _trials(line):
@@ -437,66 +451,66 @@ def _trials(line):
     return [1.0, max(star, 0.1)] + ([star] if star < 0.1 else [])
 
 
-def _long_newton_direction(prob, at, config, scale):
+def _long_newton_direction(prob, at, scale):
     """The Newton direction times `scale`, whose line's minimizer alpha*
     is 1/scale of the Newton direction's."""
-    grad, direction, slope = _newton_direction(Metric.EMBEDDED, prob, at,
-                                               config)
+    grad, direction, slope = _newton_direction(Metric.EMBEDDED, prob, at)
     return scale * direction, scale * slope
 
 
-def test_line_search_exhaustion_reports_diagnostics():
-    # chi1 ~ 1 demands nearly the whole first-order decrease at every alpha,
+def test_line_search_exhaustion_reports_diagnostics(monkeypatch):
+    # CHI1 ~ 1 demands nearly the whole first-order decrease at every alpha,
     # which a quartic-in-alpha cost cannot deliver far from the solution;
-    # chi2 = 1 asks the Armijo fallback for all of it, which a cost curving
+    # CHI2 = 1 asks the Armijo fallback for all of it, which a cost curving
     # up along the direction never gives at any alpha. The direction is 30
     # Newton steps long, so that alpha* < 1/10 and all three trials run.
     prob = gen_poisson(40, 0)
     rng = np.random.default_rng(8)
     at = FactorPoint(rng.standard_normal((40, 2)))
-    config = TnewtonConfig(chi1=0.999, chi2=1.0)
-    direction, slope = _long_newton_direction(prob, at, config, 30.0)
+    monkeypatch.setattr(tnewton, "CHI1", 0.999)
+    monkeypatch.setattr(tnewton, "CHI2", 1.0)
+    direction, slope = _long_newton_direction(prob, at, 30.0)
     trials = _trials(at.products(prob).line(direction))
     assert len(trials) == 3
     with pytest.raises(LineSearchError) as info:
         line_search(prob, Metric.EMBEDDED, at, direction, cost(prob, at),
-                    slope, config)
+                    slope)
     err = info.value
     assert err.backtracks == len(trials) - 1
     assert err.slope0 == slope
     assert err.alpha == trials[-1] < 0.1
     assert "3 trials" in str(err)
     norm_sq = horizontal_inner(Metric.EMBEDDED, at, direction, direction)
-    assert err.demanded == min(config.chi1 * slope * slope / norm_sq,
-                               -config.chi2 * slope)
+    assert err.demanded == min(tnewton.CHI1 * slope * slope / norm_sq,
+                               -tnewton.CHI2 * slope)
 
 
 def test_exhausted_line_search_falls_back_to_first_armijo_trial(monkeypatch):
-    # chi1 = 0.999 and chi2 = 0.15 demand a fixed decrease no trial
-    # reaches, but Armijo's condition with the same chi2 holds at the last
+    # CHI1 = 0.999 and CHI2 = 0.15 demand a fixed decrease no trial
+    # reaches, but Armijo's condition with the same CHI2 holds at the last
     # two trials, 1/10 and alpha* (the direction is 25 Newton steps long).
     # Each trial's cost is f0 plus the line's quartic difference, and
     # counts only as a decrease beyond the quartic's rounding bound.
     prob = gen_poisson(40, 0)
     at = FactorPoint(np.random.default_rng(8).standard_normal((40, 2)))
-    config = TnewtonConfig(chi1=0.999, chi2=0.15)
-    direction, slope = _long_newton_direction(prob, at, config, 25.0)
+    monkeypatch.setattr(tnewton, "CHI1", 0.999)
+    monkeypatch.setattr(tnewton, "CHI2", 0.15)
+    direction, slope = _long_newton_direction(prob, at, 25.0)
     f0 = cost(prob, at)
     line = at.products(prob).line(direction)
     trials = _trials(line)
     assert len(trials) == 3
-    result = line_search(prob, Metric.EMBEDDED, at, direction, f0, slope,
-                         config)
+    result = line_search(prob, Metric.EMBEDDED, at, direction, f0, slope)
     costs = [f0 + line.delta(alpha) for alpha in trials]
     for alpha, f in zip(trials, costs):
         fresh = cost(prob, FactorPoint(at.y + alpha * direction))
         assert abs(f - fresh) <= 1e-10 * abs(fresh)
     norm_sq = horizontal_inner(Metric.EMBEDDED, at, direction, direction)
-    threshold = max(-config.chi1 * slope * slope / norm_sq,
-                    config.chi2 * slope)
+    threshold = max(-tnewton.CHI1 * slope * slope / norm_sq,
+                    tnewton.CHI2 * slope)
     assert all(f - f0 > threshold for f in costs)
     armijo = [k for k, (alpha, f) in enumerate(zip(trials, costs))
-              if f - f0 <= config.chi2 * alpha * slope
+              if f - f0 <= tnewton.CHI2 * alpha * slope
               and f - f0 < -line.bound(alpha)]
     assert armijo == [1, 2]
     first = armijo[0]
@@ -513,13 +527,13 @@ def test_exhausted_line_search_falls_back_to_first_armijo_trial(monkeypatch):
     monkeypatch.setattr(problems.CostQuartic, "minimizer",
                         property(lambda self: 1e30))
     with pytest.raises(LineSearchError) as info:
-        line_search(prob, Metric.EMBEDDED, at, direction, f0, slope, config)
+        line_search(prob, Metric.EMBEDDED, at, direction, f0, slope)
     assert info.value.demanded == -threshold
     assert info.value.demanded <= info.value.resolution
 
 
 def test_trace_marks_the_steps_of_the_armijo_fallback(monkeypatch):
-    # chi = 0.3 demands a decrease that some steps of this solve do not
+    # CHI1 = CHI2 = 0.3 demand a decrease that some steps of this solve do not
     # give; the trace lists exactly the iterations whose step the Armijo
     # fallback took, and their rows are those of the accepted steps. The
     # start is the first of default_rng(0 ... 19) whose solve takes the
@@ -532,9 +546,10 @@ def test_trace_marks_the_steps_of_the_armijo_fallback(monkeypatch):
 
     monkeypatch.setattr(tnewton, "line_search", spy)
     y0 = np.random.default_rng(1).standard_normal((40, 2))
-    config = TnewtonConfig(chi1=0.3, chi2=0.3)
+    monkeypatch.setattr(tnewton, "CHI1", 0.3)
+    monkeypatch.setattr(tnewton, "CHI2", 0.3)
     _, trace = solve_fixed_rank(gen_poisson(40, 0), Metric.EMBEDDED, y0,
-                                config, "proposed")
+                                None, "proposed")
     marked = [k for k, result in enumerate(results, 1) if result.fallback]
     assert 0 < len(marked) < len(results)
     assert [solve.fallbacks for solve in trace.solves] == [marked]
@@ -550,20 +565,19 @@ def test_accepted_steps_satisfy_decrease_conditions():
     prob = gen_poisson(200, 0)
     rng = np.random.default_rng(9)
     at = FactorPoint(rng.standard_normal((200, 2)))
-    config = TnewtonConfig(grad_tol_rel=1e-8)
     metric = Metric.EMBEDDED
     audited = 0
     for k in range(25):
-        grad, direction, slope = _newton_direction(metric, prob, at, config)
+        grad, direction, slope = _newton_direction(metric, prob, at)
         gnorm = np.sqrt(horizontal_inner(metric, at, grad, grad))
         floor = 64.0 * np.finfo(float).eps * max(1.0, abs(cost(prob, at)))
         if not slope < -floor:
             break
         f0 = cost(prob, at)
-        result = line_search(prob, metric, at, direction, f0, slope, config)
+        result = line_search(prob, metric, at, direction, f0, slope)
         norm_sq = horizontal_inner(metric, at, direction, direction)
-        cond_a = result.f - f0 <= -config.chi1 * slope * slope / norm_sq
-        cond_b = result.f - f0 <= config.chi2 * slope
+        cond_a = result.f - f0 <= -tnewton.CHI1 * slope * slope / norm_sq
+        cond_b = result.f - f0 <= tnewton.CHI2 * slope
         assert cond_a or cond_b
         audited += 1
         at = result.point
@@ -584,12 +598,12 @@ def test_short_steps_are_closed_form_trials(monkeypatch):
     # alpha*, and only one search rejects the unit step.
     searches = []
 
-    def spy(problem, metric, point, direction, f0, slope0, config,
+    def spy(problem, metric, point, direction, f0, slope0,
             search=tnewton.line_search):
-        result = search(problem, metric, point, direction, f0, slope0, config)
+        result = search(problem, metric, point, direction, f0, slope0)
         norm_sq = horizontal_inner(metric, point, direction, direction)
-        threshold = max(-config.chi1 * slope0 * slope0 / norm_sq,
-                        config.chi2 * slope0)
+        threshold = max(-tnewton.CHI1 * slope0 * slope0 / norm_sq,
+                        tnewton.CHI2 * slope0)
         searches.append((point.products(problem).line(direction), threshold,
                          result))
         return result
@@ -625,19 +639,18 @@ def test_line_search_skips_a_trial_whose_factor_loses_rank():
     y = 100.0 * np.random.default_rng(0).standard_normal((30, 2))
     at = FactorPoint(y)
     direction = np.column_stack([-y[:, 0], -1.5 * y[:, 1]])
-    config = TnewtonConfig()
     grad = riemannian_gradient(Metric.EMBEDDED, prob, at)
     slope = horizontal_inner(Metric.EMBEDDED, at, grad, direction)
     line = at.products(prob).line(direction)
     norm_sq = horizontal_inner(Metric.EMBEDDED, at, direction, direction)
-    threshold = max(-config.chi1 * slope * slope / norm_sq,
-                    config.chi2 * slope)
+    threshold = max(-tnewton.CHI1 * slope * slope / norm_sq,
+                    tnewton.CHI2 * slope)
     assert line.delta(1.0) < -line.bound(1.0)
     assert line.delta(1.0) <= threshold
     with pytest.raises(ValueError):
         retract(at, direction, 1.0)
     result = line_search(prob, Metric.EMBEDDED, at, direction, cost(prob, at),
-                         slope, config)
+                         slope)
     assert result.alpha == line.minimizer == pytest.approx(0.799, abs=5e-4)
     assert result.backtracks == 1
     assert not result.fallback
@@ -672,8 +685,7 @@ def _criterion_07(precond):
 def _criterion_09(seed):
     y0 = np.random.default_rng(seed).standard_normal((500, 3))
     return solve_fixed_rank(gen_poisson(500, 0), Metric.EMBEDDED,
-                            FactorPoint(y0), TnewtonConfig(forcing_t=1.0),
-                            "proposed")[1]
+                            FactorPoint(y0), TnewtonConfig(), "proposed")[1]
 
 
 def _increasing_rank(n, p_max):
@@ -1095,6 +1107,13 @@ def test_stall_rule_ends_a_rank_converged_above_its_target():
                                             row, target)
 
 
+def test_solve_rejects_an_unknown_preconditioner():
+    with pytest.raises(ValueError,
+                       match="^unknown preconditioner choice 'ilu'$"):
+        solve_fixed_rank(gen_poisson(10, 0), Metric.EMBEDDED,
+                         np.ones((10, 1)), None, "ilu")
+
+
 def test_solve_rejects_rank_deficient_start():
     prob = gen_poisson(10, 0)
     with pytest.raises(ValueError, match="full column rank"):
@@ -1107,9 +1126,10 @@ def test_solve_line_search_failure_carries_trace(monkeypatch):
     calls = count_hessian_actions(monkeypatch)
     prob = gen_poisson(40, 0)
     y0 = np.random.default_rng(14).standard_normal((40, 2))
-    config = TnewtonConfig(chi1=0.999, chi2=1.0)
+    monkeypatch.setattr(tnewton, "CHI1", 0.999)
+    monkeypatch.setattr(tnewton, "CHI2", 1.0)
     with pytest.raises(LineSearchError) as info:
-        solve_fixed_rank(prob, Metric.EMBEDDED, y0, config)
+        solve_fixed_rank(prob, Metric.EMBEDDED, y0)
     assert isinstance(info.value, SolverError) and \
         isinstance(info.value, RuntimeError) and info.value.trace is not None
     assert len(info.value.trace.rows) >= 1
@@ -1157,9 +1177,28 @@ def test_trace_csv_round_trip(tmp_path):
     assert path.read_text() == text
 
 
+def test_trace_csv_columns_are_the_row_fields():
+    # One definition of the columns: the header is TraceRow's field list,
+    # ints print unchanged and floats round-trip.
+    row = TraceRow(3, 2, -0.1, 1e-3, 2.5e-7, 4, 17, 0.5, 1.25)
+    header, line = SolveTrace([row]).to_csv_text().splitlines()
+    names = [field.name for field in dataclasses.fields(TraceRow)]
+    assert header.split(",") == names
+    values = line.split(",")
+    for name, text in zip(names, values, strict=True):
+        value = getattr(row, name)
+        assert (text == str(value) if isinstance(value, int)
+                else float(text) == value)
+
+
 def test_trace_column_accessor():
     trace = SolveTrace()
     assert trace.column("f") == []
+
+
+def test_final_of_an_empty_trace_raises():
+    with pytest.raises(ValueError, match="^empty trace$"):
+        SolveTrace().final()
 
 
 def test_extend_continues_nh_and_keeps_each_solves_record():

@@ -24,9 +24,10 @@ precond.build_shift_cache the solve made (counted by wrapping that
 attribute too), the reason each fixed-rank solve ended (the stop of each
 of the trace's solves that did not raise), the number of steps the line
 search's Armijo fallback took and the workload's residual target tau
-(null for a fixed-rank solve). A solve that raises is hashed
-over the partial trace its exception carries, and its outcome is the
-exception type (with the type of the cause, if any). After writing its
+(null for a fixed-rank solve). A solve that raises a
+lyapfactor.SolverError (so ROOT must be a checkout that defines it) is
+hashed over the partial trace the exception carries, and its outcome is
+the exception type (with the type of the cause, if any). After writing its
 file, `write` exits with status 1 and names every instance whose reported
 Hessian actions differ from its counted calls, or whose reported builds
 (when not null) differ from its counted build calls.
@@ -116,8 +117,6 @@ def audit(root):
     import workloads
     from lyapfactor import precond, tnewton
 
-    solver_errors = (lf.IncreasingRankError, lf.InnerSolveError,
-                     lf.LineSearchError, lf.PreconditionerError)
     action, inner_solve = tnewton.hessian_action, tnewton.tpcg
     build = precond.build_shift_cache
     calls, inner, builds = [], [], []
@@ -147,7 +146,7 @@ def audit(root):
             precond.build_shift_cache = built
             try:
                 point, trace = workload.solve(instance)
-            except solver_errors as exc:
+            except lf.SolverError as exc:
                 cause = getattr(exc, "cause", None)
                 outcome = type(exc).__name__
                 if cause is not None:
