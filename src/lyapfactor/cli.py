@@ -148,6 +148,7 @@ def _summary(point, trace, total_ms):
         "total_ms": total_ms,
         "ranks_visited": [s.p for s in trace.solves],
         "total_builds": sum(s.builds for s in trace.solves),
+        "total_factorizations": sum(s.factorizations for s in trace.solves),
     }
 
 
@@ -182,6 +183,10 @@ def _solve(args, problem, t0):
         _write_outputs(args, exc.trace, None)
         _solver_error(type(exc).__name__, str(exc))
         return None, None
+    except ValueError as exc:
+        # A or M is not positive definite: the ranks before it are kept.
+        _write_outputs(args, getattr(exc, "trace", None), None)
+        raise
     total_ms = (time.perf_counter() - t0) * 1e3
     return trace, _summary(point, trace, total_ms)
 

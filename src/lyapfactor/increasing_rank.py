@@ -200,6 +200,10 @@ def solve_increasing_rank(problem, metric, config=None, tnewton_config=None,
     ------
     IncreasingRankError
         On an inner solve failure, with the partial trace.
+    ValueError
+        When a rank's start scale finds that A or M is not positive
+        definite (see tnewton.solve_fixed_rank), with the rank as its
+        `rank` and the trace of the ranks before it as its `trace`.
     """
     if config is None:
         config = IrrConfig()
@@ -223,6 +227,10 @@ def solve_increasing_rank(problem, metric, config=None, tnewton_config=None,
             # Keep the rows the failing rank did complete.
             full_trace.extend(exc.trace)
             raise IncreasingRankError(rank, full_trace, exc) from exc
+        except ValueError as exc:
+            # A start scale found A or M not positive definite.
+            exc.rank, exc.trace = rank, full_trace
+            raise
         full_trace.extend(trace)
         if full_trace.final().relres <= config.tau or target is None:
             break

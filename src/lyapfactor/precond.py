@@ -21,6 +21,15 @@ The "bart" variant replaces M by the identity inside the operator being
 inverted (shifts A + lambda_i I, complement of Y itself) while keeping the
 true metric for the right-hand side and the final projection; it agrees
 with the proposed variant exactly when M = I.
+
+The builds of one fixed-rank solve share a shift bank on a pencil wider
+than BAND_LIMIT or a band with half-bandwidth kd >= BANK_KD. A build then
+snaps each lambda_i to a log grid and reuses the factors of the grid
+points an earlier build made; it is the exact inverse of the dominant
+term with Y^T A Y replaced by lq^{-T} diag(lambda~) lq^{-1}, an operator
+that is still self-adjoint and positive definite. The bank keeps only
+the factors of the current build, at most p. Without a bank, and on
+every narrower band, the build inverts the dominant term exactly.
 """
 
 import math
@@ -45,6 +54,18 @@ COUPLED_DIRECT_LIMIT = 64
 # factorization, but the band solves are 4x slower than splu's and the
 # factor 1.7x larger.
 BAND_LIMIT = 128
+
+# Smallest half-bandwidth at which a solve's builds share a shift bank
+# (see build_shift_cache); pencils wider than BAND_LIMIT always share one.
+# The bank snaps each shift to a log grid of BANK_PER_DECADE points per
+# decade. Narrower bands factor too fast for the reuse to pay. Fixed-rank
+# solves at p = 5 from cold starts (4 seeds, fastest of 5 runs each, one
+# thread of a 2-core Xeon) on s-by-s grids (kd = s + 1) ran, banked
+# against exact, 1.13x as long at kd = 11, 1.06x at kd = 18, 1.02x at
+# kd = 20, 0.94x at kd = 21, 0.90x at kd = 31 and 0.81x at kd = 51; on
+# a tridiagonal pencil with n = 2e4, 1.16x.
+BANK_KD = 21
+BANK_PER_DECADE = 8
 
 # Largest band, in entries, into which band shifts are stacked for one
 # pbtrf or tbtrs call (512 KiB). Stacking saves a call per shift, which
@@ -178,11 +199,13 @@ def _pencil(problem, variant):
 
     band is None when the half-bandwidth kd = max |i - j| over the union
     of the nonzero entries of A and M, in the given order, exceeds
-    BAND_LIMIT. Otherwise it is (kd, flat, a_low, m_low): for the union's
-    entries on or below the diagonal, where they go in LAPACK's lower band
-    storage, ab[i - j, j] = F[i, j] with ab of shape (kd + 1, n) in
-    column-major order (flat = i + kd j), and the values of A and of M
-    there, zero where a matrix has no entry.
+    BAND_LIMIT; A and M are then returned on that union (see _on_union).
+    Otherwise they are returned as given and band is
+    (kd, flat, a_low, m_low): for the union's entries on or below the
+    diagonal, where they go in LAPACK's lower band storage,
+    ab[i - j, j] = F[i, j] with ab of shape (kd + 1, n) in column-major
+    order (flat = i + kd j), and the values of A and of M there, zero
+    where a matrix has no entry.
     """
     a, m = problem.a.mat, problem.m.mat
     pencils = vars(problem).setdefault("_pencils", {})
@@ -192,15 +215,40 @@ def _pencil(problem, variant):
         # the sum drops the exact zeros that A and M share
         low = sps.tril(abs(a) + abs(m_op), format="coo")
         kd = int((low.row - low.col).max(initial=0))
-        band = None if kd > BAND_LIMIT else (
-            kd, low.row + kd * low.col.astype(np.int64),
-            *(np.asarray(mat[low.row, low.col]).ravel() for mat in (a, m_op)))
-        entry = a, m_op, band
+        if kd > BAND_LIMIT:
+            entry = (*_on_union(a, m_op), None)
+        else:
+            entry = a, m_op, (
+                kd, low.row + kd * low.col.astype(np.int64),
+                *(np.asarray(mat[low.row, low.col]).ravel()
+                  for mat in (a, m_op)))
         pencils[variant] = ((a, m), entry)
     return entry
 
 
-def _factor_shifts(pencil, lams):
+def _on_union(a, m):
+    """A and M in CSC on the union of their nonzero patterns (in sorted
+    CSC order), sharing its indptr and indices, each with its own values
+    there, zero where it has no entry. So the shift A + lam M is the
+    matrix with those indices and the data a.data + lam m.data, less the
+    entries that cancel exactly. A and M already in CSC on one pattern
+    are returned as they are.
+    """
+    if a.format == m.format == "csc" and all(
+            np.array_equal(getattr(a, name), getattr(m, name))
+            for name in ("indptr", "indices")):
+        return a, m
+    union = (abs(a) + abs(m)).tocsc()
+    union.sort_indices()
+    rows = union.indices
+    cols = np.repeat(np.arange(union.shape[1]), np.diff(union.indptr))
+    return tuple(
+        sps.csc_matrix((np.asarray(mat[rows, cols]).ravel(), rows,
+                        union.indptr), shape=union.shape)
+        for mat in (a, m))
+
+
+def _factor_shifts(pencil, lams, bank=None, record=None):
     """Factor the shifts F_i = A + lam_i M of pencil = (A, M, band) and
     return (half, rest), with rest(half(rhs)) the solve of block i of an
     (n p)-row rhs, rows i n to (i + 1) n - 1, with F_i; rhs may carry
@@ -214,32 +262,47 @@ def _factor_shifts(pencil, lams):
     zero, so a band is block diagonal and one pbtrf call, and one tbtrs
     call per sweep, serves all of its shifts: half is the forward sweep
     L_i^{-1} and rest the back sweep L_i^{-T}. A pencil wider than
-    BAND_LIMIT gets one sparse LU of (A + lam_i M).tocsc() per shift;
-    half is its whole solve and rest the identity.
+    BAND_LIMIT gets one sparse LU of A + lam_i M per shift, formed on the
+    union pattern of A and M (see _on_union); half is its whole solve and
+    rest the identity.
+
+    With a `bank`, a dict from shift to factor, every shift gets a factor
+    of its own (one band, or one LU): the bank's factors of shifts not in
+    lams are dropped first, then the shifts it lacks are factored into it,
+    and the rest are reused. A `record` (tnewton.SolveRecord) counts in
+    its `factorizations` each shift handed to pbtrf or splu, before the
+    call, so a shift that fails to factor counts too.
 
     Raises PreconditionerError naming the shift that fails to factor.
     """
     a, m, band = pencil
     n = a.shape[0]
     if band is None:
-        lus = []
-        for lam in lams:
+        a, m = _on_union(a, m)
+        per = 1
+    else:
+        kd, flat, a_low, m_low = band
+        per = 1 if bank is not None else max(
+            1, STACK_LIMIT // ((kd + 1) * n))
+
+    def factor(group):
+        if record is not None:
+            record.factorizations += len(group)
+        if band is None:
+            data = a.data + group[0] * m.data
+            shift = sps.csc_matrix((data, a.indices, a.indptr),
+                                   shape=a.shape)
+            if not data.all():
+                # the sum A + lam M drops the entries that cancel exactly
+                shift = shift.copy()
+                shift.eliminate_zeros()
             try:
-                lus.append(sps_la.splu((a + lam * m).tocsc(),
-                                       permc_spec="MMD_AT_PLUS_A",
-                                       diag_pivot_thresh=0.0,
-                                       options={"SymmetricMode": True}))
+                return sps_la.splu(shift, permc_spec="MMD_AT_PLUS_A",
+                                   diag_pivot_thresh=0.0,
+                                   options={"SymmetricMode": True})
             except RuntimeError as exc:
                 raise PreconditionerError(
-                    f"shift {lam:.3e} failed to factor: {exc}") from None
-        return (lambda rhs: np.concatenate(
-            [lu.solve(rhs[i * n:(i + 1) * n]) for i, lu in enumerate(lus)]),
-            lambda rhs: rhs)
-    kd, flat, a_low, m_low = band
-    per = max(1, STACK_LIMIT // ((kd + 1) * n))
-    chols = []
-    for first in range(0, len(lams), per):
-        group = lams[first:first + per]
+                    f"shift {group[0]:.3e} failed to factor: {exc}") from None
         ab = np.zeros((len(group), (kd + 1) * n))
         ab[:, flat] = a_low + group[:, None] * m_low
         ab = ab.ravel().reshape((kd + 1, -1), order="F")
@@ -249,13 +312,28 @@ def _factor_shifts(pencil, lams):
             raise PreconditionerError(
                 f"shift {group[shift]:.3e} failed to factor: "
                 f"pbtrf failed with info {info - shift * n}")
-        chols.append(chol)
+        return chol
+
+    groups = [lams[first:first + per] for first in range(0, len(lams), per)]
+    if bank is None:
+        factors = [factor(group) for group in groups]
+    else:
+        for lam in set(bank).difference(lams):
+            del bank[lam]
+        for group in groups:
+            if group[0] not in bank:
+                bank[group[0]] = factor(group)
+        factors = [bank[lam] for lam in lams]
+    if band is None:
+        return (lambda rhs: np.concatenate(
+            [lu.solve(rhs[i * n:(i + 1) * n])
+             for i, lu in enumerate(factors)]), lambda rhs: rhs)
     size = per * n
 
     def sweep(trans):
         return lambda rhs: np.concatenate(
             [_TBTRS(chol, rhs[k * size:(k + 1) * size], uplo="L",
-                    trans=trans)[0] for k, chol in enumerate(chols)])
+                    trans=trans)[0] for k, chol in enumerate(factors)])
 
     return sweep("N"), sweep("T")
 
@@ -312,8 +390,15 @@ class ShiftSystemCache:
     coupled: CoupledSystem
 
 
-def build_shift_cache(problem, point, variant="proposed"):
+def build_shift_cache(problem, point, variant="proposed", bank=None,
+                      record=None):
     """Factor the p shifted systems and the coupled block at a point.
+
+    With a `bank`, on the pencils the module docstring names, each shift
+    lam_i is snapped to lam~_i = 10^(round(k log10 lam_i) / k),
+    k = BANK_PER_DECADE, and lam~ replaces lam everywhere in the cache:
+    in the factors (see _factor_shifts), the S_i and the
+    K_i = 2 (E^T S~_i^{-1} E - diag(lam~)).
 
     Parameters
     ----------
@@ -323,6 +408,10 @@ def build_shift_cache(problem, point, variant="proposed"):
     variant : {"proposed", "bart"}
         "proposed" shifts A by multiples of M; "bart" shifts by multiples
         of the identity and constrains against Y instead of M Y.
+    bank : dict, optional
+        Factors by snapped shift, kept by the caller from build to build.
+    record : tnewton.SolveRecord, optional
+        Counts the shift factorizations the build makes.
 
     Returns
     -------
@@ -357,7 +446,12 @@ def build_shift_cache(problem, point, variant="proposed"):
     vhat = np.linalg.qr(my)[0]
 
     pencil = _pencil(problem, variant)
-    half, rest = _factor_shifts(pencil, lam)
+    if bank is not None and (pencil[2] is None or pencil[2][0] >= BANK_KD):
+        lam = 10.0 ** (np.round(BANK_PER_DECADE * np.log10(lam))
+                       / BANK_PER_DECADE)
+    else:
+        bank = None
+    half, rest = _factor_shifts(pencil, lam, bank, record)
     g_stack = half(np.tile(vhat, (p, 1))).reshape(p, n, p)
     left = g_stack if pencil[2] is not None else np.broadcast_to(
         vhat, g_stack.shape)
@@ -412,15 +506,16 @@ def apply_cached(cache, metric, eta):
                               (x - cache.ylq @ s_tilde) @ cache.lq.T)
 
 
-def preconditioner(choice, metric, problem, point):
+def preconditioner(choice, metric, problem, point, bank=None, record=None):
     """The preconditioner at a point as a function on horizontal arrays.
 
     choice is "none" (the identity), "proposed" or "bart"; the latter two
-    build the shift cache once here and apply it on every call.
+    build the shift cache once here, with the given bank and record (see
+    build_shift_cache), and apply it on every call.
     """
     if choice == "none":
         return lambda arr: arr
-    cache = build_shift_cache(problem, point, variant=choice)
+    cache = build_shift_cache(problem, point, choice, bank, record)
     return lambda arr: apply_cached(cache, metric, arr)
 
 

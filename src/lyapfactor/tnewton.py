@@ -357,9 +357,12 @@ class SolveRecord:
     (along -grad, with no build and no inner solve; see solve_fixed_rank),
     and `builds` counts the preconditioner builds the solve made: a build
     that raised, and that of an iteration that ended at the rounding floor
-    after its inner solve, included. `warm_start` is the flag of the warm
-    start an increasing-rank solve grew from this solve's result (None
-    when none followed).
+    after its inner solve, included. `factorizations` counts the shift
+    factorizations those builds made: p per build, or the shifts missing
+    from the solve's shift bank where its builds share one (see
+    precond.build_shift_cache), a shift that failed to factor included.
+    `warm_start` is the flag of the warm start an increasing-rank solve
+    grew from this solve's result (None when none followed).
     """
 
     p: int
@@ -368,6 +371,7 @@ class SolveRecord:
     fallbacks: list = field(default_factory=list)
     steepest: list = field(default_factory=list)
     builds: int = 0
+    factorizations: int = 0
     warm_start: bool | None = None
 
 
@@ -492,9 +496,10 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
     when the closed-form decrease tr(Y^T A Y Y^T M Y) (1 - t*^2)^2 exceeds
     its rounding bound; its products A Y, M Y and B^T Y are t* times those
     of Y (FactorPoint.scaled). Each outer iteration builds the chosen
-    preconditioner at the current point, runs the truncated conjugate
-    gradient on the Newton equation and takes a line search step (see
-    line_search), with one exception. A solve with a preconditioner whose
+    preconditioner at the current point (the builds of one solve share
+    one shift bank, see precond.build_shift_cache), runs the truncated
+    conjugate gradient on the Newton equation and takes a line search step
+    (see line_search), with one exception. A solve with a preconditioner whose
     start is cold, the scale t* moving the given factor by more than
     COLD_START_FACTOR, probes first: it applies the Hessian to -grad, and
     while the curvature <-grad, Hess[-grad]> is at most EPS_CURV ||grad||^2
@@ -525,7 +530,7 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
     (FactorPoint, SolveTrace)
         The trace's `solves` holds the solve's one SolveRecord: why it
         ended, its start scale t*, its Armijo fallback and steepest-descent
-        steps and its preconditioner builds.
+        steps, its preconditioner builds and their shift factorizations.
     """
     if precond_choice not in ("none", "proposed", "bart"):
         raise ValueError(f"unknown preconditioner choice {precond_choice!r}")
@@ -538,6 +543,7 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
     max_inner = point.n * p - (p * (p - 1)) // 2
     record = SolveRecord(p)
     trace = SolveTrace(solves=[record])
+    bank = {}  # the shift factors its builds share, see build_shift_cache
 
     def gradient(at):
         grad = riemannian_gradient(metric, problem, at)
@@ -601,7 +607,8 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
                 record.builds += precond_choice != "none"
                 state = tpcg(
                     grad, hess,
-                    preconditioner(precond_choice, metric, problem, point),
+                    preconditioner(precond_choice, metric, problem, point,
+                                   bank, record),
                     EPS_CURV, min(FORCING_BETA, gnorm),
                     inner=inner, max_inner=max_inner,
                 )

@@ -119,22 +119,31 @@ def random_problem(n, s, rng, bw=2):
     return LyapunovProblem(a, m, b)
 
 
-def grid_problem(side=6, perm_seed=None):
-    """5-point stiffness and consistent mass. In natural order the pencil's
-    half-bandwidth is at most side + 1; a random symmetric permutation of
-    the unknowns (perm_seed) widens it to nearly n."""
+def grid_problem(side=6, perm_seed=None, rows=None):
+    """5-point stiffness and consistent mass on a grid of `rows` lines of
+    `side` points (rows = side when omitted), with spacing 1 / (side + 1).
+    In natural order the pencil's half-bandwidth is at most side + 1; a
+    random symmetric permutation of the unknowns (perm_seed) widens it to
+    nearly n."""
+    rows = side if rows is None else rows
     h = 1.0 / (side + 1)
-    ones = np.ones(side - 1)
-    t = sps.diags([-ones, np.full(side, 2.0), -ones], [-1, 0, 1]) / (h * h)
-    mh = sps.diags([ones, np.full(side, 4.0), ones], [-1, 0, 1]) / 6.0
-    eye = sps.identity(side)
-    a = (sps.kron(t, eye) + sps.kron(eye, t)).tocsr()
-    m = sps.kron(mh, mh).tocsr()
+
+    def factors(size):
+        ones = np.ones(size - 1)
+        return (sps.diags([-ones, np.full(size, 2.0), -ones], [-1, 0, 1])
+                / (h * h),
+                sps.diags([ones, np.full(size, 4.0), ones], [-1, 0, 1]) / 6.0,
+                sps.identity(size))
+
+    (t, mh, eye), (t_rows, mh_rows, eye_rows) = factors(side), factors(rows)
+    a = (sps.kron(t_rows, eye) + sps.kron(eye_rows, t)).tocsr()
+    m = sps.kron(mh_rows, mh).tocsr()
+    n = side * rows
     if perm_seed is not None:
-        perm = np.random.default_rng(perm_seed).permutation(side * side)
+        perm = np.random.default_rng(perm_seed).permutation(n)
         a, m = a[perm][:, perm], m[perm][:, perm]
     return LyapunovProblem(SpdSparseMatrix(a), SpdSparseMatrix(m),
-                           np.ones((side * side, 1)))
+                           np.ones((n, 1)))
 
 
 def kron_solve(problem):
@@ -277,7 +286,8 @@ def horizontal_basis(metric, at, tol=1e-8):
 
 
 def assemble_precond_operator_dense(metric, problem, point,
-                                    variant="proposed", max_dim=400):
+                                    variant="proposed", max_dim=400,
+                                    bank=None):
     """Dense matrix of the preconditioner in an orthonormal horizontal basis.
 
     Intended for small problems only: builds a metric-orthonormal basis of
@@ -285,7 +295,8 @@ def assemble_precond_operator_dense(metric, problem, point,
     and assembles the Gram form. The result is the matrix of the inverse of
     the dominant Hessian term, so it must come out symmetric positive
     definite, with eigenvalues that are the reciprocals of the dominant
-    term's spectrum.
+    term's spectrum. With a `bank` the cache is built as a solve's builds
+    build it (see precond.build_shift_cache).
 
     Returns
     -------
@@ -296,7 +307,7 @@ def assemble_precond_operator_dense(metric, problem, point,
     dim = len(basis)
     if dim > max_dim:
         raise ValueError("dense assembly requested on too large a problem")
-    cache = build_shift_cache(problem, point, variant=variant)
+    cache = build_shift_cache(problem, point, variant=variant, bank=bank)
     mat = np.empty((dim, dim))
     for col, vec in enumerate(basis):
         image = apply_cached(cache, metric, vec)

@@ -36,14 +36,14 @@ def _traced_grid_solve(perm_seed):
     y0 = np.random.default_rng(1).standard_normal((prob.n, P))
     tracer = tracing.Tracer()
     with tracer.installed():
-        tnewton.solve_fixed_rank(prob, Metric.EMBEDDED, y0,
-                                 TnewtonConfig(max_outer=5), "proposed")
-    return tracer.layer_metrics()
+        _, trace = tnewton.solve_fixed_rank(
+            prob, Metric.EMBEDDED, y0, TnewtonConfig(max_outer=5), "proposed")
+    return tracer.layer_metrics(), trace.solves[0]
 
 
 @pytest.mark.parametrize("perm_seed", [None, 0], ids=["band", "splu"])
 def test_tracer_counts_preconditioner_layers(perm_seed):
-    metrics = _traced_grid_solve(perm_seed)
+    metrics, record = _traced_grid_solve(perm_seed)
     builds = metrics["precond.build_shift_cache.calls"]
     applies = metrics["precond.apply_cached.calls"]
     assert builds > 0
@@ -52,8 +52,10 @@ def test_tracer_counts_preconditioner_layers(perm_seed):
         assert metrics["precond.splu.calls"] == 0
         assert metrics["precond.lu_solve.cols"] == 0
     else:
-        # p factorizations and p^2 columns of Z_i per build, one column
-        # per shift per apply
-        assert metrics["precond.splu.calls"] == P * builds
+        # the factorizations the solve counts (its builds share a shift
+        # bank, so fewer than p per build), p^2 columns of Z_i per build
+        # and one column per shift per apply
+        assert metrics["precond.splu.calls"] == record.factorizations
+        assert 0 < record.factorizations < P * builds
         assert metrics["precond.lu_solve.cols"] == (P * P * builds
                                                     + P * applies)

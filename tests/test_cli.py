@@ -17,7 +17,7 @@ from lyapfactor import tnewton
 from lyapfactor.cli import main
 
 SUMMARY_KEYS = {"final_rank", "rel_res", "total_nH", "total_ms",
-                "ranks_visited", "total_builds"}
+                "ranks_visited", "total_builds", "total_factorizations"}
 TRACE_HEADER = "k,p,f,gradnorm,relres,inner_iters,nH,alpha,ms"
 BENCH_HEADER = "n,mass,metric,precond,iter,nH,relres,ms"
 
@@ -90,6 +90,10 @@ def test_summary_counts_preconditioner_builds(capsys, precond):
         IrrConfig(p_min=1, p_max=20, tau=1e-6, seed=3), None, precond)
     builds = [solve.builds for solve in trace.solves]
     assert summary["total_builds"] == sum(builds)
+    # a tridiagonal pencil shares no shift bank: p factorizations a build
+    assert summary["total_factorizations"] == sum(
+        solve.factorizations for solve in trace.solves) == sum(
+        solve.p * solve.builds for solve in trace.solves)
     assert summary["ranks_visited"] == [solve.p for solve in trace.solves]
     if precond == "none":
         assert sum(builds) == 0
@@ -143,6 +147,26 @@ def test_solve_non_finite_matrix_returns_2(tmp_path, capsys, name):
     assert rc == 2
     err = capsys.readouterr().err
     assert name in err and "non-finite" in err
+
+
+def test_solve_writes_the_trace_before_a_definiteness_error(tmp_path,
+                                                            capsys):
+    # A - 20 I at n = 600, above the size up to which SpdSparseMatrix
+    # checks definiteness: the start scale of rank 4 finds A or M not
+    # positive definite, and the trace CSV holds the 210 rows of ranks 1-3
+    given = gen_poisson(600, 0)
+    shifted = (given.a.mat - 20.0 * sps.identity(600)).tocsr()
+    manifest = save_problem(str(tmp_path / "shifted"), LyapunovProblem(
+        SpdSparseMatrix(shifted), given.m, given.b))
+    trace_path = tmp_path / "trace.csv"
+    rc = main(["solve", "--manifest", manifest, "--p-max", "10",
+               "--trace-out", str(trace_path)])
+    assert rc == 2
+    assert "A or M is not positive definite" in capsys.readouterr().err
+    lines = trace_path.read_text(encoding="ascii").strip().splitlines()
+    assert lines[0] == TRACE_HEADER
+    assert len(lines) == 211
+    assert {line.split(",")[1] for line in lines[1:]} == {"1", "2", "3"}
 
 
 def test_solve_unreachable_tolerance_returns_1(capsys):

@@ -434,15 +434,22 @@ def test_indefinite_stiffness_is_named_by_a_start_scale():
     # A - 20 I, above the size up to which SpdSparseMatrix checks
     # definiteness: the unpreconditioned solve used to return rank 10 at
     # relres 1.2e+109. Rank 3 still diverges, and the start scale of rank
-    # 4 finds tr(Y^T A Y Y^T M Y) <= 0.
+    # 4 finds tr(Y^T A Y Y^T M Y) <= 0. The error names rank 4 and
+    # carries the 210 rows of ranks 1-3.
     given = gen_poisson(600, 0)
     shifted = (given.a.mat - 20.0 * sps.identity(600)).tocsr()
     problem = LyapunovProblem(SpdSparseMatrix(shifted), given.m, given.b)
     with pytest.raises(ValueError, match=r"^A or M is not positive "
-                       r"definite: the factor Y gives .* <= 0$"):
+                       r"definite: the factor Y gives .* <= 0$") as err:
         solve_increasing_rank(
             problem, Metric.EMBEDDED,
             IrrConfig(p_min=1, p_max=10, tau=1e-6, seed=0), None, "none")
+    trace = err.value.trace
+    assert err.value.rank == 4
+    assert len(trace.rows) == 210
+    assert [solve.p for solve in trace.solves] == [1, 2, 3]
+    assert sorted({row.p for row in trace.rows}) == [1, 2, 3]
+    assert trace.solves[-1].stop == "max_outer"
 
 
 def test_warm_start_flags_a_seed_that_raises_the_cost():

@@ -22,6 +22,7 @@ from helpers import (
     random_horizontal,
     random_problem,
     saddle_solve,
+    trace_audit,
 )
 from lyapfactor import (
     FactorPoint,
@@ -54,6 +55,7 @@ from lyapfactor.precond import (
     build_shift_cache,
 )
 from lyapfactor.problems import SPD_CHECK_LIMIT
+from lyapfactor.tnewton import SolveRecord
 
 
 def _poisson_point(n=50, p=3, seed=0, identity_mass=False):
@@ -449,6 +451,24 @@ def test_pencil_shift_drops_exact_cancellation(counted_splu):
     _assert_same_csc(mat, ref)
 
 
+def test_splu_pencil_forms_each_shift_on_one_pattern(counted_splu):
+    # Wider than BAND_LIMIT, A and M are kept in CSC on the union of their
+    # patterns, so a shift is formed from their data alone, and it is
+    # (A + lam M).tocsc() bit for bit.
+    prob = grid_problem(12, perm_seed=0)
+    a, m, band = _pencil(prob, "proposed")
+    assert band is None and a.format == m.format == "csc"
+    for name in ("indptr", "indices"):
+        assert np.shares_memory(getattr(a, name), getattr(m, name))
+    same_a, same_m = precond._on_union(a, m)
+    assert same_a is a and same_m is m
+    lams = np.array([0.5, 30.0])
+    precond._factor_shifts((a, m, band), lams)
+    assert len(counted_splu["factors"]) == lams.size
+    for (mat, _), lam in zip(counted_splu["factors"], lams):
+        _assert_same_csc(mat, (prob.a.mat + lam * prob.m.mat).tocsc())
+
+
 def test_pencil_rebuilt_when_matrix_is_rebound(monkeypatch):
     prob = gen_poisson(30, 4)
     first = _pencil(prob, "proposed")
@@ -833,14 +853,17 @@ def test_failed_band_factorization_keeps_partial_trace(monkeypatch, lapack):
 
 
 def _middle_shift_fails(monkeypatch, backend):
-    """Make shift 1 of 3 indefinite in the chosen backend; returns the
-    problem, the point and the shift's lambda. "split-band" puts each
-    shift in a band of its own; "splu-raises" makes the sparse LU of
-    shift 1 raise."""
+    """Make the second of the 3 shifts factored indefinite in the chosen
+    backend; returns the problem, the point and that shift's lambda, as a
+    solve's build names it. On the splu path the solve's builds snap the
+    shifts to the shift bank's grid, where shifts 0 and 1 of this point
+    share one factor, so the second factored is shift 2. "split-band"
+    puts each shift in a band of its own; "splu-raises" makes the sparse
+    LU of the second shift raise."""
     splu = backend.startswith("splu")
     point_of = _wide_grid_point if splu else _grid_point
     prob, at, rng, _ = point_of("proposed")
-    lam = build_shift_cache(prob, at).lam
+    lam = np.unique(build_shift_cache(prob, at, bank={}).lam)
     n = at.n
     calls = []
     if splu:
@@ -877,7 +900,9 @@ def test_indefinite_middle_shift_is_named_with_partial_trace(monkeypatch,
                                                              backend):
     # the band fails in pbtrf at shift 1's last column; the negated LU
     # factors, but its Schur complement is negative definite; the raising
-    # LU fails at shift 1 after shift 0 factored
+    # LU fails at the second shift factored. The record counts every shift
+    # handed to a factorization, the one that failed included: the whole
+    # stack of 3 in one band, else the 2 shifts factored one at a time.
     prob, at, lam = _middle_shift_fails(monkeypatch, backend)
     reason = {"splu": "potrf failed",
               "splu-raises": "Factor is exactly singular"}.get(
@@ -887,6 +912,8 @@ def test_indefinite_middle_shift_is_named_with_partial_trace(monkeypatch,
         solve_fixed_rank(prob, Metric.EMBEDDED, at_start_scale(prob, at.y),
                          TnewtonConfig(), "proposed")
     assert len(err.value.trace.rows) == 1
+    assert err.value.trace.solves[0].factorizations == (
+        3 if backend == "band" else 2)
 
 
 def test_failed_build_after_a_probe_step_keeps_its_row(monkeypatch):
@@ -1080,3 +1107,146 @@ def test_band_cholesky_rejects_indefinite_shift():
     pencil = _pencil(gen_poisson(30, 0), "proposed")
     with pytest.raises(PreconditionerError, match="pbtrf failed"):
         precond._factor_shifts(pencil, np.array([-1e9]))
+
+
+# ------------------------------------------------------------ shift bank
+
+
+def _snapped(lam):
+    """Each shift at the nearest point of the shift bank's log grid."""
+    k = precond.BANK_PER_DECADE
+    return 10.0 ** (np.round(k * np.log10(lam)) / k)
+
+
+def _banked_grid_point(p):
+    """A point on 8 lines of 20 points (n = 160, kd = 21), where a solve's
+    builds share a shift bank."""
+    prob = grid_problem(20, rows=8)
+    assert _pencil(prob, "proposed")[2][0] >= precond.BANK_KD
+    at = FactorPoint(np.random.default_rng(11).standard_normal((prob.n, p)))
+    return prob, at
+
+
+def test_banked_build_snaps_every_shift_to_the_grid():
+    prob, at = _banked_grid_point(p=3)
+    exact = build_shift_cache(prob, at)
+    banked = build_shift_cache(prob, at, bank={})
+    np.testing.assert_array_equal(banked.lam, _snapped(exact.lam))
+    assert not np.array_equal(banked.lam, exact.lam)
+    np.testing.assert_array_equal(banked.lq, exact.lq)
+    assert np.abs(np.log10(banked.lam / exact.lam)).max() <= (
+        0.5 / precond.BANK_PER_DECADE)
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS)
+def test_banked_operator_is_self_adjoint_and_positive_definite(metric):
+    # The banked cache is the exact inverse of the dominant term with
+    # Y^T A Y replaced by lq^{-T} diag(lam~) lq^{-1}: self-adjoint and
+    # positive definite. At p = 1 here lam and lam~ differ by a factor
+    # 1.088, and the banked operator is within that factor of the exact
+    # inverse (checked under the Euclidean metric, whose assembly is the
+    # cheapest).
+    prob, at = _banked_grid_point(p=1)
+    banked, _ = assemble_precond_operator_dense(metric, prob, at, bank={})
+    assert np.abs(banked - banked.T).max() <= 1e-9 * np.abs(banked).max()
+    sym = 0.5 * (banked + banked.T)
+    assert np.linalg.eigvalsh(sym)[0] > 0.0
+    if metric != Metric.EUCLIDEAN:
+        return
+    exact, _ = assemble_precond_operator_dense(metric, prob, at)
+    ratios = spla.eigh(sym, 0.5 * (exact + exact.T), eigvals_only=True)
+    lam = build_shift_cache(prob, at).lam[0]
+    snapped = build_shift_cache(prob, at, bank={}).lam[0]
+    bound = max(lam / snapped, snapped / lam)
+    assert bound > 1.05
+    assert 1.0 / bound <= ratios.min() and ratios.max() <= bound
+
+
+@pytest.mark.parametrize("backend", ["band", "splu"])
+def test_bank_factors_a_grid_shift_as_the_exact_path(monkeypatch, backend):
+    # Shifts already on the grid snap to themselves, and the bank factors
+    # each in a band (or an LU) of its own, bit for bit as the exact path
+    # factors it in its stack, so both solve bit for bit alike.
+    prob = grid_problem(16) if backend == "band" else grid_problem(
+        12, perm_seed=0)
+    pencil = _pencil(prob, "proposed")
+    assert (pencil[2] is None) == (backend == "splu")
+    lams = 10.0 ** (np.array([-3.0, 5.0, 13.0, 30.0])
+                    / precond.BANK_PER_DECADE)
+    np.testing.assert_array_equal(_snapped(lams), lams)
+    factors = []
+    if backend == "band":
+        pbtrf = precond._PBTRF
+
+        def factor(ab, **kwargs):
+            chol, info = pbtrf(ab, **kwargs)
+            factors.append(chol)
+            return chol, info
+
+        monkeypatch.setattr(precond, "_PBTRF", factor)
+    exact = precond._factor_shifts(pencil, lams)
+    stacked = factors[:]
+    bank = {}
+    banked = precond._factor_shifts(pencil, lams, bank)
+    assert sorted(bank) == list(lams)
+    if backend == "band":
+        assert [chol.shape[1] for chol in stacked] == [lams.size * prob.n]
+        np.testing.assert_array_equal(np.hstack(factors[1:]), stacked[0])
+    rhs = np.random.default_rng(5).standard_normal((lams.size * prob.n, 2))
+    for got, want in zip(banked, exact):
+        # a sweep of a band of one shift rounds apart from one of a stack
+        want = want(rhs)
+        np.testing.assert_allclose(got(rhs), want, rtol=0,
+                                   atol=1e-14 * np.linalg.norm(want))
+
+
+def test_bank_keeps_the_factors_of_the_current_build(counted_band):
+    # A build factors the snapped shifts its bank lacks, one band each,
+    # reuses the others and drops those it does not use; the record counts
+    # the factorizations made. A build at the same point again factors
+    # nothing and gives the same cache, bit for bit.
+    prob, at = _banked_grid_point(p=3)
+    band = (_pencil(prob, "proposed")[2][0] + 1, prob.n)
+    bank, record = {}, SolveRecord(3)
+    first = build_shift_cache(prob, at, bank=bank, record=record)
+    made = len(set(first.lam))
+    assert sorted(bank) == sorted(set(first.lam))
+    assert record.factorizations == made
+    assert counted_band["factors"] == [band] * made
+    again = build_shift_cache(prob, at, bank=bank, record=record)
+    assert record.factorizations == made
+    assert len(counted_band["factors"]) == made
+    for name in ("lam", "g_stack", "s_inv", "e"):
+        np.testing.assert_array_equal(getattr(again, name),
+                                      getattr(first, name))
+    np.testing.assert_array_equal(again.coupled.k_stack,
+                                  first.coupled.k_stack)
+    # two smooth grid modes in place of columns 1 and 2 give two shifts
+    # far below the others
+    y = at.y.copy()
+    for col in (1, 2):
+        y[:, col] = np.kron(*(np.sin(np.pi * freq * np.arange(1, k + 1)
+                                     / (k + 1))
+                              for freq, k in ((1, 8), (col + 1, 20))))
+    other = build_shift_cache(prob, FactorPoint(y), bank=bank, record=record)
+    missing = set(other.lam) - set(first.lam)
+    assert set(other.lam) & set(first.lam) and missing
+    assert set(first.lam) - set(other.lam)
+    assert sorted(bank) == sorted(set(other.lam))
+    assert record.factorizations == made + len(missing)
+
+
+def test_banked_solve_reproduces_itself():
+    # The builds of a solve share its bank, which starts empty, so a solve
+    # repeats bit for bit, and makes fewer factorizations than p a build.
+    prob, at = _banked_grid_point(p=3)
+    runs = [solve_fixed_rank(prob, Metric.EMBEDDED, at.y, TnewtonConfig(),
+                             "proposed") for _ in range(2)]
+    digests = [trace_audit.trace_digest(trace, point.y)
+               for point, trace in runs]
+    assert digests[0] == digests[1]
+    trace = runs[0][1]
+    record = trace.solves[0]
+    assert runs[1][1].solves[0] == record
+    assert record.stop == "gradient"
+    assert 0 < record.factorizations < at.p * record.builds

@@ -592,10 +592,14 @@ def test_short_steps_are_closed_form_trials(monkeypatch):
     # the closed-form trials, and where the unit step is rejected and
     # alpha* meets the conditions, no less than alpha*'s decrease is taken
     # (on this instance no search takes the 1/10 trial above alpha*). The
-    # instance is solved from its warm start, the random factor at its
-    # cost-optimal scale: from the random factor itself the first steps
-    # are steepest-descent probe steps, scaled so that the unit trial is
-    # alpha*, and only one search rejects the unit step.
+    # solve shares a shift bank among its builds, and with it instance 1
+    # no longer meets alpha* < 1/10 and instance 2 takes the 1/10 trial
+    # above its alpha* = 0.087, so the test runs on instance 3, the first
+    # that keeps every assertion. The instance is solved from its warm
+    # start, the random factor at its cost-optimal scale: from the random
+    # factor itself the first steps are steepest-descent probe steps,
+    # scaled so that the unit trial is alpha*, and only one search rejects
+    # the unit step.
     searches = []
 
     def spy(problem, metric, point, direction, f0, slope0,
@@ -610,7 +614,7 @@ def test_short_steps_are_closed_form_trials(monkeypatch):
 
     monkeypatch.setattr(tnewton, "line_search", spy)
     workload = _workload("fixed-grid2d")
-    instance = workload.setup(1)
+    instance = workload.setup(3)
     instance.y0 = at_start_scale(instance.problem, instance.y0)
     _, trace = workload.solve(instance)
     assert trace.solves[0].steepest == []
@@ -981,6 +985,28 @@ def test_solve_reproduces_trace_before_stall_rule(choice):
     digest = trace_audit.trace_digest(trace, point.y)
     assert digest == TRACE_SHA256[choice]
     assert stop_reasons(trace) == ["gradient"]
+
+
+def test_tridiagonal_solve_never_banks(monkeypatch):
+    # A kd = 1 pencil is below precond.BANK_KD: every build factors its p
+    # exact shifts, so the solve keeps its digest.
+    banks = []
+
+    def factor(pencil, lams, bank=None, record=None,
+               exact=precond._factor_shifts):
+        banks.append(bank)
+        return exact(pencil, lams, bank, record)
+
+    monkeypatch.setattr(precond, "_factor_shifts", factor)
+    prob = gen_poisson(80, 3)
+    y0 = np.random.default_rng(13).standard_normal((80, 2))
+    point, trace = solve_fixed_rank(prob, Metric.EMBEDDED, y0,
+                                    TnewtonConfig(), "proposed")
+    assert trace_audit.trace_digest(trace, point.y) == \
+        TRACE_SHA256["proposed"]
+    record = trace.solves[0]
+    assert banks == [None] * record.builds
+    assert record.factorizations == 2 * record.builds > 0
 
 
 def test_cold_start_takes_its_first_step_with_no_build(monkeypatch):

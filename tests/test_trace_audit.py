@@ -135,6 +135,9 @@ def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
     # preconditioner builds are the sum of the builds of the trace's solve
     # records, and equal the calls of precond.build_shift_cache, which
     # write counts apart from the trace and which are counted here too.
+    # So do its shift factorizations and those write counts at
+    # precond._PBTRF and splu: the grid's solve shares a shift bank, so it
+    # makes fewer than p per build, and the irr solve p per build.
     monkeypatch.setattr(trace_audit, "INSTANCES",
                         (("irr-poisson1d", [0]), ("fixed-grid2d", [0])))
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -143,10 +146,12 @@ def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
     out = tmp_path / "audit.json"
     action, inner_solve = tnewton.hessian_action, tnewton.tpcg
     build = precond.build_shift_cache
+    pbtrf, splu = precond._PBTRF, precond.sps_la.splu
     assert trace_audit.main(["write", str(ROOT), str(out)]) == 0
     assert tnewton.hessian_action is action
     assert tnewton.tpcg is inner_solve
     assert precond.build_shift_cache is build
+    assert (precond._PBTRF, precond.sps_la.splu) == (pbtrf, splu)
     records = json.loads(out.read_text(encoding="ascii"))
     import workloads
 
@@ -189,30 +194,42 @@ def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
         assert record["builds"] == record["build_calls"] == len(builds)
         assert record["builds"] == sum(solve.builds
                                        for solve in trace.solves) > 0
+        factorizations = sum(solve.factorizations for solve in trace.solves)
+        assert record["factorizations"] == record["factor_calls"] \
+            == factorizations
+        per_build = sum(solve.p * solve.builds for solve in trace.solves)
+        assert (factorizations < per_build) == (name == "fixed-grid2d")
+        assert factorizations <= per_build
 
 
 def test_write_fails_on_counts_other_than_the_calls(tmp_path, capsys,
                                                     monkeypatch):
     # Hand-built records with at most one mismatch each: write still
     # writes them all, then exits 1 naming each instance whose reported
-    # actions or builds differ from the counted calls; a null builds
-    # (a library without trace builds) is not compared.
-    def record(actions=9, calls=9, builds=4, build_calls=4):
+    # actions, builds or shift factorizations differ from the counted
+    # ones; a null builds or factorizations (a library without them in
+    # its trace) is not compared.
+    def record(actions=9, calls=9, builds=4, build_calls=4,
+               factorizations=12, factor_calls=12):
         return {"hash": "a", "outcome": "rank 3", "actions": actions,
-                "calls": calls, "builds": builds, "build_calls": build_calls}
+                "calls": calls, "builds": builds, "build_calls": build_calls,
+                "factorizations": factorizations,
+                "factor_calls": factor_calls}
 
     records = {"irr/0": record(), "irr/1": record(actions=8),
                "grid/0": record(builds=None, build_calls=3),
-               "grid/1": record(build_calls=5)}
-    assert trace_audit.miscounted(records) == ["grid/1", "irr/1"]
+               "grid/1": record(build_calls=5),
+               "grid/2": record(factor_calls=11),
+               "grid/3": record(factorizations=None, factor_calls=20)}
+    assert trace_audit.miscounted(records) == ["grid/1", "grid/2", "irr/1"]
     monkeypatch.setattr(trace_audit, "audit", lambda root: records)
     out = tmp_path / "audit.json"
     assert trace_audit.main(["write", str(ROOT), str(out)]) == 1
     assert json.loads(out.read_text(encoding="ascii")) == records
     assert capsys.readouterr().out.splitlines()[-1] == (
-        "2 instances report counts other than the counted calls: "
-        "grid/1, irr/1")
-    del records["irr/1"], records["grid/1"]
+        "3 instances report counts other than the counted calls: "
+        "grid/1, grid/2, irr/1")
+    del records["irr/1"], records["grid/1"], records["grid/2"]
     assert trace_audit.main(["write", str(ROOT), str(out)]) == 0
 
 
@@ -230,16 +247,41 @@ def test_compare_prints_preconditioner_builds(tmp_path, capsys):
             record.update(builds=count, build_calls=count)
     status, lines = _compare(tmp_path, capsys, before, after)
     assert status == 1
-    assert lines[-9:-7] == [
+    assert lines[-11:-9] == [
         "grid: preconditioner builds 12 -> 9 (called 12 -> 9)",
         "irr: preconditioner builds 150 -> 149 (called 150 -> 149)"]
     for record in before.values():
         record["builds"] = None
     del before["irr/2"]["build_calls"]
     status, lines = _compare(tmp_path, capsys, before, after)
-    assert lines[-9:-7] == [
+    assert lines[-11:-9] == [
         "grid: preconditioner builds n/a -> 9 (called 12 -> 9)",
         "irr: preconditioner builds n/a -> 149 (called n/a -> 149)"]
+
+
+def test_compare_prints_shift_factorizations(tmp_path, capsys):
+    # One line per workload, between the builds and the largest inner
+    # solve: the shift factorizations the traces report and those counted
+    # apart, in both files; a file without the fields (or a library
+    # without them in its trace) reads n/a.
+    before = {"irr/1": _record("a", 14), "irr/2": _record("b", 15),
+              "grid/0": _record("c", 5)}
+    after = {"irr/1": _record("d", 14), "irr/2": _record("e", 15),
+             "grid/0": _record("f", 5)}
+    for records, counts in ((before, (700, 800, 45)), (after, (700, 800, 25))):
+        for record, count in zip(records.values(), counts):
+            record.update(factorizations=count, factor_calls=count)
+    status, lines = _compare(tmp_path, capsys, before, after)
+    assert status == 1
+    assert lines[-9:-7] == [
+        "grid: shift factorizations 45 -> 25 (counted 45 -> 25)",
+        "irr: shift factorizations 1500 -> 1500 (counted 1500 -> 1500)"]
+    for record in before.values():
+        record["factorizations"] = None
+    status, lines = _compare(tmp_path, capsys, before, after)
+    assert lines[-9:-7] == [
+        "grid: shift factorizations n/a -> 25 (counted 45 -> 25)",
+        "irr: shift factorizations n/a -> 1500 (counted 1500 -> 1500)"]
 
 
 def test_compare_prints_stop_reasons_and_fallbacks(tmp_path, capsys):

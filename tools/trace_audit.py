@@ -21,7 +21,12 @@ of a tnewton.tpcg call, read by wrapping that attribute too), the
 preconditioner builds the trace reports (the sum of its solves' builds;
 null for a library whose solve records lack them), the calls of
 precond.build_shift_cache the solve made (counted by wrapping that
-attribute too), the reason each fixed-rank solve ended (the stop of each
+attribute too), the shift factorizations the trace reports (the sum of
+its solves' factorizations; null for a library whose solve records lack
+them), the shift factorizations the solve made (counted by wrapping
+precond._PBTRF, whose band holds one shift per n columns, and
+precond.sps_la.splu, one shift per call), the reason each fixed-rank
+solve ended (the stop of each
 of the trace's solves that did not raise), the number of steps the line
 search's Armijo fallback took and the workload's residual target tau
 (null for a fixed-rank solve). A solve that raises a
@@ -30,7 +35,8 @@ hashed over the partial trace the exception carries, and its outcome is
 the exception type (with the type of the cause, if any). After writing its
 file, `write` exits with status 1 and names every instance whose reported
 Hessian actions differ from its counted calls, or whose reported builds
-(when not null) differ from its counted build calls.
+or shift factorizations (when not null) differ from its counted build
+calls or factorizations.
 
 `compare` prints every instance whose hash or outcome differs between two
 files, those whose outcome changed first, then counts the differing
@@ -42,6 +48,7 @@ the change is labelled knife-edge when the first file's value lies within
 KNIFE_EDGE of 1: such an instance stops within rounding of tau, so any
 rounding-level change can move its rank by one. Then one line per
 workload gives its reported and called preconditioner builds in both
+files, one more its reported and counted shift factorizations in both
 files, one more its largest inner solve in Hessian actions in both files,
 one more the total of each stop reason and of the fallbacks in
 both files, and one more its total outer iterations, short steps,
@@ -50,7 +57,8 @@ files; an instance that raised in either file counts toward neither rank
 sum, so the two sums cover the same instances. The closing line counts
 the outcome changes that are not knife-edge. Files written before the
 relres, outer, short_steps, actions, calls, largest_inner, stops,
-fallbacks, builds or build_calls fields existed still compare; their rank
+fallbacks, builds, build_calls, factorizations or factor_calls fields
+existed still compare; their rank
 changes are never knife-edge and their missing totals and maxima read
 n/a.
 
@@ -92,20 +100,22 @@ def final_relres(trace):
     return {str(row.p): float(row.relres) for row in trace.rows}
 
 
-def reported_builds(trace):
-    """The sum of the builds of the trace's solves; None for a library
-    whose solve records do not count builds."""
-    builds = [getattr(solve, "builds", None) for solve in trace.solves]
-    return None if None in builds else sum(builds)
+def reported(trace, name):
+    """The sum of field `name` (builds, factorizations) of the trace's
+    solves; None for a library whose solve records lack it."""
+    counts = [getattr(solve, name, None) for solve in trace.solves]
+    return None if None in counts else sum(counts)
 
 
 def miscounted(records):
-    """Keys of the records whose reported Hessian actions or builds differ
-    from the calls counted apart from the trace; a null builds is not
-    compared."""
+    """Keys of the records whose reported Hessian actions, builds or
+    shift factorizations differ from those counted apart from the trace;
+    a null builds or factorizations is not compared."""
     return sorted(key for key, r in records.items()
                   if r["actions"] != r["calls"]
-                  or r["builds"] not in (None, r["build_calls"]))
+                  or r["builds"] not in (None, r["build_calls"])
+                  or r.get("factorizations") not in (None,
+                                                     r["factor_calls"]))
 
 
 def audit(root):
@@ -119,7 +129,8 @@ def audit(root):
 
     action, inner_solve = tnewton.hessian_action, tnewton.tpcg
     build = precond.build_shift_cache
-    calls, inner, builds = [], [], []
+    pbtrf, splu = precond._PBTRF, precond.sps_la.splu
+    calls, inner, builds, factored = [], [], [], []
 
     def counted(*args):
         calls.append(None)
@@ -128,6 +139,14 @@ def audit(root):
     def built(*args, **kwargs):
         builds.append(None)
         return build(*args, **kwargs)
+
+    def band_factored(ab, **kwargs):
+        factored.append(ab.shape[1] // n)
+        return pbtrf(ab, **kwargs)
+
+    def lu_factored(*args, **kwargs):
+        factored.append(1)
+        return splu(*args, **kwargs)
 
     def recorded(*args, **kwargs):
         state = inner_solve(*args, **kwargs)
@@ -139,11 +158,14 @@ def audit(root):
         workload = workloads.WORKLOADS[name]
         for seed in seeds:
             instance = workload.setup(seed)
+            n = instance.problem.n
             calls.clear()
             inner.clear()
             builds.clear()
+            factored.clear()
             tnewton.hessian_action, tnewton.tpcg = counted, recorded
             precond.build_shift_cache = built
+            precond._PBTRF, precond.sps_la.splu = band_factored, lu_factored
             try:
                 point, trace = workload.solve(instance)
             except lf.SolverError as exc:
@@ -159,6 +181,7 @@ def audit(root):
             finally:
                 tnewton.hessian_action, tnewton.tpcg = action, inner_solve
                 precond.build_shift_cache = build
+                precond._PBTRF, precond.sps_la.splu = pbtrf, splu
             records[f"{name}/{seed}"] = {
                 "hash": digest, "outcome": outcome,
                 "relres": final_relres(trace),
@@ -168,8 +191,10 @@ def audit(root):
                 "actions": trace.rows[-1].nH if trace.rows else 0,
                 "calls": len(calls),
                 "largest_inner": max(inner, default=0),
-                "builds": reported_builds(trace),
+                "builds": reported(trace, "builds"),
                 "build_calls": len(builds),
+                "factorizations": reported(trace, "factorizations"),
+                "factor_calls": sum(factored),
                 "stops": [s.stop for s in trace.solves
                           if s.stop is not None],
                 "fallbacks": sum(len(s.fallbacks) for s in trace.solves),
@@ -329,11 +354,15 @@ def main(argv=None):
                                   key=lambda item: item[0] not in moved):
         print(f"{key}: {describe(old, new, key in moved)}")
     text = {column: both_totals(before, after, column)
-            for column in ("builds", "build_calls", "outer", "short_steps",
+            for column in ("builds", "build_calls", "factorizations",
+                           "factor_calls", "outer", "short_steps",
                            "actions", "calls")}
     for name in sorted(text["builds"]):
         print(f"{name}: preconditioner builds {text['builds'][name]} "
               f"(called {text['build_calls'][name]})")
+    for name in sorted(text["factorizations"]):
+        print(f"{name}: shift factorizations {text['factorizations'][name]} "
+              f"(counted {text['factor_calls'][name]})")
     largest = both_totals(before, after, "largest_inner", max)
     for name in sorted(largest):
         print(f"{name}: largest inner solve {largest[name]} Hessian actions")
