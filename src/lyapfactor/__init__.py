@@ -10,7 +10,6 @@ factorizations.
 """
 
 from .increasing_rank import (
-    IncreasingRankError,
     IrrConfig,
     solve_increasing_rank,
     warm_start,

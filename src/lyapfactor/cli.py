@@ -181,10 +181,10 @@ def _solve(args, problem, t0):
         )
     except SolverError as exc:
         _write_outputs(args, exc.trace, None)
-        _solver_error(type(exc).__name__, str(exc))
+        _solver_error(type(exc).__name__, str(exc), rank=exc.rank)
         return None, None
     except ValueError as exc:
-        # A or M is not positive definite: the ranks before it are kept.
+        # A or M is not positive definite: the rows before it are kept.
         _write_outputs(args, getattr(exc, "trace", None), None)
         raise
     total_ms = (time.perf_counter() - t0) * 1e3

@@ -63,16 +63,6 @@ class IrrConfig:
             raise ValueError("tau must be finite and positive")
 
 
-class IncreasingRankError(SolverError):
-    """A rank's inner solve failed; carries the trace collected so far."""
-
-    def __init__(self, rank, trace, cause):
-        super().__init__(f"inner solve failed at rank {rank}: {cause}")
-        self.rank = rank
-        self.trace = trace
-        self.cause = cause
-
-
 def _padded_column_seed(problem, point, p_inc):
     """Unit directions V for activating p_inc new factor columns.
 
@@ -148,8 +138,11 @@ def warm_start(problem, y_p, p_inc, rng=None):
 
     Raises
     ------
-    RuntimeError
+    SolverError
         If the grown factor is still rank deficient after its jitter.
+    ValueError
+        When the seed's c4 finds that A or M is not positive definite
+        (see _seed_scale).
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -167,8 +160,8 @@ def warm_start(problem, y_p, p_inc, rng=None):
         grown += 1e-8 * norm * rng.standard_normal(grown.shape)
         trial = FactorPoint(np.hstack([point.y, grown]))
         if not trial.has_full_rank:
-            raise RuntimeError("seeded factor still rank deficient after "
-                               "its jitter")
+            raise SolverError("seeded factor still rank deficient after "
+                              "its jitter")
     if cost(problem, trial) <= cost(problem, point):
         return trial, True
     warnings.warn("the seeded columns raise the cost; continuing from the "
@@ -198,12 +191,13 @@ def solve_increasing_rank(problem, metric, config=None, tnewton_config=None,
 
     Raises
     ------
-    IncreasingRankError
-        On an inner solve failure, with the partial trace.
-    ValueError
-        When a rank's start scale finds that A or M is not positive
-        definite (see tnewton.solve_fixed_rank), with the rank as its
-        `rank` and the trace of the ranks before it as its `trace`.
+    SolverError or ValueError
+        As raised by a rank's fixed-rank solve, or by the warm start that
+        grows that rank's start: a SolverError when the solve fails, a
+        ValueError when a start scale or a warm start finds that A or M is
+        not positive definite. Either leaves as itself, with the rank
+        whose start or solve raised as its `rank` and every row completed
+        so far, the failing rank's included, as its `trace`.
     """
     if config is None:
         config = IrrConfig()
@@ -220,20 +214,19 @@ def solve_increasing_rank(problem, metric, config=None, tnewton_config=None,
     for rank in schedule:
         target = None if rank == schedule[-1] else config.tau
         try:
+            if full_trace.solves:
+                point, lowered = warm_start(problem, point, config.p_inc, rng)
+                full_trace.solves[-1].warm_start = lowered
             point, trace = solve_fixed_rank(
                 problem, metric, point, tnewton_config, precond_choice, target
             )
-        except SolverError as exc:
+        except (SolverError, ValueError) as exc:
             # Keep the rows the failing rank did complete.
-            full_trace.extend(exc.trace)
-            raise IncreasingRankError(rank, full_trace, exc) from exc
-        except ValueError as exc:
-            # A start scale found A or M not positive definite.
+            if getattr(exc, "trace", None) is not None:
+                full_trace.extend(exc.trace)
             exc.rank, exc.trace = rank, full_trace
             raise
         full_trace.extend(trace)
         if full_trace.final().relres <= config.tau or target is None:
             break
-        point, lowered = warm_start(problem, point, config.p_inc, rng)
-        full_trace.solves[-1].warm_start = lowered
     return point, full_trace

@@ -231,13 +231,8 @@ def _on_union(a, m):
     CSC order), sharing its indptr and indices, each with its own values
     there, zero where it has no entry. So the shift A + lam M is the
     matrix with those indices and the data a.data + lam m.data, less the
-    entries that cancel exactly. A and M already in CSC on one pattern
-    are returned as they are.
+    entries that cancel exactly.
     """
-    if a.format == m.format == "csc" and all(
-            np.array_equal(getattr(a, name), getattr(m, name))
-            for name in ("indptr", "indices")):
-        return a, m
     union = (abs(a) + abs(m)).tocsc()
     union.sort_indices()
     rows = union.indices
@@ -262,9 +257,10 @@ def _factor_shifts(pencil, lams, bank=None, record=None):
     zero, so a band is block diagonal and one pbtrf call, and one tbtrs
     call per sweep, serves all of its shifts: half is the forward sweep
     L_i^{-1} and rest the back sweep L_i^{-T}. A pencil wider than
-    BAND_LIMIT gets one sparse LU of A + lam_i M per shift, formed on the
-    union pattern of A and M (see _on_union); half is its whole solve and
-    rest the identity.
+    BAND_LIMIT gets one sparse LU of A + lam_i M per shift, formed from
+    the data of A and M on the union of their patterns, where _pencil
+    keeps them (see _on_union); half is its whole solve and rest the
+    identity.
 
     With a `bank`, a dict from shift to factor, every shift gets a factor
     of its own (one band, or one LU): the bank's factors of shifts not in
@@ -278,7 +274,6 @@ def _factor_shifts(pencil, lams, bank=None, record=None):
     a, m, band = pencil
     n = a.shape[0]
     if band is None:
-        a, m = _on_union(a, m)
         per = 1
     else:
         kd, flat, a_low, m_low = band

@@ -62,9 +62,13 @@ class MatrixMarketError(ValueError):
 
 class SolverError(RuntimeError):
     """A solve failed. `trace` is the SolveTrace of the iterations that did
-    complete, set as the error leaves a solve; None outside one."""
+    complete, set as the error leaves a solve, and `rank` the rank whose
+    start or solve raised, set as it leaves an increasing-rank solve; None
+    outside one. The definiteness ValueError of a solve carries both the
+    same way."""
 
     trace = None
+    rank = None
 
 
 def _not_definite(quantity, value):

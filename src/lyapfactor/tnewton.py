@@ -349,9 +349,10 @@ class SolveRecord:
     the factor as given did, in which case row 0 is the solve's only row)
     or "stall" (the residual target's stall rule, see _stalled: the
     residual settled above the target, or the rank converged there); None
-    for a solve that raised. With a target, the stall rule ends a rank
-    that has converged above it before the rounding floor; "floor" remains
-    the usual exit of a solve without a target. `fallbacks` lists the
+    for a solve that raised, its start scale included (its `scale` is then
+    1.0). With a target, the stall rule ends a rank that has converged
+    above it before the rounding floor; "floor" remains the usual exit of
+    a solve without a target. `fallbacks` lists the
     iterations k whose step the line search's Armijo fallback took,
     `steepest` the iterations k whose step was the steepest-descent probe's
     (along -grad, with no build and no inner solve; see solve_fixed_rank),
@@ -577,17 +578,17 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
     if target is not None and row.relres <= target:
         record.stop = "target"
         return point, trace
-    record.scale, f_scaled = _start_scale(point.products(problem))
-    if f_scaled is not None:
-        point = point.scaled(record.scale, problem)
-        f_val = f_scaled
-        grad, gnorm = gradient(point)
-
-    probing = (precond_choice != "none" and f_scaled is not None
-               and abs(math.log(record.scale)) > math.log(COLD_START_FACTOR))
     k = 0
     stop = "floor"  # if a break below ends the solve at the rounding floor
     try:
+        record.scale, f_scaled = _start_scale(point.products(problem))
+        if f_scaled is not None:
+            point = point.scaled(record.scale, problem)
+            f_val = f_scaled
+            grad, gnorm = gradient(point)
+
+        cold = abs(math.log(record.scale)) > math.log(COLD_START_FACTOR)
+        probing = precond_choice != "none" and f_scaled is not None and cold
         while k < config.max_outer and gnorm > config.grad_tol_rel * gnorm0:
             k += 1
             t_iter = time.perf_counter()
@@ -617,18 +618,8 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
             # Only rounding gives tPCG a direction that is not descent.
             if not slope0 < 0.0:
                 break
-            try:
-                result = line_search(problem, metric, point, direction,
-                                     f_val, slope0)
-            except LineSearchError as exc:
-                # When the acceptance conditions demand no more than the
-                # rounding bound of the cost difference, no trial step can
-                # be certified, so a search without a step means the floor,
-                # not a failure.
-                if exc.demanded <= exc.resolution:
-                    break
-                raise
-
+            result = line_search(problem, metric, point, direction, f_val,
+                                 slope0)
             if result.fallback:
                 record.fallbacks.append(k)
             if probing:
@@ -647,11 +638,18 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
         else:
             stop = "max_outer" if gnorm > config.grad_tol_rel * gnorm0 \
                 else "gradient"
-    except SolverError as exc:
-        # Callers that keep going (the increasing-rank loop, the command
-        # line) still want the iterations that did complete.
-        exc.trace = trace
-        raise
+    except (SolverError, ValueError) as exc:
+        # When the acceptance conditions of a line search that found no
+        # step demand no more than the rounding bound of the cost
+        # difference, no trial step can be certified, so the search means
+        # the floor (stop is still "floor"), not a failure. Callers that
+        # keep going after any other error (the increasing-rank loop, the
+        # command line) still want the iterations that did complete, and a
+        # start scale that raised keeps row 0 and the solve's record.
+        if not (isinstance(exc, LineSearchError)
+                and exc.demanded <= exc.resolution):
+            exc.trace = trace
+            raise
     finally:
         # Also the actions of an iteration that added no row: a floor exit
         # after tPCG, or a failure within it or after it.

@@ -14,7 +14,9 @@ the preconditioner apply.
 `trace_audit` is tools/trace_audit.py, loaded from its path,
 `count_hessian_actions` an independent count of the solver's Hessian
 actions, `stop_reasons` the stop of each solve a trace records and
-`at_start_scale` a factor moved to its cost-optimal scale, a warm start.
+`at_start_scale` a factor moved to its cost-optimal scale, a warm start,
+and `rank_deficient_warm_starts` makes the warm starts of an
+increasing-rank solve grow rank deficient factors.
 `poisson_reference` is gen_poisson's data built as it was before the
 generator wrote its CSR arrays directly.
 """
@@ -41,7 +43,7 @@ from lyapfactor import (
     horizontal_inner,
     riemannian_gradient,
 )
-from lyapfactor import tnewton
+from lyapfactor import increasing_rank, tnewton
 from lyapfactor.manifold import project_horizontal, vertical_part
 from lyapfactor.problems import _as_point, _compressed_residual
 
@@ -67,6 +69,27 @@ def count_hessian_actions(monkeypatch):
 def stop_reasons(trace):
     """The stop of each fixed-rank solve in `trace`, in order."""
     return [solve.stop for solve in trace.solves]
+
+
+class ZeroNormal:
+    """A generator whose jitter is zero."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+def rank_deficient_warm_starts(monkeypatch):
+    """From here on, seed each warm start's columns inside range(Y) and
+    jitter them by zero, so that increasing_rank.warm_start raises at the
+    first grown factor whose Gram matrix rounding does not leave positive
+    definite."""
+    monkeypatch.setattr(
+        increasing_rank, "_padded_column_seed",
+        lambda problem, point, p_inc: point.y[:, :p_inc].copy())
+    monkeypatch.setattr(
+        increasing_rank, "warm_start",
+        lambda problem, y_p, p_inc, rng, grow=increasing_rank.warm_start:
+        grow(problem, y_p, p_inc, ZeroNormal()))
 
 
 def at_start_scale(problem, y):

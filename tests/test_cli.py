@@ -16,6 +16,8 @@ from lyapfactor import (IrrConfig, LyapunovProblem, Metric, SpdSparseMatrix,
 from lyapfactor import tnewton
 from lyapfactor.cli import main
 
+from helpers import rank_deficient_warm_starts
+
 SUMMARY_KEYS = {"final_rank", "rel_res", "total_nH", "total_ms",
                 "ranks_visited", "total_builds", "total_factorizations"}
 TRACE_HEADER = "k,p,f,gradnorm,relres,inner_iters,nH,alpha,ms"
@@ -154,6 +156,7 @@ def test_solve_writes_the_trace_before_a_definiteness_error(tmp_path,
     # A - 20 I at n = 600, above the size up to which SpdSparseMatrix
     # checks definiteness: the start scale of rank 4 finds A or M not
     # positive definite, and the trace CSV holds the 210 rows of ranks 1-3
+    # and rank 4's row 0
     given = gen_poisson(600, 0)
     shifted = (given.a.mat - 20.0 * sps.identity(600)).tocsr()
     manifest = save_problem(str(tmp_path / "shifted"), LyapunovProblem(
@@ -165,8 +168,53 @@ def test_solve_writes_the_trace_before_a_definiteness_error(tmp_path,
     assert "A or M is not positive definite" in capsys.readouterr().err
     lines = trace_path.read_text(encoding="ascii").strip().splitlines()
     assert lines[0] == TRACE_HEADER
-    assert len(lines) == 211
-    assert {line.split(",")[1] for line in lines[1:]} == {"1", "2", "3"}
+    assert len(lines) == 212
+    assert {line.split(",")[1] for line in lines[1:]} == {"1", "2", "3",
+                                                          "4"}
+
+
+def test_solve_writes_the_trace_before_a_warm_start_definiteness_error(
+        tmp_path, capsys):
+    # M with its last entry -0.1 at n = 600: the warm start that grows
+    # rank 7's start finds c4 <= 0, and the trace CSV holds the 96 rows of
+    # ranks 1-6
+    given = gen_poisson(600, 0)
+    mass = given.m.mat.tolil()
+    mass[599, 599] = -0.1
+    manifest = save_problem(str(tmp_path / "indefinite"), LyapunovProblem(
+        given.a, SpdSparseMatrix(mass.tocsr()), given.b))
+    trace_path = tmp_path / "trace.csv"
+    rc = main(["solve", "--manifest", manifest, "--p-max", "10",
+               "--trace-out", str(trace_path)])
+    assert rc == 2
+    assert "c4 = tr(V^T A V V^T M V)" in capsys.readouterr().err
+    lines = trace_path.read_text(encoding="ascii").strip().splitlines()
+    assert lines[0] == TRACE_HEADER
+    assert len(lines) == 97
+    assert {line.split(",")[1] for line in lines[1:]} == {
+        str(p) for p in range(1, 7)}
+
+
+def test_rank_deficient_warm_start_returns_1_with_the_partial_trace(
+        tmp_path, capsys, monkeypatch):
+    # A warm start raises a SolverError (whether rounding lets the first
+    # grown factor pass as full rank varies): solve prints one error line
+    # naming it and the rank it grew, writes the rows of the ranks before
+    # that one and returns 1.
+    rank_deficient_warm_starts(monkeypatch)
+    csv = tmp_path / "trace.csv"
+    rc = main(["solve", "--gen", "poisson", "--n", "40", "--trace-out",
+               str(csv)])
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "SolverError"
+    assert "rank deficient" in payload["message"]
+    rows = csv.read_text(encoding="ascii").splitlines()
+    assert rows[0] == TRACE_HEADER
+    assert {int(row.split(",")[1]) for row in rows[1:]} == set(
+        range(1, payload["rank"]))
 
 
 def test_solve_unreachable_tolerance_returns_1(capsys):
@@ -199,7 +247,8 @@ def test_solver_failure_returns_1_with_the_partial_trace(tmp_path, capsys,
     assert rc == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "IncreasingRankError"
+    payload = json.loads(lines[0])
+    assert (payload["error"], payload["rank"]) == ("InnerSolveError", 1)
     rows = csv.read_text(encoding="ascii").splitlines()
     assert rows[0] == TRACE_HEADER
     assert len(rows) == 3
@@ -369,7 +418,8 @@ def test_oracle_check_returns_1_after_a_solver_failure(capsys, monkeypatch):
     assert rc == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "IncreasingRankError"
+    payload = json.loads(lines[0])
+    assert (payload["error"], payload["rank"]) == ("InnerSolveError", 1)
 
 
 def test_oracle_check_rejects_large_problem(capsys):

@@ -11,10 +11,10 @@ import scipy.sparse as sps
 
 from lyapfactor import (
     FactorPoint,
-    IncreasingRankError,
     IrrConfig,
     LyapunovProblem,
     Metric,
+    PreconditionerError,
     SolverError,
     SpdSparseMatrix,
     TnewtonConfig,
@@ -30,8 +30,9 @@ from lyapfactor.manifold import cost
 from lyapfactor.problems import _PointProducts
 from lyapfactor.tnewton import LineSearchError
 
-from helpers import (dense_residual, identity_problem, legacy_warm_start,
-                     random_problem, stop_reasons)
+from helpers import (ZeroNormal, dense_residual, identity_problem,
+                     legacy_warm_start, random_problem,
+                     rank_deficient_warm_starts, stop_reasons)
 
 
 @pytest.fixture(scope="module")
@@ -302,13 +303,6 @@ def test_default_configs_reach_the_default_tau():
     assert point.p < IrrConfig().p_max
 
 
-class _ZeroNormal:
-    """A generator whose jitter is zero."""
-
-    def standard_normal(self, shape):
-        return np.zeros(shape)
-
-
 @pytest.mark.filterwarnings("ignore:the seeded columns raise the cost")
 def test_warm_start_jitters_a_seed_inside_the_range_of_y(monkeypatch):
     # A seed direction inside range(Y) leaves the grown factor rank
@@ -323,7 +317,24 @@ def test_warm_start_jitters_a_seed_inside_the_range_of_y(monkeypatch):
     assert grown.has_full_rank
     np.testing.assert_array_equal(grown.y[:, :2], start.y)
     with pytest.raises(RuntimeError, match="rank deficient"):
-        warm_start(problem, start, 1, _ZeroNormal())
+        warm_start(problem, start, 1, ZeroNormal())
+
+
+def test_rank_deficient_warm_start_leaves_with_rank_and_trace(monkeypatch):
+    # A warm start raises a SolverError (whether rounding lets the first
+    # grown factor pass as full rank varies). It names the rank it grew,
+    # and keeps the rows of the ranks before it, each solve stopped.
+    rank_deficient_warm_starts(monkeypatch)
+    with pytest.raises(SolverError, match="rank deficient") as info:
+        solve_increasing_rank(gen_poisson(40, 0), Metric.EMBEDDED,
+                              IrrConfig(p_min=1, p_max=6, seed=0), None,
+                              "none")
+    trace, rank = info.value.trace, info.value.rank
+    assert 2 <= rank <= 6
+    assert [solve.p for solve in trace.solves] == list(range(1, rank))
+    assert {row.p for row in trace.rows} == set(range(1, rank))
+    assert None not in stop_reasons(trace)
+    assert trace.solves[-1].warm_start is None
 
 
 # --------------------------------------------------- cost-optimal seed
@@ -412,22 +423,50 @@ def test_seed_scale_finds_no_roots(case, monkeypatch):
     assert scale == pytest.approx(math.sqrt(-c2 / (2.0 * c4)), rel=1e-12)
 
 
-def test_indefinite_mass_is_named_by_the_seed_scale():
-    # M with its last diagonal entry -0.1, above the size up to which
-    # SpdSparseMatrix checks definiteness: the unpreconditioned solve runs
-    # until a warm start's quartic coefficient c4 = tr(V^T A V V^T M V) is
-    # not positive, which names A or M instead of failing in math.sqrt
+def indefinite_mass_problem():
+    """gen_poisson(600, 0) with M's last diagonal entry -0.1."""
     given = gen_poisson(600, 0)
     assert given.n > problems.SPD_CHECK_LIMIT
     mass = given.m.mat.tolil()
     mass[599, 599] = -0.1
-    problem = LyapunovProblem(given.a, SpdSparseMatrix(mass.tocsr()),
-                              given.b)
+    return LyapunovProblem(given.a, SpdSparseMatrix(mass.tocsr()), given.b)
+
+
+def test_indefinite_mass_is_named_by_the_seed_scale():
+    # M with its last diagonal entry -0.1, above the size up to which
+    # SpdSparseMatrix checks definiteness: the unpreconditioned solve runs
+    # until a warm start's quartic coefficient c4 = tr(V^T A V V^T M V) is
+    # not positive, which names A or M instead of failing in math.sqrt.
+    # The warm start grows rank 7's start, so the error names rank 7 and
+    # carries the 96 rows of ranks 1-6.
     with pytest.raises(ValueError, match=r"^A or M is not positive "
-                       r"definite: .* c4 = .*e\+\d+ <= 0$"):
+                       r"definite: .* c4 = .*e\+\d+ <= 0$") as err:
         solve_increasing_rank(
-            problem, Metric.EMBEDDED,
+            indefinite_mass_problem(), Metric.EMBEDDED,
             IrrConfig(p_min=1, p_max=10, tau=1e-6, seed=0), None, "none")
+    trace = err.value.trace
+    assert err.value.rank == 7
+    assert len(trace.rows) == 96
+    assert [solve.p for solve in trace.solves] == [1, 2, 3, 4, 5, 6]
+    assert sorted({row.p for row in trace.rows}) == [1, 2, 3, 4, 5, 6]
+    assert None not in stop_reasons(trace)
+    assert trace.solves[-1].warm_start is None
+
+
+def test_indefinite_mass_fails_a_build_with_rank_and_trace():
+    # The preconditioned solve of the same pencil fails a build at rank 6:
+    # the PreconditionerError leaves as itself, names rank 6 and keeps the
+    # 28 rows of ranks 1-6.
+    with pytest.raises(PreconditionerError) as err:
+        solve_increasing_rank(
+            indefinite_mass_problem(), Metric.EMBEDDED,
+            IrrConfig(p_min=1, p_max=10, tau=1e-6, seed=0), None,
+            "proposed")
+    trace = err.value.trace
+    assert err.value.rank == 6
+    assert len(trace.rows) == 28
+    assert [solve.p for solve in trace.solves] == [1, 2, 3, 4, 5, 6]
+    assert trace.solves[-1].stop is None
 
 
 def test_indefinite_stiffness_is_named_by_a_start_scale():
@@ -435,7 +474,8 @@ def test_indefinite_stiffness_is_named_by_a_start_scale():
     # definiteness: the unpreconditioned solve used to return rank 10 at
     # relres 1.2e+109. Rank 3 still diverges, and the start scale of rank
     # 4 finds tr(Y^T A Y Y^T M Y) <= 0. The error names rank 4 and
-    # carries the 210 rows of ranks 1-3.
+    # carries the 210 rows of ranks 1-3 and rank 4's row 0, whose record
+    # has no stop.
     given = gen_poisson(600, 0)
     shifted = (given.a.mat - 20.0 * sps.identity(600)).tocsr()
     problem = LyapunovProblem(SpdSparseMatrix(shifted), given.m, given.b)
@@ -446,10 +486,13 @@ def test_indefinite_stiffness_is_named_by_a_start_scale():
             IrrConfig(p_min=1, p_max=10, tau=1e-6, seed=0), None, "none")
     trace = err.value.trace
     assert err.value.rank == 4
-    assert len(trace.rows) == 210
-    assert [solve.p for solve in trace.solves] == [1, 2, 3]
-    assert sorted({row.p for row in trace.rows}) == [1, 2, 3]
-    assert trace.solves[-1].stop == "max_outer"
+    assert len(trace.rows) == 211
+    assert [solve.p for solve in trace.solves] == [1, 2, 3, 4]
+    assert sorted({row.p for row in trace.rows}) == [1, 2, 3, 4]
+    assert [row.k for row in trace.rows if row.p == 4] == [0]
+    assert trace.solves[-2].stop == "max_outer"
+    assert trace.solves[-1].stop is None
+    assert trace.solves[-1].scale == 1.0
 
 
 def test_warm_start_flags_a_seed_that_raises_the_cost():
@@ -534,13 +577,12 @@ def test_warm_starts_recorded_once_per_rank_transition(poisson_run):
 
 def test_inner_failure_surfaces_with_partial_trace(monkeypatch):
     # A line search whose conditions demand nearly the whole first-order
-    # decrease fails at the very first rank; the error must say which
-    # rank, carry the underlying cause, and keep the iterations that did
-    # complete.
+    # decrease fails at the very first rank; the error leaves as itself,
+    # says which rank, and keeps the iterations that did complete.
     problem = gen_poisson(60, 0)
     monkeypatch.setattr(tnewton, "CHI1", 0.999)
     monkeypatch.setattr(tnewton, "CHI2", 0.999)
-    with pytest.raises(IncreasingRankError) as info:
+    with pytest.raises(LineSearchError) as info:
         solve_increasing_rank(
             problem,
             Metric.EMBEDDED,
@@ -551,9 +593,8 @@ def test_inner_failure_surfaces_with_partial_trace(monkeypatch):
     err = info.value
     assert isinstance(err, SolverError) and isinstance(err, RuntimeError) \
         and err.trace is not None
-    assert "inner solve failed at rank 1" in str(err)
+    assert "no acceptable step" in str(err)
     assert err.rank == 1
-    assert isinstance(err.cause, LineSearchError)
     assert len(err.trace.rows) >= 1
     assert err.trace.rows[0].p == 1
 
@@ -849,7 +890,7 @@ def test_failed_rank_keeps_stops_of_completed_ranks(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(increasing_rank, "solve_fixed_rank", failing)
-    with pytest.raises(IncreasingRankError) as info:
+    with pytest.raises(LineSearchError) as info:
         solve_increasing_rank(gen_poisson(60, 0), Metric.EMBEDDED,
                               IrrConfig(p_min=1, p_max=8, seed=0), None,
                               "proposed")
