@@ -197,15 +197,18 @@ def _pencil(problem, variant):
     """(A, M, band) with M = I for "bart", cached on the problem until
     problem.a.mat or problem.m.mat is rebound.
 
-    band is None when the half-bandwidth kd = max |i - j| over the union
-    of the nonzero entries of A and M, in the given order, exceeds
-    BAND_LIMIT; A and M are then returned on that union (see _on_union).
-    Otherwise they are returned as given and band is
-    (kd, flat, a_low, m_low): for the union's entries on or below the
-    diagonal, where they go in LAPACK's lower band storage,
+    The union of the nonzero patterns of A and M is formed once, in sorted
+    CSC order, and A and M are read on it once, each zero where it has no
+    entry; both backends take their input from these arrays. band is None
+    when the half-bandwidth kd = max |i - j| over the union, in the given
+    order, exceeds BAND_LIMIT; A and M are then returned in CSC on the
+    union, sharing its indptr and indices, so the shift A + lam M is the
+    matrix with those indices and the data a.data + lam m.data, less the
+    entries that cancel exactly. Otherwise they are returned as given and
+    band is (kd, flat, a_low, m_low): for the union's entries on or below
+    the diagonal, where they go in LAPACK's lower band storage,
     ab[i - j, j] = F[i, j] with ab of shape (kd + 1, n) in column-major
-    order (flat = i + kd j), and the values of A and of M there, zero
-    where a matrix has no entry.
+    order (flat = i + kd j), and the values of A and of M there.
     """
     a, m = problem.a.mat, problem.m.mat
     pencils = vars(problem).setdefault("_pencils", {})
@@ -213,34 +216,21 @@ def _pencil(problem, variant):
     if a0 is not a or m0 is not m:
         m_op = m if variant == "proposed" else sps.eye(*a.shape, format="csr")
         # the sum drops the exact zeros that A and M share
-        low = sps.tril(abs(a) + abs(m_op), format="coo")
-        kd = int((low.row - low.col).max(initial=0))
+        union = (abs(a) + abs(m_op)).tocsc()
+        union.sort_indices()
+        rows, indptr = union.indices, union.indptr
+        cols = np.repeat(np.arange(union.shape[1]), np.diff(indptr))
+        values = [np.asarray(mat[rows, cols]).ravel() for mat in (a, m_op)]
+        kd = int((rows - cols).max(initial=0))
         if kd > BAND_LIMIT:
-            entry = (*_on_union(a, m_op), None)
+            entry = (*(sps.csc_matrix((data, rows, indptr), shape=a.shape)
+                       for data in values), None)
         else:
-            entry = a, m_op, (
-                kd, low.row + kd * low.col.astype(np.int64),
-                *(np.asarray(mat[low.row, low.col]).ravel()
-                  for mat in (a, m_op)))
+            low = rows >= cols
+            entry = a, m_op, (kd, rows[low] + kd * cols[low],
+                              *(data[low] for data in values))
         pencils[variant] = ((a, m), entry)
     return entry
-
-
-def _on_union(a, m):
-    """A and M in CSC on the union of their nonzero patterns (in sorted
-    CSC order), sharing its indptr and indices, each with its own values
-    there, zero where it has no entry. So the shift A + lam M is the
-    matrix with those indices and the data a.data + lam m.data, less the
-    entries that cancel exactly.
-    """
-    union = (abs(a) + abs(m)).tocsc()
-    union.sort_indices()
-    rows = union.indices
-    cols = np.repeat(np.arange(union.shape[1]), np.diff(union.indptr))
-    return tuple(
-        sps.csc_matrix((np.asarray(mat[rows, cols]).ravel(), rows,
-                        union.indptr), shape=union.shape)
-        for mat in (a, m))
 
 
 def _factor_shifts(pencil, lams, bank=None, record=None):
@@ -259,8 +249,7 @@ def _factor_shifts(pencil, lams, bank=None, record=None):
     L_i^{-1} and rest the back sweep L_i^{-T}. A pencil wider than
     BAND_LIMIT gets one sparse LU of A + lam_i M per shift, formed from
     the data of A and M on the union of their patterns, where _pencil
-    keeps them (see _on_union); half is its whole solve and rest the
-    identity.
+    keeps them; half is its whole solve and rest the identity.
 
     With a `bank`, a dict from shift to factor, every shift gets a factor
     of its own (one band, or one LU): the bank's factors of shifts not in

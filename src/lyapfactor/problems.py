@@ -32,8 +32,8 @@ DENSE_LIMIT = 2000
 _POTRF, _POTRS, _PBTRF = spla.get_lapack_funcs(("potrf", "potrs", "pbtrf"))
 
 
-def _check_finite(*arrays):
-    if not all(np.isfinite(a).all() for a in arrays):
+def _check_finite(arr):
+    if not np.isfinite(arr).all():
         raise ValueError("array must not contain infs or NaNs")
 
 

@@ -587,8 +587,9 @@ def solve_fixed_rank(problem, metric, y0, config=None, precond_choice="none",
             f_val = f_scaled
             grad, gnorm = gradient(point)
 
+        # a cold start was scaled: t* is 1.0 whenever f_scaled is None
         cold = abs(math.log(record.scale)) > math.log(COLD_START_FACTOR)
-        probing = precond_choice != "none" and f_scaled is not None and cold
+        probing = precond_choice != "none" and cold
         while k < config.max_outer and gnorm > config.grad_tol_rel * gnorm0:
             k += 1
             t_iter = time.perf_counter()

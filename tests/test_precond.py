@@ -427,10 +427,11 @@ def test_pencil_shift_matches_sparse_sum(monkeypatch, case):
                              np.array([1e-3, 0.7, 3.0, 2.5e4]))
 
 
-def test_pencil_shift_drops_exact_cancellation(counted_splu):
+def test_pencil_shift_drops_exact_cancellation(monkeypatch, counted_splu):
     # Off-diagonals cancel at lam = 2, and M stores an explicit zero where
     # A has no entry: scipy's sum drops both, and so must the sparse LU's
-    # input; the explicit zero does not widen the band either.
+    # input; the explicit zero does not widen the band either. With
+    # BAND_LIMIT = 0 the same kd = 1 pencil takes the sparse LU.
     n = 5
     off = np.ones(n - 1)
     a = sps.diags([-off, np.full(n, 4.0), -off], [-1, 0, 1], format="csr")
@@ -439,15 +440,21 @@ def test_pencil_shift_drops_exact_cancellation(counted_splu):
     m[0, 3] = m[3, 0] = 1.0
     m = sps.csr_matrix(m)
     m.data[m.data == 1.0] = 0.0
-    prob = LyapunovProblem(SpdSparseMatrix(a), SpdSparseMatrix(m), np.ones(n))
+
+    def problem():
+        return LyapunovProblem(SpdSparseMatrix(a), SpdSparseMatrix(m),
+                               np.ones(n))
+
+    prob = problem()
     assert 0.0 in prob.m.mat.data
     lam = np.float64(2.0)
     ref = (prob.a.mat + lam * prob.m.mat).tocsc()
     assert ref.nnz == n
-    a_op, m_op, band = _pencil(prob, "proposed")
-    assert band[0] == 1
-    precond._factor_shifts((*precond._on_union(a_op, m_op), None),
-                           np.array([lam]))
+    assert _pencil(prob, "proposed")[2][0] == 1
+    monkeypatch.setattr(precond, "BAND_LIMIT", 0)
+    pencil = _pencil(problem(), "proposed")
+    assert pencil[2] is None
+    precond._factor_shifts(pencil, np.array([lam]))
     [(mat, _)] = counted_splu["factors"]
     _assert_same_csc(mat, ref)
 

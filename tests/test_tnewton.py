@@ -680,6 +680,23 @@ def test_floor_after_a_search_without_a_step_counts_its_actions(monkeypatch):
     assert trace.final().nH == len(calls) > 0
 
 
+def test_rounding_floor_ends_the_solve_before_another_build():
+    # With no gradient tolerance this solve runs into the rounding floor
+    # of N Y after 14 steps, the first a probe. The floor test before each
+    # build ends it there, so every Hessian action and build belongs to a
+    # step with a row: nH is the sum of inner_iters and each non-probe
+    # step made one build. Without that test the solve goes on to build
+    # and run tPCG once more before its line search finds no step.
+    y0 = np.random.default_rng(1).standard_normal((200, 3))
+    _, trace = solve_fixed_rank(gen_poisson(200, 0), Metric.EMBEDDED, y0,
+                                TnewtonConfig(grad_tol_rel=0.0), "proposed")
+    record = trace.solves[0]
+    assert stop_reasons(trace) == ["floor"]
+    assert trace.final().nH == sum(row.inner_iters for row in trace.rows)
+    steps = sum(row.k > 0 for row in trace.rows)
+    assert record.builds == steps - len(record.steepest) > 0
+
+
 def _criterion_07(precond):
     y0 = np.random.default_rng(1).standard_normal((2000, 3))
     return solve_fixed_rank(gen_poisson(2000, 0), Metric.EMBEDDED,

@@ -125,8 +125,25 @@ def test_rank_sums_skip_instances_that_raised(tmp_path, capsys):
                          "n/a -> n/a), final rank sum 26 -> 25")
 
 
+def test_workload_missing_from_a_file_reads_n_a(tmp_path, capsys):
+    # A file written before a workload was audited: that workload's
+    # totals and its rank sum read n/a on that side.
+    before = {"irr/1": _record("a", 14, outer=70, actions=190, short=3,
+                               calls=190)}
+    after = {**before, "wide/0": _record("b", 5, outer=12, actions=20,
+                                         short=1, calls=20)}
+    status, lines = _compare(tmp_path, capsys, before, after)
+    assert status == 1
+    assert lines[-3:-1] == [
+        "irr: outer iterations 70 -> 70, short steps 3 -> 3, Hessian "
+        "actions 190 -> 190 (called 190 -> 190), final rank sum 14 -> 14",
+        "wide: outer iterations n/a -> 12, short steps n/a -> 1, Hessian "
+        "actions n/a -> 20 (called n/a -> 20), final rank sum n/a"]
+
+
 def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
-    # One instance of each workload, solved again here: the record's outer
+    # One instance of each workload, the benchmark's and the tool's own
+    # grid families alike, solved again here: the record's outer
     # iterations are its trace rows less one k = 0 row per rank, its short
     # steps those of them with alpha < 1, its Hessian actions the nH of its
     # last row, its calls those of tnewton.hessian_action and its largest
@@ -136,10 +153,11 @@ def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
     # records, and equal the calls of precond.build_shift_cache, which
     # write counts apart from the trace and which are counted here too.
     # So do its shift factorizations and those write counts at
-    # precond._PBTRF and splu: the grid's solve shares a shift bank, so it
-    # makes fewer than p per build, and the irr solve p per build.
-    monkeypatch.setattr(trace_audit, "INSTANCES",
-                        (("irr-poisson1d", [0]), ("fixed-grid2d", [0])))
+    # precond._PBTRF and splu: every grid solve shares a shift bank (the
+    # permuted grid's on the sparse LU), so it makes fewer than p per
+    # build, and the irr-poisson1d solve p per build.
+    monkeypatch.setattr(trace_audit, "INSTANCES", tuple(
+        (name, [0]) for name, _ in trace_audit.INSTANCES))
     monkeypatch.setattr(sys, "path", list(sys.path))
     for var in trace_audit.THREAD_VARS:
         monkeypatch.setenv(var, "1")
@@ -171,14 +189,21 @@ def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(tnewton, "tpcg", recorded)
     monkeypatch.setattr(precond, "build_shift_cache", built)
-    assert set(records) == {"irr-poisson1d/0", "fixed-grid2d/0"}
+    audited = {**workloads.WORKLOADS, **trace_audit.grid_families(workloads)}
+    assert set(records) == {f"{name}/0" for name in audited}
+    # the half-bandwidth of each workload's pencil, None for the sparse LU
+    kd = {"irr-poisson1d": 1, "fixed-grid2d": 41, "fixed-grid100": 101,
+          "fixed-grid40-permuted": None, "irr-grid30": 31}
     for key, record in records.items():
         name, seed = key.split("/")
-        workload = workloads.WORKLOADS[name]
+        workload = audited[name]
+        instance = workload.setup(int(seed))
+        band = precond._pencil(instance.problem, "proposed")[2]
+        assert (band and band[0]) == kd[name]
         calls.clear()
         inner.clear()
         builds.clear()
-        point, trace = workload.solve(workload.setup(int(seed)))
+        point, trace = workload.solve(instance)
         ranks = len({row.p for row in trace.rows})
         assert record["outcome"] == f"rank {point.p}"
         assert record["outer"] == len(trace.rows) - ranks > 0
@@ -198,7 +223,7 @@ def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
         assert record["factorizations"] == record["factor_calls"] \
             == factorizations
         per_build = sum(solve.p * solve.builds for solve in trace.solves)
-        assert (factorizations < per_build) == (name == "fixed-grid2d")
+        assert (factorizations < per_build) == (name != "irr-poisson1d")
         assert factorizations <= per_build
 
 

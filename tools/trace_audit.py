@@ -8,10 +8,14 @@ Usage:
 `write` imports lyapfactor from ROOT/src and the instance generators from
 ROOT/perfbench/workloads.py, so ROOT may be any source checkout (a parent
 commit unpacked beside this one, say). It solves irr-poisson1d instance
-seeds 0-199 and fixed-grid2d instance seeds 0-59 and writes one record per
-instance: a sha256 over float.hex of the trace columns k, p, f, gradnorm,
-relres, inner_iters, nH and alpha of every row, and over the bytes of the
-final factor, with the final rank as the outcome, the relres of each
+seeds 0-199 and fixed-grid2d instance seeds 0-59, and seeds 0-9 of three
+families it makes itself on workloads.grid_operators (see grid_families)
+to reach the wide pencils: fixed-grid100, the band path with kd = 101;
+fixed-grid40-permuted, the sparse LU; and irr-grid30, a banked
+increasing-rank solve. It writes one record per instance: a sha256 over
+float.hex of the trace columns k, p, f, gradnorm, relres, inner_iters, nH
+and alpha of every row, and over the bytes of the final factor, with the
+final rank as the outcome, the relres of each
 rank's last row, the outer iterations (rows with k > 0), the short steps
 (rows with k > 0 and alpha < 1), the Hessian actions the trace reports
 (the nH of its last row), the calls of tnewton.hessian_action the solve
@@ -54,13 +58,15 @@ one more the total of each stop reason and of the fallbacks in
 both files, and one more its total outer iterations, short steps,
 reported and called Hessian actions and its sum of final ranks in both
 files; an instance that raised in either file counts toward neither rank
-sum, so the two sums cover the same instances. The closing line counts
+sum, so the two sums cover the same instances, and a workload with no
+instance completed in both files reads n/a. The closing line counts
 the outcome changes that are not knife-edge. Files written before the
 relres, outer, short_steps, actions, calls, largest_inner, stops,
 fallbacks, builds, build_calls, factorizations or factor_calls fields
 existed still compare; their rank
 changes are never knife-edge and their missing totals and maxima read
-n/a.
+n/a, as do, on the side of a file written before the three grid
+families existed, those families' totals.
 
 BLAS is pinned to one thread before numpy is imported, as the benchmark
 does, so that a run is reproducible bit for bit.
@@ -76,7 +82,9 @@ from collections import Counter
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Workload name and the instance seeds audited on it.
-INSTANCES = (("irr-poisson1d", range(200)), ("fixed-grid2d", range(60)))
+INSTANCES = (("irr-poisson1d", range(200)), ("fixed-grid2d", range(60)),
+             ("fixed-grid100", range(10)),
+             ("fixed-grid40-permuted", range(10)), ("irr-grid30", range(10)))
 
 COLUMNS = ("k", "p", "f", "gradnorm", "relres", "inner_iters", "nH", "alpha")
 
@@ -118,6 +126,41 @@ def miscounted(records):
                                                      r["factor_calls"]))
 
 
+def grid_families(workloads):
+    """The audited workloads that perfbench/workloads.py does not define,
+    by name, as workloads.Workload: on the side-by-side grid of
+    workloads.grid_operators, B and Y0 drawn from default_rng(seed) as
+    workloads.setup_grid draws them, and solved by workloads.solve_grid
+    (rank GRID_RANK) or workloads.solve_irr. The permuted grid reorders
+    both matrices by default_rng(seed).permutation(n)."""
+    import numpy as np
+    import lyapfactor as lf
+
+    def setup(side, permute=False):
+        def make(seed):
+            a, m = workloads.grid_operators(side)
+            n = side * side
+            if permute:
+                perm = np.random.default_rng(seed).permutation(n)
+                a, m = (mat.tocsr()[perm][:, perm] for mat in (a, m))
+            rng = np.random.default_rng(seed)
+            b = rng.standard_normal((n, 1))
+            y0 = rng.standard_normal((n, workloads.GRID_RANK))
+            problem = lf.LyapunovProblem(lf.SpdSparseMatrix(a),
+                                         lf.SpdSparseMatrix(m), b)
+            return workloads.Instance(seed, problem, y0)
+        return make
+
+    return {w.name: w for w in (
+        workloads.Workload("fixed-grid100", 10, setup(100),
+                           workloads.solve_grid, None),
+        workloads.Workload("fixed-grid40-permuted", 10,
+                           setup(40, permute=True), workloads.solve_grid,
+                           None),
+        workloads.Workload("irr-grid30", 10, setup(30), workloads.solve_irr,
+                           workloads.IRR_CONFIG["tau"]))}
+
+
 def audit(root):
     """Solve every audited instance with the code under root."""
     for var in THREAD_VARS:
@@ -153,9 +196,10 @@ def audit(root):
         inner.append(state.hessian_actions)
         return state
 
+    audited = {**workloads.WORKLOADS, **grid_families(workloads)}
     records = {}
     for name, seeds in INSTANCES:
-        workload = workloads.WORKLOADS[name]
+        workload = audited[name]
         for seed in seeds:
             instance = workload.setup(seed)
             n = instance.problem.n
@@ -291,16 +335,17 @@ def describe_stops(total):
 
 
 def rank_sums(before, after):
-    """Final ranks summed per workload on both sides, over the instances
-    that completed in both files."""
-    sums = {}
+    """Per workload, 'x -> y': the final ranks summed on both sides over
+    the instances that completed in both files; n/a for a workload with no
+    such instance (one that a file lacks, say)."""
+    completed = {}
     for key in before.keys() | after.keys():
         ranks = final_rank(before.get(key)), final_rank(after.get(key))
-        total = sums.setdefault(key.split("/")[0], [0, 0])
+        both = completed.setdefault(key.split("/")[0], [])
         if None not in ranks:
-            total[0] += ranks[0]
-            total[1] += ranks[1]
-    return sums
+            both.append(ranks)
+    return {name: " -> ".join(str(sum(side)) for side in zip(*both)) or "n/a"
+            for name, both in completed.items()}
 
 
 def describe(old, new, moved):
@@ -375,7 +420,7 @@ def main(argv=None):
         print(f"{name}: outer iterations {text['outer'][name]}, short steps "
               f"{text['short_steps'][name]}, Hessian actions "
               f"{text['actions'][name]} (called {text['calls'][name]}), "
-              f"final rank sum {ranks[name][0]} -> {ranks[name][1]}")
+              f"final rank sum {ranks[name]}")
     hashes = sum(field(old, "hash") != field(new, "hash")
                  for old, new in diff.values())
     knife = sum((rank_move(*diff[key]) or (False,))[-1] for key in moved)
