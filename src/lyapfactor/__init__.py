@@ -29,7 +29,6 @@ from .precond import (
     PreconditionerError,
     ShiftSystemCache,
     apply_cached,
-    apply_preconditioner,
     build_shift_cache,
 )
 from .problems import (

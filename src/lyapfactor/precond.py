@@ -501,8 +501,3 @@ def preconditioner(choice, metric, problem, point, bank=None, record=None):
         return lambda arr: arr
     cache = build_shift_cache(problem, point, choice, bank, record)
     return lambda arr: apply_cached(cache, metric, arr)
-
-
-def apply_preconditioner(metric, problem, point, eta):
-    """One-shot preconditioner apply (builds the cache and discards it)."""
-    return preconditioner("proposed", metric, problem, point)(eta)

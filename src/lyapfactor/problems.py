@@ -187,12 +187,13 @@ class FactorPoint:
     """A rank-p iterate, represented by the factor Y of X = Y Y^T.
 
     Full column rank of Y, equivalently membership in the manifold of
-    rank-p factors, is decided by attempting a Cholesky factorization of
-    the Gram matrix Y^T Y; a wide factor (p > n) never has it. The Gram
-    matrix and its factorization are cached because every metric operation
-    reuses them, and so are the products with one problem's matrices (see
-    `products`). Y must therefore not be changed in place after
-    construction.
+    rank-p factors, is decided by a Cholesky factorization of the Gram
+    matrix G = Y^T Y: Y lacks it when that fails or some pivot has
+    L_ii^2 <= ROUNDING G_ii, the rounding level exactly parallel columns
+    leave; a wide factor (p > n) never has it. The Gram matrix and its
+    factorization are cached because every metric operation reuses them,
+    and so are the products with one problem's matrices (see `products`).
+    Y must therefore not be changed in place after construction.
     """
 
     def __init__(self, y):
@@ -219,9 +220,13 @@ class FactorPoint:
     @cached_property
     def _gram_cho(self):
         try:
-            return _cho_factor(self.gram, lower=True)
+            cho = _cho_factor(self.gram, lower=True)
         except np.linalg.LinAlgError:
             return None
+        pivots = np.diagonal(cho[0])
+        if np.any(pivots * pivots <= ROUNDING * np.diagonal(self.gram)):
+            return None
+        return cho
 
     @property
     def has_full_rank(self):

@@ -6,11 +6,13 @@ problem generators, and the dense verification tools the solver never
 needs (the full metric inner product, an orthonormal horizontal basis,
 the dense matrix of the preconditioner and a standalone saddle solve).
 Beyond the public API only `project_horizontal`, `vertical_part`,
-`_as_point` and `_compressed_residual` are imported, and `saddle_solve`
-calls a shift cache's two sweeps. `legacy_warm_start` is the library's
-warm start before the cost-optimal seed, kept for a regression replay,
-and `legacy_tpcg` the inner solve before its forcing test moved ahead of
-the preconditioner apply.
+`preconditioner`, `_as_point` and `_compressed_residual` are imported,
+and `saddle_solve` calls a shift cache's two sweeps.
+`apply_preconditioner` is a one-shot apply of the proposed
+preconditioner, which the solver never makes. `legacy_warm_start` is the
+library's warm start before the cost-optimal seed, kept for a regression
+replay, and `legacy_tpcg` the inner solve before its forcing test moved
+ahead of the preconditioner apply.
 `trace_audit` is tools/trace_audit.py, loaded from its path,
 `count_hessian_actions` an independent count of the solver's Hessian
 actions, `stop_reasons` the stop of each solve a trace records and
@@ -45,6 +47,7 @@ from lyapfactor import (
 )
 from lyapfactor import increasing_rank, tnewton
 from lyapfactor.manifold import project_horizontal, vertical_part
+from lyapfactor.precond import preconditioner
 from lyapfactor.problems import _as_point, _compressed_residual
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "trace_audit.py"
@@ -306,6 +309,11 @@ def horizontal_basis(metric, at, tol=1e-8):
                 basis.append(h / norm)
     assert len(basis) == dim, f"found {len(basis)} directions, expected {dim}"
     return basis
+
+
+def apply_preconditioner(metric, problem, point, eta):
+    """One-shot preconditioner apply (builds the cache and discards it)."""
+    return preconditioner("proposed", metric, problem, point)(eta)
 
 
 def assemble_precond_operator_dense(metric, problem, point,

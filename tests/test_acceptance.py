@@ -31,11 +31,11 @@ from lyapfactor.manifold import (
     project_horizontal,
     retract,
 )
-from lyapfactor.precond import apply_preconditioner
 from lyapfactor.tnewton import tpcg
 
 from helpers import (
     ALL_METRICS,
+    apply_preconditioner,
     assemble_precond_operator_dense,
     dense_residual,
     hnorm,

@@ -12,6 +12,7 @@ from scipy.sparse.linalg import splu as general_splu
 from helpers import (
     at_start_scale,
     ALL_METRICS,
+    apply_preconditioner,
     assemble_precond_operator_dense,
     count_hessian_actions,
     grid_problem,
@@ -51,7 +52,6 @@ from lyapfactor.precond import (
     _sym_to_vec,
     _vec_to_sym,
     apply_cached,
-    apply_preconditioner,
     build_shift_cache,
 )
 from lyapfactor.problems import SPD_CHECK_LIMIT

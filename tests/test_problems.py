@@ -212,6 +212,17 @@ def test_factor_point_requires_full_rank():
     assert FactorPoint(np.eye(5)[:, :2]).has_full_rank
 
 
+def test_exactly_parallel_columns_lack_full_rank():
+    # The rounded Gram matrix of [y, 3 y] factors without error, to a last
+    # pivot of rounding size (L_22^2 / G_22 = 1.3e-16): that pivot, not the
+    # sign of its rounding error, decides that the factor lacks full rank.
+    y = np.random.default_rng(0).standard_normal((40, 1))
+    point = FactorPoint(np.hstack([y, 3.0 * y]))
+    assert not point.has_full_rank
+    with pytest.raises(ValueError, match="^factor is rank deficient$"):
+        point.solve_gram(np.eye(2))
+
+
 @pytest.mark.parametrize("b", [np.ones((6, 1)) * (1.0 + 1j),
                                np.ones(6, dtype=complex)],
                          ids=["column", "one-dimensional"])

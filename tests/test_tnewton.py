@@ -20,6 +20,7 @@ from helpers import (
 from lyapfactor import (
     FactorPoint,
     IrrConfig,
+    LyapunovProblem,
     Metric,
     SolverError,
     SolveTrace,
@@ -812,6 +813,27 @@ def test_start_scale_makes_the_first_iterate_scale_free(metric, choice):
     for y in firsts[1:]:
         assert np.linalg.norm(y - firsts[0]) <= \
             1e-10 * np.linalg.norm(firsts[0])
+
+
+@pytest.mark.parametrize("choice", ["none", "proposed"])
+def test_start_with_b_orthogonal_to_the_factor_is_not_scaled(choice):
+    # B^T Y0 = 0: the cost t^4 tr(Y0^T A Y0 Y0^T M Y0) along t Y0 has no
+    # minimizer t* > 0, so the solve keeps Y0 as given (scale 1.0, and no
+    # cold start) and iterates from it to the gradient tolerance.
+    poisson = gen_poisson(60, 0)
+    prob = LyapunovProblem(poisson.a, poisson.m, np.eye(60, 1))
+    y0 = np.random.default_rng(1).standard_normal((60, 2))
+    y0[0] = 0.0
+    point, trace = solve_fixed_rank(prob, Metric.EMBEDDED, y0,
+                                    TnewtonConfig(), choice)
+    assert [solve.scale for solve in trace.solves] == [1.0]
+    assert trace.solves[0].steepest == []
+    assert trace.rows[0].f == cost(prob, FactorPoint(y0)) > 0.0
+    assert stop_reasons(trace) == ["gradient"]
+    assert len(trace.rows) == 23
+    assert trace.rows[0].relres == pytest.approx(7.745e5, rel=1e-3)
+    assert trace.final().relres == pytest.approx(0.0142, rel=1e-3)
+    assert relative_residual(prob, point) == trace.final().relres
 
 
 def test_scaled_start_returned_without_a_step_has_its_own_row():

@@ -1,4 +1,5 @@
-"""The comparison side of tools/trace_audit.py, on hand-made records."""
+"""tools/trace_audit.py: compare on hand-made records, write on this
+checkout."""
 
 import json
 import pathlib
@@ -11,21 +12,20 @@ from lyapfactor import precond, tnewton
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def _record(digest, rank, relres=None, tau=1e-6, outer=None, actions=None,
-            short=None, calls=None):
-    out = {"hash": digest, "outcome": f"rank {rank}"}
-    if relres is not None:
-        out.update(relres={str(p): r * tau for p, r in relres.items()},
-                   tau=tau)
-    if outer is not None:
-        out["outer"] = outer
-    if actions is not None:
-        out["actions"] = actions
-    if short is not None:
-        out["short_steps"] = short
-    if calls is not None:
-        out["calls"] = calls
-    return out
+def _record(digest, rank, relres=None, tau=1e-6, **fields):
+    """A record with every field write gives it, of a solve that ended at
+    `rank`: relres maps a rank to its relres / tau (0.5 for each rank up
+    to `rank` when not given), and `fields` replaces the zero counts and
+    the empty stops."""
+    relres = relres or dict.fromkeys(range(1, rank + 1), 0.5)
+    record = {"hash": digest, "outcome": f"rank {rank}",
+              "relres": {str(p): r * tau for p, r in relres.items()},
+              "tau": tau, "outer": 0, "short_steps": 0, "actions": 0,
+              "calls": 0, "largest_inner": 0, "builds": 0, "build_calls": 0,
+              "factorizations": 0, "factor_calls": 0, "stops": [],
+              "fallbacks": 0}
+    record.update(fields)
+    return record
 
 
 def _compare(tmp_path, capsys, before, after):
@@ -54,91 +54,67 @@ def test_moved_rank_is_knife_edge_only_near_tau(tmp_path, capsys):
                          "1 of them not knife-edge")
 
 
-def test_records_without_relres_still_compare(tmp_path, capsys):
-    before = {"irr/1": _record("a", 14), "irr/2": _record("b", 14)}
-    after = {"irr/1": _record("a", 14, {14: 0.5}),
-             "irr/2": _record("c", 15, {14: 1.01, 15: 0.3})}
-    status, lines = _compare(tmp_path, capsys, before, after)
-    assert status == 1
-    assert lines[0].endswith("relres/tau at rank 14: n/a -> 1.010")
-    assert lines[-1] == ("2 instances, 1 hashes differ, 1 outcomes differ, "
-                         "1 of them not knife-edge")
-    status, lines = _compare(tmp_path, capsys, before, before)
-    assert status == 0
-
-
 def test_compare_prints_outer_iterations_per_workload(tmp_path, capsys):
     # the total outer iterations, short steps, reported and called Hessian
     # actions of each workload
-    before = {"irr/1": _record("a", 14, outer=70, actions=190, short=3,
-                               calls=190),
-              "irr/2": _record("b", 14, outer=80, actions=210, short=1,
-                               calls=215),
-              "grid/0": _record("c", 5, outer=20, actions=31, short=6,
-                                calls=31)}
-    after = {"irr/1": _record("d", 14, outer=30, actions=95, short=0,
+    before = {"irr/1": _record("a", 14, outer=70, actions=190,
+                               short_steps=3, calls=190),
+              "irr/2": _record("b", 14, outer=80, actions=210,
+                               short_steps=1, calls=215),
+              "grid/0": _record("c", 5, outer=20, actions=31,
+                                short_steps=6, calls=31)}
+    after = {"irr/1": _record("d", 14, outer=30, actions=95, short_steps=0,
                               calls=95),
-             "irr/2": _record("e", 14, outer=40, actions=331, short=2,
-                              calls=331),
-             "grid/0": _record("c", 5, outer=20, actions=31, short=6,
+             "irr/2": _record("e", 14, outer=40, actions=331,
+                              short_steps=2, calls=331),
+             "grid/0": _record("c", 5, outer=20, actions=31, short_steps=6,
                                calls=31)}
-
-    def lines_for(outer="20", short="6", actions="31", calls="31",
-                  irr_outer="150", irr_short="4", irr_actions="400",
-                  irr_calls="405"):
-        return [f"grid: outer iterations {outer} -> 20, short steps "
-                f"{short} -> 6, Hessian actions {actions} -> 31 (called "
-                f"{calls} -> 31), final rank sum 5 -> 5",
-                f"irr: outer iterations {irr_outer} -> 70, short steps "
-                f"{irr_short} -> 2, Hessian actions {irr_actions} -> 426 "
-                f"(called {irr_calls} -> 426), final rank sum 28 -> 28"]
-
     status, lines = _compare(tmp_path, capsys, before, after)
     assert status == 1
-    assert lines[-3:-1] == lines_for()
-    # a file without a field still compares; its totals read n/a
-    for dropped, want in (
-            ("outer", lines_for(outer="n/a", irr_outer="n/a")),
-            ("short_steps", lines_for(short="n/a", irr_short="n/a")),
-            ("actions", lines_for(actions="n/a", irr_actions="n/a")),
-            ("calls", lines_for(calls="n/a", irr_calls="n/a"))):
-        old = {key: {k: v for k, v in record.items() if k != dropped}
-               for key, record in before.items()}
-        status, lines = _compare(tmp_path, capsys, old, after)
-        assert status == 1
-        assert lines[-3:-1] == want
+    assert lines[-3:-1] == [
+        "grid: outer iterations 20 -> 20, short steps 6 -> 6, Hessian "
+        "actions 31 -> 31 (called 31 -> 31), final rank sum 5 -> 5",
+        "irr: outer iterations 150 -> 70, short steps 4 -> 2, Hessian "
+        "actions 400 -> 426 (called 405 -> 426), final rank sum 28 -> 28"]
 
 
 def test_rank_sums_skip_instances_that_raised(tmp_path, capsys):
     # irr/2 raised after the change and irr/3 before it: neither counts
-    # toward either sum, so the sums cover irr/1 and irr/4 only; a file
-    # with only hash and outcome still gives its rank sums
-    raised = {"hash": "x", "outcome": "LineSearchError"}
+    # toward either sum, so the sums cover irr/1 and irr/4 only; grid/0
+    # raised after the change, so no grid instance completed in both files
+    # and the grid's rank sum reads n/a
+    raised = {**_record("x", 0), "outcome": "LineSearchError"}
     before = {"irr/1": _record("a", 14), "irr/2": _record("b", 15),
-              "irr/3": raised, "irr/4": _record("c", 12)}
+              "irr/3": raised, "irr/4": _record("c", 12),
+              "grid/0": _record("f", 5)}
     after = {"irr/1": _record("a", 14), "irr/2": raised,
-             "irr/3": _record("d", 13), "irr/4": _record("e", 11)}
-    status, lines = _compare(tmp_path, capsys, before, after)
-    assert status == 1
-    assert lines[-2] == ("irr: outer iterations n/a -> n/a, short steps "
-                         "n/a -> n/a, Hessian actions n/a -> n/a (called "
-                         "n/a -> n/a), final rank sum 26 -> 25")
-
-
-def test_workload_missing_from_a_file_reads_n_a(tmp_path, capsys):
-    # A file written before a workload was audited: that workload's
-    # totals and its rank sum read n/a on that side.
-    before = {"irr/1": _record("a", 14, outer=70, actions=190, short=3,
-                               calls=190)}
-    after = {**before, "wide/0": _record("b", 5, outer=12, actions=20,
-                                         short=1, calls=20)}
+             "irr/3": _record("d", 13), "irr/4": _record("e", 11),
+             "grid/0": raised}
     status, lines = _compare(tmp_path, capsys, before, after)
     assert status == 1
     assert lines[-3:-1] == [
-        "irr: outer iterations 70 -> 70, short steps 3 -> 3, Hessian "
-        "actions 190 -> 190 (called 190 -> 190), final rank sum 14 -> 14",
-        "wide: outer iterations n/a -> 12, short steps n/a -> 1, Hessian "
-        "actions n/a -> 20 (called n/a -> 20), final rank sum n/a"]
+        "grid: outer iterations 0 -> 0, short steps 0 -> 0, Hessian "
+        "actions 0 -> 0 (called 0 -> 0), final rank sum n/a",
+        "irr: outer iterations 0 -> 0, short steps 0 -> 0, Hessian "
+        "actions 0 -> 0 (called 0 -> 0), final rank sum 26 -> 25"]
+
+
+def test_files_that_differ_in_instances_or_fields_cannot_compare(
+        tmp_path, capsys):
+    # An instance that one file lacks is named, not counted as a changed
+    # outcome; a record with a field that another lacks stops the
+    # comparison too. Either way compare prints one line and exits 2.
+    before = {"irr/1": _record("a", 14), "irr/2": _record("b", 14)}
+    after = {**before, "wide/0": _record("c", 5), "wide/1": _record("d", 5)}
+    for old, new in ((before, after), (after, before)):
+        status, lines = _compare(tmp_path, capsys, old, new)
+        assert status == 2
+        assert lines == ["cannot compare: in one file only: wide/0, wide/1"]
+    fewer = {**before, "irr/2": {k: v for k, v in before["irr/2"].items()
+                                 if k != "largest_inner"}}
+    status, lines = _compare(tmp_path, capsys, before, fewer)
+    assert status == 2
+    assert lines == ["cannot compare: the records' fields differ"]
 
 
 def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
@@ -155,7 +131,9 @@ def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
     # So do its shift factorizations and those write counts at
     # precond._PBTRF and splu: every grid solve shares a shift bank (the
     # permuted grid's on the sparse LU), so it makes fewer than p per
-    # build, and the irr-poisson1d solve p per build.
+    # build, and the irr-poisson1d solve p per build. A second write on
+    # the same checkout gives the same file, hash for hash, and a copy of
+    # it without one instance cannot be compared with it.
     monkeypatch.setattr(trace_audit, "INSTANCES", tuple(
         (name, [0]) for name, _ in trace_audit.INSTANCES))
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -170,7 +148,20 @@ def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
     assert tnewton.tpcg is inner_solve
     assert precond.build_shift_cache is build
     assert (precond._PBTRF, precond.sps_la.splu) == (pbtrf, splu)
+    again = tmp_path / "again.json"
+    assert trace_audit.main(["write", str(ROOT), str(again)]) == 0
+    capsys.readouterr()
+    assert trace_audit.main(["compare", str(out), str(again)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "5 instances, 0 hashes differ, 0 outcomes differ, 0 of them not "
+        "knife-edge")
     records = json.loads(out.read_text(encoding="ascii"))
+    cut = {key: record for key, record in records.items()
+           if key != "irr-grid30/0"}
+    again.write_text(json.dumps(cut), encoding="ascii")
+    assert trace_audit.main(["compare", str(out), str(again)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "cannot compare: in one file only: irr-grid30/0"]
     import workloads
 
     calls = count_hessian_actions(monkeypatch)
@@ -232,8 +223,7 @@ def test_write_fails_on_counts_other_than_the_calls(tmp_path, capsys,
     # Hand-built records with at most one mismatch each: write still
     # writes them all, then exits 1 naming each instance whose reported
     # actions, builds or shift factorizations differ from the counted
-    # ones; a null builds or factorizations (a library without them in
-    # its trace) is not compared.
+    # ones.
     def record(actions=9, calls=9, builds=4, build_calls=4,
                factorizations=12, factor_calls=12):
         return {"hash": "a", "outcome": "rank 3", "actions": actions,
@@ -242,10 +232,8 @@ def test_write_fails_on_counts_other_than_the_calls(tmp_path, capsys,
                 "factor_calls": factor_calls}
 
     records = {"irr/0": record(), "irr/1": record(actions=8),
-               "grid/0": record(builds=None, build_calls=3),
                "grid/1": record(build_calls=5),
-               "grid/2": record(factor_calls=11),
-               "grid/3": record(factorizations=None, factor_calls=20)}
+               "grid/2": record(factor_calls=11)}
     assert trace_audit.miscounted(records) == ["grid/1", "grid/2", "irr/1"]
     monkeypatch.setattr(trace_audit, "audit", lambda root: records)
     out = tmp_path / "audit.json"
@@ -260,9 +248,7 @@ def test_write_fails_on_counts_other_than_the_calls(tmp_path, capsys,
 
 def test_compare_prints_preconditioner_builds(tmp_path, capsys):
     # One line per workload, before the largest inner solve: the builds
-    # the traces report and the build calls counted apart, in both files;
-    # a file without the fields (or a library without trace builds) reads
-    # n/a.
+    # the traces report and the build calls counted apart, in both files.
     before = {"irr/1": _record("a", 14), "irr/2": _record("b", 15),
               "grid/0": _record("c", 5)}
     after = {"irr/1": _record("d", 14), "irr/2": _record("e", 15),
@@ -275,20 +261,12 @@ def test_compare_prints_preconditioner_builds(tmp_path, capsys):
     assert lines[-11:-9] == [
         "grid: preconditioner builds 12 -> 9 (called 12 -> 9)",
         "irr: preconditioner builds 150 -> 149 (called 150 -> 149)"]
-    for record in before.values():
-        record["builds"] = None
-    del before["irr/2"]["build_calls"]
-    status, lines = _compare(tmp_path, capsys, before, after)
-    assert lines[-11:-9] == [
-        "grid: preconditioner builds n/a -> 9 (called 12 -> 9)",
-        "irr: preconditioner builds n/a -> 149 (called n/a -> 149)"]
 
 
 def test_compare_prints_shift_factorizations(tmp_path, capsys):
     # One line per workload, between the builds and the largest inner
     # solve: the shift factorizations the traces report and those counted
-    # apart, in both files; a file without the fields (or a library
-    # without them in its trace) reads n/a.
+    # apart, in both files.
     before = {"irr/1": _record("a", 14), "irr/2": _record("b", 15),
               "grid/0": _record("c", 5)}
     after = {"irr/1": _record("d", 14), "irr/2": _record("e", 15),
@@ -301,12 +279,6 @@ def test_compare_prints_shift_factorizations(tmp_path, capsys):
     assert lines[-9:-7] == [
         "grid: shift factorizations 45 -> 25 (counted 45 -> 25)",
         "irr: shift factorizations 1500 -> 1500 (counted 1500 -> 1500)"]
-    for record in before.values():
-        record["factorizations"] = None
-    status, lines = _compare(tmp_path, capsys, before, after)
-    assert lines[-9:-7] == [
-        "grid: shift factorizations n/a -> 25 (counted 45 -> 25)",
-        "irr: shift factorizations n/a -> 1500 (counted 1500 -> 1500)"]
 
 
 def test_compare_prints_stop_reasons_and_fallbacks(tmp_path, capsys):
@@ -330,21 +302,11 @@ def test_compare_prints_stop_reasons_and_fallbacks(tmp_path, capsys):
         "grid: stops gradient 1; fallbacks 2 -> gradient 1; fallbacks 0",
         "irr: stops floor 2, stall 3; fallbacks 1 -> floor 1, stall 2, "
         "target 1; fallbacks 0"]
-    # a file written before the fields existed still compares
-    old = {key: {k: v for k, v in record.items()
-                 if k not in ("stops", "fallbacks")}
-           for key, record in before.items()}
-    status, lines = _compare(tmp_path, capsys, old, after)
-    assert status == 1
-    assert lines[-5:-3] == [
-        "grid: stops n/a -> gradient 1; fallbacks 0",
-        "irr: stops n/a -> floor 1, stall 2, target 1; fallbacks 0"]
 
 
 def test_compare_prints_the_largest_inner_solve(tmp_path, capsys):
     # One line per workload, before the stop reasons: the most Hessian
-    # actions of one inner solve in both files; a file without the field
-    # reads n/a.
+    # actions of one inner solve in both files.
     before = {"irr/1": _record("a", 14), "irr/2": _record("b", 15),
               "grid/0": _record("c", 5)}
     after = {"irr/1": _record("d", 14), "irr/2": _record("e", 15),
@@ -357,11 +319,6 @@ def test_compare_prints_the_largest_inner_solve(tmp_path, capsys):
     assert lines[-7:-5] == [
         "grid: largest inner solve 4 -> 4 Hessian actions",
         "irr: largest inner solve 820 -> 5 Hessian actions"]
-    del before["irr/2"]["largest_inner"]
-    status, lines = _compare(tmp_path, capsys, before, after)
-    assert lines[-7:-5] == [
-        "grid: largest inner solve 4 -> 4 Hessian actions",
-        "irr: largest inner solve n/a -> 5 Hessian actions"]
 
 
 def test_compare_into_a_closed_pipe_prints_no_traceback(tmp_path):

@@ -6,67 +6,63 @@ Usage:
     python3 tools/trace_audit.py compare BEFORE.json AFTER.json
 
 `write` imports lyapfactor from ROOT/src and the instance generators from
-ROOT/perfbench/workloads.py, so ROOT may be any source checkout (a parent
-commit unpacked beside this one, say). It solves irr-poisson1d instance
-seeds 0-199 and fixed-grid2d instance seeds 0-59, and seeds 0-9 of three
-families it makes itself on workloads.grid_operators (see grid_families)
-to reach the wide pencils: fixed-grid100, the band path with kd = 101;
-fixed-grid40-permuted, the sparse LU; and irr-grid30, a banked
-increasing-rank solve. It writes one record per instance: a sha256 over
-float.hex of the trace columns k, p, f, gradnorm, relres, inner_iters, nH
-and alpha of every row, and over the bytes of the final factor, with the
-final rank as the outcome, the relres of each
-rank's last row, the outer iterations (rows with k > 0), the short steps
-(rows with k > 0 and alpha < 1), the Hessian actions the trace reports
-(the nH of its last row), the calls of tnewton.hessian_action the solve
-made (counted by wrapping that attribute, apart from the trace), the
-Hessian actions of its largest inner solve (the largest hessian_actions
-of a tnewton.tpcg call, read by wrapping that attribute too), the
-preconditioner builds the trace reports (the sum of its solves' builds;
-null for a library whose solve records lack them), the calls of
-precond.build_shift_cache the solve made (counted by wrapping that
-attribute too), the shift factorizations the trace reports (the sum of
-its solves' factorizations; null for a library whose solve records lack
-them), the shift factorizations the solve made (counted by wrapping
+ROOT/perfbench/workloads.py, so ROOT may be any source checkout whose
+lyapfactor defines SolverError and counts builds and factorizations in
+its solve records (a parent commit unpacked beside this one, say). It
+solves irr-poisson1d instance seeds 0-199 and fixed-grid2d instance seeds
+0-59, and seeds 0-9 of three families it makes itself on
+workloads.grid_operators (see grid_families) to reach the wide pencils:
+fixed-grid100, the band path with kd = 101; fixed-grid40-permuted, the
+sparse LU; and irr-grid30, a banked increasing-rank solve. It writes one
+record per instance: a sha256 over float.hex of the trace columns k, p,
+f, gradnorm, relres, inner_iters, nH and alpha of every row, and over the
+bytes of the final factor, with the final rank as the outcome, the relres
+of each rank's last row, the outer iterations (rows with k > 0), the
+short steps (rows with k > 0 and alpha < 1), the Hessian actions the
+trace reports (the nH of its last row), the calls of
+tnewton.hessian_action the solve made (counted by wrapping that
+attribute, apart from the trace), the Hessian actions of its largest
+inner solve (the largest hessian_actions of a tnewton.tpcg call, read by
+wrapping that attribute too), the preconditioner builds the trace reports
+(the sum of its solves' builds), the calls of precond.build_shift_cache
+the solve made (counted by wrapping that attribute too), the shift
+factorizations the trace reports (the sum of its solves' factorizations),
+the shift factorizations the solve made (counted by wrapping
 precond._PBTRF, whose band holds one shift per n columns, and
 precond.sps_la.splu, one shift per call), the reason each fixed-rank
-solve ended (the stop of each
-of the trace's solves that did not raise), the number of steps the line
-search's Armijo fallback took and the workload's residual target tau
-(null for a fixed-rank solve). A solve that raises a
-lyapfactor.SolverError (so ROOT must be a checkout that defines it) is
-hashed over the partial trace the exception carries, and its outcome is
-the exception type (with the type of the cause, if any). After writing its
-file, `write` exits with status 1 and names every instance whose reported
-Hessian actions differ from its counted calls, or whose reported builds
-or shift factorizations (when not null) differ from its counted build
-calls or factorizations.
+solve ended (the stop of each of the trace's solves that did not raise),
+the number of steps the line search's Armijo fallback took and the
+workload's residual target tau (null for a fixed-rank solve). A solve
+that raises a lyapfactor.SolverError is hashed over the partial trace the
+exception carries, and its outcome is the exception type. After writing
+its file, `write` exits with status 1 and names every instance whose
+reported Hessian actions, builds or shift factorizations differ from its
+counted calls, build calls or factorizations.
 
-`compare` prints every instance whose hash or outcome differs between two
-files, those whose outcome changed first, then counts the differing
-hashes and outcomes apart, and exits with status 1 if any record differs. Two traces
-are bit-identical exactly when their hashes agree; a change at rounding
-level alters every hash but no outcome. For a final rank that moved,
-relres / tau at the lower of the two ranks is printed for both sides, and
+`compare` takes two files that hold the same instances, each record with
+the same fields, as two runs of `write` give; for any other pair it
+prints one line, naming the instances that are in one file only or saying
+that the fields differ, and exits with status 2. Otherwise it prints
+every instance whose hash or outcome differs between the two files, those
+whose outcome changed first, then counts the differing hashes and
+outcomes apart, and exits with status 1 if any record differs (0 if none
+does). Two traces are bit-identical exactly when their hashes agree; a
+change at rounding level alters every hash but no outcome. For a final
+rank that moved, relres / tau at the lower of the two ranks is printed
+for both sides (n/a for a fixed-rank workload, whose tau is null), and
 the change is labelled knife-edge when the first file's value lies within
 KNIFE_EDGE of 1: such an instance stops within rounding of tau, so any
 rounding-level change can move its rank by one. Then one line per
 workload gives its reported and called preconditioner builds in both
 files, one more its reported and counted shift factorizations in both
 files, one more its largest inner solve in Hessian actions in both files,
-one more the total of each stop reason and of the fallbacks in
-both files, and one more its total outer iterations, short steps,
-reported and called Hessian actions and its sum of final ranks in both
-files; an instance that raised in either file counts toward neither rank
-sum, so the two sums cover the same instances, and a workload with no
-instance completed in both files reads n/a. The closing line counts
-the outcome changes that are not knife-edge. Files written before the
-relres, outer, short_steps, actions, calls, largest_inner, stops,
-fallbacks, builds, build_calls, factorizations or factor_calls fields
-existed still compare; their rank
-changes are never knife-edge and their missing totals and maxima read
-n/a, as do, on the side of a file written before the three grid
-families existed, those families' totals.
+one more the total of each stop reason and of the fallbacks in both
+files, and one more its total outer iterations, short steps, reported and
+called Hessian actions and its sum of final ranks in both files; an
+instance that raised in either file counts toward neither rank sum, so
+the two sums cover the same instances, and a workload on which no
+instance completed in both files reads n/a. The closing line counts the
+outcome changes that are not knife-edge.
 
 BLAS is pinned to one thread before numpy is imported, as the benchmark
 does, so that a run is reproducible bit for bit.
@@ -108,22 +104,12 @@ def final_relres(trace):
     return {str(row.p): float(row.relres) for row in trace.rows}
 
 
-def reported(trace, name):
-    """The sum of field `name` (builds, factorizations) of the trace's
-    solves; None for a library whose solve records lack it."""
-    counts = [getattr(solve, name, None) for solve in trace.solves]
-    return None if None in counts else sum(counts)
-
-
 def miscounted(records):
     """Keys of the records whose reported Hessian actions, builds or
-    shift factorizations differ from those counted apart from the trace;
-    a null builds or factorizations is not compared."""
+    shift factorizations differ from those counted apart from the trace."""
     return sorted(key for key, r in records.items()
-                  if r["actions"] != r["calls"]
-                  or r["builds"] not in (None, r["build_calls"])
-                  or r.get("factorizations") not in (None,
-                                                     r["factor_calls"]))
+                  if (r["actions"], r["builds"], r["factorizations"])
+                  != (r["calls"], r["build_calls"], r["factor_calls"]))
 
 
 def grid_families(workloads):
@@ -198,82 +184,86 @@ def audit(root):
 
     audited = {**workloads.WORKLOADS, **grid_families(workloads)}
     records = {}
-    for name, seeds in INSTANCES:
-        workload = audited[name]
-        for seed in seeds:
-            instance = workload.setup(seed)
-            n = instance.problem.n
-            calls.clear()
-            inner.clear()
-            builds.clear()
-            factored.clear()
-            tnewton.hessian_action, tnewton.tpcg = counted, recorded
-            precond.build_shift_cache = built
-            precond._PBTRF, precond.sps_la.splu = band_factored, lu_factored
-            try:
-                point, trace = workload.solve(instance)
-            except lf.SolverError as exc:
-                cause = getattr(exc, "cause", None)
-                outcome = type(exc).__name__
-                if cause is not None:
-                    outcome += f"({type(cause).__name__})"
-                trace = exc.trace
-                digest = trace_digest(trace)
-            else:
-                outcome = f"rank {point.p}"
-                digest = trace_digest(trace, point.y)
-            finally:
-                tnewton.hessian_action, tnewton.tpcg = action, inner_solve
-                precond.build_shift_cache = build
-                precond._PBTRF, precond.sps_la.splu = pbtrf, splu
-            records[f"{name}/{seed}"] = {
-                "hash": digest, "outcome": outcome,
-                "relres": final_relres(trace),
-                "outer": sum(row.k > 0 for row in trace.rows),
-                "short_steps": sum(row.k > 0 and row.alpha < 1.0
-                                   for row in trace.rows),
-                "actions": trace.rows[-1].nH if trace.rows else 0,
-                "calls": len(calls),
-                "largest_inner": max(inner, default=0),
-                "builds": reported(trace, "builds"),
-                "build_calls": len(builds),
-                "factorizations": reported(trace, "factorizations"),
-                "factor_calls": sum(factored),
-                "stops": [s.stop for s in trace.solves
-                          if s.stop is not None],
-                "fallbacks": sum(len(s.fallbacks) for s in trace.solves),
-                "tau": workload.tau}
-            print(f"{name}/{seed}: {outcome}", file=sys.stderr, flush=True)
+    # Setting up an instance calls none of the wrapped functions (the
+    # definiteness check calls problems._PBTRF, a binding of its own).
+    tnewton.hessian_action, tnewton.tpcg = counted, recorded
+    precond.build_shift_cache = built
+    precond._PBTRF, precond.sps_la.splu = band_factored, lu_factored
+    try:
+        for name, seeds in INSTANCES:
+            workload = audited[name]
+            for seed in seeds:
+                instance = workload.setup(seed)
+                n = instance.problem.n
+                for counts in (calls, inner, builds, factored):
+                    counts.clear()
+                try:
+                    point, trace = workload.solve(instance)
+                except lf.SolverError as exc:
+                    outcome = type(exc).__name__
+                    trace = exc.trace
+                    digest = trace_digest(trace)
+                else:
+                    outcome = f"rank {point.p}"
+                    digest = trace_digest(trace, point.y)
+                records[f"{name}/{seed}"] = {
+                    "hash": digest, "outcome": outcome,
+                    "relres": final_relres(trace),
+                    "outer": sum(row.k > 0 for row in trace.rows),
+                    "short_steps": sum(row.k > 0 and row.alpha < 1.0
+                                       for row in trace.rows),
+                    "actions": trace.rows[-1].nH if trace.rows else 0,
+                    "calls": len(calls),
+                    "largest_inner": max(inner, default=0),
+                    "builds": sum(s.builds for s in trace.solves),
+                    "build_calls": len(builds),
+                    "factorizations": sum(s.factorizations
+                                          for s in trace.solves),
+                    "factor_calls": sum(factored),
+                    "stops": [s.stop for s in trace.solves
+                              if s.stop is not None],
+                    "fallbacks": sum(len(s.fallbacks) for s in trace.solves),
+                    "tau": workload.tau}
+                print(f"{name}/{seed}: {outcome}", file=sys.stderr,
+                      flush=True)
+    finally:
+        tnewton.hessian_action, tnewton.tpcg = action, inner_solve
+        precond.build_shift_cache = build
+        precond._PBTRF, precond.sps_la.splu = pbtrf, splu
     return records
 
 
+def incomparable(before, after):
+    """Why two record files cannot be compared, or None when they hold
+    the same instances and every record has the same fields."""
+    alone = sorted(before.keys() ^ after.keys())
+    if alone:
+        return f"in one file only: {', '.join(alone)}"
+    if len({tuple(sorted(record)) for records in (before, after)
+            for record in records.values()}) > 1:
+        return "the records' fields differ"
+    return None
+
+
 def compare(before, after):
-    """Keys whose hash or outcome differ, with both records; None for a
-    missing one."""
-    diff = {}
-    for key in sorted(before.keys() | after.keys()):
-        old, new = before.get(key), after.get(key)
-        if any(field(old, name) != field(new, name)
-               for name in ("hash", "outcome")):
-            diff[key] = old, new
-    return diff
-
-
-def field(record, name):
-    return None if record is None else record.get(name)
+    """Keys whose hash or outcome differ, with both records."""
+    return {key: (before[key], after[key]) for key in sorted(before)
+            if any(before[key][name] != after[key][name]
+                   for name in ("hash", "outcome"))}
 
 
 def final_rank(record):
     """The final rank of a completed solve, None for one that raised."""
-    outcome = field(record, "outcome") or ""
+    outcome = record["outcome"]
     return int(outcome.split()[1]) if outcome.startswith("rank ") else None
 
 
 def tau_ratio(record, rank):
-    """relres / tau at the end of `rank`, None where it is not recorded."""
-    relres = (field(record, "relres") or {}).get(str(rank))
-    tau = field(record, "tau")
-    return None if relres is None or not tau else relres / tau
+    """relres / tau at the end of `rank` (an increasing-rank trace has a
+    row for each rank up to its final one); None for a fixed-rank
+    workload, whose tau is null."""
+    tau = record["tau"]
+    return None if tau is None else record["relres"][str(rank)] / tau
 
 
 def rank_move(old, new):
@@ -288,59 +278,39 @@ def rank_move(old, new):
     return rank, before, after, knife
 
 
-def field_totals(records, name, combine=sum):
-    """Field `name` summed (or combined by `combine`) per workload (the key
-    before '/'); None for a workload with a record that lacks the field."""
-    values = {}
+def by_workload(records):
+    """The records grouped by workload (the key before '/')."""
+    groups = {}
     for key, record in records.items():
-        values.setdefault(key.split("/")[0], []).append(record.get(name))
-    return {workload: None if None in got else combine(got)
-            for workload, got in values.items()}
+        groups.setdefault(key.split("/")[0], []).append(record)
+    return groups
 
 
 def both_totals(before, after, name, combine=sum):
-    """Per workload, 'x -> y': field_totals of `name` in both files, n/a
-    for a side without it."""
-    sides = [field_totals(records, name, combine)
+    """Per workload, 'x -> y': field `name` summed (or combined by
+    `combine`) in both files."""
+    sides = [{workload: combine(record[name] for record in group)
+              for workload, group in by_workload(records).items()}
              for records in (before, after)]
-    return {workload: " -> ".join("n/a" if side.get(workload) is None
-                                  else str(side[workload]) for side in sides)
-            for workload in sides[0].keys() | sides[1].keys()}
+    return {workload: f"{sides[0][workload]} -> {sides[1][workload]}"
+            for workload in sides[0]}
 
 
-def stop_totals(records):
-    """Per workload (the key before '/'), the count of each stop reason
-    and the total fallbacks; None for a workload with a record that lacks
-    either field."""
-    totals = {}
-    for key, record in records.items():
-        name = key.split("/")[0]
-        stops, fallbacks = record.get("stops"), record.get("fallbacks")
-        total = totals.setdefault(name, [Counter(), 0])
-        if total is None or stops is None or fallbacks is None:
-            totals[name] = None
-            continue
-        total[0].update(stops)
-        total[1] += fallbacks
-    return totals
-
-
-def describe_stops(total):
-    """'floor 3, gradient 57; fallbacks 1', or n/a."""
-    if total is None:
-        return "n/a"
-    stops, fallbacks = total
+def describe_stops(group):
+    """'floor 3, gradient 57; fallbacks 1' over a workload's records."""
+    stops = Counter(stop for record in group for stop in record["stops"])
     text = ", ".join(f"{reason} {stops[reason]}" for reason in sorted(stops))
+    fallbacks = sum(record["fallbacks"] for record in group)
     return f"{text or 'none'}; fallbacks {fallbacks}"
 
 
 def rank_sums(before, after):
     """Per workload, 'x -> y': the final ranks summed on both sides over
-    the instances that completed in both files; n/a for a workload with no
-    such instance (one that a file lacks, say)."""
+    the instances that completed in both files; n/a for a workload on
+    which every instance raised in one file or the other."""
     completed = {}
-    for key in before.keys() | after.keys():
-        ranks = final_rank(before.get(key)), final_rank(after.get(key))
+    for key in before:
+        ranks = final_rank(before[key]), final_rank(after[key])
         both = completed.setdefault(key.split("/")[0], [])
         if None not in ranks:
             both.append(ranks)
@@ -350,9 +320,8 @@ def rank_sums(before, after):
 
 def describe(old, new, moved):
     """One line on a differing record."""
-    line = (f"{field(old, 'outcome')} -> {field(new, 'outcome')}, hash "
-            f"{(field(old, 'hash') or '')[:8]} -> "
-            f"{(field(new, 'hash') or '')[:8]}")
+    line = (f"{old['outcome']} -> {new['outcome']}, hash "
+            f"{old['hash'][:8]} -> {new['hash'][:8]}")
     move = rank_move(old, new) if moved else None
     if move is not None:
         rank, before, after, knife = move
@@ -392,9 +361,13 @@ def main(argv=None):
         before = json.load(fh)
     with open(args.after, encoding="ascii") as fh:
         after = json.load(fh)
+    reason = incomparable(before, after)
+    if reason is not None:
+        print(f"cannot compare: {reason}")
+        return 2
     diff = compare(before, after)
     moved = {key for key, (old, new) in diff.items()
-             if field(old, "outcome") != field(new, "outcome")}
+             if old["outcome"] != new["outcome"]}
     for key, (old, new) in sorted(diff.items(),
                                   key=lambda item: item[0] not in moved):
         print(f"{key}: {describe(old, new, key in moved)}")
@@ -411,20 +384,19 @@ def main(argv=None):
     largest = both_totals(before, after, "largest_inner", max)
     for name in sorted(largest):
         print(f"{name}: largest inner solve {largest[name]} Hessian actions")
-    stops = stop_totals(before), stop_totals(after)
-    for name in sorted(stops[0].keys() | stops[1].keys()):
-        print(f"{name}: stops {describe_stops(stops[0].get(name))} -> "
-              f"{describe_stops(stops[1].get(name))}")
+    groups = by_workload(before), by_workload(after)
+    for name in sorted(groups[0]):
+        print(f"{name}: stops {describe_stops(groups[0][name])} -> "
+              f"{describe_stops(groups[1][name])}")
     ranks = rank_sums(before, after)
     for name in sorted(ranks):
         print(f"{name}: outer iterations {text['outer'][name]}, short steps "
               f"{text['short_steps'][name]}, Hessian actions "
               f"{text['actions'][name]} (called {text['calls'][name]}), "
               f"final rank sum {ranks[name]}")
-    hashes = sum(field(old, "hash") != field(new, "hash")
-                 for old, new in diff.values())
+    hashes = sum(old["hash"] != new["hash"] for old, new in diff.values())
     knife = sum((rank_move(*diff[key]) or (False,))[-1] for key in moved)
-    print(f"{len(before | after)} instances, {hashes} hashes differ, "
+    print(f"{len(before)} instances, {hashes} hashes differ, "
           f"{len(moved)} outcomes differ, {len(moved) - knife} of them "
           f"not knife-edge")
     return 1 if diff else 0
