@@ -25,7 +25,7 @@ import numpy as np
 
 from .manifold import cost
 from .problems import (ROUNDING, CostQuartic, FactorPoint, SolverError,
-                       _as_point, _compressed_residual, _not_definite)
+                       _as_point, _not_definite)
 from .problems import relative_residual  # noqa: F401 (perfbench patches it)
 from .tnewton import (SolveTrace, TnewtonConfig, _require_integers,
                       solve_fixed_rank)
@@ -70,14 +70,12 @@ def _padded_column_seed(problem, point, p_inc):
     residual N compresses to a small symmetric matrix; its most negative
     eigendirections give the steepest second-order cost decrease among
     unit-norm column additions. Columns beyond that span's dimension are
-    leading unit vectors.
+    leading unit vectors. The QR and the compressed residual are the
+    point's, those of its residual norm (FactorPoint.products).
     """
     prod = point.products(problem)
-    basis, _ = np.linalg.qr(np.hstack([prod.u, prod.v, problem.b]))
-    compressed = _compressed_residual(basis.T @ prod.u, basis.T @ prod.v,
-                                      basis.T @ problem.b)
-    _, vecs = np.linalg.eigh(compressed)
-    dirs = basis @ vecs[:, :p_inc]
+    _, vecs = np.linalg.eigh(prod.compressed)
+    dirs = prod.basis @ vecs[:, :p_inc]
     return np.hstack([dirs, np.eye(point.n, p_inc - dirs.shape[1])])
 
 
@@ -96,10 +94,11 @@ def _seed_scale(problem, dirs, products):
     b = problem.b
     seed = (dirs, problem.a.mat @ dirs, problem.m.mat @ dirs, b.T @ dirs)
     given = (products.y, products.u, products.v, products.by)
-    at = tuple(np.hstack([x, np.zeros_like(z)]) for x, z in zip(given, seed))
+    y, u, v, by = (np.hstack([x, np.zeros_like(z)])
+                   for x, z in zip(given, seed))
     along = tuple(np.hstack([np.zeros_like(x), z])
                   for x, z in zip(given, seed))
-    line = CostQuartic(at, along)
+    line = CostQuartic((y, u, v, by, y.T @ u, y.T @ v), along)
     c2, c4 = line.coeffs[1], line.coeffs[3]
     if not c4 > 0.0:
         raise _not_definite("the seeded columns V give "

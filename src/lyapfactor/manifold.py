@@ -49,17 +49,17 @@ def horizontal_inner(metric, at, xi, eta):
 
     For EMBEDDED this evaluates only the pullback form; its vertical
     completion term vanishes identically on horizontal vectors and is
-    skipped, which keeps the solver's inner products at two small products
-    per call.
+    skipped, which keeps the solver's inner products at three small
+    products per call, two for a squared norm (eta is xi).
     """
     if metric == Metric.EUCLIDEAN:
-        return float(np.sum(xi * eta))
+        return float(np.vdot(xi, eta))
+    xg = xi @ at.gram
     if metric == Metric.GRAM:
-        return float(np.sum((xi @ at.gram) * eta))
-    y = at.y
-    yx = y.T @ xi
-    ye = y.T @ eta
-    return float(2.0 * (np.sum(yx * ye.T) + np.sum((xi @ at.gram) * eta)))
+        return float(np.vdot(xg, eta))
+    yx = at.y.T @ xi
+    ye = yx if eta is xi else at.y.T @ eta
+    return 2.0 * float(np.vdot(yx, ye.T) + np.vdot(xg, eta))
 
 
 def vertical_part(metric, at, z):
@@ -71,12 +71,12 @@ def vertical_part(metric, at, z):
     Omega (Y^T Y) + (Y^T Y) Omega = Y^T z - z^T Y.
     """
     y = at.y
-    w = y.T @ z
     if metric == Metric.EUCLIDEAN:
+        w = y.T @ z
         omega = spla.solve_sylvester(at.gram, at.gram, w - w.T)
         omega = 0.5 * (omega - omega.T)
     else:
-        gw = at.solve_gram(w)
+        gw = at.y_gram_inv.T @ z
         omega = 0.5 * (gw - gw.T)
     return y @ omega
 
@@ -122,20 +122,22 @@ def _lift(metric, point, core):
     return point.solve_gram_right(point.remove_range(core, 0.5))
 
 
+def _dominant_core(problem, point, xi):
+    """core = nabla^2 h[F_xi] Y = U (xi^T V) + A xi (Y^T V) + V (xi^T U)
+    + M xi (Y^T U), with U = A Y and V = M Y: two sparse products."""
+    prod = point.products(problem)
+    return (prod.u @ (xi.T @ prod.v) + (problem.a.mat @ xi) @ prod.yv
+            + prod.v @ (xi.T @ prod.u) + (problem.m.mat @ xi) @ prod.yu)
+
+
 def dominant_term_action(metric, problem, point, xi):
     """The Hessian's main term: the action without the curvature terms in N.
 
-    With U = A Y and V = M Y, core = nabla^2 h[F_xi] Y = U (xi^T V)
-    + A xi (Y^T V) + V (xi^T U) + M xi (Y^T U) is lifted as
+    The core nabla^2 h[F_xi] Y (see _dominant_core) is lifted as
     (I - P/2) core G^{-1} (EMBEDDED), 2 core G^{-1} (GRAM) or 2 core
     (EUCLIDEAN). The preconditioner inverts exactly this map.
     """
-    y = point.y
-    prod = point.products(problem)
-    u, v = prod.u, prod.v
-    core = (u @ (xi.T @ v) + (problem.a.mat @ xi) @ (y.T @ v)
-            + v @ (xi.T @ u) + (problem.m.mat @ xi) @ (y.T @ u))
-    return _lift(metric, point, core)
+    return _lift(metric, point, _dominant_core(problem, point, xi))
 
 
 def hessian_action(metric, problem, point, eta):
@@ -151,8 +153,12 @@ def hessian_action(metric, problem, point, eta):
     EUCLIDEAN  2 P^H { N eta }
 
     Skew products with n-by-n factors are expanded so only n-by-p arrays
-    appear. Each call does two sparse products, A eta and M eta; those
-    with Y come from the point.
+    appear. Under EMBEDDED the main term and the correction share one
+    lift: with core the main term's core (see _dominant_core) and
+    npe = N (I - P) eta, the action is
+    [(core + npe) - P (core / 2 + npe)] G^{-1}. Each call does two sparse
+    products, A eta and M eta; those with Y, G^{-1} and Y G^{-1} come
+    from the point.
 
     Parameters
     ----------
@@ -168,25 +174,25 @@ def hessian_action(metric, problem, point, eta):
     """
     y = point.y
     prod = point.products(problem)
+    if metric == Metric.EMBEDDED:
+        half = 0.5 * _dominant_core(problem, point, eta)
+        npe = prod.apply_residual(point.remove_range(eta))
+        return point.solve_gram_right(point.remove_range(half + npe) + half)
     main = dominant_term_action(metric, problem, point, eta)
-
     if metric == Metric.EUCLIDEAN:
         return main + 2.0 * project_horizontal(
             metric, point, prod.apply_residual(eta)
         )
-    if metric == Metric.GRAM:
-        correction = prod.apply_residual(point.remove_range(eta))
-        correction += point.remove_range(prod.apply_residual(eta))
-        correction = point.solve_gram_right(correction)
-        # 2 skew(eta Y^T) W = eta (Y^T W) - Y (eta^T W) with W = N Y G^{-2}.
-        w = point.solve_gram_right(point.solve_gram_right(prod.ny))
-        correction += eta @ (y.T @ w) - y @ (eta.T @ w)
-        # 2 skew(eta G^{-1} Y^T N) Y G^{-1}
-        #   = eta G^{-1} (Y^T N Y) G^{-1} - N Y (G^{-1} (eta^T Y) G^{-1}).
-        s = y.T @ prod.ny
-        correction += eta @ point.solve_gram_right(point.solve_gram(s))
-        correction -= prod.ny @ point.solve_gram_right(
-            point.solve_gram(eta.T @ y))
-        return main + project_horizontal(metric, point, correction)
-    npe = prod.apply_residual(point.remove_range(eta))
-    return main + point.solve_gram_right(point.remove_range(npe))
+    correction = prod.apply_residual(point.remove_range(eta))
+    correction += point.remove_range(prod.apply_residual(eta))
+    correction = point.solve_gram_right(correction)
+    # 2 skew(eta Y^T) W = eta (Y^T W) - Y (eta^T W) with W = N Y G^{-2}.
+    w = point.solve_gram_right(point.solve_gram_right(prod.ny))
+    correction += eta @ (y.T @ w) - y @ (eta.T @ w)
+    # 2 skew(eta G^{-1} Y^T N) Y G^{-1}
+    #   = eta G^{-1} (Y^T N Y) G^{-1} - N Y (G^{-1} (eta^T Y) G^{-1}).
+    s = y.T @ prod.ny
+    correction += eta @ point.solve_gram_right(point.solve_gram(s))
+    correction -= prod.ny @ point.solve_gram_right(
+        point.solve_gram(eta.T @ y))
+    return main + project_horizontal(metric, point, correction)

@@ -32,6 +32,7 @@ the factors of the current build, at most p. Without a bank, and on
 every narrower band, the build inverts the dominant term exactly.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,8 +42,8 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as sps_la
 
 from .manifold import Metric, project_horizontal
-from .problems import (_PBTRF, FactorPoint, SolverError, _as_point,
-                       _cho_factor, _cho_solve)
+from .problems import (_GEQRF, _ORGQR, _PBTRF, FactorPoint, SolverError,
+                       _as_point, _cho_factor, _cho_solve)
 
 # Largest p for which the coupled symmetric system is assembled densely;
 # beyond it the solve falls back to conjugate gradient on the operator.
@@ -77,7 +78,9 @@ BANK_PER_DECADE = 8
 # 8-10 instances, one thread of a 2-core Xeon with 2 MiB L2 per core).
 STACK_LIMIT = 1 << 16
 
-_TBTRS = spla.get_lapack_funcs("tbtrs", dtype=np.float64)
+# sygvd is the driver of scipy.linalg.eigh for a generalized problem, called
+# without its wrapper: the same eigenpairs bit for bit.
+_TBTRS, _SYGVD = spla.get_lapack_funcs(("tbtrs", "sygvd"), dtype=np.float64)
 
 
 class PreconditionerError(SolverError):
@@ -87,6 +90,15 @@ class PreconditionerError(SolverError):
         super().__init__(
             message + "; advising fallback to the identity preconditioner"
         )
+
+
+@functools.cache
+def _upper(p):
+    """triu_indices(p, 1), formed once per p and shared, so read-only."""
+    upper = np.triu_indices(p, 1)
+    for idx in upper:
+        idx.flags.writeable = False
+    return upper
 
 
 def _sym_to_vec(mat, upper):
@@ -115,7 +127,8 @@ def _coupled_matrix(k_stack, upper):
     The image of E_ij (i <= j) is W + W^T, where W is zero but for column i,
     K_i E_ij(:, i), and column j, K_j E_ij(:, j): columns of K_i and K_j
     times the basis entry. So the images are filled in directly, with the
-    same elementwise arithmetic as applying the map to each basis matrix,
+    same elementwise arithmetic as applying the map to each basis matrix
+    and taking coordinates (_sym_to_vec) of only the entries they read,
     in blocks of columns that bound the p^2 entries each W takes.
     """
     p = k_stack.shape[0]
@@ -129,7 +142,9 @@ def _coupled_matrix(k_stack, upper):
         rows = np.arange(c1[b].size)
         w[rows, :, c1[b]] = k_stack[c1[b], :, c2[b]] * scale[b]
         w[rows, :, c2[b]] = k_stack[c2[b], :, c1[b]] * scale[b]
-        dense[:, b] = _sym_to_vec(w + np.swapaxes(w, 1, 2), upper).T
+        coords = w[:, c1, c2] + w[:, c2, c1]
+        coords[:, p:] *= math.sqrt(2.0)
+        dense[:, b] = coords.T
     return 0.5 * (dense + dense.T)
 
 
@@ -148,7 +163,7 @@ class CoupledSystem:
     def __init__(self, k_blocks):
         self.k_stack = np.asarray(k_blocks, dtype=float)
         self.p = len(k_blocks)
-        self.upper = np.triu_indices(self.p, 1)
+        self.upper = _upper(self.p)
         self.dim = self.p + self.upper[0].size
         self._cho = None
         if 0 < self.p <= COUPLED_DIRECT_LIMIT:
@@ -415,19 +430,21 @@ def build_shift_cache(problem, point, variant="proposed", bank=None,
     y = point.y
     n, p = y.shape
     prod = point.products(problem)
-    my = prod.v if variant == "proposed" else y
-    try:
-        lam, lq = spla.eigh(y.T @ prod.u, y.T @ my)
-    except np.linalg.LinAlgError:
+    if variant == "proposed":
+        my, ymy = prod.v, prod.yv
+    else:
+        my, ymy = y, point.gram
+    lam, lq, info = _SYGVD(prod.yu, ymy, uplo="L")
+    if info != 0:
         raise PreconditionerError(
-            "mass Gram matrix of the factor is not positive definite"
-        ) from None
+            "mass Gram matrix of the factor is not positive definite")
     if lam[0] <= 0.0:
         raise PreconditionerError(
             "projected pencil has a nonpositive eigenvalue "
             f"({lam[0]:.3e}); the operator pair is not definite here"
         )
-    vhat = np.linalg.qr(my)[0]
+    raw, tau = _GEQRF(my)[:2]
+    vhat = _ORGQR(raw, tau)[0]
 
     pencil = _pencil(problem, variant)
     if bank is not None and (pencil[2] is None or pencil[2][0] >= BANK_KD):
@@ -436,7 +453,8 @@ def build_shift_cache(problem, point, variant="proposed", bank=None,
     else:
         bank = None
     half, rest = _factor_shifts(pencil, lam, bank, record)
-    g_stack = half(np.tile(vhat, (p, 1))).reshape(p, n, p)
+    g_stack = half(np.broadcast_to(vhat, (p, n, p)).reshape(-1, p)).reshape(
+        p, n, p)
     left = g_stack if pencil[2] is not None else np.broadcast_to(
         vhat, g_stack.shape)
     s = left.swapaxes(1, 2) @ g_stack
@@ -476,15 +494,15 @@ def apply_cached(cache, metric, eta):
     t = _defining_rhs(metric, point, eta)
     tl = t @ cache.lq
     tm = tl - cache.vhat @ (cache.vhat.T @ tl)
-    # row i of each (p, ...) array belongs to shift i
+    # row i of each (p, ...) array belongs to shift i; the batched
+    # products take shift i's column as a (p, ., 1) stack
     h = cache.half(tm.T.ravel()).reshape(p, n)
-    mu = np.einsum("ijk,ik->ij", cache.s_inv,
-                   np.einsum("inj,in->ij", cache.left, h))
+    mu = (cache.s_inv @ (h[:, None, :] @ cache.left).swapaxes(1, 2))[:, :, 0]
     vmat = cache.ylq.T @ tm - cache.e.T @ mu.T
     r_small = cache.ylq.T @ tl - vmat - vmat.T
     s_tilde = cache.coupled.solve(0.5 * (r_small + r_small.T))
-    nu = 2.0 * np.einsum("ijk,ki->ij", cache.s_inv, cache.e @ s_tilde)
-    x = h - np.einsum("inj,ij->in", cache.g_stack, mu - nu)
+    nu = 2.0 * (cache.s_inv @ (cache.e @ s_tilde).T[:, :, None])[:, :, 0]
+    x = h - (cache.g_stack @ (mu - nu)[:, :, None])[:, :, 0]
     x = cache.rest(x.ravel()).reshape(p, n).T
     return project_horizontal(metric, point,
                               (x - cache.ylq @ s_tilde) @ cache.lq.T)

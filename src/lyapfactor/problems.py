@@ -28,8 +28,10 @@ DENSE_LIMIT = 2000
 # without their per-call wrapper. On a Cholesky factor, potrs flags only
 # bad shapes, which f2py rejects. pbtrf is the Cholesky factorization in
 # LAPACK's band storage, of the definiteness check below and of the
-# preconditioner's band shifts.
-_POTRF, _POTRS, _PBTRF = spla.get_lapack_funcs(("potrf", "potrs", "pbtrf"))
+# preconditioner's band shifts. geqrf and orgqr are the Householder QR of
+# numpy.linalg.qr, the same R bit for bit, without its wrapper.
+_POTRF, _POTRS, _PBTRF, _GEQRF, _ORGQR = spla.get_lapack_funcs(
+    ("potrf", "potrs", "pbtrf", "geqrf", "orgqr"))
 
 
 def _check_finite(arr):
@@ -190,10 +192,13 @@ class FactorPoint:
     rank-p factors, is decided by a Cholesky factorization of the Gram
     matrix G = Y^T Y: Y lacks it when that fails or some pivot has
     L_ii^2 <= ROUNDING G_ii, the rounding level exactly parallel columns
-    leave; a wide factor (p > n) never has it. The Gram matrix and its
-    factorization are cached because every metric operation reuses them,
-    and so are the products with one problem's matrices (see `products`).
-    Y must therefore not be changed in place after construction.
+    leave; a wide factor (p > n) never has it. The Gram matrix, its
+    factorization, its inverse G^{-1} and Y G^{-1} are cached because every
+    metric operation reuses them: a solve with G, from the left or the
+    right, and the projector P = (Y G^{-1}) Y^T onto range(Y) are plain
+    products. So are the products with one problem's matrices (see
+    `products`). Y must therefore not be changed in place after
+    construction.
     """
 
     def __init__(self, y):
@@ -232,15 +237,28 @@ class FactorPoint:
     def has_full_rank(self):
         return self.p <= self.n and self._gram_cho is not None
 
-    def solve_gram(self, rhs):
-        """Apply (Y^T Y)^{-1} from the left to a p-by-k right-hand side."""
+    @cached_property
+    def gram_inv(self):
+        """G^{-1}, solved from the Cholesky factor of G once and made
+        exactly symmetric; ValueError for a rank-deficient factor."""
         if self._gram_cho is None:
             raise ValueError("factor is rank deficient")
-        return _cho_solve(self._gram_cho, rhs)
+        inv = _cho_solve(self._gram_cho, np.eye(self.p))
+        return 0.5 * (inv + inv.T)
+
+    @cached_property
+    def y_gram_inv(self):
+        return self.y @ self.gram_inv
+
+    def solve_gram(self, rhs):
+        """Apply (Y^T Y)^{-1} from the left to a p-by-k right-hand side."""
+        inv = self.gram_inv
+        _check_finite(rhs)
+        return inv @ rhs
 
     def solve_gram_right(self, lhs):
         """Apply (Y^T Y)^{-1} from the right to a k-by-p left-hand side."""
-        return self.solve_gram(lhs.T).T
+        return lhs @ self.gram_inv
 
     def remove_range(self, x, s=1.0):
         """x - s P x with P = Y (Y^T Y)^{-1} Y^T the projector onto range(Y).
@@ -248,7 +266,7 @@ class FactorPoint:
         s = 1 gives the component of x orthogonal to range(Y), s = 1/2 the
         (I - P/2) of the EMBEDDED lift and s = -1 the map I + P.
         """
-        return x - s * (self.y @ self.solve_gram(self.y.T @ x))
+        return x - s * (self.y_gram_inv @ (self.y.T @ x))
 
     def products(self, problem):
         """U = A Y, V = M Y and N Y of `problem`, each formed on first use.
@@ -270,9 +288,10 @@ class FactorPoint:
 
 
 class _PointProducts:
-    """Lazy U = A Y, V = M Y and N Y, with N = U V^T + V U^T - B B^T, and
-    the cost and residual norm that depend on them: every quantity at a
-    point is computed at most once."""
+    """Lazy U = A Y, V = M Y, the p-by-p Y^T U and Y^T V, N Y with
+    N = U V^T + V U^T - B B^T, the thin QR of [U, V, B], and the cost and
+    residual norm that depend on them: every quantity at a point is
+    computed at most once."""
 
     def __init__(self, problem, y):
         self.problem = problem
@@ -287,13 +306,28 @@ class _PointProducts:
         return self.problem.m.mat @ self.y
 
     @cached_property
+    def yu(self):
+        return self.y.T @ self.u
+
+    @cached_property
+    def yv(self):
+        return self.y.T @ self.v
+
+    @cached_property
+    def uvb(self):
+        return np.concatenate([self.u, self.v, self.problem.b], axis=1)
+
+    @cached_property
+    def _vub(self):
+        return np.concatenate([self.v, self.u, -self.problem.b], axis=1)
+
+    @cached_property
     def ny(self):
-        return self.apply_residual(self.y)
+        return self.uvb @ np.concatenate([self.yv.T, self.yu.T, -self.by])
 
     def apply_residual(self, w):
-        """Product N @ w, never forming N."""
-        b = self.problem.b
-        return self.u @ (self.v.T @ w) + self.v @ (self.u.T @ w) - b @ (b.T @ w)
+        """Product N @ w = [U, V, B] ([V, U, -B]^T w), never forming N."""
+        return self.uvb @ (self._vub.T @ w)
 
     @cached_property
     def by(self):
@@ -302,28 +336,44 @@ class _PointProducts:
     @cached_property
     def cost(self):
         """tr(Y^T A Y Y^T M Y) - tr(Y^T B B^T Y) (see manifold.cost)."""
-        y, by = self.y, self.by
-        return float(np.sum((y.T @ self.u) * (self.v.T @ y)) - np.sum(by * by))
+        return float(np.vdot(self.yu, self.yv.T) - np.vdot(self.by, self.by))
 
     def line(self, d):
         """The cost along Y + alpha d as a CostQuartic: two sparse products
         with d, none for d = Y."""
-        at = (self.y, self.u, self.v, self.by)
+        at = (self.y, self.u, self.v, self.by, self.yu, self.yv)
         if d is self.y:
-            return CostQuartic(at, at)
+            return CostQuartic(at, at[:4])
         problem = self.problem
         return CostQuartic(at, (d, problem.a.mat @ d, problem.m.mat @ d,
                                 problem.b.T @ d))
 
     @cached_property
+    def _qr(self):
+        """geqrf of [U, V, B] = Q R: R in the upper triangle of the first
+        min(n, 2 p + s) rows, Q as Householder reflectors and their tau."""
+        return _GEQRF(self.uvb)[:2]
+
+    @cached_property
+    def basis(self):
+        """Q of the thin QR of [U, V, B]."""
+        raw, tau = self._qr
+        return _ORGQR(raw[:, :min(raw.shape)], tau)[0]
+
+    @cached_property
+    def compressed(self):
+        """The residual N in the basis Q of the thin QR of [U, V, B]:
+        R_U R_V^T + R_V R_U^T - R_B R_B^T, from the columns of R."""
+        raw = self._qr[0]
+        p = self.y.shape[1]
+        coeff = np.triu(raw[:min(raw.shape)])
+        return _compressed_residual(coeff[:, :p], coeff[:, p:2 * p],
+                                    coeff[:, 2 * p:])
+
+    @cached_property
     def residual_fro(self):
         """||U V^T + V U^T - B B^T||_F (see residual_fro)."""
-        p = self.y.shape[1]
-        coeff = np.linalg.qr(np.hstack([self.u, self.v, self.problem.b]),
-                             mode="r")
-        small = _compressed_residual(coeff[:, :p], coeff[:, p:2 * p],
-                                     coeff[:, 2 * p:])
-        return float(np.linalg.norm(small))
+        return float(np.linalg.norm(self.compressed))
 
 
 # A cost difference formed from terms of total magnitude s is trusted only
@@ -337,9 +387,10 @@ class CostQuartic:
         f(Y + alpha D) - f(Y) = c1 alpha + c2 alpha^2 + c3 alpha^3
                                 + c4 alpha^4.
 
-    `at` is (Y, A Y, M Y, B^T Y) and `along` is (D, A D, M D, B^T D). With
-    (Y + alpha D)^T A (Y + alpha D) = P0 + alpha P1 + alpha^2 P2, likewise
-    Q0, Q1, Q2 for M, and B^T (Y + alpha D) = B^T Y + alpha B^T D:
+    `at` is (Y, A Y, M Y, B^T Y, Y^T A Y, Y^T M Y) and `along` is
+    (D, A D, M D, B^T D). With (Y + alpha D)^T A (Y + alpha D) = P0
+    + alpha P1 + alpha^2 P2, likewise Q0, Q1, Q2 for M, and
+    B^T (Y + alpha D) = B^T Y + alpha B^T D:
 
         c1 = tr(P0 Q1 + P1 Q0) - 2 tr(Y^T B B^T D)
         c2 = tr(P0 Q2 + P1 Q1 + P2 Q0) - tr(D^T B B^T D)
@@ -353,17 +404,17 @@ class CostQuartic:
     """
 
     def __init__(self, at, along):
-        y, u, v, by = at
+        y, _, _, by, p0, q0 = at
         d, ad, md, bd = along
         ya, ym = y.T @ ad, y.T @ md
-        pa = np.stack([y.T @ u, ya + ya.T, d.T @ ad])
-        qm = np.stack([y.T @ v, ym + ym.T, d.T @ md])
-        bb = np.stack([by, bd])
-        self.coeffs = self._combine(np.einsum("iab,jab->ij", pa, qm),
-                                    -np.einsum("iab,jab->ij", bb, bb))
-        self.sizes = self._combine(
-            np.einsum("iab,jab->ij", np.abs(pa), np.abs(qm)),
-            np.einsum("iab,jab->ij", np.abs(bb), np.abs(bb)))
+        # row i of pa holds the entries of Pi, and likewise for qm and bb,
+        # so that tr(Pi Qj) = (pa qm^T)[i, j] for the symmetric Qj
+        pa = np.array([p0, ya + ya.T, d.T @ ad]).reshape(3, -1)
+        qm = np.array([q0, ym + ym.T, d.T @ md]).reshape(3, -1)
+        bb = np.array([by, bd]).reshape(2, -1)
+        self.coeffs = self._combine(pa @ qm.T, -(bb @ bb.T))
+        self.sizes = self._combine(np.abs(pa) @ np.abs(qm).T,
+                                   np.abs(bb) @ np.abs(bb).T)
 
     @staticmethod
     def _combine(t, b):

@@ -458,9 +458,8 @@ def _at_rounding_floor(prod):
     """Whether N Y = U (V^T Y) + V (U^T Y) - B (B^T Y) is within the
     rounding of its three terms, ROUNDING (||U|| ||V^T Y|| + ||V|| ||U^T Y||
     + ||B|| ||B^T Y||), with U = A Y and V = M Y."""
-    y, u, v = prod.y, prod.u, prod.v
-    terms = (np.linalg.norm(u) * np.linalg.norm(v.T @ y)
-             + np.linalg.norm(v) * np.linalg.norm(u.T @ y)
+    terms = (np.linalg.norm(prod.u) * np.linalg.norm(prod.yv)
+             + np.linalg.norm(prod.v) * np.linalg.norm(prod.yu)
              + np.linalg.norm(prod.problem.b) * np.linalg.norm(prod.by))
     return np.linalg.norm(prod.ny) <= ROUNDING * terms
 

@@ -3,8 +3,9 @@
 Everything here is deliberately slow and simple: dense or Kronecker-based
 reference computations that the library must reproduce, small random
 problem generators, and the dense verification tools the solver never
-needs (the full metric inner product, an orthonormal horizontal basis,
-the dense matrix of the preconditioner and a standalone saddle solve).
+needs (the full metric inner product and its matrix, an orthonormal
+horizontal basis, the dense matrix of the preconditioner and a
+standalone saddle solve).
 Beyond the public API only `project_horizontal`, `vertical_part`,
 `preconditioner`, `_as_point` and `_compressed_residual` are imported,
 and `saddle_solve` calls a shift cache's two sweeps.
@@ -277,13 +278,39 @@ def metric_inner(metric, at, xi, eta):
     return val + float(np.sum((vx @ at.gram) * ve))
 
 
+def metric_matrix(metric, at):
+    """The matrix W of `metric_inner` at `at` in row-major coordinates:
+    metric_inner(metric, at, xi, eta) = xi.ravel() @ W @ eta.ravel().
+
+    The Gram-matrix form of the dense tools below, in place of one
+    metric_inner call per pair of arrays. With G = Y^T Y, the term
+    tr(G xi^T eta) is I (x) G, the EMBEDDED pullback term
+    tr(Y^T xi Y^T eta) has the entry Y[i, a] Y[j, b] at rows (i, b) and
+    columns (j, a), and the EMBEDDED completion is V^T (I (x) G) V with V
+    the matrix of `vertical_part`, applied to the coordinate arrays.
+    """
+    y = at.y
+    n, p = y.shape
+    if metric == Metric.EUCLIDEAN:
+        return np.eye(n * p)
+    gram = np.kron(np.eye(n), at.gram)
+    if metric == Metric.GRAM:
+        return gram
+    pullback = np.einsum("ia,jb->ibja", y, y).reshape(n * p, n * p)
+    vert = np.column_stack([
+        vertical_part(metric, at, unit.reshape(n, p)).ravel()
+        for unit in np.eye(n * p)])
+    return 2.0 * (pullback + gram) + vert.T @ gram @ vert
+
+
 def horizontal_basis(metric, at, tol=1e-8):
     """Metric-orthonormal basis of the horizontal space at `at`.
 
     Intended for dense verification on small problems: projects the
-    coordinate directions and orthonormalizes them against the metric with
-    twice-repeated modified Gram-Schmidt. The horizontal space has dimension
-    n p - p (p - 1) / 2.
+    coordinate directions, forms their Gram matrix under the metric
+    (metric_matrix) and takes the eigenvectors of its eigenvalues above
+    tol times the largest, each scaled by the inverse square root of its
+    eigenvalue. The horizontal space has dimension n p - p (p - 1) / 2.
 
     Returns
     -------
@@ -292,23 +319,15 @@ def horizontal_basis(metric, at, tol=1e-8):
     y = at.y
     n, p = y.shape
     dim = n * p - (p * (p - 1)) // 2
-    basis = []
-    for j in range(p):
-        for i in range(n):
-            cand = np.zeros((n, p))
-            cand[i, j] = 1.0
-            h = project_horizontal(metric, at, cand)
-            scale = np.sqrt(max(metric_inner(metric, at, h, h), 0.0))
-            if scale == 0.0:
-                continue
-            for _ in range(2):
-                for b in basis:
-                    h = h - metric_inner(metric, at, h, b) * b
-            norm = np.sqrt(max(metric_inner(metric, at, h, h), 0.0))
-            if norm > tol * scale:
-                basis.append(h / norm)
-    assert len(basis) == dim, f"found {len(basis)} directions, expected {dim}"
-    return basis
+    cand = np.column_stack([
+        project_horizontal(metric, at, unit.reshape(n, p)).ravel()
+        for unit in np.eye(n * p)])
+    vals, vecs = np.linalg.eigh(cand.T @ metric_matrix(metric, at) @ cand)
+    keep = vals > tol * vals[-1]
+    basis = cand @ (vecs[:, keep] / np.sqrt(vals[keep]))
+    assert basis.shape[1] == dim, \
+        f"found {basis.shape[1]} directions, expected {dim}"
+    return [col.reshape(n, p) for col in basis.T]
 
 
 def apply_preconditioner(metric, problem, point, eta):
@@ -323,7 +342,8 @@ def assemble_precond_operator_dense(metric, problem, point,
 
     Intended for small problems only: builds a metric-orthonormal basis of
     the horizontal space, applies the preconditioner to each basis vector
-    and assembles the Gram form. The result is the matrix of the inverse of
+    and pairs the images with the basis through metric_matrix, one dense
+    product. The result is the matrix of the inverse of
     the dominant Hessian term, so it must come out symmetric positive
     definite, with eigenvalues that are the reciprocals of the dominant
     term's spectrum. With a `bank` the cache is built as a solve's builds
@@ -339,12 +359,10 @@ def assemble_precond_operator_dense(metric, problem, point,
     if dim > max_dim:
         raise ValueError("dense assembly requested on too large a problem")
     cache = build_shift_cache(problem, point, variant=variant, bank=bank)
-    mat = np.empty((dim, dim))
-    for col, vec in enumerate(basis):
-        image = apply_cached(cache, metric, vec)
-        for row in range(dim):
-            mat[row, col] = metric_inner(metric, point, basis[row], image)
-    return mat, basis
+    images = np.column_stack([apply_cached(cache, metric, vec).ravel()
+                              for vec in basis])
+    coords = np.column_stack([vec.ravel() for vec in basis])
+    return coords.T @ metric_matrix(metric, point) @ images, basis
 
 
 def saddle_solve(cache, i, rhs):

@@ -176,8 +176,9 @@ def test_solve_writes_the_trace_before_a_definiteness_error(tmp_path,
 def test_solve_writes_the_trace_before_a_warm_start_definiteness_error(
         tmp_path, capsys):
     # M with its last entry -0.1 at n = 600: the warm start that grows
-    # rank 7's start finds c4 <= 0, and the trace CSV holds the 96 rows of
-    # ranks 1-6
+    # rank 7's start finds c4 <= 0, and the trace CSV holds the 240 rows of
+    # ranks 1-6 (96 before each point formed G^{-1} and its small products
+    # once, see test_indefinite_mass_is_named_by_the_seed_scale)
     given = gen_poisson(600, 0)
     mass = given.m.mat.tolil()
     mass[599, 599] = -0.1
@@ -190,7 +191,7 @@ def test_solve_writes_the_trace_before_a_warm_start_definiteness_error(
     assert "c4 = tr(V^T A V V^T M V)" in capsys.readouterr().err
     lines = trace_path.read_text(encoding="ascii").strip().splitlines()
     assert lines[0] == TRACE_HEADER
-    assert len(lines) == 97
+    assert len(lines) == 241
     assert {line.split(",")[1] for line in lines[1:]} == {
         str(p) for p in range(1, 7)}
 

@@ -438,7 +438,9 @@ def test_indefinite_mass_is_named_by_the_seed_scale():
     # until a warm start's quartic coefficient c4 = tr(V^T A V V^T M V) is
     # not positive, which names A or M instead of failing in math.sqrt.
     # The warm start grows rank 7's start, so the error names rank 7 and
-    # carries the 96 rows of ranks 1-6.
+    # carries the 240 rows of ranks 1-6 (96 before each point formed G^{-1}
+    # and its small products once: ranks 1-6 of this indefinite pencil
+    # move with rounding).
     with pytest.raises(ValueError, match=r"^A or M is not positive "
                        r"definite: .* c4 = .*e\+\d+ <= 0$") as err:
         solve_increasing_rank(
@@ -446,7 +448,7 @@ def test_indefinite_mass_is_named_by_the_seed_scale():
             IrrConfig(p_min=1, p_max=10, tau=1e-6, seed=0), None, "none")
     trace = err.value.trace
     assert err.value.rank == 7
-    assert len(trace.rows) == 96
+    assert len(trace.rows) == 240
     assert [solve.p for solve in trace.solves] == [1, 2, 3, 4, 5, 6]
     assert sorted({row.p for row in trace.rows}) == [1, 2, 3, 4, 5, 6]
     assert None not in stop_reasons(trace)
@@ -699,6 +701,39 @@ def test_cost_and_residual_computed_once_per_point(monkeypatch):
     kinds = Counter(name for name, _ in evaluations)
     assert kinds["cost"] > 0 and kinds["residual_fro"] > 0
     assert max(evaluations.values()) == 1
+
+
+def test_residual_norm_and_seed_share_one_qr_per_point(monkeypatch):
+    # One thin QR of [A Y, M Y, B] per factor: its R gives the residual
+    # norm and its Q the warm start's seed directions, so growing a rank
+    # factors nothing that the relres of the rank's last row factored, and
+    # numpy's qr is never called. The norm is bit for bit the one formed
+    # from numpy's R of the same stack.
+    factored = Counter()
+    geqrf = problems._GEQRF
+
+    def counted(stack, *args, **kwargs):
+        factored[stack.tobytes()] += 1
+        return geqrf(stack, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.linalg.qr called")
+
+    monkeypatch.setattr(problems, "_GEQRF", counted)
+    monkeypatch.setattr(np.linalg, "qr", forbidden)
+    problem = gen_poisson(60, 0)
+    point, trace = solve_increasing_rank(
+        problem, Metric.EMBEDDED, IrrConfig(p_min=1, p_max=8, tau=1e-6,
+                                            seed=0), None, "proposed")
+    monkeypatch.undo()
+    assert len(trace.solves) > 2
+    assert max(factored.values()) == 1
+    prod, p = point.products(problem), point.p
+    coeff = np.linalg.qr(np.hstack([prod.u, prod.v, problem.b]), mode="r")
+    small = coeff[:, :p] @ coeff[:, p:2 * p].T
+    small = small + small.T - coeff[:, 2 * p:] @ coeff[:, 2 * p:].T
+    assert trace.final().relres == float(np.linalg.norm(small)) / float(
+        np.linalg.norm(problem.b.T @ problem.b))
 
 
 def test_tpcg_breakdown_does_not_abort_solve():

@@ -1,5 +1,7 @@
 """Quotient geometry: metrics, projections, retraction, gradient, Hessian."""
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -17,6 +19,7 @@ from helpers import (
 )
 from lyapfactor import (
     FactorPoint,
+    IrrConfig,
     LyapunovProblem,
     Metric,
     SpdSparseMatrix,
@@ -30,6 +33,7 @@ from lyapfactor import (
     retract,
     riemannian_gradient,
     solve_fixed_rank,
+    solve_increasing_rank,
 )
 from lyapfactor.manifold import (
     hessian_action,
@@ -171,13 +175,14 @@ def test_project_idempotent_and_complementary(metric):
 def test_remove_range_reproduces_inline_projector(metric, s):
     # The Hessian (s = 1), the EMBEDDED lift (s = 1/2) and the
     # preconditioner's right-hand side (s = -1) all call remove_range; it
-    # must give their former inline forms bit for bit, on horizontal input
-    # and on the ambient N Y the gradient lifts.
+    # must give the product form P x = (Y G^{-1}) (Y^T x) with the point's
+    # cached Y G^{-1} bit for bit, on horizontal input and on the ambient
+    # N Y the gradient lifts.
     prob, at, rng = _instance(seed=4)
     y = at.y
     dense = np.eye(at.n) - s * (y @ np.linalg.inv(at.gram) @ y.T)
     for x in (random_horizontal(metric, at, rng), at.products(prob).ny):
-        py = y @ at.solve_gram(y.T @ x)
+        py = (y @ at.gram_inv) @ (y.T @ x)
         inline = {1.0: x - py, 0.5: x - 0.5 * py, -1.0: x + py}[s]
         got = at.remove_range(x, s)
         assert np.array_equal(got, inline)
@@ -487,3 +492,113 @@ def test_scaled_start_reuses_the_products_of_the_given_factor():
     assert trace.solves[0].scale != 1.0
     assert len(trace.rows) == 2
     assert calls[0] == 2
+
+
+# ------------------------------------- point quantities as plain products
+
+
+def _dense_point(prob, at):
+    """Dense A, M, G^{-1}, the projector P = Y G^{-1} Y^T and the residual
+    N = A Y Y^T M + M Y Y^T A - B B^T at the point."""
+    a, m = prob.a.mat.toarray(), prob.m.mat.toarray()
+    y = at.y
+    ginv = np.linalg.inv(y.T @ y)
+    x = y @ y.T
+    return a, m, ginv, y @ ginv @ y.T, a @ x @ m + m @ x @ a - prob.b @ prob.b.T
+
+
+def _dense_horizontal(metric, at, ginv, z):
+    """z less its vertical part Y Omega, with Omega the skew part of
+    G^{-1} Y^T z (EMBEDDED and GRAM) or the solution of the Sylvester
+    equation Omega G + G Omega = Y^T z - z^T Y (EUCLIDEAN), by a dense
+    Kronecker solve."""
+    y = at.y
+    p = y.shape[1]
+    if metric == Metric.EUCLIDEAN:
+        g = y.T @ y
+        w = y.T @ z - z.T @ y
+        big = np.kron(g, np.eye(p)) + np.kron(np.eye(p), g)
+        omega = np.linalg.solve(big, w.ravel()).reshape(p, p)
+    else:
+        gw = ginv @ y.T @ z
+        omega = 0.5 * (gw - gw.T)
+    return z - y @ omega
+
+
+def _close(got, want):
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-12 * np.linalg.norm(want))
+
+
+def test_gram_products_match_their_dense_forms():
+    # G^{-1} and Y G^{-1} are formed once, so that a solve with G from the
+    # right and the range projector are plain products
+    prob, at, rng = _instance(n=30, p=3, seed=21)
+    _, _, ginv, proj, _ = _dense_point(prob, at)
+    lhs = rng.standard_normal((5, 3))
+    _close(at.solve_gram_right(lhs), lhs @ ginv)
+    _close(at.solve_gram(lhs.T), ginv @ lhs.T)
+    np.testing.assert_array_equal(at.gram_inv, at.gram_inv.T)
+    x = rng.standard_normal((30, 3))
+    for s in (1.0, 0.5, -1.0):
+        _close(at.remove_range(x, s), x - s * (proj @ x))
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS)
+def test_gradient_and_hessian_match_their_dense_forms(metric):
+    # The lifts of the gradient and of the Hessian of hessian_action's
+    # docstring, with dense A, M, N, G^{-1} and P, against the library's
+    # products with the point's cached G^{-1} and Y G^{-1}; under EMBEDDED
+    # the Hessian folds both of its terms into one lift.
+    prob, at, rng = _instance(n=30, p=3, seed=22)
+    a, m, ginv, proj, n_mat = _dense_point(prob, at)
+    y = at.y
+    eye = np.eye(30)
+    grad = riemannian_gradient(metric, prob, at)
+    want = {Metric.EMBEDDED: (eye - 0.5 * proj) @ n_mat @ y @ ginv,
+            Metric.GRAM: 2.0 * n_mat @ y @ ginv,
+            Metric.EUCLIDEAN: 2.0 * n_mat @ y}[metric]
+    _close(grad, want)
+
+    eta = random_horizontal(metric, at, rng)
+    f_eta = y @ eta.T + eta @ y.T
+    core = (a @ f_eta @ m + m @ f_eta @ a) @ y
+    if metric == Metric.EMBEDDED:
+        want = ((eye - 0.5 * proj) @ core @ ginv
+                + (eye - proj) @ n_mat @ (eye - proj) @ eta @ ginv)
+    elif metric == Metric.GRAM:
+        skew = lambda w: 0.5 * (w - w.T)
+        correction = (n_mat @ (eye - proj) @ eta @ ginv
+                      + (eye - proj) @ n_mat @ eta @ ginv
+                      + 2.0 * skew(eta @ y.T) @ n_mat @ y @ ginv @ ginv
+                      + 2.0 * skew(eta @ ginv @ y.T @ n_mat) @ y @ ginv)
+        want = 2.0 * core @ ginv + _dense_horizontal(metric, at, ginv,
+                                                     correction)
+    else:
+        want = 2.0 * core + 2.0 * _dense_horizontal(metric, at, ginv,
+                                                    n_mat @ eta)
+    _close(hessian_action(metric, prob, at, eta), want)
+
+
+def test_a_solve_forms_the_gram_inverse_once_per_distinct_point(
+        monkeypatch):
+    # G^{-1} is formed at most once per FactorPoint, and never for two
+    # points with the same factor: each quantity at a point is computed
+    # once. Every trace row's point forms it (its gradient lifts by it).
+    formed = []
+    form = FactorPoint.gram_inv.func
+
+    def counted(point):
+        formed.append(point)
+        return form(point)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(FactorPoint, "gram_inv")
+    monkeypatch.setattr(FactorPoint, "gram_inv", prop)
+    point, trace = solve_increasing_rank(
+        gen_poisson(100, 0), Metric.EMBEDDED,
+        IrrConfig(p_min=1, p_max=40, tau=1e-6, seed=0), None, "proposed")
+    assert len({id(at) for at in formed}) == len(formed)
+    assert len({(at.y.shape, at.y.tobytes()) for at in formed}) \
+        == len(formed) >= len(trace.rows)
+    assert any(at is point for at in formed)

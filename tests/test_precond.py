@@ -1168,6 +1168,23 @@ def test_banked_operator_is_self_adjoint_and_positive_definite(metric):
     assert 1.0 / bound <= ratios.min() and ratios.max() <= bound
 
 
+@pytest.mark.parametrize("metric", ALL_METRICS)
+def test_banked_operator_on_a_wider_grid_is_self_adjoint_and_definite(
+        metric):
+    # 19 lines of 20 points (n = 380, kd = 21, banked; a 19-by-19 grid has
+    # kd = 20 and is not): the assembly's Gram-matrix form takes this
+    # dimension in well under a second, where one metric_inner call per
+    # entry took seconds.
+    prob = grid_problem(20, rows=19)
+    assert _pencil(prob, "proposed")[2][0] >= precond.BANK_KD
+    at = FactorPoint(np.random.default_rng(11).standard_normal((prob.n, 1)))
+    banked, basis = assemble_precond_operator_dense(metric, prob, at,
+                                                    bank={})
+    assert len(basis) == prob.n
+    assert np.abs(banked - banked.T).max() <= 1e-9 * np.abs(banked).max()
+    assert np.linalg.eigvalsh(0.5 * (banked + banked.T))[0] > 0.0
+
+
 @pytest.mark.parametrize("backend", ["band", "splu"])
 def test_bank_factors_a_grid_shift_as_the_exact_path(monkeypatch, backend):
     # Shifts already on the grid snap to themselves, and the bank factors

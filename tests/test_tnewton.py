@@ -1004,12 +1004,19 @@ def test_solve_deterministic():
 # builds to 11 rows, nH 22 and 9 builds, still ending on "gradient"
 # (digest before:
 # 8f18f8b1c2f518a9735cb6c1609e5d0d2c062902210f782a8ed97c62204ad2a4).
-# "none" makes no probe and kept its digest.
+# "none" makes no probe and kept its digest. Both were recorded again, at
+# rounding level, when each point came to form G^{-1} and its small
+# products once and to apply them as plain products (the metric lifts, the
+# projections and the Hessian actions): "proposed" kept its 11 rows, nH 22
+# and 9 builds, "none" its 12 rows and nH 226, both ending on "gradient"
+# (digests before, "proposed" and "none":
+# 8b6ec78be25c1ca8271cafd6f1ec84e2ff3d0e6c474e1c2af16c2ec75feebd91,
+# 5d545d0590a70da3965fa9b9bc8dac5bc0b57a2ee17b0990669e52171e6d5149).
 TRACE_SHA256 = {
-    "proposed": "8b6ec78be25c1ca8271cafd6f1ec84e2"
-                "ff3d0e6c474e1c2af16c2ec75feebd91",
-    "none": "5d545d0590a70da3965fa9b9bc8dac5b"
-            "c0b57a2ee17b0990669e52171e6d5149",
+    "proposed": "02f6dbf2e2593c913ab570dd51033dd9"
+                "754d4ca3456fd169539fc660d6046960",
+    "none": "3181a4f7a31c6a389fcae1623ecb8f22"
+            "3e1177b20b1662eaa14db2ba524f8463",
 }
 
 
@@ -1113,12 +1120,18 @@ def test_warm_started_rank_never_probes(monkeypatch):
 # tools/trace_audit.py's digests of unpreconditioned solves, recorded
 # before the steepest-descent probe was added: an increasing-rank solve of
 # gen_poisson(100, 0) (rank 15, 54 rows, nH 2202) and fixed-grid2d
-# instance 0 (15 rows, nH 145). A solve under "none" makes no probe.
+# instance 0 (15 rows, nH 145). A solve under "none" makes no probe. Both
+# were recorded again when each point came to form G^{-1} and its small
+# products once: the irr solve kept rank 15 and its 54 rows, and its nH went
+# from 2202 to 2204 at rounding level; the grid solve kept its 15 rows and
+# nH 145 (digests before, irr and grid:
+# 867ff945ebc080569e71d60499007603bca26c4442fc3c21033aacf4a556bffd,
+# d49a886166ea9f05cfa22c548f6a2d187bd3f6ece8455a7b68f7cd19c8e10e80).
 NONE_SHA256 = {
-    "irr": "867ff945ebc080569e71d60499007603"
-           "bca26c4442fc3c21033aacf4a556bffd",
-    "grid": "d49a886166ea9f05cfa22c548f6a2d18"
-            "7bd3f6ece8455a7b68f7cd19c8e10e80",
+    "irr": "60ecc1b9f162b2f55edb256b4b970e38"
+           "cab0cb72bd911eadaaa3e81e4ab1fe06",
+    "grid": "7a101acbd101dcd54a4a20a5237580f9"
+            "bf204a7648191e8fa4150ac5b02cf795",
 }
 
 

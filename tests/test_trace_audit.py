@@ -51,7 +51,31 @@ def test_moved_rank_is_knife_edge_only_near_tau(tmp_path, capsys):
                              "(knife-edge)")
     assert lines[1].endswith("relres/tau at rank 14: 0.900 -> 1.100")
     assert lines[-1] == ("3 instances, 2 hashes differ, 2 outcomes differ, "
-                         "1 of them not knife-edge")
+                         "1 of them not knife-edge, 0 differ in counts or "
+                         "stops")
+
+
+def test_closing_line_counts_instances_whose_counts_or_stops_differ(
+        tmp_path, capsys):
+    # irr/1 changed at rounding level only: its hash differs, but no
+    # outcome, count or stop does. irr/2 made one more build, grid/0
+    # counted one more factorization than before with the same hash,
+    # grid/1 stopped for another reason and grid/2 is unchanged.
+    before = {"irr/1": _record("a", 14, builds=9, stops=["target"]),
+              "irr/2": _record("b", 14, builds=9),
+              "grid/0": _record("c", 5, factor_calls=20),
+              "grid/1": _record("d", 5, stops=["gradient"]),
+              "grid/2": _record("e", 5, outer=12)}
+    after = {"irr/1": _record("f", 14, builds=9, stops=["target"]),
+             "irr/2": _record("g", 14, builds=10),
+             "grid/0": _record("c", 5, factor_calls=21),
+             "grid/1": _record("h", 5, stops=["floor"]),
+             "grid/2": _record("e", 5, outer=12)}
+    status, lines = _compare(tmp_path, capsys, before, after)
+    assert status == 1
+    assert lines[-1] == ("5 instances, 3 hashes differ, 0 outcomes differ, "
+                         "0 of them not knife-edge, 3 differ in counts or "
+                         "stops")
 
 
 def test_compare_prints_outer_iterations_per_workload(tmp_path, capsys):
@@ -154,7 +178,7 @@ def test_write_records_outer_iterations(tmp_path, capsys, monkeypatch):
     assert trace_audit.main(["compare", str(out), str(again)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == (
         "5 instances, 0 hashes differ, 0 outcomes differ, 0 of them not "
-        "knife-edge")
+        "knife-edge, 0 differ in counts or stops")
     records = json.loads(out.read_text(encoding="ascii"))
     cut = {key: record for key, record in records.items()
            if key != "irr-grid30/0"}

@@ -62,7 +62,10 @@ called Hessian actions and its sum of final ranks in both files; an
 instance that raised in either file counts toward neither rank sum, so
 the two sums cover the same instances, and a workload on which no
 instance completed in both files reads n/a. The closing line counts the
-outcome changes that are not knife-edge.
+outcome changes that are not knife-edge, and the instances any of whose
+counts or stops (the fields in COUNTS) differ, so that a change at
+rounding level reads as one in that line alone: every hash differs, but
+no outcome, count or stop does.
 
 BLAS is pinned to one thread before numpy is imported, as the benchmark
 does, so that a run is reproducible bit for bit.
@@ -83,6 +86,11 @@ INSTANCES = (("irr-poisson1d", range(200)), ("fixed-grid2d", range(60)),
              ("fixed-grid40-permuted", range(10)), ("irr-grid30", range(10)))
 
 COLUMNS = ("k", "p", "f", "gradnorm", "relres", "inner_iters", "nH", "alpha")
+
+# The fields of a record that count work or name stops.
+COUNTS = ("outer", "short_steps", "actions", "calls", "largest_inner",
+          "builds", "build_calls", "factorizations", "factor_calls",
+          "stops", "fallbacks")
 
 # Largest |relres / tau - 1| at which a moved final rank is knife-edge.
 KNIFE_EDGE = 0.03
@@ -396,9 +404,11 @@ def main(argv=None):
               f"final rank sum {ranks[name]}")
     hashes = sum(old["hash"] != new["hash"] for old, new in diff.values())
     knife = sum((rank_move(*diff[key]) or (False,))[-1] for key in moved)
+    counted = sum(any(before[key][name] != after[key][name]
+                      for name in COUNTS) for key in before)
     print(f"{len(before)} instances, {hashes} hashes differ, "
           f"{len(moved)} outcomes differ, {len(moved) - knife} of them "
-          f"not knife-edge")
+          f"not knife-edge, {counted} differ in counts or stops")
     return 1 if diff else 0
 
 
